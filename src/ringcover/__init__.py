@@ -9,9 +9,9 @@ from .partition import (PartitionState, Workloads, advance_by_mean_workload,
                         slice_workloads, subregion_workload)
 from .agents import (AgentState, CostModel, DegenerateSubregionError,
                      TargetSearchError, all_centroids, centroid, control_input,
-                     cost_gradient, cost_hessian, miranda_box_test,
-                     optimal_target, radial_second_moment_about, subregion_cost,
-                     total_cost)
+                     cost_gradient, cost_hessian, cost_table, miranda_box_test,
+                     optimal_target, optimal_targets, radial_second_moment_about,
+                     slice_cost_terms, subregion_cost, total_cost)
 from .search import (AgentNode, GossipProtocolError, RingMessage, SearchConfig,
                      SearchResult, anchor_assignment, epoch_count_for_tolerance,
                      gossip_until_stable, run_epoch, run_search,

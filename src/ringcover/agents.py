@@ -2,24 +2,33 @@
 
 Each agent serves the slice between its bar and the next one. The service
 cost of a configuration is the density-weighted integral of a move cost
-f(p_i, q) over each slice. For the squared-distance cost the per-slice
-optimum is the slice centroid and the gradient/Hessian have closed forms;
-a generic built-in cost goes through multi-start descent plus a boundary
-sweep. The sign-condition box test certifies existence of a gradient zero,
-and the radial second moment about a point backs the stability diagnostic
-reported by the simulator.
+f(p_i, q) over each slice. Both built-in costs are polynomials of degree at
+most four in the event position, so a slice's cost, gradient and exact
+Hessian are linear combinations of its rows in the moment table
+(`slice_cost_terms`). Every slice cost is strictly convex; `optimal_targets`
+finds its minimiser by Newton's method from the slice centroid, which is
+already the minimiser of the squared-distance cost. Adaptive quadrature
+(`subregion_cost`, `total_cost`) stays as the independent reference. The
+sign-condition box test certifies existence of a gradient zero, and the
+radial second moment about a point backs the stability diagnostic reported
+by the simulator.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .geometry import TWO_PI, moment_table, radial_moment, region_integral
+from .geometry import MomentTable, moment_table, radial_moment, region_integral
 from .partition import PartitionState
+
+MAX_NEWTON_STEPS = 20
+# Newton stops after a step below this fraction of every slice's RMS radius.
+# Convergence is quadratic, so the error left after that step is near
+# rounding level, while the rounding floor of a step (measured up to 2e-11 on
+# thin slices of an annulus at radius 100) stays well below the threshold.
+NEWTON_STEP_TOL = 1e-8
 
 
 class DegenerateSubregionError(ValueError):
@@ -27,7 +36,7 @@ class DegenerateSubregionError(ValueError):
 
 
 class TargetSearchError(RuntimeError):
-    """No descent start converged while locating a slice optimum."""
+    """Newton's method did not settle on a slice optimum within its step cap."""
 
 
 @dataclass(frozen=True)
@@ -35,44 +44,33 @@ class CostModel:
     """Move-cost f(p, q) between an agent at p and an event at q.
 
     Kinds:
-      squared_distance   f = |p - q|^2 (closed-form optimum: the centroid)
+      squared_distance   f = |p - q|^2 (optimum: the slice centroid)
       generic_builtin    f = |p - q|^2 + beta * |p - q|^4 with
-                         beta = parameters[0] (default 0.25); beta = 0
-                         reproduces the squared-distance cost through the
-                         generic code path.
+                         beta = parameters[0] (default 0.25); beta = 0 is the
+                         squared-distance cost.
+
+    For beta >= 0 the Hessian in p, 2I + beta * (4|d|^2 I + 8 d d') with
+    d = p - q, is at least 2I, so every slice cost is strictly convex and
+    has a unique minimiser.
     """
 
     kind: str = "squared_distance"
     parameters: tuple = ()
 
     @property
-    def is_squared_distance(self) -> bool:
-        return self.kind == "squared_distance"
-
-    def _beta(self) -> float:
-        return self.parameters[0] if self.parameters else 0.25
+    def beta(self) -> float:
+        """Weight of the quartic term; 0 for the squared-distance cost."""
+        if self.kind == "squared_distance":
+            return 0.0
+        if self.kind == "generic_builtin":
+            return float(self.parameters[0]) if self.parameters else 0.25
+        raise ValueError(f"unknown cost kind {self.kind!r}")
 
     def value(self, p, x, y):
         dx = np.asarray(x, dtype=float) - p[0]
         dy = np.asarray(y, dtype=float) - p[1]
         d2 = dx * dx + dy * dy
-        if self.kind == "squared_distance":
-            return d2
-        if self.kind == "generic_builtin":
-            return d2 + self._beta() * d2 * d2
-        raise ValueError(f"unknown cost kind {self.kind!r}")
-
-    def grad(self, p, x, y):
-        """Gradient of f with respect to p, componentwise over events."""
-        dx = p[0] - np.asarray(x, dtype=float)
-        dy = p[1] - np.asarray(y, dtype=float)
-        if self.kind == "squared_distance":
-            return 2.0 * dx, 2.0 * dy
-        if self.kind == "generic_builtin":
-            d2 = dx * dx + dy * dy
-            factor = 2.0 + 4.0 * self._beta() * d2
-            return factor * dx, factor * dy
-        raise ValueError(f"unknown cost kind {self.kind!r}")
+        return d2 + self.beta * d2 * d2
 
 
 @dataclass
@@ -101,13 +99,6 @@ def slice_bounds(state: PartitionState, i: int):
     return float(wrapped[i]), float(wrapped[(i + 1) % state.n])
 
 
-def _slice_span(phi_lo: float, phi_hi: float) -> float:
-    span = phi_hi - phi_lo
-    if phi_hi < phi_lo:
-        span += TWO_PI
-    return span
-
-
 def all_centroids(state: PartitionState, region, density) -> np.ndarray:
     """Density-weighted centroids of all slices, shape (N, 2)."""
     table = moment_table(region, density)
@@ -130,7 +121,11 @@ def centroid(state: PartitionState, region, density, i: int) -> np.ndarray:
 
 def subregion_cost(state: PartitionState, region, density, cost_model: CostModel,
                    i: int, position, rel_tol: float = 1e-8) -> float:
-    """Service cost of slice i for an agent at `position` (adaptive quadrature)."""
+    """Service cost of slice i for an agent at `position` by adaptive quadrature.
+
+    The search's slice costs, and the reference that the moment-table costs
+    are tested against.
+    """
     phi_lo, phi_hi = slice_bounds(state, i)
     return region_integral(region, density, phi_lo, phi_hi, "cost",
                            cost_model=cost_model, position=np.asarray(position, float),
@@ -149,45 +144,99 @@ def total_cost(partition_state: PartitionState, agent_state: AgentState, region,
     )
 
 
-def squared_distance_cost(partition_state: PartitionState, positions, region, density) -> float:
-    """Closed-form total cost for the squared-distance model via the moment table.
+def cost_table(region, density, cost_model: CostModel) -> MomentTable:
+    """The cached moment table with the rows `cost_model` needs.
 
-    Expands |p - q|^2 into tabulated moments; used by the simulation logger
-    and validated against the quadrature path in the tests.
+    The six quartic rows are built only for beta != 0, so a squared-distance
+    run keeps the default four-row table and its truncation bit for bit.
     """
-    table = moment_table(region, density)
-    moments = table.slice_moments(partition_state.wrapped)
+    if cost_model.beta:
+        return moment_table(region, density, degree=4)
+    return moment_table(region, density)
+
+
+def slice_cost_terms(moments, positions, cost_model: CostModel):
+    """Cost, gradient and exact Hessian of every slice cost, from table rows.
+
+    `moments` are slice moments of shape (rows, N) from `cost_table`, and
+    slice i is evaluated at positions[i]. Returns (costs (N,), gradients
+    (N, 2), Hessians (N, 2, 2)) of F_i(p) = int_{W_i} f(p, q) rho(q) dq,
+    expanded into the moments of q about the origin.
+    """
     p = np.asarray(positions, dtype=float).reshape(-1, 2)
+    mass = moments[0]
+    first = moments[1:3].T
     norms = np.sum(p * p, axis=1)
-    return float(np.sum(moments[3] - 2.0 * (p[:, 0] * moments[1] + p[:, 1] * moments[2])
-                        + norms * moments[0]))
+    cross = p[:, 0] * moments[1] + p[:, 1] * moments[2]
+    quadratic = moments[3] - 2.0 * cross + norms * mass  # int |q - p|^2 rho
+    costs = quadratic
+    grads = 2.0 * (mass[:, None] * p - first)
+    hessians = 2.0 * mass[:, None, None] * np.eye(2)
+    beta = cost_model.beta
+    if beta:
+        # int q q' rho and int |q|^2 q rho; row 9 is int |q|^4 rho
+        second = moments[[4, 5, 5, 6]].T.reshape(-1, 2, 2)
+        third = moments[7:9].T
+        second_p = np.einsum("nij,nj->ni", second, p)
+        # int |q - p|^4 rho, int |q - p|^2 (q - p) rho and int (q - p)(q - p)' rho
+        quartic = (moments[9] - 4.0 * np.sum(p * third, axis=1)
+                   + 2.0 * norms * moments[3] + 4.0 * np.sum(p * second_p, axis=1)
+                   - 4.0 * norms * cross + norms * norms * mass)
+        cubic = (third - moments[3][:, None] * p - 2.0 * second_p
+                 + 2.0 * cross[:, None] * p + norms[:, None] * (first - mass[:, None] * p))
+        p_first = p[:, :, None] * first[:, None, :]
+        spread = (second - p_first - p_first.transpose(0, 2, 1)
+                  + mass[:, None, None] * p[:, :, None] * p[:, None, :])
+        costs = costs + beta * quartic
+        grads = grads - 4.0 * beta * cubic
+        hessians = hessians + beta * (4.0 * quadratic[:, None, None] * np.eye(2)
+                                      + 8.0 * spread)
+    return costs, grads, hessians
+
+
+def optimal_targets(moments, cost_model: CostModel) -> np.ndarray:
+    """Minimiser of every slice cost, shape (N, 2), from table rows.
+
+    The squared-distance minimiser is the centroid (M_x / m, M_y / m). For
+    beta > 0 Newton's method starts there with the exact Hessian; the slice
+    cost is strictly convex, so the minimiser is unique and the iteration
+    converges quadratically. The minimiser is unconstrained: like the
+    centroid it may lie outside the slice.
+    """
+    mass = moments[0]
+    targets = np.stack([moments[1] / mass, moments[2] / mass], axis=1)
+    if not cost_model.beta:
+        return targets
+    tolerance = NEWTON_STEP_TOL * np.sqrt(moments[3] / mass)
+    for _ in range(MAX_NEWTON_STEPS):
+        _, grads, hessians = slice_cost_terms(moments, targets, cost_model)
+        steps = np.linalg.solve(hessians, grads[:, :, None])[:, :, 0]
+        targets = targets - steps
+        if np.all(np.linalg.norm(steps, axis=1) <= tolerance):
+            return targets
+    raise TargetSearchError(f"Newton steps still {np.linalg.norm(steps, axis=1)} "
+                            f"after {MAX_NEWTON_STEPS} iterations")
+
+
+def _slice_moments(partition_state: PartitionState, region, density,
+                   cost_model: CostModel, i: int) -> np.ndarray:
+    """Table rows of slice i alone, shape (rows, 1)."""
+    table = cost_table(region, density, cost_model)
+    return table.slice_moments(partition_state.wrapped)[:, [i]]
 
 
 def gradient_at(partition_state: PartitionState, region, density,
-                cost_model: CostModel, i: int, position,
-                rel_tol: float = 1e-8) -> np.ndarray:
+                cost_model: CostModel, i: int, position) -> np.ndarray:
     """Gradient of the slice-i cost at an arbitrary probe position."""
-    position = np.asarray(position, dtype=float)
-    if cost_model.is_squared_distance:
-        table = moment_table(region, density)
-        moments = table.slice_moments(partition_state.wrapped)[:, i]
-        mass = moments[0]
-        c = np.array([moments[1] / mass, moments[2] / mass])
-        return 2.0 * mass * (position - c)
-    phi_lo, phi_hi = slice_bounds(partition_state, i)
-    gx = region_integral(region, density, phi_lo, phi_hi, "cost_grad_x",
-                         cost_model=cost_model, position=position, rel_tol=rel_tol)
-    gy = region_integral(region, density, phi_lo, phi_hi, "cost_grad_y",
-                         cost_model=cost_model, position=position, rel_tol=rel_tol)
-    return np.array([gx, gy])
+    moments = _slice_moments(partition_state, region, density, cost_model, i)
+    return slice_cost_terms(moments, position, cost_model)[1][0]
 
 
 def cost_gradient(partition_state: PartitionState, agent_state: AgentState, region,
-                  density, cost_model: CostModel, i: int,
-                  rel_tol: float = 1e-8) -> np.ndarray:
+                  density, cost_model: CostModel, i: int) -> np.ndarray:
     """Gradient of the total cost with respect to agent i's position."""
     return gradient_at(partition_state, region, density, cost_model, i,
-                       agent_state.positions[i], rel_tol)
+                       agent_state.positions[i])
 
 
 def control_input(agent_state: AgentState, i: int) -> np.ndarray:
@@ -197,83 +246,18 @@ def control_input(agent_state: AgentState, i: int) -> np.ndarray:
     return -agent_state.kappa_p * (agent_state.positions[i] - agent_state.targets[i])
 
 
-def _point_in_slice(region, phi_lo: float, span: float, point) -> bool:
-    if not region.contains(point):
-        return False
-    theta = math.atan2(point[1] - region.origin[1], point[0] - region.origin[0])
-    offset = (theta - phi_lo) % TWO_PI
-    return offset <= span
-
-
-def _boundary_points(region, phi_lo: float, span: float, per_edge: int = 16):
-    """Deterministic sweep of the slice boundary: two arcs plus two bars."""
-    ts = (np.arange(per_edge) + 0.5) / per_edge
-    thetas = phi_lo + span * ts
-    pts = []
-    for curve in (region.inner, region.outer):
-        r = curve.radius(thetas)
-        pts.append(np.stack([r * np.cos(thetas), r * np.sin(thetas)], axis=1))
-    for angle in (phi_lo, phi_lo + span):
-        r_in = region.inner.radius(angle)
-        r_out = region.outer.radius(angle)
-        r = r_in + (r_out - r_in) * ts
-        pts.append(np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1))
-    return np.concatenate(pts, axis=0)
-
-
 def optimal_target(partition_state: PartitionState, region, density,
-                   cost_model: CostModel, i: int, rel_tol: float = 1e-8) -> np.ndarray:
-    """Best serving position for slice i.
-
-    Squared distance reduces analytically to the centroid. A generic cost is
-    searched with nine descent starts on a 3x3 polar grid of the slice plus a
-    64-point boundary sweep; the candidate with the least slice cost wins.
-    """
-    if cost_model.is_squared_distance:
-        return centroid(partition_state, region, density, i)
-
-    phi_lo, phi_hi = slice_bounds(partition_state, i)
-    span = _slice_span(phi_lo, phi_hi)
-    if span <= 0.0:
-        raise DegenerateSubregionError(f"slice {i} has no angular extent")
-
-    def cost_at(p):
-        return subregion_cost(partition_state, region, density, cost_model, i, p,
-                              rel_tol=rel_tol)
-
-    def grad_at(p):
-        return gradient_at(partition_state, region, density, cost_model, i, p,
-                           rel_tol=rel_tol)
-
-    candidates = []
-    residuals = []
-    for frac_theta in (0.25, 0.5, 0.75):
-        theta = phi_lo + span * frac_theta
-        r_in = region.inner.radius(theta)
-        r_out = region.outer.radius(theta)
-        for frac_r in (0.25, 0.5, 0.75):
-            r = r_in + (r_out - r_in) * frac_r
-            start = np.array([r * math.cos(theta), r * math.sin(theta)])
-            result = minimize(cost_at, start, jac=grad_at, method="BFGS",
-                              options={"gtol": 1e-8})
-            residuals.append(float(np.linalg.norm(result.jac)))
-            if result.success and _point_in_slice(region, phi_lo, span, result.x):
-                candidates.append((float(result.fun), result.x))
-
-    if not candidates:
-        raise TargetSearchError("no interior descent converged; residual gradient "
-                                f"norms: {sorted(residuals)}")
-
-    for point in _boundary_points(region, phi_lo, span):
-        candidates.append((cost_at(point), point))
-
-    best = min(candidates, key=lambda item: item[0])
-    return np.asarray(best[1], dtype=float)
+                   cost_model: CostModel, i: int) -> np.ndarray:
+    """Best serving position for slice i (see `optimal_targets`)."""
+    moments = _slice_moments(partition_state, region, density, cost_model, i)
+    if moments[0, 0] <= 0.0:
+        raise DegenerateSubregionError(f"slice {i} has no workload")
+    return optimal_targets(moments, cost_model)[0]
 
 
 def miranda_box_test(partition_state: PartitionState, region, density,
                      cost_model: CostModel, i: int, box,
-                     boundary_samples: int = 64, rel_tol: float = 1e-8) -> bool:
+                     boundary_samples: int = 64) -> bool:
     """Boundary sign certificate for a gradient zero inside an axis-aligned box.
 
     box = ((a_lo, a_hi), (b_lo, b_hi)). The box is mapped onto the unit
@@ -301,8 +285,7 @@ def miranda_box_test(partition_state: PartitionState, region, density,
         else:
             z = np.array([-1.0, -u])
         point = scale * z + center
-        g = gradient_at(partition_state, region, density, cost_model, i, point,
-                        rel_tol=rel_tol)
+        g = gradient_at(partition_state, region, density, cost_model, i, point)
         if float(g @ z) <= 0.0:
             return False
     return True
@@ -324,30 +307,13 @@ def radial_second_moment_about(region, density, theta: float, point,
 
 
 def cost_hessian(partition_state: PartitionState, agent_state: AgentState, region,
-                 density, cost_model: CostModel, i: int,
-                 rel_tol: float = 1e-8, fd_step: float = 1e-5):
-    """(2x2 Hessian of the slice cost, rank) at agent i's position.
+                 density, cost_model: CostModel, i: int):
+    """(exact 2x2 Hessian of the slice cost, rank) at agent i's position.
 
-    Squared distance is exactly 2 * m_i * I. Generic costs use central
-    differences of the gradient. Rank counts singular values above 1e-8
-    relative to the largest one.
+    Rank counts singular values above 1e-8 relative to the largest one.
     """
-    if cost_model.is_squared_distance:
-        table = moment_table(region, density)
-        mass = float(table.slice_moments(partition_state.wrapped)[0, i])
-        hessian = 2.0 * mass * np.eye(2)
-    else:
-        p = agent_state.positions[i]
-        hessian = np.empty((2, 2))
-        for axis in range(2):
-            step = np.zeros(2)
-            step[axis] = fd_step * max(1.0, float(np.linalg.norm(p)))
-            g_plus = gradient_at(partition_state, region, density, cost_model, i,
-                                 p + step, rel_tol=rel_tol)
-            g_minus = gradient_at(partition_state, region, density, cost_model, i,
-                                  p - step, rel_tol=rel_tol)
-            hessian[:, axis] = (g_plus - g_minus) / (2.0 * step[axis])
-        hessian = 0.5 * (hessian + hessian.T)
+    moments = _slice_moments(partition_state, region, density, cost_model, i)
+    hessian = slice_cost_terms(moments, agent_state.positions[i], cost_model)[2][0]
     singular = np.linalg.svd(hessian, compute_uv=False)
     rank = int(np.sum(singular > 1e-8 * singular[0])) if singular[0] > 0 else 0
     return hessian, rank

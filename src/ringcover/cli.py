@@ -1,5 +1,7 @@
 """Command-line front end: run, search, verify, export.
 
+Run as `ringcover <command> ...` or `python -m ringcover <command> ...`.
+
 Scenarios are single JSON files (see `configs/` for the bundled ones). Every
 command writes its artifacts into --out: trajectory CSV with full double
 precision, a JSON log that replays or re-export bit-for-bit, SVG snapshots,
@@ -44,8 +46,8 @@ def _load_json(path: str):
         return json.load(handle)
 
 
-def _load_scenario(config_path: str, seed=None, dt=None) -> ScenarioConfig:
-    data = _load_json(config_path)
+def _scenario(data: dict, seed=None, dt=None) -> ScenarioConfig:
+    """Parse a scenario dict after applying the --seed/--dt overrides."""
     if seed is not None:
         data["seed"] = seed
     if dt is not None:
@@ -160,7 +162,7 @@ def _write_run_artifacts(log: TrajectoryLog, config: ScenarioConfig, out_dir: Pa
 
 def cmd_run(config_path: str, out_dir: str, seed=None, dt=None) -> int:
     try:
-        config = _load_scenario(config_path, seed, dt)
+        config = _scenario(_load_json(config_path), seed, dt)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         logger.error("invalid config: %s", exc)
         return EXIT_INPUT
@@ -183,7 +185,7 @@ def cmd_run(config_path: str, out_dir: str, seed=None, dt=None) -> int:
 
 def cmd_search(config_path: str, out_dir: str, seed=None, dt=None) -> int:
     try:
-        config = _load_scenario(config_path, seed, dt)
+        config = _scenario(_load_json(config_path), seed, dt)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         logger.error("invalid config: %s", exc)
         return EXIT_INPUT
@@ -234,8 +236,7 @@ def cmd_verify(path: str, out_dir: str, seed=None, dt=None) -> int:
             log = TrajectoryLog.from_dict(data)
             config = scenario_from_dict(log.config_echo)
         else:
-            config = scenario_from_dict(data if seed is None and dt is None
-                                        else _overridden(data, seed, dt))
+            config = _scenario(data, seed, dt)
             log = run_scenario(config)
     except (ConfigError, ValueError) as exc:
         logger.error("invalid input: %s", exc)
@@ -248,14 +249,6 @@ def cmd_verify(path: str, out_dir: str, seed=None, dt=None) -> int:
     for line in report.lines():
         print(line)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
-
-
-def _overridden(data: dict, seed, dt) -> dict:
-    if seed is not None:
-        data["seed"] = seed
-    if dt is not None:
-        data.setdefault("integrator", {})["dt"] = dt
-    return data
 
 
 def cmd_export(log_path: str, fmt: str, out_dir: str, times=None) -> int:

@@ -9,9 +9,9 @@ region reduces to a radial moment
 followed by an angular integral, so this module provides adaptive
 Gauss-Legendre quadrature for both stages. It also builds a cached spectral
 table of cumulative moments (`MomentTable`) so that the simulation inner
-loop can evaluate slice workloads and centroids in O(modes) instead of
-re-running the adaptive quadrature at every step; the table is validated
-against the quadrature path in the test suite.
+loop can evaluate slice workloads, centroids and polynomial service costs
+in O(modes) instead of re-running the adaptive quadrature at every step;
+the table is validated against the quadrature path in the test suite.
 """
 
 from __future__ import annotations
@@ -167,25 +167,30 @@ def _panel_points(a: float, b: float, panels: int):
     return pts, half
 
 
+# Polynomial weights w(r, theta) of the tabulated moments, with
+# x = r cos(theta) and y = r sin(theta).
+_MONOMIALS = {
+    "plain": lambda r, theta: np.ones_like(r),
+    "x": lambda r, theta: r * np.cos(theta),
+    "y": lambda r, theta: r * np.sin(theta),
+    "r2": lambda r, theta: r * r,
+    "xx": lambda r, theta: (r * np.cos(theta)) ** 2,
+    "xy": lambda r, theta: r * r * np.cos(theta) * np.sin(theta),
+    "yy": lambda r, theta: (r * np.sin(theta)) ** 2,
+    "xr2": lambda r, theta: r ** 3 * np.cos(theta),
+    "yr2": lambda r, theta: r ** 3 * np.sin(theta),
+    "r4": lambda r, theta: r ** 4,
+}
+
+
 def _integrand_values(weight, r, theta, cost_model, position):
-    if weight == "plain":
-        return np.ones_like(r)
-    if weight == "x":
-        return r * np.cos(theta)
-    if weight == "y":
-        return r * np.sin(theta)
-    if weight == "r2":
-        return r * r
-    if weight in ("cost", "cost_grad_x", "cost_grad_y"):
+    if weight == "cost":
         if cost_model is None or position is None:
             raise ValueError("cost-weighted moments need cost_model and position")
-        x = r * np.cos(theta)
-        y = r * np.sin(theta)
-        if weight == "cost":
-            return cost_model.value(position, x, y)
-        gx, gy = cost_model.grad(position, x, y)
-        return gx if weight == "cost_grad_x" else gy
-    raise ValueError(f"unknown weight {weight!r}")
+        return cost_model.value(position, r * np.cos(theta), r * np.sin(theta))
+    if weight not in _MONOMIALS:
+        raise ValueError(f"unknown weight {weight!r}")
+    return _MONOMIALS[weight](r, theta)
 
 
 def _radial_batch(region, density, thetas, weight="plain", cost_model=None,
@@ -232,8 +237,8 @@ def radial_moment(region, density, theta, weight="plain", *, cost_model=None,
     """Weighted radial moment at a single angle.
 
     weight selects w(r, theta): "plain" -> 1, "x" -> r*cos(theta),
-    "y" -> r*sin(theta), "r2" -> r^2, "cost" -> cost_model.value(position, .)
-    (plus the internal gradient components "cost_grad_x"/"cost_grad_y").
+    "y" -> r*sin(theta), "r2" -> r^2, the quartic-table monomials "xx", "xy",
+    "yy", "xr2", "yr2", "r4", or "cost" -> cost_model.value(position, .).
     """
     values = _radial_batch(region, density, theta, weight, cost_model, position, rel_tol)
     return float(values[0])
@@ -287,11 +292,16 @@ def radial_moment_extrema(region, density, grid_size=2048, rel_tol=1e-8):
     return lo, hi
 
 
-_TABLE_WEIGHTS = ("plain", "x", "y", "r2")
+# Table rows: the moments of degree <= 2 that workloads, centroids and the
+# squared-distance cost need, then the rows a quartic cost adds.
+_TABLE_WEIGHTS = {
+    2: ("plain", "x", "y", "r2"),
+    4: ("plain", "x", "y", "r2", "xx", "xy", "yy", "xr2", "yr2", "r4"),
+}
 
 
 class MomentTable:
-    """Spectral antiderivatives of the four tabulated radial moments.
+    """Spectral antiderivatives of the tabulated radial moments.
 
     Each moment profile is sampled on a uniform angle grid with the adaptive
     radial quadrature, interpolated by a truncated trigonometric series, and
@@ -300,13 +310,17 @@ class MomentTable:
     `slice_moments` turns wrapped partition phases into per-slice integrals
     with the wrap-through-zero branch handled explicitly.
 
-    Row order is ("plain", "x", "y", "r2").
+    Row order is ("plain", "x", "y", "r2") for degree 2; degree 4 appends
+    ("xx", "xy", "yy", "xr2", "yr2", "r4"), the moments of x^a y^b with
+    a + b <= 4 that a quartic cost needs. The truncation is chosen over all
+    rows, so the degree-2 rows of the two tables agree only to rounding.
     """
 
-    def __init__(self, region, density, n_grid=4096, rel_tol=1e-13):
+    def __init__(self, region, density, n_grid=4096, rel_tol=1e-13, degree=2):
+        weights = _TABLE_WEIGHTS[degree]
         thetas = np.arange(n_grid) * (TWO_PI / n_grid)
-        samples = np.empty((4, n_grid))
-        for row, weight in enumerate(_TABLE_WEIGHTS):
+        samples = np.empty((len(weights), n_grid))
+        for row, weight in enumerate(weights):
             samples[row] = _chunked_radial(region, density, thetas, weight, rel_tol)
 
         spectrum = np.fft.rfft(samples, axis=1)
@@ -336,7 +350,7 @@ class MomentTable:
         return self._k.size
 
     def value(self, theta):
-        """Point values of the four moment profiles, shape (4, len(theta))."""
+        """Point values of the moment profiles, shape (rows, len(theta))."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         kt = self._k[:, None] * theta[None, :]
         out = self._mean[:, None] + self._cos @ np.cos(kt) + self._sin @ np.sin(kt)
@@ -351,7 +365,7 @@ class MomentTable:
         return out
 
     def slice_moments(self, wrapped_phases):
-        """Per-slice integrals between consecutive bars, shape (4, N).
+        """Per-slice integrals between consecutive bars, shape (rows, N).
 
         Slice i spans [phi_i, phi_{i+1}] with phi_{N+1} = phi_1; when the
         successor is numerically below the bar the slice wraps through zero.
@@ -368,6 +382,11 @@ class MomentTable:
 
 
 @lru_cache(maxsize=16)
-def moment_table(region, density, n_grid=4096, rel_tol=1e-13) -> MomentTable:
-    """Cached moment table for a region/density pair."""
-    return MomentTable(region, density, n_grid=n_grid, rel_tol=rel_tol)
+def moment_table(region, density, n_grid=4096, rel_tol=1e-13, degree=2) -> MomentTable:
+    """Cached moment table for a region/density pair.
+
+    The cache key is the call as written: `moment_table(region, density)`
+    and `moment_table(region, density, degree=2)` build two tables, so
+    degree-2 callers omit the argument.
+    """
+    return MomentTable(region, density, n_grid=n_grid, rel_tol=rel_tol, degree=degree)

@@ -127,7 +127,7 @@ def cyclic_difference_form(n: int):
     return matrix, lambda_min
 
 
-def decay_constants(state: PartitionState, region, density, grid_size: int = 2048):
+def decay_constants(state: PartitionState, region, density):
     """(amplitude, rate) of the guaranteed exponential workload-gap decay.
 
     amplitude = sqrt(2 * V(0)); rate = kappa_phi * omega_min * lambda_min / N
@@ -135,7 +135,7 @@ def decay_constants(state: PartitionState, region, density, grid_size: int = 204
     lambda_min comes from the cyclic-difference form.
     """
     v0 = lyapunov_value(state, region, density)
-    omega_min, _ = radial_moment_extrema(region, density, grid_size)
+    omega_min, _ = radial_moment_extrema(region, density)
     _, lambda_min = cyclic_difference_form(state.n)
     c1 = math.sqrt(2.0 * v0)
     c2 = state.kappa_phi * omega_min * lambda_min / state.n

@@ -109,9 +109,10 @@ def run_epoch(nodes, region, density, cost_model: CostModel, epoch_index: int,
               dt: float) -> int:
     """One anchored relaxation epoch; returns the anchor agent's index.
 
-    The anchor bar jumps to the anchor angle and stays pinned for the whole
-    epoch while everything else follows the coupled dynamics. At the end each
-    node saves its record and seeds its cost set with its own slice cost.
+    The anchor bar jumps to the anchor angle (the representative nearest its
+    unwrapped phase) and stays pinned for the whole epoch while everything
+    else follows the coupled dynamics. At the end each node saves its record
+    and seeds its cost set with its own slice cost.
     """
     from .sim import integrate_system
 
@@ -120,7 +121,10 @@ def run_epoch(nodes, region, density, cost_model: CostModel, epoch_index: int,
     positions = np.stack([node.position for node in nodes])
     wrapped = np.mod(phases, TWO_PI)
     anchor_agent = anchor_assignment(wrapped, epoch_index, epoch_count)
-    phases[anchor_agent] = TWO_PI * epoch_index / epoch_count
+    # The anchor angle's representative nearest the bar: no other bar lies
+    # between them, so the unwrapped phases stay in cyclic order.
+    anchor = TWO_PI * epoch_index / epoch_count
+    phases[anchor_agent] = anchor + TWO_PI * round((phases[anchor_agent] - anchor) / TWO_PI)
 
     phases, positions = integrate_system(
         region, density, cost_model, phases, positions, kappa_phi, kappa_p,

@@ -4,9 +4,10 @@ A scenario couples the bar-balancing dynamics with the agent tracking law:
 bars rotate toward the heavier neighbouring slice while each agent chases
 the optimal serving position of its slice (the centroid, for the
 squared-distance cost). Integration is fixed-step classical Runge-Kutta for
-reproducibility; a workload floor guards every accepted step against slice
-collapse, halving the step when needed. Runs produce a `TrajectoryLog`
-that `verify_invariants` checks against the convergence guarantees.
+reproducibility; every accepted step must keep the bars in cyclic order and
+every slice above a workload floor, and the step is halved when needed. Runs
+produce a `TrajectoryLog` that `verify_invariants` checks against the
+convergence guarantees.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if cost_kind not in _COST_KINDS:
         raise ConfigError("cost.kind",
                           f"unknown kind {cost_kind!r}; expected one of {_COST_KINDS}")
-    cost = CostModel(cost_kind, tuple(float(v) for v in cost_data.get("parameters", ())))
+    cost = CostModel(cost_kind, _parse_cost_parameters(cost_kind, cost_data))
 
     search = None
     if "search" in data and data["search"] is not None:
@@ -251,6 +252,25 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                           kappa_phi=kappa_phi, kappa_p=kappa_p, dt=dt, t_end=t_end,
                           log_stride=log_stride, cost=cost, search=search,
                           snapshot_times=snapshot_times, seed=seed)
+
+
+def _parse_cost_parameters(kind: str, cost_data: dict) -> tuple:
+    """Squared distance takes no parameter; generic_builtin at most one finite beta >= 0.
+
+    beta >= 0 keeps every slice cost strictly convex (see CostModel).
+    """
+    try:
+        values = tuple(float(v) for v in cost_data.get("parameters", ()))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("cost.parameters", f"expected numbers ({exc})") from None
+    allowed = 0 if kind == "squared_distance" else 1
+    if len(values) > allowed:
+        raise ConfigError("cost.parameters", f"{kind} takes at most {allowed} parameter(s), "
+                                             f"got {len(values)}")
+    if values and not (math.isfinite(values[0]) and values[0] >= 0.0):
+        raise ConfigError("cost.parameters", f"beta must be finite and >= 0, "
+                                             f"got {values[0]}")
+    return values
 
 
 def _draw_phases(rng, n: int) -> np.ndarray:
@@ -361,54 +381,46 @@ class _System:
 
     def __init__(self, region, density, cost: CostModel, n: int,
                  kappa_phi: float, kappa_p: float, pinned: int | None = None):
-        self.region = region
-        self.density = density
         self.cost = cost
         self.n = n
         self.kappa_phi = kappa_phi
         self.kappa_p = kappa_p
         self.pinned = pinned
-        self.table = moment_table(region, density)
+        self.table = agents_mod.cost_table(region, density, cost)
         self.workload_floor = WORKLOAD_FLOOR_FRACTION * float(self.table.totals[0]) / n
         self.halvings_last_step = 0
 
     def split(self, y: np.ndarray):
         return y[:self.n], y[self.n:].reshape(self.n, 2)
 
-    def targets(self, wrapped: np.ndarray, moments: np.ndarray) -> np.ndarray:
-        if self.cost.is_squared_distance:
-            mass = moments[0]
-            return np.stack([moments[1] / mass, moments[2] / mass], axis=1)
-        state = PartitionState(wrapped, self.kappa_phi)
-        return np.stack([
-            agents_mod.optimal_target(state, self.region, self.density, self.cost, i)
-            for i in range(self.n)
-        ])
-
     def rhs(self, y: np.ndarray) -> np.ndarray:
         phases, positions = self.split(y)
-        wrapped = np.mod(phases, TWO_PI)
-        moments = self.table.slice_moments(wrapped)
+        moments = self.table.slice_moments(np.mod(phases, TWO_PI))
         m = moments[0]
         rates = self.kappa_phi * (m - np.roll(m, 1))
         if self.pinned is not None:
             rates[self.pinned] = 0.0
-        velocity = -self.kappa_p * (positions - self.targets(wrapped, moments))
+        targets = agents_mod.optimal_targets(moments, self.cost)
+        velocity = -self.kappa_p * (positions - targets)
         return np.concatenate([rates, velocity.ravel()])
 
-    def min_workload(self, y: np.ndarray) -> float:
-        wrapped = np.mod(y[:self.n], TWO_PI)
-        return float(np.min(self.table.slice_moments(wrapped)[0]))
+    def acceptable(self, y: np.ndarray) -> bool:
+        """Bars keep their cyclic order and every slice keeps its workload floor."""
+        phases = y[:self.n]
+        if phases[0] + TWO_PI <= phases[-1] or (phases[1:] <= phases[:-1]).any():
+            return False
+        wrapped = np.mod(phases, TWO_PI)
+        return float(np.min(self.table.slice_moments(wrapped)[0])) > self.workload_floor
 
     def advance(self, y: np.ndarray, dt: float, depth: int = 0) -> np.ndarray:
-        """Guarded step: halve (up to the cap) if a slice would collapse."""
+        """Guarded step: halve (up to the cap) if bars would cross or a slice collapse."""
         trial = rk4_step(y, self.rhs, dt)
-        if self.min_workload(trial) > self.workload_floor:
+        if self.acceptable(trial):
             return trial
         if depth >= MAX_STEP_HALVINGS:
             raise IntegrationError(
-                f"workload floor {self.workload_floor:.3e} still violated after "
-                f"{MAX_STEP_HALVINGS} step halvings")
+                f"step still crosses bars or breaks the workload floor "
+                f"{self.workload_floor:.3e} after {MAX_STEP_HALVINGS} step halvings")
         self.halvings_last_step = max(self.halvings_last_step, depth + 1)
         mid = self.advance(y, 0.5 * dt, depth + 1)
         return self.advance(mid, 0.5 * dt, depth + 1)
@@ -470,18 +482,9 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
         m = moments[0]
         rates = config.kappa_phi * (m - np.roll(m, 1))
         centroids = np.stack([moments[1] / m, moments[2] / m], axis=1)
-        targets = (centroids if config.cost.is_squared_distance
-                   else system.targets(wrapped, moments))
+        targets = agents_mod.optimal_targets(moments, config.cost)
         velocity = -config.kappa_p * (positions - targets)
-        if config.cost.is_squared_distance:
-            cost_now = agents_mod.squared_distance_cost(
-                PartitionState(wrapped, config.kappa_phi), positions,
-                config.region, config.density)
-        else:
-            cost_now = agents_mod.total_cost(
-                PartitionState(wrapped, config.kappa_phi),
-                AgentState(positions, config.kappa_p),
-                config.region, config.density, config.cost)
+        costs, _, _ = agents_mod.slice_cost_terms(moments, positions, config.cost)
         offsets = positions - centroids
         rows.append({
             "t": t,
@@ -490,7 +493,7 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
             "positions": positions.copy(),
             "m": m.copy(),
             "V": 0.5 * float(np.sum((m - m_bar) ** 2)),
-            "J": float(cost_now),
+            "J": float(np.sum(costs)),
             "centroids": centroids,
             "phi_rate": float(np.linalg.norm(rates)),
             "speed": float(np.max(np.linalg.norm(velocity, axis=1))),
@@ -609,9 +612,17 @@ def verify_invariants(log: TrajectoryLog, config: ScenarioConfig | None = None,
     checks.append(CheckResult("lyapunov_exponential_bound", "ratio<=1.05", ratio,
                               "pass" if ratio <= 1.05 else "fail"))
 
-    # Neighbour workload gaps under the same envelope.
+    # Workload errors e_i = m_i - m_bar obey |e_i| <= sqrt(2 V) <= c1 e^{-c2 t},
+    # and neighbour gaps |e_i - e_{i-1}| <= sqrt(2 (e_i^2 + e_{i-1}^2))
+    # <= 2 sqrt(V) <= sqrt(2) c1 e^{-c2 t}; same 5% discretization slack.
+    decay = np.exp(-c2 * (t - t[0]))
+    deviation_envelope = np.maximum(c1 * decay, 1e-10 * m_bar)
+    deviation_ratio = float(np.max(np.abs(log.workloads - m_bar)
+                                   / deviation_envelope[:, None]))
+    checks.append(CheckResult("workload_deviation_bound", "ratio<=1.05", deviation_ratio,
+                              "pass" if deviation_ratio <= 1.05 else "fail"))
     diffs = np.abs(log.workloads - np.roll(log.workloads, 1, axis=1))
-    gap_envelope = np.maximum(c1 * np.exp(-c2 * (t - t[0])), 1e-10 * m_bar)
+    gap_envelope = np.maximum(math.sqrt(2.0) * c1 * decay, 1e-10 * m_bar)
     gap_ratio = float(np.max(diffs / gap_envelope[:, None]))
     checks.append(CheckResult("pairwise_difference_bound", "ratio<=1.05", gap_ratio,
                               "pass" if gap_ratio <= 1.05 else "fail"))
@@ -654,7 +665,7 @@ def verify_invariants(log: TrajectoryLog, config: ScenarioConfig | None = None,
     checks.append(CheckResult("gradient_consistency", "rel<1e-4", worst_grad,
                               "pass" if worst_grad < 1e-4 else "fail"))
 
-    # Centroids minimize the squared-distance cost at a frozen partition.
+    # Centroids are optimal for the squared-distance cost at a frozen partition.
     worst_opt = _centroid_optimality(log, region, density, config, rng)
     checks.append(CheckResult("centroid_optimality", "J(p*+d)>=J(p*)", worst_opt,
                               "pass" if worst_opt >= -1e-9 else "fail"))

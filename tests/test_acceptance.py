@@ -11,9 +11,9 @@ import pytest
 
 from conftest import reference_scenario_dict, uniform_scenario_dict
 from ringcover.agents import (AgentState, CostModel, all_centroids, centroid,
-                              cost_hessian, gradient_at,
-                              squared_distance_cost, subregion_cost, total_cost)
-from ringcover.geometry import TWO_PI, region_integral
+                              cost_hessian, gradient_at, slice_cost_terms,
+                              subregion_cost, total_cost)
+from ringcover.geometry import TWO_PI, moment_table, region_integral
 from ringcover.partition import (PartitionState, advance_by_mean_workload,
                                  cyclic_difference_form, slice_workloads)
 from ringcover.search import gossip_until_stable, make_nodes, run_search
@@ -234,8 +234,9 @@ def test_10_search_optimality_gap(search_sweep, uniform_region, uniform_density)
                                       float(anchor), 2)
         state = PartitionState(np.array([anchor, xi % TWO_PI]), 0.1)
         positions = all_centroids(state, uniform_region, uniform_density)
-        oracle = min(oracle, squared_distance_cost(state, positions,
-                                                   uniform_region, uniform_density))
+        moments = moment_table(uniform_region, uniform_density).slice_moments(state.wrapped)
+        costs, _, _ = slice_cost_terms(moments, positions, CostModel("squared_distance"))
+        oracle = min(oracle, float(np.sum(costs)))
     gaps = {k: (search_sweep[k] - oracle) / oracle for k in (8, 16, 32, 64)}
     non_increasing = all(gaps[b] <= gaps[a] + 1e-6
                          for a, b in ((8, 16), (16, 32), (32, 64)))

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ringcover.agents import (AgentState, CostModel, DegenerateSubregionError,
-                              all_centroids, centroid, control_input,
-                              cost_gradient, cost_hessian, gradient_at,
+                              all_centroids, centroid, control_input, cost_gradient,
+                              cost_hessian, cost_table, gradient_at,
                               miranda_box_test, optimal_target,
-                              radial_second_moment_about, squared_distance_cost,
+                              radial_second_moment_about, slice_cost_terms,
                               subregion_cost, total_cost)
-from ringcover.geometry import TWO_PI, radial_moment
+from ringcover.geometry import TWO_PI, moment_table, radial_moment
 from ringcover.partition import PartitionState
 
 SECTOR_CENTROID_X = 28.0 * math.sqrt(2.0) / (9.0 * math.pi)
@@ -69,7 +70,9 @@ def test_squared_distance_cost_matches_quadrature(reference_region, reference_de
     rng = np.random.default_rng(4)
     state = PartitionState(np.sort(rng.uniform(0.0, TWO_PI, 4)), 0.03)
     positions = rng.uniform(-1.0, 1.0, (4, 2)) + np.array([2.0, 0.0])
-    fast = squared_distance_cost(state, positions, reference_region, reference_density)
+    moments = moment_table(reference_region, reference_density).slice_moments(state.wrapped)
+    costs, _, _ = slice_cost_terms(moments, positions, CostModel("squared_distance"))
+    fast = float(np.sum(costs))
     slow = total_cost(state, AgentState(positions, 0.1), reference_region,
                       reference_density, CostModel("squared_distance"))
     assert_allclose(fast, slow, rtol=1e-8)
@@ -235,3 +238,51 @@ def test_all_centroids_consistent(reference_region, reference_density):
         assert_allclose(stacked[i],
                         centroid(state, reference_region, reference_density, i),
                         rtol=1e-12)
+
+
+@st.composite
+def slice_probes(draw):
+    """Partition with every slice >= 0.05 rad wide, a slice, a probe point, beta."""
+    n = draw(st.integers(2, 6))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))) + 1e-3
+    widths = 0.05 + (TWO_PI - 0.05 * n) * weights / np.sum(weights)
+    start = draw(st.floats(0.0, TWO_PI, exclude_max=True))
+    phases = start + np.concatenate([[0.0], np.cumsum(widths[:-1])])
+    i = draw(st.integers(0, n - 1))
+    probe = np.array([draw(st.floats(-3.5, 3.5)), draw(st.floats(-3.5, 3.5))])
+    beta = draw(st.floats(0.0, 1.0))
+    return PartitionState(phases, 0.03), i, probe, CostModel("generic_builtin", (beta,))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=slice_probes())
+def test_moment_table_cost_terms_match_quadrature(reference_region, reference_density,
+                                                  case):
+    state, i, probe, model = case
+
+    def oracle(p):
+        return subregion_cost(state, reference_region, reference_density, model, i, p)
+
+    moments = cost_table(reference_region, reference_density, model).slice_moments(
+        state.wrapped)[:, [i]]
+    costs, grads, hessians = slice_cost_terms(moments, probe, model)
+    value = oracle(probe)
+    assert abs(costs[0] - value) <= 1e-8 * abs(value)
+
+    axes = np.eye(2)
+    h = 1e-5
+    fd_grad = np.array([(oracle(probe + h * e) - oracle(probe - h * e)) / (2.0 * h)
+                        for e in axes])
+    assert np.linalg.norm(grads[0] - fd_grad) <= 1e-4 * max(np.linalg.norm(grads[0]), 1e-9)
+
+    h = 1e-3
+    fd_hess = np.array([[(oracle(probe + h * a + h * b) - oracle(probe + h * a - h * b)
+                          - oracle(probe - h * a + h * b) + oracle(probe - h * a - h * b))
+                         / (4.0 * h * h) for b in axes] for a in axes])
+    assert np.max(np.abs(hessians[0] - fd_hess)) <= 1e-3 * np.max(np.abs(hessians[0]))
+
+    target = optimal_target(state, reference_region, reference_density, model, i)
+    best = oracle(target)
+    for angle in np.arange(8) * (TWO_PI / 8.0):
+        delta = 0.05 * np.array([math.cos(angle), math.sin(angle)])
+        assert oracle(target + delta) >= best

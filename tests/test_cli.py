@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +235,21 @@ def test_verify_reference_scenario_passes(reference_run, tmp_path):
     assert cmd_verify(str(log_path), str(out)) == 0
     report = (out / "report.txt").read_text()
     assert "FAIL" not in report and "INCONCLUSIVE" not in report
+
+
+def test_run_rejects_negative_generic_beta(tmp_path, caplog):
+    data = uniform_scenario_dict(cost={"kind": "generic_builtin", "parameters": [-1.0]})
+    assert cmd_run(write_config(tmp_path, data), str(tmp_path / "out")) == 2
+    assert "cost.parameters" in caplog.text
+
+
+def test_python_dash_m_runs_the_cli(quick_config, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "ringcover", "run", "--config",
+                           quick_config, "--out", str(out)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (out / "trajectory.csv").exists()

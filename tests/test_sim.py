@@ -5,13 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import reference_scenario_dict, uniform_scenario_dict
-from ringcover.agents import all_centroids
-from ringcover.geometry import TWO_PI
+from ringcover import sim
+from ringcover.agents import AgentState, CostModel, all_centroids, total_cost
+from ringcover.geometry import TWO_PI, radial_moment_extrema
 from ringcover.partition import PartitionState
-from ringcover.sim import (ConfigError, ScenarioConfig, TrajectoryLog,
+from ringcover.sim import (ConfigError, IntegrationError, ScenarioConfig, TrajectoryLog,
                            integrate_system, rk4_step, run_scenario,
                            scenario_from_dict, verify_invariants)
-from ringcover.agents import CostModel
 
 
 def equilibrium_scenario_dict(t_end=60.0, **overrides):
@@ -198,3 +198,92 @@ def test_scenario_config_drawn_inits_are_valid():
     again = scenario_from_dict(reference_scenario_dict(seed=7))
     assert np.array_equal(config.initial_phases, again.initial_phases)
     assert np.array_equal(config.initial_positions, again.initial_positions)
+
+
+def one_generic_step(seed, beta=0.25):
+    return reference_scenario_dict(
+        seed=seed, cost={"kind": "generic_builtin", "parameters": [beta]},
+        integrator={"dt": 0.01, "t_end": 0.01, "log_stride": 1})
+
+
+def test_generic_cost_step_completes_and_logs_quadrature_cost():
+    config = scenario_from_dict(one_generic_step(25))
+    log = run_scenario(config)
+    assert log.times.size == 2
+    for k in range(2):
+        state = PartitionState(log.phases_wrapped[k], config.kappa_phi)
+        oracle = total_cost(state, AgentState(log.positions[k], config.kappa_p),
+                            config.region, config.density, config.cost)
+        assert abs(log.cost[k] - oracle) <= 1e-8 * oracle
+
+
+def test_generic_cost_at_beta_zero_is_squared_distance_bit_for_bit():
+    squared = one_generic_step(42)
+    squared["cost"] = {"kind": "squared_distance"}
+    squared["integrator"]["t_end"] = 0.5
+    generic = one_generic_step(42, beta=0.0)
+    generic["integrator"]["t_end"] = 0.5
+    log_a = run_scenario(scenario_from_dict(squared))
+    log_b = run_scenario(scenario_from_dict(generic))
+    assert np.array_equal(log_a.positions, log_b.positions)
+    assert np.array_equal(log_a.phases_unwrapped, log_b.phases_unwrapped)
+    assert np.array_equal(log_a.cost, log_b.cost)
+
+
+@pytest.mark.parametrize("cost, message", [
+    ({"kind": "generic_builtin", "parameters": [-0.1]}, ">= 0"),
+    ({"kind": "generic_builtin", "parameters": [float("nan")]}, "finite"),
+    ({"kind": "generic_builtin", "parameters": [float("inf")]}, "finite"),
+    ({"kind": "generic_builtin", "parameters": [0.2, 0.3]}, "at most 1 parameter"),
+    ({"kind": "generic_builtin", "parameters": ["x"]}, "numbers"),
+    ({"kind": "squared_distance", "parameters": [0.0]}, "at most 0 parameter"),
+])
+def test_config_rejects_malformed_cost_parameters(cost, message):
+    with pytest.raises(ConfigError, match=message) as info:
+        scenario_from_dict(uniform_scenario_dict(cost=cost))
+    assert info.value.field == "cost.parameters"
+
+
+def test_run_computes_moment_extrema_once():
+    radial_moment_extrema.cache_clear()
+    run_scenario(scenario_from_dict(uniform_scenario_dict(
+        integrator={"dt": 0.05, "t_end": 0.1, "log_stride": 1})))
+    assert radial_moment_extrema.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("seed", [2, 3, 8])
+def test_workload_bounds_hold_at_start(seed):
+    # the t=0 neighbour gap exceeds sqrt(2 V0) on these seeds, though never 2 sqrt(V0)
+    config = scenario_from_dict(reference_scenario_dict(
+        seed=seed, integrator={"dt": 0.01, "t_end": 1.0, "log_stride": 10}))
+    statuses = {c.name: c.status for c in verify_invariants(run_scenario(config),
+                                                            config).checks}
+    assert statuses["pairwise_difference_bound"] == "pass"
+    assert statuses["workload_deviation_bound"] == "pass"
+
+
+def overtaking_scenario_dict():
+    """Stiff bars (kappa_phi = 1, dt = 0.5): an unguarded step crosses two bars."""
+    return {
+        "region": {"inner": {"mean": 1.0}, "outer": {"mean": 2.0}},
+        "density": {"kind": "uniform", "parameters": [1.0]},
+        "agents": {"count": 3, "initial_phases": [0.1, 0.3, 3.0],
+                   "initial_positions": [[1.5, 0.3], [-1.4, 0.2], [0.0, -1.5]]},
+        "gains": {"kappa_phi": 1.0, "kappa_p": 0.5},
+        "integrator": {"dt": 0.5, "t_end": 10.0, "log_stride": 1},
+    }
+
+
+def test_step_guard_keeps_cyclic_order():
+    log = run_scenario(scenario_from_dict(overtaking_scenario_dict()))
+    phases = log.phases_unwrapped
+    gaps = np.diff(np.concatenate([phases, phases[:, :1] + TWO_PI], axis=1), axis=1)
+    assert np.min(gaps) > 0.0
+    assert int(np.sum(log.halvings)) >= 1
+
+
+def test_step_guard_raises_when_halving_cannot_keep_order(monkeypatch):
+    monkeypatch.setattr(sim, "MAX_STEP_HALVINGS", 0)
+    with pytest.raises(IntegrationError, match="crosses bars") as info:
+        run_scenario(scenario_from_dict(overtaking_scenario_dict()))
+    assert info.value.log.meta["guard_failures"] == 1
