@@ -75,71 +75,60 @@ class CostModel:
 
 @dataclass
 class AgentState:
-    """Agent positions, the tracking gain, and the current targets."""
+    """Agent positions and the tracking gain."""
 
     positions: np.ndarray
     kappa_p: float
-    targets: np.ndarray | None = None
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float).reshape(-1, 2).copy()
         if self.kappa_p <= 0.0:
             raise ValueError("kappa_p must be positive")
-        if self.targets is not None:
-            self.targets = np.asarray(self.targets, dtype=float).reshape(-1, 2).copy()
 
     @property
     def n(self) -> int:
         return self.positions.shape[0]
 
 
-def slice_bounds(state: PartitionState, i: int):
-    """(phi_lo, phi_hi) of slice i in wrapped coordinates."""
-    wrapped = state.wrapped
-    return float(wrapped[i]), float(wrapped[(i + 1) % state.n])
+def slice_centroids(moments) -> np.ndarray:
+    """Density-weighted centroids (M_x / m, M_y / m) of every slice, shape (N, 2).
 
-
-def all_centroids(state: PartitionState, region, density) -> np.ndarray:
-    """Density-weighted centroids of all slices, shape (N, 2)."""
-    table = moment_table(region, density)
-    moments = table.slice_moments(state.wrapped)
+    `moments` are slice moments of shape (rows, N) from the moment table.
+    """
     mass = moments[0]
-    if np.any(mass <= 0.0):
-        bad = int(np.argmin(mass))
-        raise DegenerateSubregionError(f"slice {bad} has no workload")
     return np.stack([moments[1] / mass, moments[2] / mass], axis=1)
 
 
-def centroid(state: PartitionState, region, density, i: int) -> np.ndarray:
-    """Centroid of slice i."""
-    table = moment_table(region, density)
-    moments = table.slice_moments(state.wrapped)[:, i]
-    if moments[0] <= 0.0:
-        raise DegenerateSubregionError(f"slice {i} has no workload")
-    return np.array([moments[1] / moments[0], moments[2] / moments[0]])
+def all_centroids(state: PartitionState, region, density) -> np.ndarray:
+    """Centroids of all slices of a partition; every slice must hold workload."""
+    moments = moment_table(region, density).slice_moments(state.wrapped)
+    if np.any(moments[0] <= 0.0):
+        bad = int(np.argmin(moments[0]))
+        raise DegenerateSubregionError(f"slice {bad} has no workload")
+    return slice_centroids(moments)
 
 
 def subregion_cost(state: PartitionState, region, density, cost_model: CostModel,
-                   i: int, position, rel_tol: float = 1e-8) -> float:
+                   i: int, position) -> float:
     """Service cost of slice i for an agent at `position` by adaptive quadrature.
 
     The search's slice costs, and the reference that the moment-table costs
     are tested against.
     """
-    phi_lo, phi_hi = slice_bounds(state, i)
-    return region_integral(region, density, phi_lo, phi_hi, "cost",
-                           cost_model=cost_model, position=np.asarray(position, float),
-                           rel_tol=rel_tol)
+    wrapped = state.wrapped
+    return region_integral(region, density, float(wrapped[i]),
+                           float(wrapped[(i + 1) % state.n]), "cost",
+                           cost_model=cost_model, position=np.asarray(position, float))
 
 
 def total_cost(partition_state: PartitionState, agent_state: AgentState, region,
-               density, cost_model: CostModel, rel_tol: float = 1e-8) -> float:
+               density, cost_model: CostModel) -> float:
     """Total service cost: sum of per-slice costs at the agents' positions."""
     if agent_state.n != partition_state.n:
         raise ValueError("agent and partition states disagree on N")
     return sum(
         subregion_cost(partition_state, region, density, cost_model, i,
-                       agent_state.positions[i], rel_tol)
+                       agent_state.positions[i])
         for i in range(partition_state.n)
     )
 
@@ -203,11 +192,10 @@ def optimal_targets(moments, cost_model: CostModel) -> np.ndarray:
     converges quadratically. The minimiser is unconstrained: like the
     centroid it may lie outside the slice.
     """
-    mass = moments[0]
-    targets = np.stack([moments[1] / mass, moments[2] / mass], axis=1)
+    targets = slice_centroids(moments)
     if not cost_model.beta:
         return targets
-    tolerance = NEWTON_STEP_TOL * np.sqrt(moments[3] / mass)
+    tolerance = NEWTON_STEP_TOL * np.sqrt(moments[3] / moments[0])
     for _ in range(MAX_NEWTON_STEPS):
         _, grads, hessians = slice_cost_terms(moments, targets, cost_model)
         steps = np.linalg.solve(hessians, grads[:, :, None])[:, :, 0]
@@ -230,20 +218,6 @@ def gradient_at(partition_state: PartitionState, region, density,
     """Gradient of the slice-i cost at an arbitrary probe position."""
     moments = _slice_moments(partition_state, region, density, cost_model, i)
     return slice_cost_terms(moments, position, cost_model)[1][0]
-
-
-def cost_gradient(partition_state: PartitionState, agent_state: AgentState, region,
-                  density, cost_model: CostModel, i: int) -> np.ndarray:
-    """Gradient of the total cost with respect to agent i's position."""
-    return gradient_at(partition_state, region, density, cost_model, i,
-                       agent_state.positions[i])
-
-
-def control_input(agent_state: AgentState, i: int) -> np.ndarray:
-    """Velocity command driving agent i toward its target."""
-    if agent_state.targets is None:
-        raise ValueError("targets are not set")
-    return -agent_state.kappa_p * (agent_state.positions[i] - agent_state.targets[i])
 
 
 def optimal_target(partition_state: PartitionState, region, density,
@@ -291,18 +265,17 @@ def miranda_box_test(partition_state: PartitionState, region, density,
     return True
 
 
-def radial_second_moment_about(region, density, theta: float, point,
-                               rel_tol: float = 1e-8) -> float:
+def radial_second_moment_about(region, density, theta: float, point) -> float:
     """Radial integral of |s - q|^2 * rho * r along the ray at `theta`.
 
     Expanded into three weighted radial moments; equals the direct quadrature
     of the squared distance along the ray.
     """
     s = np.asarray(point, dtype=float)
-    m_plain = radial_moment(region, density, theta, "plain", rel_tol=rel_tol)
-    m_x = radial_moment(region, density, theta, "x", rel_tol=rel_tol)
-    m_y = radial_moment(region, density, theta, "y", rel_tol=rel_tol)
-    m_r2 = radial_moment(region, density, theta, "r2", rel_tol=rel_tol)
+    m_plain = radial_moment(region, density, theta, "plain")
+    m_x = radial_moment(region, density, theta, "x")
+    m_y = radial_moment(region, density, theta, "y")
+    m_r2 = radial_moment(region, density, theta, "r2")
     return m_r2 + float(s @ s) * m_plain - 2.0 * (s[0] * m_x + s[1] * m_y)
 
 

@@ -149,7 +149,8 @@ def _write_snapshots(log: TrajectoryLog, region, times, out_dir: Path):
     return paths
 
 
-def _write_run_artifacts(log: TrajectoryLog, config: ScenarioConfig, out_dir: Path):
+def _write_run_artifacts(log: TrajectoryLog, config: ScenarioConfig, out_dir: Path,
+                         snapshot_times):
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "trajectory.csv").write_text(
         "\n".join(trajectory_csv_lines(log)) + "\n", encoding="utf-8")
@@ -157,7 +158,7 @@ def _write_run_artifacts(log: TrajectoryLog, config: ScenarioConfig, out_dir: Pa
         json.dump(log.to_dict(), handle)
     with open(out_dir / "config_echo.json", "w", encoding="utf-8") as handle:
         json.dump(config.to_dict(), handle, indent=2)
-    _write_snapshots(log, config.region, config.snapshot_times, out_dir)
+    _write_snapshots(log, config.region, snapshot_times, out_dir)
 
 
 def cmd_run(config_path: str, out_dir: str, seed=None, dt=None) -> int:
@@ -172,10 +173,12 @@ def cmd_run(config_path: str, out_dir: str, seed=None, dt=None) -> int:
     except IntegrationError as exc:
         logger.error("integration failed: %s", exc)
         if exc.log is not None:
-            _write_run_artifacts(exc.log, config, out)
+            first, last = exc.log.times[0], exc.log.times[-1]
+            _write_run_artifacts(exc.log, config, out,
+                                 [t for t in config.snapshot_times if first <= t <= last])
         return EXIT_RUNTIME
     try:
-        _write_run_artifacts(log, config, out)
+        _write_run_artifacts(log, config, out, config.snapshot_times)
     except ValueError as exc:
         logger.error("export failed: %s", exc)
         return EXIT_INPUT

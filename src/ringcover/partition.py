@@ -2,11 +2,11 @@
 
 N radial bars cut the annular region into N angular slices; each bar rotates
 at a rate proportional to the workload difference between the two slices it
-separates, which equalizes the workloads. The module also carries the
-machinery used to verify that convergence: the imbalance (Lyapunov) value,
-the cyclic-difference quadratic form and its minimum eigenvalue, the decay
-constants they induce, the equal-share phase advance map, and the workload
-floor used as a step-acceptance guard by the integrator.
+separates (`bar_rates`), which equalizes the workloads. The module also
+carries the machinery used to verify that convergence: the imbalance
+(Lyapunov) value, the cyclic-difference quadratic form and its minimum
+eigenvalue, the decay constants they induce, and the equal-share phase
+advance map.
 """
 
 from __future__ import annotations
@@ -63,42 +63,30 @@ class PartitionState:
     def wrapped(self) -> np.ndarray:
         return np.mod(self.unwrapped, TWO_PI)
 
-    def replace(self, unwrapped) -> "PartitionState":
-        return PartitionState(np.asarray(unwrapped, dtype=float), self.kappa_phi)
 
-
-@dataclass
-class Workloads:
-    """Per-slice workloads and the equal-share mean (total / N)."""
-
-    values: np.ndarray
-    mean: float
-
-
-def slice_workloads(state: PartitionState, region, density) -> Workloads:
+def slice_workloads(state: PartitionState, region, density) -> np.ndarray:
     """All N slice workloads in bar order."""
-    table = moment_table(region, density)
-    values = table.slice_moments(state.wrapped)[0]
-    return Workloads(values=values, mean=float(table.totals[0]) / state.n)
+    return moment_table(region, density).slice_moments(state.wrapped)[0]
 
 
-def subregion_workload(state: PartitionState, region, density, i: int) -> float:
-    """Workload of slice i (0-based), wrapping through zero when needed."""
-    if not 0 <= i < state.n:
-        raise IndexError(f"slice index {i} out of range for {state.n} bars")
-    return float(slice_workloads(state, region, density).values[i])
+def bar_rates(workloads, kappa_phi: float) -> np.ndarray:
+    """Bar rates: each bar moves toward the heavier neighbouring slice.
+
+    Bar i separates slice i-1 from slice i, so it turns at
+    kappa_phi * (m_i - m_{i-1}); the rates sum to zero.
+    """
+    return kappa_phi * (workloads - np.roll(workloads, 1))
 
 
-def partition_rhs(state: PartitionState, region, density) -> np.ndarray:
-    """Bar rates: each bar moves toward the heavier neighbouring slice."""
-    m = slice_workloads(state, region, density).values
-    return state.kappa_phi * (m - np.roll(m, 1))
+def imbalance(workloads, mean: float) -> float:
+    """Imbalance energy 0.5 * sum_i (m_i - mean)^2; zero iff equalized."""
+    return 0.5 * float(np.sum((workloads - mean) ** 2))
 
 
 def lyapunov_value(state: PartitionState, region, density) -> float:
-    """Imbalance energy 0.5 * sum_i (m_i - mean)^2; zero iff equalized."""
-    w = slice_workloads(state, region, density)
-    return 0.5 * float(np.sum((w.values - w.mean) ** 2))
+    """Imbalance energy of the partition against the equal share total / N."""
+    mean = float(moment_table(region, density).totals[0]) / state.n
+    return imbalance(slice_workloads(state, region, density), mean)
 
 
 def cyclic_difference_form(n: int):
@@ -142,13 +130,7 @@ def decay_constants(state: PartitionState, region, density):
     return c1, c2
 
 
-def mean_workload(region, density, n_agents: int) -> float:
-    """Equal share of the total workload."""
-    return float(moment_table(region, density).totals[0]) / n_agents
-
-
-def advance_by_mean_workload(region, density, phi: float, n_agents: int,
-                             rel_tol: float = 1e-10) -> float:
+def advance_by_mean_workload(region, density, phi: float, n_agents: int) -> float:
     """Phase xi in [phi, phi + 2*pi] whose slice [phi, xi] holds one share.
 
     Composing the map N times advances the phase by exactly one full turn.
@@ -182,12 +164,8 @@ def advance_by_mean_workload(region, density, phi: float, n_agents: int,
         xi = min(max(xi, phi), phi + TWO_PI)
 
     residual = abs(cumulative(xi) - target)
-    if residual > rel_tol * share:
+    if residual > 1e-10 * share:
         raise RuntimeError(f"equal-share advance residual {residual:.3e} "
-                           f"exceeds {rel_tol:.1e} * share")
+                           "exceeds 1e-10 * share")
     return xi
 
-
-def min_workload_guard(workloads: Workloads, floor: float) -> bool:
-    """True iff every slice keeps strictly more than `floor` workload."""
-    return float(np.min(workloads.values)) > floor

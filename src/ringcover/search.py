@@ -22,39 +22,13 @@ import numpy as np
 from .geometry import TWO_PI
 from .partition import PartitionState
 from .agents import AgentState, CostModel, subregion_cost, total_cost
+# SearchConfig and epoch_count_for_tolerance live in sim, whose parser builds
+# them; they stay importable from here.
+from .sim import SearchConfig, epoch_count_for_tolerance, integrate_system
 
 
 class GossipProtocolError(RuntimeError):
     """Ring flooding ran longer than the synchronous bound allows."""
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Anchor grid size (directly or via the angular tolerance) and epoch length."""
-
-    epoch_count: int | None = None
-    epsilon_p: float | None = None
-    epoch_duration: float = 10.0
-    rng_seed: int = 0
-
-    def resolved_epochs(self) -> int:
-        if self.epoch_count is not None:
-            if self.epoch_count < 1:
-                raise ValueError("epoch count must be positive")
-            return self.epoch_count
-        if self.epsilon_p is None:
-            raise ValueError("need epoch_count or epsilon_p")
-        return epoch_count_for_tolerance(self.epsilon_p)
-
-
-def epoch_count_for_tolerance(epsilon_p: float) -> int:
-    """Smallest k whose anchor spacing 2*pi/k does not exceed the tolerance."""
-    if epsilon_p <= 0.0:
-        raise ValueError("angular tolerance must be positive")
-    k = max(1, int(math.floor(TWO_PI / epsilon_p)))
-    if TWO_PI / k <= epsilon_p:
-        return k
-    return k + 1
 
 
 def anchor_assignment(wrapped_phases, epoch_index: int, epoch_count: int) -> int:
@@ -114,8 +88,6 @@ def run_epoch(nodes, region, density, cost_model: CostModel, epoch_index: int,
     else follows the coupled dynamics. At the end each node saves its record
     and seeds its cost set with its own slice cost.
     """
-    from .sim import integrate_system
-
     epoch_count = search_config.resolved_epochs()
     phases = np.array([node.phase for node in nodes])
     positions = np.stack([node.position for node in nodes])

@@ -53,11 +53,23 @@ def uniform_scenario_dict(**overrides):
         "gains": {"kappa_phi": 0.1, "kappa_p": 0.5},
         "integrator": {"dt": 0.05, "t_end": 30.0, "log_stride": 100},
         "cost": {"kind": "squared_distance"},
-        "search": {"K_star": 8, "T_epsilon": 30.0, "rng_seed": 3},
+        "search": {"K_star": 8, "T_epsilon": 30.0},
         "output": {"snapshot_times": [0.0, 30.0]},
     }
     data.update(overrides)
     return data
+
+
+def overtaking_scenario_dict():
+    """Stiff bars (kappa_phi = 1, dt = 0.5): an unguarded step crosses two bars."""
+    return {
+        "region": {"inner": {"mean": 1.0}, "outer": {"mean": 2.0}},
+        "density": {"kind": "uniform", "parameters": [1.0]},
+        "agents": {"count": 3, "initial_phases": [0.1, 0.3, 3.0],
+                   "initial_positions": [[1.5, 0.3], [-1.4, 0.2], [0.0, -1.5]]},
+        "gains": {"kappa_phi": 1.0, "kappa_p": 0.5},
+        "integrator": {"dt": 0.5, "t_end": 10.0, "log_stride": 1},
+    }
 
 
 @pytest.fixture(scope="session")

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ringcover.agents import (AgentState, CostModel, DegenerateSubregionError,
-                              all_centroids, centroid, control_input, cost_gradient,
-                              cost_hessian, cost_table, gradient_at,
-                              miranda_box_test, optimal_target,
-                              radial_second_moment_about, slice_cost_terms,
-                              subregion_cost, total_cost)
+                              all_centroids, cost_hessian, cost_table, gradient_at,
+                              miranda_box_test, optimal_target, optimal_targets,
+                              radial_second_moment_about, slice_centroids,
+                              slice_cost_terms, subregion_cost, total_cost)
 from ringcover.geometry import TWO_PI, moment_table, radial_moment
-from ringcover.partition import PartitionState
+from ringcover.partition import PartitionState, slice_workloads
+from ringcover.sim import _System
 
 SECTOR_CENTROID_X = 28.0 * math.sqrt(2.0) / (9.0 * math.pi)
 SECTOR_MASS = 3.0 * math.pi / 4.0
@@ -25,13 +25,13 @@ def sector_state():
 
 
 def test_centroid_sector_closed_form(sector_state, uniform_region, uniform_density):
-    c = centroid(sector_state, uniform_region, uniform_density, 0)
+    c = all_centroids(sector_state, uniform_region, uniform_density)[0]
     assert_allclose(c, [SECTOR_CENTROID_X, 0.0], atol=1e-10)
 
 
 def test_centroid_near_full_circle(uniform_region, uniform_density):
     state = PartitionState(np.array([0.0, TWO_PI - 1e-9]), 0.03)
-    c = centroid(state, uniform_region, uniform_density, 0)
+    c = all_centroids(state, uniform_region, uniform_density)[0]
     assert np.linalg.norm(c) <= 1e-6
 
 
@@ -39,8 +39,8 @@ def test_centroid_rotational_equivariance(uniform_region, uniform_density):
     alpha = 0.8
     base = PartitionState(np.array([7.0 * math.pi / 4.0, math.pi / 4.0]), 0.03)
     rotated = PartitionState(base.unwrapped + alpha, 0.03)
-    c0 = centroid(base, uniform_region, uniform_density, 0)
-    c1 = centroid(rotated, uniform_region, uniform_density, 0)
+    c0 = all_centroids(base, uniform_region, uniform_density)[0]
+    c1 = all_centroids(rotated, uniform_region, uniform_density)[0]
     rot = np.array([[math.cos(alpha), -math.sin(alpha)],
                     [math.sin(alpha), math.cos(alpha)]])
     assert_allclose(c1, rot @ c0, atol=1e-10)
@@ -49,7 +49,7 @@ def test_centroid_rotational_equivariance(uniform_region, uniform_density):
 def test_centroid_degenerate_slice(uniform_region, uniform_density):
     state = PartitionState(np.array([1.0, 1.0]), 0.03)
     with pytest.raises(DegenerateSubregionError):
-        centroid(state, uniform_region, uniform_density, 0)
+        all_centroids(state, uniform_region, uniform_density)
 
 
 def test_cost_model_zero_at_event():
@@ -83,30 +83,25 @@ def test_parallel_axis_identity(reference_region, reference_density):
     squared = CostModel("squared_distance")
     for _ in range(3):
         state = PartitionState(np.sort(rng.uniform(0.0, TWO_PI, 3)), 0.03)
-        positions = np.stack([centroid(state, reference_region, reference_density, i)
-                              + rng.normal(scale=0.2, size=2) for i in range(3)])
+        centroids = all_centroids(state, reference_region, reference_density)
+        positions = centroids + rng.normal(scale=0.2, size=(3, 2))
         agents = AgentState(positions, 0.1)
         total = total_cost(state, agents, reference_region, reference_density, squared)
         spread = sum(subregion_cost(state, reference_region, reference_density,
-                                    squared, i,
-                                    centroid(state, reference_region,
-                                             reference_density, i))
+                                    squared, i, centroids[i])
                      for i in range(3))
         carried = 0.0
-        from ringcover.partition import slice_workloads
         w = slice_workloads(state, reference_region, reference_density)
         for i in range(3):
-            offset = positions[i] - centroid(state, reference_region,
-                                             reference_density, i)
-            carried += w.values[i] * float(offset @ offset)
+            offset = positions[i] - centroids[i]
+            carried += w[i] * float(offset @ offset)
         assert abs(total - spread - carried) <= 1e-6 * abs(total)
 
 
 def test_gradient_zero_at_centroid(sector_state, uniform_region, uniform_density):
-    c = centroid(sector_state, uniform_region, uniform_density, 0)
-    agents = AgentState(np.stack([c, [-1.5, 0.0]]), 0.1)
-    g = cost_gradient(sector_state, agents, uniform_region, uniform_density,
-                      CostModel("squared_distance"), 0)
+    c = all_centroids(sector_state, uniform_region, uniform_density)[0]
+    g = gradient_at(sector_state, uniform_region, uniform_density,
+                    CostModel("squared_distance"), 0, c)
     assert_allclose(g, [0.0, 0.0], atol=1e-12)
 
 
@@ -135,23 +130,33 @@ def test_gradient_finite_difference_generic(sector_state, uniform_region,
     assert np.linalg.norm(g - fd) <= 1e-4 * np.linalg.norm(g)
 
 
-def test_control_input():
-    agents = AgentState(np.array([[1.0, 0.0], [0.0, 1.0]]), 0.1,
-                        targets=np.zeros((2, 2)))
-    assert_allclose(control_input(agents, 0), [-0.1, 0.0], rtol=1e-15)
-    agents.positions[0] = agents.targets[0]
-    assert_allclose(control_input(agents, 0), [0.0, 0.0])
+def test_control_input(sector_state, uniform_region, uniform_density):
+    # the integrator's agent velocity is -kappa_p * (p - target)
+    system = _System(uniform_region, uniform_density, CostModel(), 2, 0.03, 0.1)
+
+    def velocity(positions):
+        ev = system.evaluate(np.concatenate([sector_state.unwrapped, np.ravel(positions)]))
+        return ev.targets, ev.derivative[2:].reshape(2, 2)
+
+    targets, _ = velocity(np.zeros((2, 2)))
+    positions = targets + [[1.0, 0.0], [0.0, 1.0]]
+    _, v = velocity(positions)
+    assert np.array_equal(v, -0.1 * (positions - targets))
+    # p - target rounds the unit offsets
+    assert_allclose(v, [[-0.1, 0.0], [0.0, -0.1]], rtol=1e-12, atol=1e-15)
+    _, v = velocity(targets)
+    assert np.array_equal(v, np.zeros((2, 2)))
     # linear in the offset
-    a = AgentState(np.array([[2.0, -1.0], [0.0, 1.0]]), 0.1, targets=np.zeros((2, 2)))
-    b = AgentState(np.array([[4.0, -2.0], [0.0, 1.0]]), 0.1, targets=np.zeros((2, 2)))
-    assert_allclose(control_input(b, 0), 2.0 * control_input(a, 0), rtol=1e-15)
+    _, va = velocity(targets + [[2.0, -1.0], [0.0, 1.0]])
+    _, vb = velocity(targets + [[4.0, -2.0], [0.0, 1.0]])
+    assert_allclose(vb[0], 2.0 * va[0], rtol=1e-12)
 
 
 def test_optimal_target_squared_is_centroid(sector_state, uniform_region,
                                             uniform_density):
     target = optimal_target(sector_state, uniform_region, uniform_density,
                             CostModel("squared_distance"), 0)
-    c = centroid(sector_state, uniform_region, uniform_density, 0)
+    c = all_centroids(sector_state, uniform_region, uniform_density)[0]
     assert np.array_equal(target, c)
 
 
@@ -159,7 +164,7 @@ def test_optimal_target_generic_path_matches_centroid(sector_state, uniform_regi
                                                       uniform_density):
     target = optimal_target(sector_state, uniform_region, uniform_density,
                             CostModel("generic_builtin", (0.0,)), 0)
-    c = centroid(sector_state, uniform_region, uniform_density, 0)
+    c = all_centroids(sector_state, uniform_region, uniform_density)[0]
     assert np.linalg.norm(target - c) <= 1e-6
 
 
@@ -173,7 +178,7 @@ def test_optimal_target_symmetric_slice_on_axis(sector_state, uniform_region,
 
 def test_miranda_certificate(sector_state, uniform_region, uniform_density):
     squared = CostModel("squared_distance")
-    c = centroid(sector_state, uniform_region, uniform_density, 0)
+    c = all_centroids(sector_state, uniform_region, uniform_density)[0]
     box = ((c[0] - 0.1, c[0] + 0.1), (c[1] - 0.1, c[1] + 0.1))
     assert miranda_box_test(sector_state, uniform_region, uniform_density,
                             squared, 0, box, boundary_samples=64)
@@ -234,9 +239,14 @@ def test_hessian_generic_matches_analytic(sector_state, uniform_region,
 def test_all_centroids_consistent(reference_region, reference_density):
     state = PartitionState(np.array([0.2, 1.4, 3.3, 5.0]), 0.03)
     stacked = all_centroids(state, reference_region, reference_density)
+    moments = moment_table(reference_region, reference_density).slice_moments(state.wrapped)
+    assert np.array_equal(stacked, slice_centroids(moments))
+    assert np.array_equal(stacked, optimal_targets(moments, CostModel()))
     for i in range(4):
-        assert_allclose(stacked[i],
-                        centroid(state, reference_region, reference_density, i),
+        # slice i alone: the formula does not mix slices
+        assert_allclose(stacked[i], slice_centroids(moments[:, [i]])[0], rtol=1e-12)
+        assert_allclose(stacked[i], optimal_target(state, reference_region,
+                                                   reference_density, CostModel(), i),
                         rtol=1e-12)
 
 

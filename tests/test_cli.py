@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import reference_scenario_dict, uniform_scenario_dict
+from conftest import (overtaking_scenario_dict, reference_scenario_dict,
+                      uniform_scenario_dict)
+from ringcover import sim
 from ringcover.cli import (cmd_export, cmd_run, cmd_search, cmd_verify, main,
                            trajectory_csv_lines)
 from ringcover.sim import TrajectoryLog, run_scenario, scenario_from_dict
@@ -119,7 +121,7 @@ def test_export_rejects_malformed_log(tmp_path):
 
 def test_search_epochs_from_epsilon(tmp_path):
     data = uniform_scenario_dict(
-        search={"epsilon_p": math.pi, "T_epsilon": 5.0, "rng_seed": 1},
+        search={"epsilon_p": math.pi, "T_epsilon": 5.0},
         integrator={"dt": 0.05, "t_end": 2.0, "log_stride": 5})
     path = write_config(tmp_path, data)
     out = tmp_path / "out"
@@ -135,7 +137,7 @@ def test_search_epochs_from_epsilon(tmp_path):
 
 def test_search_direct_count_overrides_epsilon(tmp_path):
     data = uniform_scenario_dict(
-        search={"K_star": 3, "epsilon_p": math.pi, "T_epsilon": 4.0, "rng_seed": 1},
+        search={"K_star": 3, "epsilon_p": math.pi, "T_epsilon": 4.0},
         integrator={"dt": 0.05, "t_end": 2.0, "log_stride": 5})
     path = write_config(tmp_path, data)
     out = tmp_path / "out"
@@ -146,7 +148,7 @@ def test_search_direct_count_overrides_epsilon(tmp_path):
 
 def test_search_rerun_identical(tmp_path):
     data = uniform_scenario_dict(
-        search={"K_star": 2, "T_epsilon": 4.0, "rng_seed": 5},
+        search={"K_star": 2, "T_epsilon": 4.0},
         integrator={"dt": 0.05, "t_end": 2.0, "log_stride": 5})
     path = write_config(tmp_path, data)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -253,3 +255,40 @@ def test_python_dash_m_runs_the_cli(quick_config, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("path, value, field", [
+    ("agents.count", "x", "agents.count"),
+    ("region", 5, "region"),
+    ("gains", [1], "gains"),
+    ("integrator.dt", math.nan, "integrator.dt"),
+    ("integrator.t_end", math.inf, "integrator.t_end"),
+    ("seed", "abc", "seed"),
+    ("region.validation_grid_size", "x", "region.validation_grid_size"),
+    ("output.snapshot_times", ["a"], "output.snapshot_times"),
+    ("density.parameters", ["x"], "density.parameters"),
+    ("gains.kappa_phi", math.nan, "gains.kappa_phi"),
+    ("density", {"kind": "radial_polynomial_times_angular", "parameters": []},
+     "density.parameters"),
+])
+def test_run_rejects_malformed_number(tmp_path, caplog, path, value, field):
+    data = uniform_scenario_dict()
+    *parents, key = path.split(".")
+    node = data
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    assert cmd_run(write_config(tmp_path, data), str(tmp_path / "out")) == 2
+    assert f"invalid config: {field}: " in caplog.text
+
+
+def test_run_integration_failure_exits_3_with_partial_log(tmp_path, monkeypatch):
+    monkeypatch.setattr(sim, "MAX_STEP_HALVINGS", 0)
+    data = overtaking_scenario_dict()
+    data["output"] = {"snapshot_times": [0, 5]}
+    out = tmp_path / "out"
+    assert cmd_run(write_config(tmp_path, data), str(out)) == 3
+    assert len((out / "trajectory.csv").read_text().strip().split("\n")) >= 2
+    # only the snapshot inside the partial log's span
+    assert (out / "snapshot_t0.svg").exists()
+    assert not (out / "snapshot_t5.svg").exists()

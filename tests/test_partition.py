@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ringcover.agents import CostModel
 from ringcover.geometry import TWO_PI, moment_table, radial_moment_extrema
-from ringcover.partition import (PartitionState, Workloads,
-                                 advance_by_mean_workload,
-                                 cyclic_difference_form, decay_constants,
-                                 lyapunov_value, mean_workload,
-                                 min_workload_guard, partition_rhs,
-                                 slice_workloads, subregion_workload,
+from ringcover.partition import (PartitionState, advance_by_mean_workload, bar_rates,
+                                 cyclic_difference_form, decay_constants, imbalance,
+                                 lyapunov_value, slice_workloads,
                                  validate_initial_phases)
+from ringcover import sim
+from ringcover.sim import _System
 
 
 @pytest.fixture
@@ -19,19 +19,27 @@ def two_bar_state():
     return PartitionState(np.array([0.0, math.pi / 2.0]), 0.03)
 
 
+def evaluation(state, region, density, positions=None, pinned=None):
+    """The integrator's evaluation at a partition (agents at the origin by default)."""
+    n = state.n
+    system = _System(region, density, CostModel(), n, state.kappa_phi, 0.1, pinned)
+    if positions is None:
+        positions = np.zeros((n, 2))
+    return system, system.evaluate(np.concatenate([state.unwrapped, np.ravel(positions)]))
+
+
 def test_workloads_two_bars(two_bar_state, uniform_region, uniform_density):
-    assert_allclose(subregion_workload(two_bar_state, uniform_region, uniform_density, 0),
-                    3.0 * math.pi / 4.0, rtol=1e-10)
+    w = slice_workloads(two_bar_state, uniform_region, uniform_density)
+    assert_allclose(w[0], 3.0 * math.pi / 4.0, rtol=1e-10)
     # second slice wraps through zero
-    assert_allclose(subregion_workload(two_bar_state, uniform_region, uniform_density, 1),
-                    9.0 * math.pi / 4.0, rtol=1e-10)
+    assert_allclose(w[1], 9.0 * math.pi / 4.0, rtol=1e-10)
 
 
 def test_workloads_symmetric_quarters(uniform_region, uniform_density):
     state = PartitionState(np.arange(4) * math.pi / 2.0, 0.03)
     w = slice_workloads(state, uniform_region, uniform_density)
-    assert_allclose(w.values, 3.0 * math.pi / 4.0, rtol=1e-10)
-    assert_allclose(w.mean, 3.0 * math.pi / 4.0, rtol=1e-10)
+    assert_allclose(w, 3.0 * math.pi / 4.0, rtol=1e-10)
+    assert_allclose(np.mean(w), 3.0 * math.pi / 4.0, rtol=1e-10)
 
 
 def test_workload_sum_is_total(reference_region, reference_density):
@@ -39,27 +47,33 @@ def test_workload_sum_is_total(reference_region, reference_density):
     state = PartitionState(np.sort(rng.uniform(0.0, TWO_PI, 6)), 0.03)
     w = slice_workloads(state, reference_region, reference_density)
     total = moment_table(reference_region, reference_density).totals[0]
-    assert_allclose(np.sum(w.values), total, rtol=1e-12)
+    assert_allclose(np.sum(w), total, rtol=1e-12)
 
 
 def test_rhs_equilibrium_is_zero(uniform_region, uniform_density):
     state = PartitionState(np.arange(4) * math.pi / 2.0, 0.03)
-    assert_allclose(partition_rhs(state, uniform_region, uniform_density),
-                    0.0, atol=1e-14)
+    _, ev = evaluation(state, uniform_region, uniform_density)
+    assert_allclose(ev.rates, 0.0, atol=1e-14)
 
 
 def test_rhs_two_bars(two_bar_state, uniform_region, uniform_density):
-    rates = partition_rhs(two_bar_state, uniform_region, uniform_density)
+    _, ev = evaluation(two_bar_state, uniform_region, uniform_density)
     expected = 0.03 * (3.0 * math.pi / 4.0 - 9.0 * math.pi / 4.0)
-    assert_allclose(rates, [expected, -expected], rtol=1e-10)
-    assert_allclose(rates[0], -0.14137, rtol=1e-4)
+    assert_allclose(ev.rates, [expected, -expected], rtol=1e-10)
+    assert_allclose(ev.rates[0], -0.14137, rtol=1e-4)
+    assert np.array_equal(ev.derivative[:2], ev.rates)
+    assert np.array_equal(bar_rates(ev.moments[0], 0.03), ev.rates)
+    # a pinned bar holds still; the other keeps its rate
+    _, pinned = evaluation(two_bar_state, uniform_region, uniform_density, pinned=0)
+    assert pinned.rates[0] == 0.0 and pinned.derivative[0] == 0.0
+    assert pinned.rates[1] == ev.rates[1]
 
 
 def test_rhs_rates_sum_to_zero(reference_region, reference_density):
     rng = np.random.default_rng(3)
     for _ in range(5):
         state = PartitionState(np.sort(rng.uniform(0.0, TWO_PI, 8)), 0.03)
-        rates = partition_rhs(state, reference_region, reference_density)
+        rates = bar_rates(slice_workloads(state, reference_region, reference_density), 0.03)
         assert abs(np.sum(rates)) <= 1e-12 * np.sum(np.abs(rates) + 1e-30)
 
 
@@ -69,6 +83,7 @@ def test_lyapunov_values(two_bar_state, uniform_region, uniform_density):
     v = lyapunov_value(two_bar_state, uniform_region, uniform_density)
     assert_allclose(v, (3.0 * math.pi / 4.0) ** 2, rtol=1e-10)
     assert v >= 0.0
+    assert imbalance(np.array([1.0, 2.0, 6.0]), 3.0) == 0.5 * (4.0 + 1.0 + 9.0)
 
 
 def test_cyclic_form_small_matrices():
@@ -152,17 +167,27 @@ def test_equal_share_residual(reference_region, reference_density):
     assert abs(got - share) <= 1e-10 * share
 
 
-def test_mean_workload(uniform_region, uniform_density):
-    assert_allclose(mean_workload(uniform_region, uniform_density, 2),
+def test_mean_workload(two_bar_state, uniform_region, uniform_density):
+    # the guard's floor is a fixed fraction of the equal share total / N
+    system, _ = evaluation(two_bar_state, uniform_region, uniform_density)
+    assert_allclose(system.workload_floor / sim.WORKLOAD_FLOOR_FRACTION,
                     3.0 * math.pi / 2.0, rtol=1e-12)
 
 
 def test_min_workload_guard(two_bar_state, uniform_region, uniform_density):
-    w = slice_workloads(two_bar_state, uniform_region, uniform_density)
-    assert min_workload_guard(w, 0.0)
-    assert min_workload_guard(w, 1.0)  # min is 3*pi/4 ~ 2.36
-    assert not min_workload_guard(Workloads(np.array([0.0, 1.0]), 0.5), 0.0)
-    assert not min_workload_guard(w, 5.0)
+    system, ev = evaluation(two_bar_state, uniform_region, uniform_density)
+    accepted = system.evaluate_guarded(ev.state)
+    assert np.array_equal(accepted.derivative, ev.derivative)
+    system.workload_floor = 1.0  # min is 3*pi/4 ~ 2.36
+    assert system.evaluate_guarded(ev.state) is not None
+    system.workload_floor = 5.0
+    assert system.evaluate_guarded(ev.state) is None
+    # the floor is strict: a slice holding exactly the floor is rejected
+    thin = PartitionState(np.array([1.0, 1.0 + 1e-8]), 0.03)
+    system, ev = evaluation(thin, uniform_region, uniform_density)
+    assert system.evaluate_guarded(ev.state) is not None
+    system.workload_floor = float(np.min(ev.moments[0]))
+    assert system.evaluate_guarded(ev.state) is None
 
 
 def test_validate_initial_phases():

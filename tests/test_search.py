@@ -127,7 +127,7 @@ def test_run_epoch_two_bars_opposite(uniform_region, uniform_density):
 
 def test_search_determinism():
     config = scenario_from_dict(uniform_scenario_dict(
-        search={"K_star": 3, "T_epsilon": 8.0, "rng_seed": 1}))
+        search={"K_star": 3, "T_epsilon": 8.0}))
     first = run_search(config)
     second = run_search(config)
     for a, b in zip(first.epochs, second.epochs):
@@ -140,7 +140,7 @@ def test_search_determinism():
 
 def test_search_final_cost_recomputes(uniform_region, uniform_density):
     config = scenario_from_dict(uniform_scenario_dict(
-        search={"K_star": 2, "T_epsilon": 30.0, "rng_seed": 1}))
+        search={"K_star": 2, "T_epsilon": 30.0}))
     result = run_search(config)
     state = PartitionState(result.final_phases, config.kappa_phi)
     agents = AgentState(result.final_positions, config.kappa_p)
@@ -172,6 +172,6 @@ def test_monotone_refinement_nested_anchors():
     best = {}
     for k in (4, 8):
         config = scenario_from_dict(uniform_scenario_dict(
-            search={"K_star": k, "T_epsilon": 20.0, "rng_seed": 1}))
+            search={"K_star": k, "T_epsilon": 20.0}))
         best[k] = run_search(config).best_total
     assert best[8] <= best[4] + 1e-6

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import reference_scenario_dict, uniform_scenario_dict
-from ringcover import sim
+from conftest import (overtaking_scenario_dict, reference_scenario_dict,
+                      uniform_scenario_dict)
+from ringcover import agents, sim
 from ringcover.agents import AgentState, CostModel, all_centroids, total_cost
-from ringcover.geometry import TWO_PI, radial_moment_extrema
+from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField, MomentTable,
+                                PolarCurve, radial_moment_extrema)
 from ringcover.partition import PartitionState
 from ringcover.sim import (ConfigError, IntegrationError, ScenarioConfig, TrajectoryLog,
                            integrate_system, rk4_step, run_scenario,
@@ -18,7 +21,6 @@ def equilibrium_scenario_dict(t_end=60.0, **overrides):
     """Uniform annulus, equally spaced bars, agents at the slice centroids."""
     phases = [0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0]
     state = PartitionState(np.array(phases), 0.1)
-    from ringcover.geometry import AnnularRegion, DensityField, PolarCurve
     region = AnnularRegion(PolarCurve(1.0), PolarCurve(2.0))
     density = DensityField("uniform", (1.0,))
     centroids = all_centroids(state, region, density)
@@ -45,6 +47,21 @@ def test_rk4_scalar_decay():
     new = rk4_step(y, lambda s: -s, 0.1)
     # fourth-order Taylor value of exp(-0.1)
     assert_allclose(new[0], 0.9048375, rtol=1e-12)
+
+
+def test_rk4_reuses_a_given_first_stage():
+    calls = []
+
+    def derivative(s):
+        calls.append(s.copy())
+        return -s
+
+    y = np.array([1.0, -0.5])
+    fresh = rk4_step(y, derivative, 0.1)
+    assert len(calls) == 4
+    reused = rk4_step(y, derivative, 0.1, k1=-y)
+    assert len(calls) == 7  # three more stages, none at y itself
+    assert np.array_equal(fresh, reused)
 
 
 def test_rk4_tracking_matches_exponential(uniform_region, uniform_density):
@@ -262,18 +279,6 @@ def test_workload_bounds_hold_at_start(seed):
     assert statuses["workload_deviation_bound"] == "pass"
 
 
-def overtaking_scenario_dict():
-    """Stiff bars (kappa_phi = 1, dt = 0.5): an unguarded step crosses two bars."""
-    return {
-        "region": {"inner": {"mean": 1.0}, "outer": {"mean": 2.0}},
-        "density": {"kind": "uniform", "parameters": [1.0]},
-        "agents": {"count": 3, "initial_phases": [0.1, 0.3, 3.0],
-                   "initial_positions": [[1.5, 0.3], [-1.4, 0.2], [0.0, -1.5]]},
-        "gains": {"kappa_phi": 1.0, "kappa_p": 0.5},
-        "integrator": {"dt": 0.5, "t_end": 10.0, "log_stride": 1},
-    }
-
-
 def test_step_guard_keeps_cyclic_order():
     log = run_scenario(scenario_from_dict(overtaking_scenario_dict()))
     phases = log.phases_unwrapped
@@ -287,3 +292,88 @@ def test_step_guard_raises_when_halving_cannot_keep_order(monkeypatch):
     with pytest.raises(IntegrationError, match="crosses bars") as info:
         run_scenario(scenario_from_dict(overtaking_scenario_dict()))
     assert info.value.log.meta["guard_failures"] == 1
+
+
+def count_calls(monkeypatch):
+    """Count slice_moments and optimal_targets calls made through the integrator."""
+    counts = {"slice_moments": 0, "optimal_targets": 0}
+    real_moments = MomentTable.slice_moments
+    real_targets = agents.optimal_targets
+
+    def slice_moments(self, phases):
+        counts["slice_moments"] += 1
+        return real_moments(self, phases)
+
+    def optimal_targets(moments, cost_model):
+        counts["optimal_targets"] += 1
+        return real_targets(moments, cost_model)
+
+    monkeypatch.setattr(MomentTable, "slice_moments", slice_moments)
+    monkeypatch.setattr(agents, "optimal_targets", optimal_targets)
+    return counts
+
+
+def test_one_evaluation_per_state(monkeypatch):
+    # per step: three RK4 stages plus the guard's evaluation of the accepted
+    # trial, which is also the next step's first stage and the logged record
+    counts = count_calls(monkeypatch)
+    steps = 20
+    log = run_scenario(scenario_from_dict(uniform_scenario_dict(
+        integrator={"dt": 0.05, "t_end": 0.05 * steps, "log_stride": 3})))
+    assert int(np.sum(log.halvings)) == 0
+    # plus the initial evaluation, and V(0) for the decay constants
+    assert counts["slice_moments"] == 4 * steps + 2
+    assert counts["optimal_targets"] == 4 * steps + 1
+
+
+def test_guard_rejects_before_targets(monkeypatch, uniform_region, uniform_density):
+    counts = count_calls(monkeypatch)
+    real_guard = sim._System.evaluate_guarded
+    targets_in_rejections = []
+
+    def guard(self, y):
+        before = counts["optimal_targets"]
+        evaluation = real_guard(self, y)
+        if evaluation is None:
+            targets_in_rejections.append(counts["optimal_targets"] - before)
+        return evaluation
+
+    monkeypatch.setattr(sim._System, "evaluate_guarded", guard)
+    run_scenario(scenario_from_dict(overtaking_scenario_dict()))  # order rejections
+    system = sim._System(uniform_region, uniform_density, CostModel(), 2, 0.1, 0.5)
+    system.workload_floor = 1e9  # a floor rejection
+    assert system.evaluate_guarded(np.array([0.4, 1.9, 1.5, 0.3, -1.4, 0.2])) is None
+    assert len(targets_in_rejections) >= 2
+    assert not any(targets_in_rejections)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
+       steps=st.integers(1, 30), stride=st.integers(1, 5))
+def test_logged_rates_are_fresh_evaluations(seed, n, steps, stride):
+    config = scenario_from_dict(reference_scenario_dict(
+        seed=seed,
+        agents={"count": n, "initial_phases": "random", "initial_positions": "random"},
+        integrator={"dt": 0.01, "t_end": 0.01 * steps, "log_stride": stride}))
+    log = run_scenario(config)
+    system = sim._System(config.region, config.density, config.cost, n,
+                         config.kappa_phi, config.kappa_p)
+    for k in range(log.times.size):
+        fresh = system.evaluate(np.concatenate([log.phases_unwrapped[k],
+                                                log.positions[k].ravel()]))
+        velocity = fresh.derivative[n:].reshape(n, 2)
+        assert float(np.linalg.norm(fresh.rates)) == log.phi_rate_norm[k]
+        assert float(np.max(np.linalg.norm(velocity, axis=1))) == log.max_speed[k]
+    means = np.mean(log.phases_unwrapped, axis=1)
+    assert np.max(np.abs(means - means[0])) <= 1e-12
+    # V never increases, up to rounding
+    assert np.all(np.diff(log.lyapunov) <= 1e-12 * log.lyapunov[0])
+
+
+def test_search_rng_seed_is_ignored():
+    # the search is deterministic; old configs that still carry rng_seed parse
+    config = scenario_from_dict(uniform_scenario_dict(
+        search={"K_star": 8, "T_epsilon": 30.0, "rng_seed": 3}))
+    assert config.search == sim.SearchConfig(8, None, 30.0)
+    assert config.to_dict()["search"] == {"K_star": 8, "epsilon_p": None,
+                                          "T_epsilon": 30.0}
