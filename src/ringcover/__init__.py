@@ -3,13 +3,11 @@
 from .geometry import (AnnularRegion, DensityField, InvalidDensityError,
                        MomentTable, PolarCurve, QuadratureError, moment_table,
                        radial_moment, radial_moment_extrema, region_integral)
-from .partition import (PartitionState, advance_by_mean_workload, bar_rates,
-                        cyclic_difference_form, decay_constants, imbalance,
-                        lyapunov_value, slice_workloads)
-from .agents import (AgentState, CostModel, DegenerateSubregionError,
-                     TargetSearchError, all_centroids, cost_hessian, cost_table,
-                     miranda_box_test, optimal_target, optimal_targets,
-                     radial_second_moment_about, slice_centroids, slice_cost_terms,
+from .partition import (advance_by_mean_workload, bar_rates, cyclic_difference_form,
+                        decay_constants, imbalance)
+from .agents import (CostModel, DegenerateSubregionError, TargetSearchError,
+                     all_centroids, cost_table, gradient_at, miranda_box_test,
+                     optimal_targets, slice_centroids, slice_cost_terms,
                      subregion_cost, total_cost)
 from .sim import (ConfigError, IntegrationError, ScenarioConfig, SearchConfig,
                   TrajectoryLog, VerificationReport, epoch_count_for_tolerance,

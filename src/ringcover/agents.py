@@ -9,9 +9,10 @@ Hessian are linear combinations of its rows in the moment table
 finds its minimiser by Newton's method from the slice centroid, which is
 already the minimiser of the squared-distance cost. Adaptive quadrature
 (`subregion_cost`, `total_cost`) stays as the independent reference. The
-sign-condition box test certifies existence of a gradient zero, and the
-radial second moment about a point backs the stability diagnostic reported
-by the simulator.
+sign-condition box test certifies existence of a gradient zero.
+
+A partition is passed as its unwrapped bar phases (see `partition`) and the
+agents as their (N, 2) positions; slice i lies between bars i and i+1.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MomentTable, moment_table, radial_moment, region_integral
-from .partition import PartitionState
+from .geometry import TWO_PI, MomentTable, moment_table, region_integral
 
 MAX_NEWTON_STEPS = 20
 # Newton stops after a step below this fraction of every slice's RMS radius.
@@ -73,23 +73,6 @@ class CostModel:
         return d2 + self.beta * d2 * d2
 
 
-@dataclass
-class AgentState:
-    """Agent positions and the tracking gain."""
-
-    positions: np.ndarray
-    kappa_p: float
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float).reshape(-1, 2).copy()
-        if self.kappa_p <= 0.0:
-            raise ValueError("kappa_p must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
-
-
 def slice_centroids(moments) -> np.ndarray:
     """Density-weighted centroids (M_x / m, M_y / m) of every slice, shape (N, 2).
 
@@ -99,38 +82,34 @@ def slice_centroids(moments) -> np.ndarray:
     return np.stack([moments[1] / mass, moments[2] / mass], axis=1)
 
 
-def all_centroids(state: PartitionState, region, density) -> np.ndarray:
+def all_centroids(phases, region, density) -> np.ndarray:
     """Centroids of all slices of a partition; every slice must hold workload."""
-    moments = moment_table(region, density).slice_moments(state.wrapped)
+    moments = moment_table(region, density).slice_moments(np.mod(phases, TWO_PI))
     if np.any(moments[0] <= 0.0):
         bad = int(np.argmin(moments[0]))
         raise DegenerateSubregionError(f"slice {bad} has no workload")
     return slice_centroids(moments)
 
 
-def subregion_cost(state: PartitionState, region, density, cost_model: CostModel,
-                   i: int, position) -> float:
+def subregion_cost(phases, region, density, cost_model: CostModel, i: int,
+                   position) -> float:
     """Service cost of slice i for an agent at `position` by adaptive quadrature.
 
-    The search's slice costs, and the reference that the moment-table costs
-    are tested against.
+    The reference that the moment-table costs are tested against.
     """
-    wrapped = state.wrapped
+    wrapped = np.mod(phases, TWO_PI)
     return region_integral(region, density, float(wrapped[i]),
-                           float(wrapped[(i + 1) % state.n]), "cost",
+                           float(wrapped[(i + 1) % wrapped.size]), "cost",
                            cost_model=cost_model, position=np.asarray(position, float))
 
 
-def total_cost(partition_state: PartitionState, agent_state: AgentState, region,
-               density, cost_model: CostModel) -> float:
-    """Total service cost: sum of per-slice costs at the agents' positions."""
-    if agent_state.n != partition_state.n:
-        raise ValueError("agent and partition states disagree on N")
-    return sum(
-        subregion_cost(partition_state, region, density, cost_model, i,
-                       agent_state.positions[i])
-        for i in range(partition_state.n)
-    )
+def total_cost(phases, positions, region, density, cost_model: CostModel) -> float:
+    """Total service cost by quadrature: slice i's cost at positions[i], summed."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+    if len(positions) != len(phases):
+        raise ValueError(f"{len(positions)} positions for {len(phases)} bars")
+    return sum(subregion_cost(phases, region, density, cost_model, i, positions[i])
+               for i in range(len(phases)))
 
 
 def cost_table(region, density, cost_model: CostModel) -> MomentTable:
@@ -206,31 +185,15 @@ def optimal_targets(moments, cost_model: CostModel) -> np.ndarray:
                             f"after {MAX_NEWTON_STEPS} iterations")
 
 
-def _slice_moments(partition_state: PartitionState, region, density,
-                   cost_model: CostModel, i: int) -> np.ndarray:
-    """Table rows of slice i alone, shape (rows, 1)."""
-    table = cost_table(region, density, cost_model)
-    return table.slice_moments(partition_state.wrapped)[:, [i]]
-
-
-def gradient_at(partition_state: PartitionState, region, density,
-                cost_model: CostModel, i: int, position) -> np.ndarray:
+def gradient_at(phases, region, density, cost_model: CostModel, i: int,
+                position) -> np.ndarray:
     """Gradient of the slice-i cost at an arbitrary probe position."""
-    moments = _slice_moments(partition_state, region, density, cost_model, i)
+    table = cost_table(region, density, cost_model)
+    moments = table.slice_moments(np.mod(phases, TWO_PI))[:, [i]]
     return slice_cost_terms(moments, position, cost_model)[1][0]
 
 
-def optimal_target(partition_state: PartitionState, region, density,
-                   cost_model: CostModel, i: int) -> np.ndarray:
-    """Best serving position for slice i (see `optimal_targets`)."""
-    moments = _slice_moments(partition_state, region, density, cost_model, i)
-    if moments[0, 0] <= 0.0:
-        raise DegenerateSubregionError(f"slice {i} has no workload")
-    return optimal_targets(moments, cost_model)[0]
-
-
-def miranda_box_test(partition_state: PartitionState, region, density,
-                     cost_model: CostModel, i: int, box,
+def miranda_box_test(phases, region, density, cost_model: CostModel, i: int, box,
                      boundary_samples: int = 64) -> bool:
     """Boundary sign certificate for a gradient zero inside an axis-aligned box.
 
@@ -259,34 +222,7 @@ def miranda_box_test(partition_state: PartitionState, region, density,
         else:
             z = np.array([-1.0, -u])
         point = scale * z + center
-        g = gradient_at(partition_state, region, density, cost_model, i, point)
+        g = gradient_at(phases, region, density, cost_model, i, point)
         if float(g @ z) <= 0.0:
             return False
     return True
-
-
-def radial_second_moment_about(region, density, theta: float, point) -> float:
-    """Radial integral of |s - q|^2 * rho * r along the ray at `theta`.
-
-    Expanded into three weighted radial moments; equals the direct quadrature
-    of the squared distance along the ray.
-    """
-    s = np.asarray(point, dtype=float)
-    m_plain = radial_moment(region, density, theta, "plain")
-    m_x = radial_moment(region, density, theta, "x")
-    m_y = radial_moment(region, density, theta, "y")
-    m_r2 = radial_moment(region, density, theta, "r2")
-    return m_r2 + float(s @ s) * m_plain - 2.0 * (s[0] * m_x + s[1] * m_y)
-
-
-def cost_hessian(partition_state: PartitionState, agent_state: AgentState, region,
-                 density, cost_model: CostModel, i: int):
-    """(exact 2x2 Hessian of the slice cost, rank) at agent i's position.
-
-    Rank counts singular values above 1e-8 relative to the largest one.
-    """
-    moments = _slice_moments(partition_state, region, density, cost_model, i)
-    hessian = slice_cost_terms(moments, agent_state.positions[i], cost_model)[2][0]
-    singular = np.linalg.svd(hessian, compute_uv=False)
-    rank = int(np.sum(singular > 1e-8 * singular[0])) if singular[0] > 0 else 0
-    return hessian, rank

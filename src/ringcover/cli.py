@@ -131,12 +131,13 @@ def render_snapshot(log: TrajectoryLog, record_index: int, region) -> str:
 
 
 def _snapshot_index(log: TrajectoryLog, t: float) -> int:
-    """Nearest record to t; out of range beyond half a stride is an error."""
-    idx = int(np.argmin(np.abs(log.times - t)))
-    spacing = float(np.max(np.diff(log.times))) if log.times.size > 1 else 0.0
-    if abs(log.times[idx] - t) > max(spacing, 1e-12):
+    """Nearest record to t; a t outside the logged span (beyond rounding,
+    1e-9 of the span) is an error."""
+    first, last = float(log.times[0]), float(log.times[-1])
+    slack = 1e-9 * max(last - first, 1.0)
+    if not first - slack <= t <= last + slack:
         raise ValueError(f"snapshot time out of range: {t}")
-    return idx
+    return int(np.argmin(np.abs(log.times - t)))
 
 
 def _write_snapshots(log: TrajectoryLog, region, times, out_dir: Path):

@@ -74,16 +74,15 @@ class PolarCurve:
 
 @dataclass(frozen=True)
 class AnnularRegion:
-    """Region between two positive star-shaped curves about a common origin.
+    """Region between two positive star-shaped curves about the origin.
 
-    A point with polar coordinates (r, theta) about the origin belongs to the
+    A point with polar coordinates (r, theta) belongs to the
     region iff r_in(theta) <= r <= r_out(theta). Validity (0 < inner < outer)
     is checked on a uniform angle grid at construction time.
     """
 
     inner: PolarCurve
     outer: PolarCurve
-    origin: tuple = (0.0, 0.0)
     validation_grid_size: int = 2048
 
     def __post_init__(self):
@@ -99,8 +98,8 @@ class AnnularRegion:
 
     def contains(self, point) -> bool:
         """Membership test; boundary points are inside."""
-        x = float(point[0]) - self.origin[0]
-        y = float(point[1]) - self.origin[1]
+        x = float(point[0])
+        y = float(point[1])
         r = math.hypot(x, y)
         if r == 0.0:
             # Polar angle undefined at the origin; the origin sits in the hole
@@ -148,9 +147,9 @@ class DensityField:
             return radial * self.angular.radius(theta)
         raise ValueError(f"unknown density kind {self.kind!r}")
 
-    def bounds(self, region: AnnularRegion, grid_size: int = 256):
-        """(rho_lower, rho_upper) sampled on the region."""
-        thetas = np.arange(grid_size) * (TWO_PI / grid_size)
+    def bounds(self, region: AnnularRegion):
+        """(rho_lower, rho_upper) sampled on a 256 x 33 polar grid of the region."""
+        thetas = np.arange(256) * (TWO_PI / 256)
         r_in = np.atleast_1d(region.inner.radius(thetas))
         r_out = np.atleast_1d(region.outer.radius(thetas))
         fractions = np.linspace(0.0, 1.0, 33)
@@ -194,7 +193,7 @@ def _integrand_values(weight, r, theta, cost_model, position):
 
 
 def _radial_batch(region, density, thetas, weight="plain", cost_model=None,
-                  position=None, rel_tol=1e-8, max_panels=_MAX_PANELS):
+                  position=None, rel_tol=1e-8):
     """Radial moments for an array of angles, shared panel-doubling loop."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     r_lo = np.atleast_1d(region.inner.radius(thetas))
@@ -204,7 +203,7 @@ def _radial_batch(region, density, thetas, weight="plain", cost_model=None,
     prev = None
     panels = 1
     residual = math.inf
-    while panels <= max_panels:
+    while panels <= _MAX_PANELS:
         s_pts, s_half = _panel_points(0.0, 1.0, panels)
         s = s_pts.ravel()
         w = (s_half[:, None] * _GL_WEIGHTS[None, :]).ravel()
@@ -224,10 +223,10 @@ def _radial_batch(region, density, thetas, weight="plain", cost_model=None,
     raise QuadratureError("radial quadrature did not converge", residual)
 
 
-def _chunked_radial(region, density, thetas, weight, rel_tol, chunk=1024):
+def _chunked_radial(region, density, thetas, weight, rel_tol):
     out = np.empty(thetas.shape)
-    for start in range(0, thetas.size, chunk):
-        sl = slice(start, start + chunk)
+    for start in range(0, thetas.size, 1024):
+        sl = slice(start, start + 1024)
         out[sl] = _radial_batch(region, density, thetas[sl], weight, rel_tol=rel_tol)
     return out
 
@@ -279,18 +278,23 @@ def region_integral(region, density, phi_lo, phi_hi, integrand="plain", *,
 
 
 @lru_cache(maxsize=32)
-def radial_moment_extrema(region, density, grid_size=2048, rel_tol=1e-8):
+def radial_moment_extrema(region, density, grid_size=2048):
     """(min, max) of the plain radial moment over a uniform angle grid."""
     if grid_size < 64:
         raise ValueError("grid_size must be at least 64")
     thetas = np.arange(grid_size) * (TWO_PI / grid_size)
-    values = _chunked_radial(region, density, thetas, "plain", rel_tol)
+    values = _chunked_radial(region, density, thetas, "plain", 1e-8)
     lo = float(values.min())
     hi = float(values.max())
     if lo <= 0.0:
         raise InvalidDensityError(f"radial moment has non-positive minimum {lo:.3e}")
     return lo, hi
 
+
+# The table samples every profile on this many angles, each by radial
+# quadrature to this relative tolerance.
+_TABLE_GRID = 4096
+_TABLE_REL_TOL = 1e-13
 
 # Table rows: the moments of degree <= 2 that workloads, centroids and the
 # squared-distance cost need, then the rows a quartic cost adds.
@@ -316,19 +320,20 @@ class MomentTable:
     rows, so the degree-2 rows of the two tables agree only to rounding.
     """
 
-    def __init__(self, region, density, n_grid=4096, rel_tol=1e-13, degree=2):
+    def __init__(self, region, density, degree=2):
         weights = _TABLE_WEIGHTS[degree]
+        n_grid = _TABLE_GRID
         thetas = np.arange(n_grid) * (TWO_PI / n_grid)
         samples = np.empty((len(weights), n_grid))
         for row, weight in enumerate(weights):
-            samples[row] = _chunked_radial(region, density, thetas, weight, rel_tol)
+            samples[row] = _chunked_radial(region, density, thetas, weight,
+                                           _TABLE_REL_TOL)
 
         spectrum = np.fft.rfft(samples, axis=1)
         cos_c = 2.0 * spectrum.real / n_grid
         sin_c = -2.0 * spectrum.imag / n_grid
         cos_c[:, 0] *= 0.5
-        if n_grid % 2 == 0:
-            cos_c[:, -1] *= 0.5
+        cos_c[:, -1] *= 0.5  # Nyquist term of the even grid
 
         # Truncate once the harmonics fall below the sampling noise floor.
         scale = np.max(np.abs(samples), axis=1, keepdims=True)
@@ -382,11 +387,11 @@ class MomentTable:
 
 
 @lru_cache(maxsize=16)
-def moment_table(region, density, n_grid=4096, rel_tol=1e-13, degree=2) -> MomentTable:
+def moment_table(region, density, degree=2) -> MomentTable:
     """Cached moment table for a region/density pair.
 
     The cache key is the call as written: `moment_table(region, density)`
     and `moment_table(region, density, degree=2)` build two tables, so
     degree-2 callers omit the argument.
     """
-    return MomentTable(region, density, n_grid=n_grid, rel_tol=rel_tol, degree=degree)
+    return MomentTable(region, density, degree=degree)

@@ -7,12 +7,16 @@ carries the machinery used to verify that convergence: the imbalance
 (Lyapunov) value, the cyclic-difference quadratic form and its minimum
 eigenvalue, the decay constants they induce, and the equal-share phase
 advance map.
+
+A partition is its array of unwrapped bar phases. These are the integration
+state and may leave [0, 2*pi) as bars rotate; functions wrap them with
+np.mod(phases, TWO_PI) only to pick each slice's branch, which keeps the
+mean unwrapped phase a conserved quantity that tests can check directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,38 +41,6 @@ def validate_initial_phases(phases) -> np.ndarray:
     return p
 
 
-@dataclass
-class PartitionState:
-    """Bar phases plus the balancing gain.
-
-    The unwrapped phases are the integration state (they may leave [0, 2*pi)
-    as bars rotate); wrapping is applied only when selecting the slice branch
-    and for reporting, which keeps the mean unwrapped phase a conserved
-    quantity that tests can check directly.
-    """
-
-    unwrapped: np.ndarray
-    kappa_phi: float
-
-    def __post_init__(self):
-        self.unwrapped = np.asarray(self.unwrapped, dtype=float).copy()
-        if self.kappa_phi < 0.0:
-            raise ValueError("kappa_phi must not be negative")
-
-    @property
-    def n(self) -> int:
-        return self.unwrapped.size
-
-    @property
-    def wrapped(self) -> np.ndarray:
-        return np.mod(self.unwrapped, TWO_PI)
-
-
-def slice_workloads(state: PartitionState, region, density) -> np.ndarray:
-    """All N slice workloads in bar order."""
-    return moment_table(region, density).slice_moments(state.wrapped)[0]
-
-
 def bar_rates(workloads, kappa_phi: float) -> np.ndarray:
     """Bar rates: each bar moves toward the heavier neighbouring slice.
 
@@ -81,12 +53,6 @@ def bar_rates(workloads, kappa_phi: float) -> np.ndarray:
 def imbalance(workloads, mean: float) -> float:
     """Imbalance energy 0.5 * sum_i (m_i - mean)^2; zero iff equalized."""
     return 0.5 * float(np.sum((workloads - mean) ** 2))
-
-
-def lyapunov_value(state: PartitionState, region, density) -> float:
-    """Imbalance energy of the partition against the equal share total / N."""
-    mean = float(moment_table(region, density).totals[0]) / state.n
-    return imbalance(slice_workloads(state, region, density), mean)
 
 
 def cyclic_difference_form(n: int):
@@ -115,18 +81,22 @@ def cyclic_difference_form(n: int):
     return matrix, lambda_min
 
 
-def decay_constants(state: PartitionState, region, density):
+def decay_constants(phases, kappa_phi: float, region, density):
     """(amplitude, rate) of the guaranteed exponential workload-gap decay.
 
-    amplitude = sqrt(2 * V(0)); rate = kappa_phi * omega_min * lambda_min / N
-    where omega_min is the grid minimum of the radial moment profile and
-    lambda_min comes from the cyclic-difference form.
+    amplitude = sqrt(2 * V(0)) with V the imbalance of the slice workloads at
+    `phases`; rate = kappa_phi * omega_min * lambda_min / N where omega_min
+    is the grid minimum of the radial moment profile and lambda_min comes
+    from the cyclic-difference form.
     """
-    v0 = lyapunov_value(state, region, density)
+    n = len(phases)
+    table = moment_table(region, density)
+    workloads = table.slice_moments(np.mod(phases, TWO_PI))[0]
+    v0 = imbalance(workloads, float(table.totals[0]) / n)
     omega_min, _ = radial_moment_extrema(region, density)
-    _, lambda_min = cyclic_difference_form(state.n)
+    _, lambda_min = cyclic_difference_form(n)
     c1 = math.sqrt(2.0 * v0)
-    c2 = state.kappa_phi * omega_min * lambda_min / state.n
+    c2 = kappa_phi * omega_min * lambda_min / n
     return c1, c2
 
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import TWO_PI
-from .partition import PartitionState
-from .agents import AgentState, CostModel, subregion_cost, total_cost
+from .agents import CostModel, cost_table, slice_cost_terms, total_cost
 # SearchConfig and epoch_count_for_tolerance live in sim, whose parser builds
 # them; they stay importable from here.
 from .sim import SearchConfig, epoch_count_for_tolerance, integrate_system
@@ -86,9 +85,9 @@ def run_epoch(nodes, region, density, cost_model: CostModel, epoch_index: int,
     The anchor bar jumps to the anchor angle (the representative nearest its
     unwrapped phase) and stays pinned for the whole epoch while everything
     else follows the coupled dynamics. At the end each node saves its record
-    and seeds its cost set with its own slice cost.
+    and seeds its cost set with its own slice cost, from the moment table.
     """
-    epoch_count = search_config.resolved_epochs()
+    epoch_count = search_config.epoch_count
     phases = np.array([node.phase for node in nodes])
     positions = np.stack([node.position for node in nodes])
     wrapped = np.mod(phases, TWO_PI)
@@ -102,12 +101,13 @@ def run_epoch(nodes, region, density, cost_model: CostModel, epoch_index: int,
         region, density, cost_model, phases, positions, kappa_phi, kappa_p,
         dt, search_config.epoch_duration, pinned=anchor_agent)
 
-    state = PartitionState(phases, kappa_phi)
+    table = cost_table(region, density, cost_model)
+    costs = slice_cost_terms(table.slice_moments(np.mod(phases, TWO_PI)), positions,
+                             cost_model)[0]
     for i, node in enumerate(nodes):
         node.phase = float(phases[i])
         node.position = positions[i].copy()
-        slice_cost = subregion_cost(state, region, density, cost_model, i,
-                                    node.position)
+        slice_cost = float(costs[i])
         node.records[epoch_index] = (node.phase, node.position.copy(), slice_cost)
         node.cost_set = {(node.agent_id, slice_cost)}
     return anchor_agent
@@ -153,7 +153,7 @@ def select_and_finalize(nodes, search_config: SearchConfig):
     the same epoch; ties break toward the earliest epoch. Returns
     (phases, positions, best_total, best_epoch).
     """
-    epoch_count = search_config.resolved_epochs()
+    epoch_count = search_config.epoch_count
     reference = nodes[0].cost_totals
     missing = [k for k in range(epoch_count) if k not in reference]
     if missing:
@@ -195,10 +195,9 @@ def run_search(config) -> SearchResult:
     if config.search is None:
         raise ValueError("scenario has no search section")
     search_config = config.search
-    epoch_count = search_config.resolved_epochs()
     nodes = make_nodes(config.initial_phases, config.initial_positions)
     records = []
-    for k in range(epoch_count):
+    for k in range(search_config.epoch_count):
         anchor_agent = run_epoch(nodes, config.region, config.density, config.cost,
                                  k, search_config, config.kappa_phi,
                                  config.kappa_p, config.dt)
@@ -216,7 +215,6 @@ def run_search(config) -> SearchResult:
 
 
 def recompute_total(config, phases, positions) -> float:
-    """Re-evaluate the configuration cost from scratch (verification path)."""
-    state = PartitionState(np.asarray(phases, float), config.kappa_phi)
-    agent_state = AgentState(np.asarray(positions, float), config.kappa_p)
-    return total_cost(state, agent_state, config.region, config.density, config.cost)
+    """Re-evaluate the configuration cost by quadrature, independently of the
+    moment table that gave the epoch totals (verification path)."""
+    return total_cost(phases, positions, config.region, config.density, config.cost)

@@ -21,12 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import agents as agents_mod
-from .agents import AgentState, CostModel
+from .agents import CostModel
 from .geometry import (TWO_PI, AnnularRegion, DensityField, PolarCurve,
                        moment_table, radial_moment_extrema)
-from .partition import (PartitionState, advance_by_mean_workload, bar_rates,
-                        cyclic_difference_form, decay_constants, imbalance,
-                        validate_initial_phases)
+from .partition import (advance_by_mean_workload, bar_rates, cyclic_difference_form,
+                        decay_constants, imbalance, validate_initial_phases)
 
 WORKLOAD_FLOOR_FRACTION = 1e-9
 MAX_STEP_HALVINGS = 8
@@ -50,20 +49,15 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Anchor grid size (directly or via the angular tolerance) and epoch length."""
+    """Anchor grid size and epoch length.
 
-    epoch_count: int | None = None
+    The parser sets `epoch_count` from K_star, or from the angular tolerance
+    `epsilon_p` (kept for the echo) through `epoch_count_for_tolerance`.
+    """
+
+    epoch_count: int
     epsilon_p: float | None = None
     epoch_duration: float = 10.0
-
-    def resolved_epochs(self) -> int:
-        if self.epoch_count is not None:
-            if self.epoch_count < 1:
-                raise ValueError("epoch count must be positive")
-            return self.epoch_count
-        if self.epsilon_p is None:
-            raise ValueError("need epoch_count or epsilon_p")
-        return epoch_count_for_tolerance(self.epsilon_p)
 
 
 def epoch_count_for_tolerance(epsilon_p: float) -> int:
@@ -154,6 +148,18 @@ def _numbers(values, field_name: str) -> tuple:
         except ConfigError:
             pass
     raise ConfigError(field_name, f"expected a list of finite numbers, got {values!r}")
+
+
+def _check_whole_steps(duration: float, dt: float, field_name: str):
+    """ConfigError unless `duration` is one or more whole steps dt (to 1e-9)."""
+    if not math.isfinite(duration / dt):
+        raise ConfigError(field_name, f"too many steps of dt {dt}")
+    steps = round(duration / dt)
+    if steps < 1:
+        raise ConfigError(field_name, "must cover at least one step")
+    if abs(steps * dt - duration) > 1e-9 * duration:
+        raise ConfigError(field_name, f"{duration} is not a whole number of steps "
+                                      f"of dt {dt}")
 
 
 def _section(data: dict, name: str, default=None) -> dict:
@@ -273,8 +279,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     log_stride = _number(integrator.get("log_stride", 1), "integrator.log_stride", int)
     if dt <= 0.0:
         raise ConfigError("integrator.dt", "must be positive")
-    if t_end < dt:
-        raise ConfigError("integrator.t_end", "must cover at least one step")
+    _check_whole_steps(t_end, dt, "integrator.t_end")
     if log_stride < 1:
         raise ConfigError("integrator.log_stride", "must be at least 1")
 
@@ -293,8 +298,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         if k_star is None and epsilon_p is None:
             raise ConfigError("search", "needs K_star or epsilon_p")
         duration = _number(sdata.get("T_epsilon", 0.0), "search.T_epsilon")
-        if duration <= 0.0:
-            raise ConfigError("search.T_epsilon", "must be positive")
+        _check_whole_steps(duration, dt, "search.T_epsilon")
         if epsilon_p is not None:
             epsilon_p = _number(epsilon_p, "search.epsilon_p")
             if epsilon_p <= 0.0:
@@ -515,8 +519,8 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
     table = system.table
     m_bar = float(table.totals[0]) / n
 
-    state0 = PartitionState(config.initial_phases, config.kappa_phi)
-    c1, c2 = decay_constants(state0, config.region, config.density)
+    c1, c2 = decay_constants(config.initial_phases, config.kappa_phi, config.region,
+                             config.density)
     _, lambda_min = cyclic_difference_form(n)
     omega_min, omega_max = radial_moment_extrema(config.region, config.density)
     meta = {
@@ -629,8 +633,8 @@ def verify_invariants(log: TrajectoryLog,
     c2 = log.meta.get("c2")
     lambda_min = log.meta.get("lambda_min")
     if c1 is None or c2 is None or lambda_min is None:
-        state0 = PartitionState(log.phases_wrapped[0], config.kappa_phi)
-        c1, c2 = decay_constants(state0, region, density)
+        c1, c2 = decay_constants(log.phases_wrapped[0], config.kappa_phi, region,
+                                 density)
         _, lambda_min = cyclic_difference_form(n)
 
     checks = []
@@ -705,17 +709,17 @@ def verify_invariants(log: TrajectoryLog,
                               "pass" if worst_closure < 1e-8 else "fail"))
 
     # Analytic cost gradient against central differences at random states.
-    worst_grad = _gradient_consistency(region, density, config, rng, samples=20)
+    worst_grad = _gradient_consistency(region, density, config, rng)
     checks.append(CheckResult("gradient_consistency", "rel<1e-4", worst_grad,
                               "pass" if worst_grad < 1e-4 else "fail"))
 
     # Centroids are optimal for the squared-distance cost at a frozen partition.
-    worst_opt = _centroid_optimality(log, region, density, config, rng)
+    worst_opt = _centroid_optimality(log, region, density, rng)
     checks.append(CheckResult("centroid_optimality", "J(p*+d)>=J(p*)", worst_opt,
                               "pass" if worst_opt >= -1e-9 else "fail"))
 
     # Second-moment decomposition of the cost on sampled records.
-    worst_axis = _parallel_axis(log, region, density, config)
+    worst_axis = _parallel_axis(log, region, density)
     checks.append(CheckResult("parallel_axis_identity", "rel<1e-6", worst_axis,
                               "pass" if worst_axis < 1e-6 else "fail"))
 
@@ -747,21 +751,22 @@ def verify_invariants(log: TrajectoryLog,
     return VerificationReport(checks)
 
 
-def _gradient_consistency(region, density, config, rng, samples=20, step=1e-5):
+def _gradient_consistency(region, density, config, rng):
+    """Worst relative gap of gradient_at to central differences, 20 random probes."""
+    step = 1e-5
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(20):
         phases = _draw_phases(rng, config.n_agents)
-        state = PartitionState(phases, config.kappa_phi)
         i = int(rng.integers(config.n_agents))
         position = _draw_positions(rng, region, 1)[0]
-        grad = agents_mod.gradient_at(state, region, density, config.cost, i, position)
+        grad = agents_mod.gradient_at(phases, region, density, config.cost, i, position)
         fd = np.empty(2)
         for axis in range(2):
             offset = np.zeros(2)
             offset[axis] = step
-            f_plus = agents_mod.subregion_cost(state, region, density, config.cost,
+            f_plus = agents_mod.subregion_cost(phases, region, density, config.cost,
                                                i, position + offset)
-            f_minus = agents_mod.subregion_cost(state, region, density, config.cost,
+            f_minus = agents_mod.subregion_cost(phases, region, density, config.cost,
                                                 i, position - offset)
             fd[axis] = (f_plus - f_minus) / (2.0 * step)
         scale = max(float(np.linalg.norm(grad)), 1e-9)
@@ -769,34 +774,33 @@ def _gradient_consistency(region, density, config, rng, samples=20, step=1e-5):
     return worst
 
 
-def _centroid_optimality(log, region, density, config, rng, trials=50):
-    state = PartitionState(log.phases_wrapped[-1], config.kappa_phi)
+def _centroid_optimality(log, region, density, rng):
+    """Least relative cost change over 50 random moves (norm <= 0.1) off the centroids."""
+    phases = log.phases_wrapped[-1]
     squared = CostModel("squared_distance")
-    targets = agents_mod.all_centroids(state, region, density)
-    base = agents_mod.total_cost(state, AgentState(targets, config.kappa_p),
-                                 region, density, squared)
+    targets = agents_mod.all_centroids(phases, region, density)
+    base = agents_mod.total_cost(phases, targets, region, density, squared)
     worst = math.inf
-    for _ in range(trials):
+    for _ in range(50):
         delta = rng.normal(size=targets.shape)
         delta *= rng.uniform(0.0, 0.1) / max(float(np.linalg.norm(delta)), 1e-12)
-        perturbed = agents_mod.total_cost(state, AgentState(targets + delta,
-                                                            config.kappa_p),
-                                          region, density, squared)
+        perturbed = agents_mod.total_cost(phases, targets + delta, region, density,
+                                          squared)
         worst = min(worst, (perturbed - base) / max(abs(base), 1e-12))
     return worst
 
 
-def _parallel_axis(log, region, density, config, max_samples=8):
-    idx = np.unique(np.linspace(0, log.times.size - 1, max_samples).astype(int))
+def _parallel_axis(log, region, density):
+    """Worst relative defect of J = spread + carried on 8 evenly spaced records."""
+    idx = np.unique(np.linspace(0, log.times.size - 1, 8).astype(int))
     squared = CostModel("squared_distance")
     worst = 0.0
     for k in idx:
-        state = PartitionState(log.phases_wrapped[k], config.kappa_phi)
+        phases = log.phases_wrapped[k]
         positions = log.positions[k]
-        total = agents_mod.total_cost(state, AgentState(positions, config.kappa_p),
-                                      region, density, squared)
+        total = agents_mod.total_cost(phases, positions, region, density, squared)
         spread = sum(
-            agents_mod.subregion_cost(state, region, density, squared, i,
+            agents_mod.subregion_cost(phases, region, density, squared, i,
                                       log.centroids[k, i])
             for i in range(log.n_agents)
         )
@@ -806,12 +810,11 @@ def _parallel_axis(log, region, density, config, max_samples=8):
     return worst
 
 
-def _tracking_exponential(log, region, density, config, horizon=5.0):
-    """Frozen-bar tracking follows the closed-form exponential."""
-    state = PartitionState(log.phases_wrapped[0], config.kappa_phi)
-    centroids = agents_mod.all_centroids(state, region, density)
+def _tracking_exponential(log, region, density, config):
+    """Frozen-bar tracking over 5 time units follows the closed-form exponential."""
+    centroids = agents_mod.all_centroids(log.phases_wrapped[0], region, density)
     start = log.positions[0]
-    steps = max(1, int(round(horizon / config.dt)))
+    steps = max(1, int(round(5.0 / config.dt)))
     elapsed = steps * config.dt
     y = start.copy()
     for _ in range(steps):

@@ -10,12 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import reference_scenario_dict, uniform_scenario_dict
-from ringcover.agents import (AgentState, CostModel, all_centroids, cost_hessian,
-                              gradient_at, slice_cost_terms, subregion_cost,
-                              total_cost)
+from ringcover.agents import (CostModel, all_centroids, cost_table, gradient_at,
+                              slice_cost_terms, subregion_cost, total_cost)
 from ringcover.geometry import TWO_PI, moment_table, region_integral
-from ringcover.partition import (PartitionState, advance_by_mean_workload,
-                                 cyclic_difference_form, slice_workloads)
+from ringcover.partition import advance_by_mean_workload, cyclic_difference_form
 from ringcover.search import gossip_until_stable, make_nodes, run_search
 from ringcover.sim import run_scenario, scenario_from_dict
 
@@ -108,7 +106,7 @@ def _random_state(rng, region, n):
     while True:
         position = rng.uniform(-bound, bound, 2)
         if region.contains(position):
-            return PartitionState(phases, 0.1), position
+            return phases, position
 
 
 def test_06_gradient_hessian_oracles(uniform_region, uniform_density):
@@ -119,43 +117,44 @@ def test_06_gradient_hessian_oracles(uniform_region, uniform_density):
     step = 1e-5
     worst = 0.0
     for _ in range(20):
-        state, position = _random_state(rng, uniform_region, 3)
+        phases, position = _random_state(rng, uniform_region, 3)
         i = int(rng.integers(3))
 
         for model in (squared, generic):
-            grad = gradient_at(state, uniform_region, uniform_density, model, i,
+            grad = gradient_at(phases, uniform_region, uniform_density, model, i,
                                position)
             fd = np.empty(2)
             for axis in range(2):
                 offset = np.zeros(2)
                 offset[axis] = step
-                fd[axis] = (subregion_cost(state, uniform_region, uniform_density,
+                fd[axis] = (subregion_cost(phases, uniform_region, uniform_density,
                                            model, i, position + offset)
-                            - subregion_cost(state, uniform_region, uniform_density,
+                            - subregion_cost(phases, uniform_region, uniform_density,
                                              model, i, position - offset)) / (2 * step)
             worst = max(worst, float(np.linalg.norm(grad - fd))
                         / max(float(np.linalg.norm(grad)), 1e-9))
 
-        agents = AgentState(np.tile(position, (3, 1)), 0.1)
-        hess, rank = cost_hessian(state, agents, uniform_region, uniform_density,
-                                  squared, i)
+        def mass_and_hessian(model):
+            moments = cost_table(uniform_region, uniform_density, model).slice_moments(
+                np.mod(phases, TWO_PI))[:, [i]]
+            return moments[0, 0], slice_cost_terms(moments, position, model)[2][0]
+
+        _, hess = mass_and_hessian(squared)
         fd_hess = np.empty((2, 2))
         for axis in range(2):
             offset = np.zeros(2)
             offset[axis] = step
-            g_plus = gradient_at(state, uniform_region, uniform_density, squared,
+            g_plus = gradient_at(phases, uniform_region, uniform_density, squared,
                                  i, position + offset)
-            g_minus = gradient_at(state, uniform_region, uniform_density, squared,
+            g_minus = gradient_at(phases, uniform_region, uniform_density, squared,
                                   i, position - offset)
             fd_hess[:, axis] = (g_plus - g_minus) / (2 * step)
         worst = max(worst, float(np.max(np.abs(hess - fd_hess)))
                     / float(np.max(np.abs(hess))))
-        assert rank == 2
+        assert np.linalg.matrix_rank(hess, tol=1e-8 * np.linalg.norm(hess, 2)) == 2
 
         # generic path at beta = 0 must match the known analytic hessian
-        hess_gen, _ = cost_hessian(state, agents, uniform_region, uniform_density,
-                                   generic_limit, i)
-        mass = slice_workloads(state, uniform_region, uniform_density)[i]
+        mass, hess_gen = mass_and_hessian(generic_limit)
         worst = max(worst, float(np.max(np.abs(hess_gen - 2.0 * mass * np.eye(2))))
                     / (2.0 * mass))
     report(6, "gradient_hessian_oracles", worst < 1e-4,
@@ -167,14 +166,15 @@ def test_07_parallel_axis_identity(reference_region, reference_density):
     squared = CostModel("squared_distance")
     worst = 0.0
     for _ in range(20):
-        state, _ = _random_state(rng, reference_region, 4)
-        centroids = all_centroids(state, reference_region, reference_density)
+        phases, _ = _random_state(rng, reference_region, 4)
+        centroids = all_centroids(phases, reference_region, reference_density)
         positions = centroids + rng.normal(scale=0.3, size=centroids.shape)
-        total = total_cost(state, AgentState(positions, 0.1), reference_region,
-                           reference_density, squared)
-        spread = sum(subregion_cost(state, reference_region, reference_density,
+        total = total_cost(phases, positions, reference_region, reference_density,
+                           squared)
+        spread = sum(subregion_cost(phases, reference_region, reference_density,
                                     squared, i, centroids[i]) for i in range(4))
-        w = slice_workloads(state, reference_region, reference_density)
+        w = moment_table(reference_region, reference_density).slice_moments(
+            np.mod(phases, TWO_PI))[0]
         offsets = positions - centroids
         carried = float(np.sum(w * np.sum(offsets * offsets, axis=1)))
         worst = max(worst, abs(total - spread - carried) / abs(total))
@@ -232,9 +232,9 @@ def test_10_search_optimality_gap(search_sweep, uniform_region, uniform_density)
     for anchor in np.arange(720) * (TWO_PI / 720.0):
         xi = advance_by_mean_workload(uniform_region, uniform_density,
                                       float(anchor), 2)
-        state = PartitionState(np.array([anchor, xi % TWO_PI]), 0.1)
-        positions = all_centroids(state, uniform_region, uniform_density)
-        moments = moment_table(uniform_region, uniform_density).slice_moments(state.wrapped)
+        phases = np.array([anchor, xi % TWO_PI])
+        positions = all_centroids(phases, uniform_region, uniform_density)
+        moments = moment_table(uniform_region, uniform_density).slice_moments(phases)
         costs, _, _ = slice_cost_terms(moments, positions, CostModel("squared_distance"))
         oracle = min(oracle, float(np.sum(costs)))
     gaps = {k: (search_sweep[k] - oracle) / oracle for k in (8, 16, 32, 64)}
@@ -252,16 +252,14 @@ def test_11_gossip_protocol(uniform_region, uniform_density):
     ok = True
     for n in (2, 4, 8):
         phases = np.sort(rng.uniform(0.0, TWO_PI, n))
-        state = PartitionState(phases, 0.1)
-        positions = all_centroids(state, uniform_region, uniform_density)
+        positions = all_centroids(phases, uniform_region, uniform_density)
         nodes = make_nodes(phases, positions)
         for i, node in enumerate(nodes):
-            slice_cost = subregion_cost(state, uniform_region, uniform_density,
+            slice_cost = subregion_cost(phases, uniform_region, uniform_density,
                                         squared, i, positions[i])
             node.cost_set = {(node.agent_id, slice_cost)}
         rounds = gossip_until_stable(nodes, 0)
-        direct = total_cost(state, AgentState(positions, 0.1), uniform_region,
-                            uniform_density, squared)
+        direct = total_cost(phases, positions, uniform_region, uniform_density, squared)
         sets_ok = all(len(node.cost_set) == n for node in nodes)
         totals_ok = all(abs(node.cost_totals[0] - direct) <= 1e-8 * direct
                         for node in nodes)

@@ -113,6 +113,19 @@ def test_export_svg_time_out_of_range(quick_config, tmp_path):
     assert list(empty_dir.glob("*.svg")) == []
 
 
+@pytest.mark.parametrize("t", [2.2, -0.2])
+def test_snapshot_time_outside_the_log_exits_2(tmp_path, t):
+    # the run ends at t = 2.0 with records every 0.25
+    data = uniform_scenario_dict(integrator={"dt": 0.05, "t_end": 2.0, "log_stride": 5},
+                                 output={"snapshot_times": [t]})
+    out = tmp_path / "out"
+    assert cmd_run(write_config(tmp_path, data), str(out)) == 2
+    assert cmd_export(str(out / "log.json"), "svg-snapshots", str(tmp_path / "svg"),
+                      times=[t]) == 2
+    assert list(out.glob("*.svg")) == []
+    assert list((tmp_path / "svg").glob("*.svg")) == []
+
+
 def test_export_rejects_malformed_log(tmp_path):
     bad = tmp_path / "log.json"
     bad.write_text(json.dumps({"records": {"times": [0.0]}}), encoding="utf-8")
@@ -292,3 +305,29 @@ def test_run_integration_failure_exits_3_with_partial_log(tmp_path, monkeypatch)
     # only the snapshot inside the partial log's span
     assert (out / "snapshot_t0.svg").exists()
     assert not (out / "snapshot_t5.svg").exists()
+
+
+@pytest.mark.parametrize("command, overrides, extra, field", [
+    ("run", {"integrator": {"dt": 0.4, "t_end": 1.0, "log_stride": 1}}, [],
+     "integrator.t_end"),
+    ("run", {"integrator": {"dt": 0.05, "t_end": 1.0, "log_stride": 1}}, ["--dt", "0.3"],
+     "integrator.t_end"),
+    ("search", {"search": {"K_star": 2, "T_epsilon": 1.01}}, [], "search.T_epsilon"),
+    ("run", {"integrator": {"dt": 1e-320, "t_end": 1.0, "log_stride": 1}}, [],
+     "integrator.t_end"),
+], ids=["dt_0.4", "dt_override_0.3", "T_epsilon_1.01", "dt_1e-320"])
+def test_duration_not_a_whole_number_of_steps_exits_2(tmp_path, caplog, command,
+                                                       overrides, extra, field):
+    path = write_config(tmp_path, uniform_scenario_dict(**overrides))
+    assert main([command, "--config", path, "--out", str(tmp_path / "out"), *extra]) == 2
+    assert f"invalid config: {field}: " in caplog.text
+
+
+def test_duration_of_whole_steps_up_to_rounding_runs(tmp_path):
+    t_end = 0.05 * 7  # 0.35000000000000003
+    data = uniform_scenario_dict(integrator={"dt": 0.05, "t_end": t_end, "log_stride": 1},
+                                 output={"snapshot_times": [t_end]})
+    out = tmp_path / "out"
+    assert cmd_run(write_config(tmp_path, data), str(out)) == 0
+    log = TrajectoryLog.from_dict(json.loads((out / "log.json").read_text()))
+    assert log.times.size == 8 and log.times[-1] == t_end

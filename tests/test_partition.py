@@ -4,67 +4,68 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ringcover.agents import CostModel
+from ringcover.agents import CostModel, all_centroids, subregion_cost
 from ringcover.geometry import TWO_PI, moment_table, radial_moment_extrema
-from ringcover.partition import (PartitionState, advance_by_mean_workload, bar_rates,
+from ringcover.partition import (advance_by_mean_workload, bar_rates,
                                  cyclic_difference_form, decay_constants, imbalance,
-                                 lyapunov_value, slice_workloads,
                                  validate_initial_phases)
 from ringcover import sim
 from ringcover.sim import _System
 
 
 @pytest.fixture
-def two_bar_state():
-    return PartitionState(np.array([0.0, math.pi / 2.0]), 0.03)
+def two_bar_phases():
+    return np.array([0.0, math.pi / 2.0])
 
 
-def evaluation(state, region, density, positions=None, pinned=None):
-    """The integrator's evaluation at a partition (agents at the origin by default)."""
-    n = state.n
-    system = _System(region, density, CostModel(), n, state.kappa_phi, 0.1, pinned)
-    if positions is None:
-        positions = np.zeros((n, 2))
-    return system, system.evaluate(np.concatenate([state.unwrapped, np.ravel(positions)]))
+def slice_workloads(phases, region, density):
+    return moment_table(region, density).slice_moments(np.mod(phases, TWO_PI))[0]
 
 
-def test_workloads_two_bars(two_bar_state, uniform_region, uniform_density):
-    w = slice_workloads(two_bar_state, uniform_region, uniform_density)
+def evaluation(phases, region, density, pinned=None):
+    """The integrator's evaluation at a partition, agents at the origin, kappa_phi 0.03."""
+    n = len(phases)
+    system = _System(region, density, CostModel(), n, 0.03, 0.1, pinned)
+    return system, system.evaluate(np.concatenate([phases, np.zeros(2 * n)]))
+
+
+def test_workloads_two_bars(two_bar_phases, uniform_region, uniform_density):
+    w = slice_workloads(two_bar_phases, uniform_region, uniform_density)
     assert_allclose(w[0], 3.0 * math.pi / 4.0, rtol=1e-10)
     # second slice wraps through zero
     assert_allclose(w[1], 9.0 * math.pi / 4.0, rtol=1e-10)
 
 
 def test_workloads_symmetric_quarters(uniform_region, uniform_density):
-    state = PartitionState(np.arange(4) * math.pi / 2.0, 0.03)
-    w = slice_workloads(state, uniform_region, uniform_density)
+    phases = np.arange(4) * math.pi / 2.0
+    w = slice_workloads(phases, uniform_region, uniform_density)
     assert_allclose(w, 3.0 * math.pi / 4.0, rtol=1e-10)
     assert_allclose(np.mean(w), 3.0 * math.pi / 4.0, rtol=1e-10)
 
 
 def test_workload_sum_is_total(reference_region, reference_density):
     rng = np.random.default_rng(2)
-    state = PartitionState(np.sort(rng.uniform(0.0, TWO_PI, 6)), 0.03)
-    w = slice_workloads(state, reference_region, reference_density)
+    phases = np.sort(rng.uniform(0.0, TWO_PI, 6))
+    w = slice_workloads(phases, reference_region, reference_density)
     total = moment_table(reference_region, reference_density).totals[0]
     assert_allclose(np.sum(w), total, rtol=1e-12)
 
 
 def test_rhs_equilibrium_is_zero(uniform_region, uniform_density):
-    state = PartitionState(np.arange(4) * math.pi / 2.0, 0.03)
-    _, ev = evaluation(state, uniform_region, uniform_density)
+    phases = np.arange(4) * math.pi / 2.0
+    _, ev = evaluation(phases, uniform_region, uniform_density)
     assert_allclose(ev.rates, 0.0, atol=1e-14)
 
 
-def test_rhs_two_bars(two_bar_state, uniform_region, uniform_density):
-    _, ev = evaluation(two_bar_state, uniform_region, uniform_density)
+def test_rhs_two_bars(two_bar_phases, uniform_region, uniform_density):
+    _, ev = evaluation(two_bar_phases, uniform_region, uniform_density)
     expected = 0.03 * (3.0 * math.pi / 4.0 - 9.0 * math.pi / 4.0)
     assert_allclose(ev.rates, [expected, -expected], rtol=1e-10)
     assert_allclose(ev.rates[0], -0.14137, rtol=1e-4)
     assert np.array_equal(ev.derivative[:2], ev.rates)
     assert np.array_equal(bar_rates(ev.moments[0], 0.03), ev.rates)
     # a pinned bar holds still; the other keeps its rate
-    _, pinned = evaluation(two_bar_state, uniform_region, uniform_density, pinned=0)
+    _, pinned = evaluation(two_bar_phases, uniform_region, uniform_density, pinned=0)
     assert pinned.rates[0] == 0.0 and pinned.derivative[0] == 0.0
     assert pinned.rates[1] == ev.rates[1]
 
@@ -72,15 +73,18 @@ def test_rhs_two_bars(two_bar_state, uniform_region, uniform_density):
 def test_rhs_rates_sum_to_zero(reference_region, reference_density):
     rng = np.random.default_rng(3)
     for _ in range(5):
-        state = PartitionState(np.sort(rng.uniform(0.0, TWO_PI, 8)), 0.03)
-        rates = bar_rates(slice_workloads(state, reference_region, reference_density), 0.03)
+        phases = np.sort(rng.uniform(0.0, TWO_PI, 8))
+        rates = bar_rates(slice_workloads(phases, reference_region, reference_density), 0.03)
         assert abs(np.sum(rates)) <= 1e-12 * np.sum(np.abs(rates) + 1e-30)
 
 
-def test_lyapunov_values(two_bar_state, uniform_region, uniform_density):
-    state_eq = PartitionState(np.arange(4) * math.pi / 2.0, 0.03)
-    assert lyapunov_value(state_eq, uniform_region, uniform_density) <= 1e-20
-    v = lyapunov_value(two_bar_state, uniform_region, uniform_density)
+def test_lyapunov_values(two_bar_phases, uniform_region, uniform_density):
+    def lyapunov_value(phases):
+        mean = moment_table(uniform_region, uniform_density).totals[0] / len(phases)
+        return imbalance(slice_workloads(phases, uniform_region, uniform_density), mean)
+
+    assert lyapunov_value(np.arange(4) * math.pi / 2.0) <= 1e-20
+    v = lyapunov_value(two_bar_phases)
     assert_allclose(v, (3.0 * math.pi / 4.0) ** 2, rtol=1e-10)
     assert v >= 0.0
     assert imbalance(np.array([1.0, 2.0, 6.0]), 3.0) == 0.5 * (4.0 + 1.0 + 9.0)
@@ -111,18 +115,18 @@ def test_cyclic_form_matches_difference_sum():
             assert abs(direct - quad) <= 1e-10 * max(1.0, abs(direct))
 
 
-def test_decay_constants_uniform_two_bars(two_bar_state, uniform_region, uniform_density):
-    c1, c2 = decay_constants(two_bar_state, uniform_region, uniform_density)
+def test_decay_constants_uniform_two_bars(two_bar_phases, uniform_region, uniform_density):
+    c1, c2 = decay_constants(two_bar_phases, 0.03, uniform_region, uniform_density)
     assert_allclose(c2, 0.03 * 1.5 * 8.0 / 2.0, rtol=1e-10)
     assert_allclose(c1, math.sqrt(2.0 * (3.0 * math.pi / 4.0) ** 2), rtol=1e-10)
-    state_eq = PartitionState(np.arange(2) * math.pi, 0.03)
-    c1_eq, _ = decay_constants(state_eq, uniform_region, uniform_density)
+    c1_eq, _ = decay_constants(np.arange(2) * math.pi, 0.03, uniform_region,
+                               uniform_density)
     assert c1_eq <= 1e-10
 
 
 def test_decay_constants_reference_composition(reference_region, reference_density):
-    state = PartitionState(np.sort(np.random.default_rng(0).uniform(0, TWO_PI, 8)), 0.03)
-    _, c2 = decay_constants(state, reference_region, reference_density)
+    phases = np.sort(np.random.default_rng(0).uniform(0, TWO_PI, 8))
+    _, c2 = decay_constants(phases, 0.03, reference_region, reference_density)
     omega_min, _ = radial_moment_extrema(reference_region, reference_density, 2048)
     _, lam = cyclic_difference_form(8)
     assert_allclose(c2, 0.03 * omega_min * lam / 8.0, rtol=1e-12)
@@ -167,15 +171,15 @@ def test_equal_share_residual(reference_region, reference_density):
     assert abs(got - share) <= 1e-10 * share
 
 
-def test_mean_workload(two_bar_state, uniform_region, uniform_density):
+def test_mean_workload(two_bar_phases, uniform_region, uniform_density):
     # the guard's floor is a fixed fraction of the equal share total / N
-    system, _ = evaluation(two_bar_state, uniform_region, uniform_density)
+    system, _ = evaluation(two_bar_phases, uniform_region, uniform_density)
     assert_allclose(system.workload_floor / sim.WORKLOAD_FLOOR_FRACTION,
                     3.0 * math.pi / 2.0, rtol=1e-12)
 
 
-def test_min_workload_guard(two_bar_state, uniform_region, uniform_density):
-    system, ev = evaluation(two_bar_state, uniform_region, uniform_density)
+def test_min_workload_guard(two_bar_phases, uniform_region, uniform_density):
+    system, ev = evaluation(two_bar_phases, uniform_region, uniform_density)
     accepted = system.evaluate_guarded(ev.state)
     assert np.array_equal(accepted.derivative, ev.derivative)
     system.workload_floor = 1.0  # min is 3*pi/4 ~ 2.36
@@ -183,7 +187,7 @@ def test_min_workload_guard(two_bar_state, uniform_region, uniform_density):
     system.workload_floor = 5.0
     assert system.evaluate_guarded(ev.state) is None
     # the floor is strict: a slice holding exactly the floor is rejected
-    thin = PartitionState(np.array([1.0, 1.0 + 1e-8]), 0.03)
+    thin = np.array([1.0, 1.0 + 1e-8])
     system, ev = evaluation(thin, uniform_region, uniform_density)
     assert system.evaluate_guarded(ev.state) is not None
     system.workload_floor = float(np.min(ev.moments[0]))
@@ -202,7 +206,18 @@ def test_validate_initial_phases():
         validate_initial_phases([1.0])
 
 
-def test_partition_state_wrapping():
-    state = PartitionState(np.array([7.0, -1.0]), 0.1)
-    assert_allclose(state.wrapped, [7.0 - TWO_PI, TWO_PI - 1.0], rtol=1e-12)
-    assert_allclose(state.unwrapped, [7.0, -1.0])
+def test_unwrapped_phases_pick_the_wrapped_slices(reference_region, reference_density):
+    # unwrapped phases are the state; every function wraps them itself
+    phases = np.array([-1.0, 7.0])
+    wrapped = np.mod(phases, TWO_PI)
+    assert_allclose(wrapped, [TWO_PI - 1.0, 7.0 - TWO_PI], rtol=1e-12)
+    args = (reference_region, reference_density)
+    assert decay_constants(phases, 0.03, *args) == decay_constants(wrapped, 0.03, *args)
+    assert np.array_equal(all_centroids(phases, *args), all_centroids(wrapped, *args))
+    squared = CostModel()
+    assert (subregion_cost(phases, *args, squared, 0, (1.5, 0.0))
+            == subregion_cost(wrapped, *args, squared, 0, (1.5, 0.0)))
+    # slice 0 runs from 2*pi - 1 through zero to 7 - 2*pi
+    assert_allclose(slice_workloads(phases, *args)[0],
+                    moment_table(*args).cumulative([7.0 - TWO_PI])[0, 0]
+                    - moment_table(*args).cumulative([-1.0])[0, 0], rtol=1e-12)

@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import uniform_scenario_dict
-from ringcover.agents import CostModel, subregion_cost, total_cost, AgentState
+from ringcover.agents import CostModel, subregion_cost, total_cost
 from ringcover.geometry import TWO_PI
-from ringcover.partition import PartitionState
 from ringcover.search import (AgentNode, RingMessage, SearchConfig,
                               anchor_assignment, epoch_count_for_tolerance,
-                              gossip_until_stable, make_nodes, run_epoch,
-                              run_search, select_and_finalize)
-from ringcover.sim import scenario_from_dict
+                              gossip_until_stable, make_nodes, recompute_total,
+                              run_epoch, run_search, select_and_finalize)
+from ringcover.sim import ConfigError, scenario_from_dict
 
 
 def test_epoch_count_for_tolerance():
@@ -26,12 +26,17 @@ def test_epoch_count_for_tolerance():
 
 
 def test_search_config_resolution():
-    assert SearchConfig(epoch_count=8).resolved_epochs() == 8
-    assert SearchConfig(epsilon_p=math.pi).resolved_epochs() == 2
+    def epochs(**search):
+        config = scenario_from_dict(uniform_scenario_dict(search={**search,
+                                                                  "T_epsilon": 1.0}))
+        return config.search.epoch_count
+
+    assert epochs(K_star=8) == 8
+    assert epochs(epsilon_p=math.pi) == 2 == epoch_count_for_tolerance(math.pi)
     # a direct count wins over the tolerance
-    assert SearchConfig(epoch_count=5, epsilon_p=math.pi).resolved_epochs() == 5
-    with pytest.raises(ValueError):
-        SearchConfig().resolved_epochs()
+    assert epochs(K_star=5, epsilon_p=math.pi) == 5
+    with pytest.raises(ConfigError, match="needs K_star or epsilon_p"):
+        epochs()
 
 
 def test_anchor_assignment():
@@ -142,26 +147,23 @@ def test_search_final_cost_recomputes(uniform_region, uniform_density):
     config = scenario_from_dict(uniform_scenario_dict(
         search={"K_star": 2, "T_epsilon": 30.0}))
     result = run_search(config)
-    state = PartitionState(result.final_phases, config.kappa_phi)
-    agents = AgentState(result.final_positions, config.kappa_p)
-    recomputed = total_cost(state, agents, config.region, config.density, config.cost)
+    recomputed = total_cost(result.final_phases, result.final_positions, config.region,
+                            config.density, config.cost)
     assert abs(recomputed - result.best_total) <= 1e-6 * abs(recomputed)
 
 
 def test_gossip_totals_match_direct_cost(uniform_region, uniform_density):
     phases = np.array([0.3, 1.1, 2.8, 4.9])
     positions = np.array([[1.5, 0.3], [0.2, 1.4], [-1.5, 0.1], [0.4, -1.5]])
-    state = PartitionState(phases, 0.1)
     squared = CostModel("squared_distance")
     nodes = make_nodes(phases, positions)
     for i, node in enumerate(nodes):
-        slice_cost = subregion_cost(state, uniform_region, uniform_density,
+        slice_cost = subregion_cost(phases, uniform_region, uniform_density,
                                     squared, i, positions[i])
         node.records[0] = (node.phase, node.position.copy(), slice_cost)
         node.cost_set = {(node.agent_id, slice_cost)}
     gossip_until_stable(nodes, 0)
-    direct = total_cost(state, AgentState(positions, 0.5), uniform_region,
-                        uniform_density, squared)
+    direct = total_cost(phases, positions, uniform_region, uniform_density, squared)
     for node in nodes:
         assert node.cost_totals[0] == pytest.approx(direct, rel=1e-8)
 
@@ -175,3 +177,38 @@ def test_monotone_refinement_nested_anchors():
             search={"K_star": k, "T_epsilon": 20.0}))
         best[k] = run_search(config).best_total
     assert best[8] <= best[4] + 1e-6
+
+
+@st.composite
+def search_scenarios(draw):
+    """Star-shaped region (inner mean plus one harmonic, circular outer curve
+    strictly outside), uniform or reference density, N in [2, 4], K* in [1, 3]
+    and an epoch of 1 to 20 steps."""
+    inner = draw(st.floats(0.5, 1.5))
+    harmonic = [0.0] * draw(st.integers(0, 2)) + [draw(st.floats(-0.4, 0.4)) * inner]
+    curve = {"mean": inner, draw(st.sampled_from(["cos", "sin"])): harmonic}
+    outer = inner + abs(harmonic[-1]) + draw(st.floats(0.2, 1.5))
+    dt = 0.05
+    return {
+        "region": {"inner": curve, "outer": {"mean": outer}},
+        "density": draw(st.sampled_from([{"kind": "uniform", "parameters": [1.0]},
+                                         {"kind": "reference", "parameters": [0.01]}])),
+        "agents": {"count": draw(st.integers(2, 4))},
+        "gains": {"kappa_phi": 0.03, "kappa_p": 0.5},
+        "integrator": {"dt": dt, "t_end": dt},
+        "search": {"K_star": draw(st.integers(1, 3)),
+                   "T_epsilon": dt * draw(st.integers(1, 20))},
+        "seed": draw(st.integers(0, 2 ** 16)),
+    }
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=search_scenarios())
+def test_recomputed_total_equals_reported_best(data):
+    # epoch totals come from the moment table, the recomputed total from
+    # adaptive quadrature: two independent evaluators of the same J
+    config = scenario_from_dict(data)
+    result = run_search(config)
+    assert result.best_total == min(record.total_cost for record in result.epochs)
+    recomputed = recompute_total(config, result.final_phases, result.final_positions)
+    assert abs(recomputed - result.best_total) <= 1e-8 * abs(recomputed)

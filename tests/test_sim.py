@@ -8,10 +8,9 @@ from numpy.testing import assert_allclose
 from conftest import (overtaking_scenario_dict, reference_scenario_dict,
                       uniform_scenario_dict)
 from ringcover import agents, sim
-from ringcover.agents import AgentState, CostModel, all_centroids, total_cost
+from ringcover.agents import CostModel, all_centroids, total_cost
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField, MomentTable,
                                 PolarCurve, radial_moment_extrema)
-from ringcover.partition import PartitionState
 from ringcover.sim import (ConfigError, IntegrationError, ScenarioConfig, TrajectoryLog,
                            integrate_system, rk4_step, run_scenario,
                            scenario_from_dict, verify_invariants)
@@ -20,10 +19,9 @@ from ringcover.sim import (ConfigError, IntegrationError, ScenarioConfig, Trajec
 def equilibrium_scenario_dict(t_end=60.0, **overrides):
     """Uniform annulus, equally spaced bars, agents at the slice centroids."""
     phases = [0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0]
-    state = PartitionState(np.array(phases), 0.1)
     region = AnnularRegion(PolarCurve(1.0), PolarCurve(2.0))
     density = DensityField("uniform", (1.0,))
-    centroids = all_centroids(state, region, density)
+    centroids = all_centroids(phases, region, density)
     data = {
         "region": {"inner": {"mean": 1.0}, "outer": {"mean": 2.0}},
         "density": {"kind": "uniform", "parameters": [1.0]},
@@ -114,8 +112,7 @@ def test_decoupled_dynamics(uniform_region, uniform_density):
         uniform_region, uniform_density, CostModel("squared_distance"),
         phases, positions, kappa_phi=0.0, kappa_p=0.5, dt=0.05, duration=40.0)
     assert np.array_equal(out_phases, phases)
-    state = PartitionState(phases, 0.1)
-    centroids = all_centroids(state, uniform_region, uniform_density)
+    centroids = all_centroids(phases, uniform_region, uniform_density)
     assert np.max(np.linalg.norm(out_positions - centroids, axis=1)) < 1e-8
 
 
@@ -228,9 +225,8 @@ def test_generic_cost_step_completes_and_logs_quadrature_cost():
     log = run_scenario(config)
     assert log.times.size == 2
     for k in range(2):
-        state = PartitionState(log.phases_wrapped[k], config.kappa_phi)
-        oracle = total_cost(state, AgentState(log.positions[k], config.kappa_p),
-                            config.region, config.density, config.cost)
+        oracle = total_cost(log.phases_wrapped[k], log.positions[k], config.region,
+                            config.density, config.cost)
         assert abs(log.cost[k] - oracle) <= 1e-8 * oracle
 
 
