@@ -8,8 +8,7 @@ Hessian are linear combinations of its rows in the moment table
 (`slice_cost_terms`). Every slice cost is strictly convex; `optimal_targets`
 finds its minimiser by Newton's method from the slice centroid, which is
 already the minimiser of the squared-distance cost. Adaptive quadrature
-(`subregion_cost`, `total_cost`) stays as the independent reference. The
-sign-condition box test certifies existence of a gradient zero.
+(`subregion_cost`, `total_cost`) stays as the independent reference.
 
 A partition is passed as its unwrapped bar phases (see `partition`) and the
 agents as their (N, 2) positions; slice i lies between bars i and i+1.
@@ -191,38 +190,3 @@ def gradient_at(phases, region, density, cost_model: CostModel, i: int,
     table = cost_table(region, density, cost_model)
     moments = table.slice_moments(np.mod(phases, TWO_PI))[:, [i]]
     return slice_cost_terms(moments, position, cost_model)[1][0]
-
-
-def miranda_box_test(phases, region, density, cost_model: CostModel, i: int, box,
-                     boundary_samples: int = 64) -> bool:
-    """Boundary sign certificate for a gradient zero inside an axis-aligned box.
-
-    box = ((a_lo, a_hi), (b_lo, b_hi)). The box is mapped onto the unit
-    square; the test passes iff the slice-cost gradient has positive inner
-    product with the outward parameter z at every boundary sample. A true
-    result certifies (at sample resolution) that the gradient vanishes
-    somewhere in the box; false never claims nonexistence.
-    """
-    (a_lo, a_hi), (b_lo, b_hi) = box
-    if a_hi <= a_lo or b_hi <= b_lo:
-        raise ValueError("box sides must have positive length")
-    scale = 0.5 * np.array([a_hi - a_lo, b_hi - b_lo])
-    center = 0.5 * np.array([a_hi + a_lo, b_hi + b_lo])
-
-    ts = np.arange(boundary_samples) * (4.0 / boundary_samples)
-    for t in ts:
-        edge, frac = divmod(t, 1.0)
-        u = 2.0 * frac - 1.0
-        if edge == 0:
-            z = np.array([u, -1.0])
-        elif edge == 1:
-            z = np.array([1.0, u])
-        elif edge == 2:
-            z = np.array([-u, 1.0])
-        else:
-            z = np.array([-1.0, -u])
-        point = scale * z + center
-        g = gradient_at(phases, region, density, cost_model, i, point)
-        if float(g @ z) <= 0.0:
-            return False
-    return True

@@ -24,7 +24,7 @@ import numpy as np
 from .geometry import TWO_PI
 from .search import run_search, recompute_total
 from .sim import (ConfigError, IntegrationError, ScenarioConfig, TrajectoryLog,
-                  run_scenario, scenario_from_dict, verify_invariants)
+                  run_scenario, scenario_from_dict, verify_invariants, within_span)
 
 logger = logging.getLogger("ringcover")
 
@@ -91,7 +91,7 @@ def _svg_star(cx: float, cy: float, size: float) -> str:
 
 
 def render_snapshot(log: TrajectoryLog, record_index: int, region) -> str:
-    """Static vector scene: boundary curves, bars, agent dots, centroid stars."""
+    """Static vector scene: boundary curves, bars, agent dots, target stars."""
     k = record_index
     bound = region.bounding_radius() * 1.08
     size = 640
@@ -118,7 +118,7 @@ def render_snapshot(log: TrajectoryLog, record_index: int, region) -> str:
         x1, y1 = to_px(r1 * math.cos(phi), r1 * math.sin(phi))
         parts.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
                      f'stroke="#5577aa" stroke-width="1.2"/>')
-    for cx, cy in log.centroids[k]:
+    for cx, cy in log.targets[k]:
         px, py = to_px(cx, cy)
         parts.append(_svg_star(px, py, 7.0))
     for x, y in log.positions[k]:
@@ -133,9 +133,7 @@ def render_snapshot(log: TrajectoryLog, record_index: int, region) -> str:
 def _snapshot_index(log: TrajectoryLog, t: float) -> int:
     """Nearest record to t; a t outside the logged span (beyond rounding,
     1e-9 of the span) is an error."""
-    first, last = float(log.times[0]), float(log.times[-1])
-    slack = 1e-9 * max(last - first, 1.0)
-    if not first - slack <= t <= last + slack:
+    if not within_span(t, float(log.times[0]), float(log.times[-1])):
         raise ValueError(f"snapshot time out of range: {t}")
     return int(np.argmin(np.abs(log.times - t)))
 
@@ -178,11 +176,7 @@ def cmd_run(config_path: str, out_dir: str, seed=None, dt=None) -> int:
             _write_run_artifacts(exc.log, config, out,
                                  [t for t in config.snapshot_times if first <= t <= last])
         return EXIT_RUNTIME
-    try:
-        _write_run_artifacts(log, config, out, config.snapshot_times)
-    except ValueError as exc:
-        logger.error("export failed: %s", exc)
-        return EXIT_INPUT
+    _write_run_artifacts(log, config, out, config.snapshot_times)
     logger.info("run complete: %d records -> %s", log.times.size, out)
     return EXIT_OK
 

@@ -194,7 +194,11 @@ def _integrand_values(weight, r, theta, cost_model, position):
 
 def _radial_batch(region, density, thetas, weight="plain", cost_model=None,
                   position=None, rel_tol=1e-8):
-    """Radial moments for an array of angles, shared panel-doubling loop."""
+    """Radial moments for an array of angles, shared panel-doubling loop.
+
+    weight selects w(r, theta): a `_MONOMIALS` key, or "cost" for
+    cost_model.value(position, .).
+    """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     r_lo = np.atleast_1d(region.inner.radius(thetas))
     r_hi = np.atleast_1d(region.outer.radius(thetas))
@@ -229,18 +233,6 @@ def _chunked_radial(region, density, thetas, weight, rel_tol):
         sl = slice(start, start + 1024)
         out[sl] = _radial_batch(region, density, thetas[sl], weight, rel_tol=rel_tol)
     return out
-
-
-def radial_moment(region, density, theta, weight="plain", *, cost_model=None,
-                  position=None, rel_tol=1e-8):
-    """Weighted radial moment at a single angle.
-
-    weight selects w(r, theta): "plain" -> 1, "x" -> r*cos(theta),
-    "y" -> r*sin(theta), "r2" -> r^2, the quartic-table monomials "xx", "xy",
-    "yy", "xr2", "yr2", "r4", or "cost" -> cost_model.value(position, .).
-    """
-    values = _radial_batch(region, density, theta, weight, cost_model, position, rel_tol)
-    return float(values[0])
 
 
 def region_integral(region, density, phi_lo, phi_hi, integrand="plain", *,

@@ -23,7 +23,7 @@ import numpy as np
 from . import agents as agents_mod
 from .agents import CostModel
 from .geometry import (TWO_PI, AnnularRegion, DensityField, PolarCurve,
-                       moment_table, radial_moment_extrema)
+                       radial_moment_extrema, region_integral)
 from .partition import (advance_by_mean_workload, bar_rates, cyclic_difference_form,
                         decay_constants, imbalance, validate_initial_phases)
 
@@ -160,6 +160,12 @@ def _check_whole_steps(duration: float, dt: float, field_name: str):
     if abs(steps * dt - duration) > 1e-9 * duration:
         raise ConfigError(field_name, f"{duration} is not a whole number of steps "
                                       f"of dt {dt}")
+
+
+def within_span(t: float, first: float, last: float) -> bool:
+    """Whether t lies in [first, last] up to rounding (1e-9 of the span)."""
+    slack = 1e-9 * max(last - first, 1.0)
+    return first - slack <= t <= last + slack
 
 
 def _section(data: dict, name: str, default=None) -> dict:
@@ -312,6 +318,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
     output = _section(data, "output", {})
     snapshot_times = _numbers(output.get("snapshot_times", ()), "output.snapshot_times")
+    last = round(t_end / dt) * dt  # the time of the run's last record
+    for t in snapshot_times:
+        if not within_span(t, 0.0, last):
+            raise ConfigError("output.snapshot_times", f"{t} is outside [0, {t_end}]")
 
     return ScenarioConfig(region=region, density=density, n_agents=n,
                           initial_phases=phases, initial_positions=positions,
@@ -370,7 +380,7 @@ class TrajectoryLog:
     workloads: np.ndarray
     lyapunov: np.ndarray
     cost: np.ndarray
-    centroids: np.ndarray
+    targets: np.ndarray
     phi_rate_norm: np.ndarray
     max_speed: np.ndarray
     tracking: np.ndarray
@@ -440,7 +450,6 @@ class _System:
         self.pinned = pinned
         self.table = agents_mod.cost_table(region, density, cost)
         self.workload_floor = WORKLOAD_FLOOR_FRACTION * float(self.table.totals[0]) / n
-        self.halvings_last_step = 0
 
     def split(self, y: np.ndarray):
         return y[:self.n], y[self.n:].reshape(self.n, 2)
@@ -472,20 +481,24 @@ class _System:
             return None
         return self.evaluate(y, moments)
 
-    def advance(self, start: _Evaluation, dt: float, depth: int = 0) -> _Evaluation:
-        """Guarded step: halve (up to the cap) if bars would cross or a slice collapse."""
+    def advance(self, start: _Evaluation, dt: float,
+                depth: int = 0) -> tuple[_Evaluation, int]:
+        """Guarded step: halve (up to the cap) if bars would cross or a slice collapse.
+
+        Returns the accepted evaluation and the deepest halving the step took.
+        """
         trial = rk4_step(start.state, lambda y: self.evaluate(y).derivative, dt,
                          k1=start.derivative)
         accepted = self.evaluate_guarded(trial)
         if accepted is not None:
-            return accepted
+            return accepted, depth
         if depth >= MAX_STEP_HALVINGS:
             raise IntegrationError(
                 f"step still crosses bars or breaks the workload floor "
                 f"{self.workload_floor:.3e} after {MAX_STEP_HALVINGS} step halvings")
-        self.halvings_last_step = max(self.halvings_last_step, depth + 1)
-        mid = self.advance(start, 0.5 * dt, depth + 1)
-        return self.advance(mid, 0.5 * dt, depth + 1)
+        mid, first = self.advance(start, 0.5 * dt, depth + 1)
+        end, second = self.advance(mid, 0.5 * dt, depth + 1)
+        return end, max(first, second)
 
 
 def integrate_system(region, density, cost: CostModel, phases_unwrapped,
@@ -501,7 +514,7 @@ def integrate_system(region, density, cost: CostModel, phases_unwrapped,
     current = system.evaluate(np.concatenate([phases, pos.ravel()]))
     steps = max(1, int(round(duration / dt)))
     for _ in range(steps):
-        current = system.advance(current, dt)
+        current, _ = system.advance(current, dt)
     out_phases, out_pos = system.split(current.state)
     return out_phases.copy(), out_pos.copy()
 
@@ -541,10 +554,9 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
         phases, positions = system.split(evaluation.state)
         moments = evaluation.moments
         m = moments[0]
-        centroids = agents_mod.slice_centroids(moments)
         velocity = evaluation.derivative[n:].reshape(n, 2)
         costs, _, _ = agents_mod.slice_cost_terms(moments, positions, config.cost)
-        offsets = positions - centroids
+        offsets = positions - evaluation.targets
         rows.append({
             "times": t,
             "phases_wrapped": np.mod(phases, TWO_PI),
@@ -553,7 +565,7 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
             "workloads": m.copy(),
             "lyapunov": imbalance(m, m_bar),
             "cost": float(np.sum(costs)),
-            "centroids": centroids,
+            "targets": evaluation.targets,
             "phi_rate_norm": float(np.linalg.norm(evaluation.rates)),
             "max_speed": float(np.max(np.linalg.norm(velocity, axis=1))),
             "tracking": float(np.sum(m * np.sum(offsets * offsets, axis=1))),
@@ -567,10 +579,9 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
     record(0.0, current, 0)
     try:
         for k in range(1, steps + 1):
-            system.halvings_last_step = 0
-            current = system.advance(current, config.dt)
+            current, halvings = system.advance(current, config.dt)
             if k % config.log_stride == 0 or k == steps:
-                record(k * config.dt, current, system.halvings_last_step)
+                record(k * config.dt, current, halvings)
     except IntegrationError as exc:
         meta["guard_failures"] = 1
         partial = _assemble_log(rows, config, meta)
@@ -619,8 +630,10 @@ def verify_invariants(log: TrajectoryLog,
     """Check every logged-trajectory invariant and report margins.
 
     Works from the log's embedded config echo unless an explicit config is
-    passed. Random spot checks (gradient consistency, centroid optimality,
-    equal-share closure) use a fixed seed for reproducible reports.
+    passed. Random spot checks (equal-share closure, gradient consistency)
+    use a fixed seed for reproducible reports; the quadrature check of the
+    logged targets and workloads (target stationarity) uses 8 evenly spaced
+    records.
     """
     if config is None:
         config = scenario_from_dict(log.config_echo)
@@ -713,35 +726,26 @@ def verify_invariants(log: TrajectoryLog,
     checks.append(CheckResult("gradient_consistency", "rel<1e-4", worst_grad,
                               "pass" if worst_grad < 1e-4 else "fail"))
 
-    # Centroids are optimal for the squared-distance cost at a frozen partition.
-    worst_opt = _centroid_optimality(log, region, density, rng)
-    checks.append(CheckResult("centroid_optimality", "J(p*+d)>=J(p*)", worst_opt,
-                              "pass" if worst_opt >= -1e-9 else "fail"))
-
-    # Second-moment decomposition of the cost on sampled records.
-    worst_axis = _parallel_axis(log, region, density)
-    checks.append(CheckResult("parallel_axis_identity", "rel<1e-6", worst_axis,
-                              "pass" if worst_axis < 1e-6 else "fail"))
+    # Logged workloads are the slice masses and logged targets the slice
+    # optima of the run's cost, both by quadrature on sampled records.
+    worst_target = _target_stationarity(log, region, density, config.cost)
+    checks.append(CheckResult("target_stationarity", "rel<1e-6", worst_target,
+                              "pass" if worst_target < 1e-6 else "fail"))
 
     # Pure tracking (frozen bars) follows the exact exponential.
-    worst_track = _tracking_exponential(log, region, density, config)
+    worst_track = _tracking_exponential(log, config)
     checks.append(CheckResult("tracking_exponential", "<1e-6", worst_track,
                               "pass" if worst_track < 1e-6 else "fail"))
-
-    # Bounded-input bound on the tracking energy (sample-based estimate).
-    iss_margin = _iss_bound(log, region, density, config)
-    checks.append(CheckResult("iss_tracking_bound", "H<=envelope (sampled)",
-                              iss_margin, "info"))
 
     # End-of-run convergence trends; meaningless on short horizons.
     conclusive = span >= TREND_MIN_HORIZON
     dt_rec = float(t[-1] - t[-2]) if t.size > 1 else 1.0
-    centroid_rate = (float(np.max(np.linalg.norm(
-        log.centroids[-1] - log.centroids[-2], axis=1))) / dt_rec
+    target_rate = (float(np.max(np.linalg.norm(
+        log.targets[-1] - log.targets[-2], axis=1))) / dt_rec
         if t.size > 1 else math.inf)
     for name, value in (("trend_phi_rate", float(log.phi_rate_norm[-1])),
                         ("trend_max_speed", float(log.max_speed[-1])),
-                        ("trend_centroid_rate", centroid_rate)):
+                        ("trend_target_rate", target_rate)):
         if not conclusive:
             checks.append(CheckResult(name, "<1e-4 at t_end", value, "inconclusive"))
         else:
@@ -751,101 +755,66 @@ def verify_invariants(log: TrajectoryLog,
     return VerificationReport(checks)
 
 
+def _central_gradient(phases, region, density, cost_model, i, position):
+    """Central-difference gradient of slice i's quadrature cost at `position`."""
+    step = 1e-5
+    fd = np.empty(2)
+    for axis in range(2):
+        offset = np.zeros(2)
+        offset[axis] = step
+        f_plus = agents_mod.subregion_cost(phases, region, density, cost_model, i,
+                                           position + offset)
+        f_minus = agents_mod.subregion_cost(phases, region, density, cost_model, i,
+                                            position - offset)
+        fd[axis] = (f_plus - f_minus) / (2.0 * step)
+    return fd
+
+
 def _gradient_consistency(region, density, config, rng):
     """Worst relative gap of gradient_at to central differences, 20 random probes."""
-    step = 1e-5
     worst = 0.0
     for _ in range(20):
         phases = _draw_phases(rng, config.n_agents)
         i = int(rng.integers(config.n_agents))
         position = _draw_positions(rng, region, 1)[0]
         grad = agents_mod.gradient_at(phases, region, density, config.cost, i, position)
-        fd = np.empty(2)
-        for axis in range(2):
-            offset = np.zeros(2)
-            offset[axis] = step
-            f_plus = agents_mod.subregion_cost(phases, region, density, config.cost,
-                                               i, position + offset)
-            f_minus = agents_mod.subregion_cost(phases, region, density, config.cost,
-                                                i, position - offset)
-            fd[axis] = (f_plus - f_minus) / (2.0 * step)
+        fd = _central_gradient(phases, region, density, config.cost, i, position)
         scale = max(float(np.linalg.norm(grad)), 1e-9)
         worst = max(worst, float(np.linalg.norm(grad - fd)) / scale)
     return worst
 
 
-def _centroid_optimality(log, region, density, rng):
-    """Least relative cost change over 50 random moves (norm <= 0.1) off the centroids."""
-    phases = log.phases_wrapped[-1]
-    squared = CostModel("squared_distance")
-    targets = agents_mod.all_centroids(phases, region, density)
-    base = agents_mod.total_cost(phases, targets, region, density, squared)
-    worst = math.inf
-    for _ in range(50):
-        delta = rng.normal(size=targets.shape)
-        delta *= rng.uniform(0.0, 0.1) / max(float(np.linalg.norm(delta)), 1e-12)
-        perturbed = agents_mod.total_cost(phases, targets + delta, region, density,
-                                          squared)
-        worst = min(worst, (perturbed - base) / max(abs(base), 1e-12))
-    return worst
-
-
-def _parallel_axis(log, region, density):
-    """Worst relative defect of J = spread + carried on 8 evenly spaced records."""
+def _target_stationarity(log, region, density, cost_model):
+    """Worst slice defect on 8 evenly spaced records, relative: the logged
+    workload against the quadrature mass m_i, and the certified distance
+    |grad F_i(target_i)| / (2 m_i) of the logged target from the optimum
+    (F_i's Hessian is at least 2 m_i I) against the region's bounding radius.
+    """
     idx = np.unique(np.linspace(0, log.times.size - 1, 8).astype(int))
-    squared = CostModel("squared_distance")
+    radius = region.bounding_radius()
+    n = log.n_agents
     worst = 0.0
     for k in idx:
         phases = log.phases_wrapped[k]
-        positions = log.positions[k]
-        total = agents_mod.total_cost(phases, positions, region, density, squared)
-        spread = sum(
-            agents_mod.subregion_cost(phases, region, density, squared, i,
-                                      log.centroids[k, i])
-            for i in range(log.n_agents)
-        )
-        offsets = positions - log.centroids[k]
-        carried = float(np.sum(log.workloads[k] * np.sum(offsets * offsets, axis=1)))
-        worst = max(worst, abs(total - spread - carried) / max(abs(total), 1e-12))
+        for i in range(n):
+            mass = region_integral(region, density, float(phases[i]),
+                                   float(phases[(i + 1) % n]))
+            grad = _central_gradient(phases, region, density, cost_model, i,
+                                     log.targets[k, i])
+            distance = float(np.linalg.norm(grad)) / (2.0 * mass)
+            worst = max(worst, abs(log.workloads[k, i] - mass) / mass,
+                        distance / radius)
     return worst
 
 
-def _tracking_exponential(log, region, density, config):
+def _tracking_exponential(log, config):
     """Frozen-bar tracking over 5 time units follows the closed-form exponential."""
-    centroids = agents_mod.all_centroids(log.phases_wrapped[0], region, density)
+    targets = log.targets[0]
     start = log.positions[0]
     steps = max(1, int(round(5.0 / config.dt)))
     elapsed = steps * config.dt
     y = start.copy()
     for _ in range(steps):
-        y = rk4_step(y, lambda p: -config.kappa_p * (p - centroids), config.dt)
-    exact = centroids + (start - centroids) * math.exp(-config.kappa_p * elapsed)
+        y = rk4_step(y, lambda p: -config.kappa_p * (p - targets), config.dt)
+    exact = targets + (start - targets) * math.exp(-config.kappa_p * elapsed)
     return float(np.max(np.linalg.norm(y - exact, axis=1)))
-
-
-def _iss_bound(log, region, density, config):
-    """Worst margin of H(t) against its bounded-input envelope (info only)."""
-    table = moment_table(region, density)
-    kappa_p = config.kappa_p
-    sup_rate = float(np.max(log.phi_rate_norm))
-    e_eta_max = 0.0
-    for k in range(log.times.size):
-        phi = log.phases_wrapped[k]
-        values = table.value(phi)  # rows: plain, x, y, r2 at each bar angle
-        p = log.positions[k]
-        c = log.centroids[k]
-        p_prev = np.roll(p, 1, axis=0)
-        c_prev = np.roll(c, 1, axis=0)
-
-        def eta_pair(a, b):
-            # eta(phi_i, a_i) - eta(phi_i, b_i) without the shared r^3 term
-            na = np.sum(a * a, axis=1)
-            nb = np.sum(b * b, axis=1)
-            lin = -2.0 * ((a[:, 0] - b[:, 0]) * values[1] + (a[:, 1] - b[:, 1]) * values[2])
-            return (na - nb) * values[0] + lin
-
-        e_eta = eta_pair(p_prev, p) - eta_pair(c_prev, c)
-        e_eta_max = max(e_eta_max, float(np.linalg.norm(e_eta)))
-    envelope = (log.tracking[0] * np.exp(-2.0 * kappa_p * (log.times - log.times[0]))
-                + e_eta_max * sup_rate / (2.0 * kappa_p))
-    return float(np.min(envelope - log.tracking))

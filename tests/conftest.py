@@ -25,6 +25,18 @@ def reference_density():
     return DensityField("reference", (0.01,))
 
 
+def _with_overrides(data, overrides):
+    """`data` updated by `overrides`; without an `output` override, the default
+    snapshot times beyond a shortened t_end are dropped (the parser rejects
+    them)."""
+    data.update(overrides)
+    if "output" not in overrides:
+        t_end = data["integrator"]["t_end"]
+        data["output"] = {"snapshot_times": [t for t in data["output"]["snapshot_times"]
+                                             if t <= t_end]}
+    return data
+
+
 def reference_scenario_dict(**overrides):
     data = {
         "region": {
@@ -40,8 +52,7 @@ def reference_scenario_dict(**overrides):
         "output": {"snapshot_times": [0.0, 25.0, 100.0]},
         "seed": 42,
     }
-    data.update(overrides)
-    return data
+    return _with_overrides(data, overrides)
 
 
 def uniform_scenario_dict(**overrides):
@@ -56,8 +67,7 @@ def uniform_scenario_dict(**overrides):
         "search": {"K_star": 8, "T_epsilon": 30.0},
         "output": {"snapshot_times": [0.0, 30.0]},
     }
-    data.update(overrides)
-    return data
+    return _with_overrides(data, overrides)
 
 
 def overtaking_scenario_dict():

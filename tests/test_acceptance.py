@@ -91,10 +91,10 @@ def test_04_collision_avoidance(reference_run, seeded_runs):
 
 def test_05_centroid_convergence(reference_run):
     log, _ = reference_run
-    worst = float(np.max(np.linalg.norm(log.positions[-1] - log.centroids[-1],
+    worst = float(np.max(np.linalg.norm(log.positions[-1] - log.targets[-1],
                                         axis=1)))
     report(5, "centroid_convergence", worst < 1e-3,
-           f"max |p - centroid| = {worst:.3e} at t=100")
+           f"max |p - target| = {worst:.3e} at t=100")
 
 
 def _random_state(rng, region, n):

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ringcover.agents import (CostModel, DegenerateSubregionError, all_centroids,
-                              cost_table, gradient_at, miranda_box_test,
-                              optimal_targets, slice_centroids, slice_cost_terms,
-                              subregion_cost, total_cost)
-from ringcover.geometry import TWO_PI, moment_table, radial_moment
+                              cost_table, gradient_at, optimal_targets,
+                              slice_centroids, slice_cost_terms, subregion_cost,
+                              total_cost)
+from ringcover.geometry import TWO_PI, _radial_batch, moment_table
 from ringcover.sim import _System
 
 SECTOR_CENTROID_X = 28.0 * math.sqrt(2.0) / (9.0 * math.pi)
@@ -184,25 +184,6 @@ def test_optimal_target_symmetric_slice_on_axis(sector_phases, uniform_region,
     assert uniform_region.contains(target)
 
 
-def test_miranda_certificate(sector_phases, uniform_region, uniform_density):
-    squared = CostModel("squared_distance")
-    c = all_centroids(sector_phases, uniform_region, uniform_density)[0]
-    box = ((c[0] - 0.1, c[0] + 0.1), (c[1] - 0.1, c[1] + 0.1))
-    assert miranda_box_test(sector_phases, uniform_region, uniform_density,
-                            squared, 0, box, boundary_samples=64)
-    # stable across sampling resolutions
-    assert miranda_box_test(sector_phases, uniform_region, uniform_density,
-                            squared, 0, box, boundary_samples=4)
-    assert miranda_box_test(sector_phases, uniform_region, uniform_density,
-                            squared, 0, box, boundary_samples=256)
-    far = ((3.0, 3.2), (-0.1, 0.1))
-    assert not miranda_box_test(sector_phases, uniform_region, uniform_density,
-                                squared, 0, far, boundary_samples=64)
-    with pytest.raises(ValueError):
-        miranda_box_test(sector_phases, uniform_region, uniform_density,
-                         squared, 0, ((1.0, 1.0), (0.0, 1.0)))
-
-
 def radial_second_moment_about(region, density, theta, point):
     """int |s - q|^2 rho r dr along the ray at theta, from the table's point
     values expanded as in the simulator's stability diagnostic."""
@@ -229,9 +210,9 @@ def test_radial_second_moment_expansion_identity(reference_region, reference_den
         point = rng.normal(scale=1.5, size=2)
         via_moments = radial_second_moment_about(reference_region, reference_density,
                                                  theta, point)
-        direct = radial_moment(reference_region, reference_density, theta, "cost",
-                               cost_model=squared, position=point)
-        assert_allclose(via_moments, direct, rtol=1e-8)
+        direct = _radial_batch(reference_region, reference_density, theta, "cost",
+                               squared, point)
+        assert_allclose(via_moments, direct[0], rtol=1e-8)
 
 
 def slice_hessians(phases, region, density, cost_model, positions):

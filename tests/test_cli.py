@@ -114,15 +114,21 @@ def test_export_svg_time_out_of_range(quick_config, tmp_path):
 
 
 @pytest.mark.parametrize("t", [2.2, -0.2])
-def test_snapshot_time_outside_the_log_exits_2(tmp_path, t):
-    # the run ends at t = 2.0 with records every 0.25
+def test_snapshot_time_outside_the_log_exits_2(quick_config, tmp_path, caplog, t):
+    # the run ends at t = 2.0 with records every 0.25; the parser rejects t
+    # before any step is taken
     data = uniform_scenario_dict(integrator={"dt": 0.05, "t_end": 2.0, "log_stride": 5},
                                  output={"snapshot_times": [t]})
     out = tmp_path / "out"
-    assert cmd_run(write_config(tmp_path, data), str(out)) == 2
-    assert cmd_export(str(out / "log.json"), "svg-snapshots", str(tmp_path / "svg"),
-                      times=[t]) == 2
+    assert cmd_run(write_config(tmp_path, data, "outside.json"), str(out)) == 2
+    assert "invalid config: output.snapshot_times: " in caplog.text
+    assert not (out / "trajectory.csv").exists()
     assert list(out.glob("*.svg")) == []
+    # export of a valid run's log rejects the same time
+    valid = tmp_path / "valid"
+    assert cmd_run(quick_config, str(valid)) == 0
+    assert cmd_export(str(valid / "log.json"), "svg-snapshots", str(tmp_path / "svg"),
+                      times=[t]) == 2
     assert list((tmp_path / "svg").glob("*.svg")) == []
 
 

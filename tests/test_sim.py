@@ -373,3 +373,38 @@ def test_search_rng_seed_is_ignored():
     assert config.search == sim.SearchConfig(8, None, 30.0)
     assert config.to_dict()["search"] == {"K_star": 8, "epsilon_p": None,
                                           "T_epsilon": 30.0}
+
+
+@pytest.fixture(scope="module")
+def generic_run():
+    """The reference scenario with the quartic cost (beta = 0.25) to t = 1."""
+    config = scenario_from_dict(reference_scenario_dict(
+        cost={"kind": "generic_builtin", "parameters": [0.25]},
+        integrator={"dt": 0.01, "t_end": 1.0, "log_stride": 10}))
+    return run_scenario(config), config
+
+
+def stationarity(log, config):
+    checks = {c.name: c for c in verify_invariants(log, config).checks}
+    return checks["target_stationarity"]
+
+
+def test_generic_run_logs_stationary_targets(generic_run):
+    log, config = generic_run
+    check = stationarity(log, config)
+    assert check.status == "pass", check.line()
+
+
+def test_centroids_are_not_the_generic_cost_targets(generic_run):
+    log, config = generic_run
+    forged = TrajectoryLog.from_dict(log.to_dict())
+    forged.targets = np.array([all_centroids(phases, config.region, config.density)
+                               for phases in forged.phases_wrapped])
+    check = stationarity(forged, config)
+    assert check.status == "fail", check.line()
+
+
+def test_squared_distance_targets_are_the_centroids(reference_run):
+    log, config = reference_run
+    for phases, targets in zip(log.phases_wrapped, log.targets):
+        assert np.array_equal(targets, all_centroids(phases, config.region, config.density))
