@@ -36,7 +36,8 @@ EXIT_RUNTIME = 3
 
 def _setup_logging():
     level_name = os.environ.get("COVERAGE_LOG_LEVEL", "info").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+    levels = {"error": logging.ERROR, "warning": logging.WARNING, "info": logging.INFO,
+              "debug": logging.DEBUG}
     logging.basicConfig(level=levels.get(level_name, logging.INFO),
                         format="%(levelname)s %(name)s: %(message)s")
 
@@ -226,6 +227,10 @@ def cmd_verify(path: str, out_dir: str, seed=None, dt=None) -> int:
         data = _load_json(path)
     except (OSError, json.JSONDecodeError) as exc:
         logger.error("unreadable input: %s", exc)
+        return EXIT_INPUT
+    if _looks_like_log(data) and (seed is not None or dt is not None):
+        logger.error("invalid input: --seed/--dt apply to a scenario config, "
+                     "not to a stored log")
         return EXIT_INPUT
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,8 +8,8 @@ reproducibility; every accepted step must keep the bars in cyclic order and
 every slice above a workload floor, and the step is halved when needed. One
 evaluation per state (`_System.evaluate`) serves the RK4 stages, the step
 guard, the next step's first stage and the logger. Runs produce a
-`TrajectoryLog` that `verify_invariants` checks against the convergence
-guarantees.
+`TrajectoryLog`; `verify_invariants` checks its records against the
+convergence guarantees and reports the end-of-run trends for information.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from . import agents as agents_mod
 from .agents import CostModel
 from .geometry import (TWO_PI, AnnularRegion, DensityField, PolarCurve,
                        radial_moment_extrema, region_integral)
-from .partition import (advance_by_mean_workload, bar_rates, cyclic_difference_form,
-                        decay_constants, imbalance, validate_initial_phases)
+from .partition import (bar_rates, cyclic_difference_form, decay_constants, imbalance,
+                        validate_initial_phases)
 
 WORKLOAD_FLOOR_FRACTION = 1e-9
 MAX_STEP_HALVINGS = 8
@@ -381,8 +381,6 @@ class TrajectoryLog:
     lyapunov: np.ndarray
     cost: np.ndarray
     targets: np.ndarray
-    phi_rate_norm: np.ndarray
-    max_speed: np.ndarray
     tracking: np.ndarray
     excursion: np.ndarray
     halvings: np.ndarray
@@ -400,19 +398,38 @@ class TrajectoryLog:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrajectoryLog":
+        """Load a `to_dict` dict; ValueError naming the first record column that
+        is missing or not shaped for len(times) records of N agents (N from
+        phases_unwrapped). Unknown record columns are ignored."""
         try:
             rec = data["records"]
             columns = {name: np.asarray(rec[name], dtype=_RECORD_DTYPES.get(name, float))
                        for name in _RECORDS}
-            return cls(**columns, config_echo=data["config"], meta=data.get("meta", {}))
+            config = data["config"]
         except KeyError as exc:
             raise ValueError(f"malformed trajectory log: missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed trajectory log: {exc}") from None
+        phases = columns["phases_unwrapped"].shape
+        if len(phases) != 2 or phases[0] < 1 or phases[1] < 2:
+            raise ValueError(f"malformed trajectory log: phases_unwrapped has shape "
+                             f"{phases}, expected (records >= 1, agents >= 2)")
+        rows, n = columns["times"].size, phases[1]
+        for name, column in columns.items():
+            expected = (rows, n) + _AGENT_AXES[name] if name in _AGENT_AXES else (rows,)
+            if column.shape != expected:
+                raise ValueError(f"malformed trajectory log: {name} has shape "
+                                 f"{column.shape}, expected {expected}")
+        return cls(**columns, config_echo=config, meta=data.get("meta", {}))
 
 
 # The per-record columns of a log, in log.json order, and their non-float types.
 _RECORDS = tuple(f.name for f in fields(TrajectoryLog)
                  if f.name not in ("config_echo", "meta"))
 _RECORD_DTYPES = {"excursion": bool, "halvings": int}
+# Per-agent columns and their axes after (records, agents); the rest are scalars.
+_AGENT_AXES = {"phases_wrapped": (), "phases_unwrapped": (), "workloads": (),
+               "positions": (2,), "targets": (2,)}
 
 
 def rk4_step(state: np.ndarray, derivative, dt: float, k1=None) -> np.ndarray:
@@ -554,7 +571,6 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
         phases, positions = system.split(evaluation.state)
         moments = evaluation.moments
         m = moments[0]
-        velocity = evaluation.derivative[n:].reshape(n, 2)
         costs, _, _ = agents_mod.slice_cost_terms(moments, positions, config.cost)
         offsets = positions - evaluation.targets
         rows.append({
@@ -566,8 +582,6 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
             "lyapunov": imbalance(m, m_bar),
             "cost": float(np.sum(costs)),
             "targets": evaluation.targets,
-            "phi_rate_norm": float(np.linalg.norm(evaluation.rates)),
-            "max_speed": float(np.max(np.linalg.norm(velocity, axis=1))),
             "tracking": float(np.sum(m * np.sum(offsets * offsets, axis=1))),
             "excursion": bool(any(not config.region.contains(p) for p in positions)),
             "halvings": halvings,
@@ -601,7 +615,7 @@ class CheckResult:
     name: str
     bound: str
     worst: float
-    status: str  # "pass" | "fail" | "inconclusive" | "info"
+    status: str  # "pass" | "fail", or "info" for a reported value with no bound
 
     def line(self) -> str:
         return f"{self.name}: bound={self.bound} worst={self.worst:.6e} {self.status.upper()}"
@@ -619,21 +633,16 @@ class VerificationReport:
         return [c.line() for c in self.checks]
 
 
-# Horizon below which the end-of-run convergence trends say nothing yet.
-TREND_MIN_HORIZON = 50.0
-# Seed of the random spot checks, fixed so that reports are reproducible.
-VERIFY_SEED = 0
-
-
 def verify_invariants(log: TrajectoryLog,
                       config: ScenarioConfig | None = None) -> VerificationReport:
-    """Check every logged-trajectory invariant and report margins.
+    """Check the logged trajectory against the guarantees and report margins.
 
-    Works from the log's embedded config echo unless an explicit config is
-    passed. Random spot checks (equal-share closure, gradient consistency)
-    use a fixed seed for reproducible reports; the quadrature check of the
-    logged targets and workloads (target stationarity) uses 8 evenly spaced
-    records.
+    Every gating check reads the log's records; the quadrature check of the
+    logged targets and workloads (target stationarity) samples 8 evenly
+    spaced records. The end-of-run trends (bar rate, agent speed, target
+    rate at the last record) have no bound at a finite horizon and are
+    reported as "info". Works from the log's embedded config echo unless an
+    explicit config is passed.
     """
     if config is None:
         config = scenario_from_dict(log.config_echo)
@@ -710,78 +719,25 @@ def verify_invariants(log: TrajectoryLog,
     checks.append(CheckResult("cyclic_form_bound", "lhs>=rhs", margin,
                               "pass" if margin >= slack else "fail"))
 
-    # Equal-share advance closes after N compositions.
-    rng = np.random.default_rng(VERIFY_SEED)
-    worst_closure = 0.0
-    for phi in rng.uniform(0.0, TWO_PI, 16):
-        current = float(phi)
-        for _ in range(n):
-            current = advance_by_mean_workload(region, density, current, n)
-        worst_closure = max(worst_closure, abs(current - phi - TWO_PI))
-    checks.append(CheckResult("equal_share_closure", "<1e-8", worst_closure,
-                              "pass" if worst_closure < 1e-8 else "fail"))
-
-    # Analytic cost gradient against central differences at random states.
-    worst_grad = _gradient_consistency(region, density, config, rng)
-    checks.append(CheckResult("gradient_consistency", "rel<1e-4", worst_grad,
-                              "pass" if worst_grad < 1e-4 else "fail"))
-
     # Logged workloads are the slice masses and logged targets the slice
     # optima of the run's cost, both by quadrature on sampled records.
     worst_target = _target_stationarity(log, region, density, config.cost)
     checks.append(CheckResult("target_stationarity", "rel<1e-6", worst_target,
                               "pass" if worst_target < 1e-6 else "fail"))
 
-    # Pure tracking (frozen bars) follows the exact exponential.
-    worst_track = _tracking_exponential(log, config)
-    checks.append(CheckResult("tracking_exponential", "<1e-6", worst_track,
-                              "pass" if worst_track < 1e-6 else "fail"))
-
-    # End-of-run convergence trends; meaningless on short horizons.
-    conclusive = span >= TREND_MIN_HORIZON
-    dt_rec = float(t[-1] - t[-2]) if t.size > 1 else 1.0
-    target_rate = (float(np.max(np.linalg.norm(
-        log.targets[-1] - log.targets[-2], axis=1))) / dt_rec
-        if t.size > 1 else math.inf)
-    for name, value in (("trend_phi_rate", float(log.phi_rate_norm[-1])),
-                        ("trend_max_speed", float(log.max_speed[-1])),
-                        ("trend_target_rate", target_rate)):
-        if not conclusive:
-            checks.append(CheckResult(name, "<1e-4 at t_end", value, "inconclusive"))
-        else:
-            checks.append(CheckResult(name, "<1e-4 at t_end", value,
-                                      "pass" if value < 1e-4 else "fail"))
+    # End-of-run trends at the last record, for information: the bar rates
+    # are gated at every record through pairwise_difference_bound.
+    speeds = np.linalg.norm(config.kappa_p * (log.positions[-1] - log.targets[-1]), axis=1)
+    target_rate = (float(np.max(np.linalg.norm(log.targets[-1] - log.targets[-2], axis=1)))
+                   / float(t[-1] - t[-2]) if t.size > 1 else math.inf)
+    for name, value in (
+            ("trend_phi_rate", float(np.linalg.norm(bar_rates(log.workloads[-1],
+                                                              config.kappa_phi)))),
+            ("trend_max_speed", float(np.max(speeds))),
+            ("trend_target_rate", target_rate)):
+        checks.append(CheckResult(name, "at t_end", value, "info"))
 
     return VerificationReport(checks)
-
-
-def _central_gradient(phases, region, density, cost_model, i, position):
-    """Central-difference gradient of slice i's quadrature cost at `position`."""
-    step = 1e-5
-    fd = np.empty(2)
-    for axis in range(2):
-        offset = np.zeros(2)
-        offset[axis] = step
-        f_plus = agents_mod.subregion_cost(phases, region, density, cost_model, i,
-                                           position + offset)
-        f_minus = agents_mod.subregion_cost(phases, region, density, cost_model, i,
-                                            position - offset)
-        fd[axis] = (f_plus - f_minus) / (2.0 * step)
-    return fd
-
-
-def _gradient_consistency(region, density, config, rng):
-    """Worst relative gap of gradient_at to central differences, 20 random probes."""
-    worst = 0.0
-    for _ in range(20):
-        phases = _draw_phases(rng, config.n_agents)
-        i = int(rng.integers(config.n_agents))
-        position = _draw_positions(rng, region, 1)[0]
-        grad = agents_mod.gradient_at(phases, region, density, config.cost, i, position)
-        fd = _central_gradient(phases, region, density, config.cost, i, position)
-        scale = max(float(np.linalg.norm(grad)), 1e-9)
-        worst = max(worst, float(np.linalg.norm(grad - fd)) / scale)
-    return worst
 
 
 def _target_stationarity(log, region, density, cost_model):
@@ -793,28 +749,21 @@ def _target_stationarity(log, region, density, cost_model):
     idx = np.unique(np.linspace(0, log.times.size - 1, 8).astype(int))
     radius = region.bounding_radius()
     n = log.n_agents
+    step = 1e-5  # central differences of the quadrature cost
     worst = 0.0
     for k in idx:
         phases = log.phases_wrapped[k]
         for i in range(n):
             mass = region_integral(region, density, float(phases[i]),
                                    float(phases[(i + 1) % n]))
-            grad = _central_gradient(phases, region, density, cost_model, i,
-                                     log.targets[k, i])
+
+            def cost(p):
+                return agents_mod.subregion_cost(phases, region, density, cost_model, i, p)
+
+            target = log.targets[k, i]
+            grad = np.array([cost(target + step * e) - cost(target - step * e)
+                             for e in np.eye(2)]) / (2.0 * step)
             distance = float(np.linalg.norm(grad)) / (2.0 * mass)
             worst = max(worst, abs(log.workloads[k, i] - mass) / mass,
                         distance / radius)
     return worst
-
-
-def _tracking_exponential(log, config):
-    """Frozen-bar tracking over 5 time units follows the closed-form exponential."""
-    targets = log.targets[0]
-    start = log.positions[0]
-    steps = max(1, int(round(5.0 / config.dt)))
-    elapsed = steps * config.dt
-    y = start.copy()
-    for _ in range(steps):
-        y = rk4_step(y, lambda p: -config.kappa_p * (p - targets), config.dt)
-    exact = targets + (start - targets) * math.exp(-config.kappa_p * elapsed)
-    return float(np.max(np.linalg.norm(y - exact, axis=1)))

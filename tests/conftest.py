@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from ringcover.geometry import AnnularRegion, DensityField, PolarCurve
 from ringcover.sim import run_scenario, scenario_from_dict
@@ -87,3 +88,31 @@ def reference_run():
     """The bundled N=8 scenario integrated to t=100 (shared across files)."""
     config = scenario_from_dict(reference_scenario_dict())
     return run_scenario(config), config
+
+
+@st.composite
+def star_regions(draw):
+    """Region and density sections of a scenario config: a star-shaped region
+    (inner mean plus one harmonic, circular outer curve strictly outside) and
+    a uniform or reference density."""
+    inner = draw(st.floats(0.5, 1.5))
+    harmonic = [0.0] * draw(st.integers(0, 2)) + [draw(st.floats(-0.4, 0.4)) * inner]
+    curve = {"mean": inner, draw(st.sampled_from(["cos", "sin"])): harmonic}
+    outer = inner + abs(harmonic[-1]) + draw(st.floats(0.2, 1.5))
+    return {
+        "region": {"inner": curve, "outer": {"mean": outer}},
+        "density": draw(st.sampled_from([{"kind": "uniform", "parameters": [1.0]},
+                                         {"kind": "reference", "parameters": [0.01]}])),
+    }
+
+
+def region_and_density(sections):
+    """The AnnularRegion and DensityField of a `star_regions` draw."""
+    def curve(data):
+        return PolarCurve(data["mean"], tuple(data.get("cos", ())),
+                          tuple(data.get("sin", ())))
+
+    region = AnnularRegion(curve(sections["region"]["inner"]),
+                           curve(sections["region"]["outer"]))
+    density = sections["density"]
+    return region, DensityField(density["kind"], tuple(density["parameters"]))

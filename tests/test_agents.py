@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import region_and_density, star_regions
 from ringcover.agents import (CostModel, DegenerateSubregionError, all_centroids,
                               cost_table, gradient_at, optimal_targets,
                               slice_centroids, slice_cost_terms, subregion_cost,
@@ -269,15 +270,15 @@ def slice_probes(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(case=slice_probes())
-def test_moment_table_cost_terms_match_quadrature(reference_region, reference_density,
-                                                  case):
+@given(sections=star_regions(), case=slice_probes())
+def test_moment_table_cost_terms_match_quadrature(sections, case):
+    region, density = region_and_density(sections)
     phases, i, probe, model = case
 
     def oracle(p):
-        return subregion_cost(phases, reference_region, reference_density, model, i, p)
+        return subregion_cost(phases, region, density, model, i, p)
 
-    moments = slice_moments(phases, reference_region, reference_density, model)[:, [i]]
+    moments = slice_moments(phases, region, density, model)[:, [i]]
     costs, grads, hessians = slice_cost_terms(moments, probe, model)
     value = oracle(probe)
     assert abs(costs[0] - value) <= 1e-8 * abs(value)

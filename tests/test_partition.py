@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import region_and_density, star_regions
 from ringcover.agents import CostModel, all_centroids, subregion_cost
 from ringcover.geometry import TWO_PI, moment_table, radial_moment_extrema
 from ringcover.partition import (advance_by_mean_workload, bar_rates,
@@ -137,16 +139,15 @@ def test_equal_share_uniform_quarter(uniform_region, uniform_density):
     assert_allclose(xi, math.pi / 2.0, rtol=1e-10)
 
 
-def test_equal_share_closure(uniform_region, uniform_density,
-                             reference_region, reference_density):
-    rng = np.random.default_rng(9)
-    for region, density in ((uniform_region, uniform_density),
-                            (reference_region, reference_density)):
-        for phi in rng.uniform(0.0, TWO_PI, 4):
-            current = float(phi)
-            for _ in range(5):
-                current = advance_by_mean_workload(region, density, current, 5)
-            assert abs(current - phi - TWO_PI) <= 1e-8
+@settings(max_examples=25, deadline=None)
+@given(sections=star_regions(), n=st.integers(2, 8),
+       phi=st.floats(0.0, TWO_PI, exclude_max=True))
+def test_equal_share_closure(sections, n, phi):
+    region, density = region_and_density(sections)
+    current = phi
+    for _ in range(n):
+        current = advance_by_mean_workload(region, density, current, n)
+    assert abs(current - phi - TWO_PI) <= 1e-8
 
 
 def test_equal_share_reference_dense_inversion(reference_region, reference_density):

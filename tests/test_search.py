@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import uniform_scenario_dict
+from conftest import star_regions, uniform_scenario_dict
 from ringcover.agents import CostModel, subregion_cost, total_cost
 from ringcover.geometry import TWO_PI
 from ringcover.search import (AgentNode, RingMessage, SearchConfig,
@@ -181,18 +181,11 @@ def test_monotone_refinement_nested_anchors():
 
 @st.composite
 def search_scenarios(draw):
-    """Star-shaped region (inner mean plus one harmonic, circular outer curve
-    strictly outside), uniform or reference density, N in [2, 4], K* in [1, 3]
-    and an epoch of 1 to 20 steps."""
-    inner = draw(st.floats(0.5, 1.5))
-    harmonic = [0.0] * draw(st.integers(0, 2)) + [draw(st.floats(-0.4, 0.4)) * inner]
-    curve = {"mean": inner, draw(st.sampled_from(["cos", "sin"])): harmonic}
-    outer = inner + abs(harmonic[-1]) + draw(st.floats(0.2, 1.5))
+    """A `star_regions` region and density, N in [2, 4], K* in [1, 3] and an
+    epoch of 1 to 20 steps."""
     dt = 0.05
     return {
-        "region": {"inner": curve, "outer": {"mean": outer}},
-        "density": draw(st.sampled_from([{"kind": "uniform", "parameters": [1.0]},
-                                         {"kind": "reference", "parameters": [0.01]}])),
+        **draw(star_regions()),
         "agents": {"count": draw(st.integers(2, 4))},
         "gains": {"kappa_phi": 0.03, "kappa_p": 0.5},
         "integrator": {"dt": dt, "t_end": dt},
