@@ -4,9 +4,9 @@ from .geometry import (AnnularRegion, DensityField, InvalidDensityError,
                        MomentTable, PolarCurve, QuadratureError, moment_table,
                        radial_moment_extrema, region_integral)
 from .partition import (advance_by_mean_workload, bar_rates, cyclic_difference_form,
-                        decay_constants, imbalance)
+                        cyclic_gaps, decay_constants, imbalance)
 from .agents import (CostModel, DegenerateSubregionError, TargetSearchError,
-                     all_centroids, cost_table, gradient_at, optimal_targets,
+                     all_centroids, cost_table, optimal_targets,
                      slice_centroids, slice_cost_terms, subregion_cost, total_cost)
 from .sim import (ConfigError, IntegrationError, ScenarioConfig, SearchConfig,
                   TrajectoryLog, VerificationReport, epoch_count_for_tolerance,

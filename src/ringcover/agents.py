@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, MomentTable, moment_table, region_integral
+from .geometry import MomentTable, moment_table, region_integral
 
 MAX_NEWTON_STEPS = 20
 # Newton stops after a step below this fraction of every slice's RMS radius.
@@ -83,7 +83,7 @@ def slice_centroids(moments) -> np.ndarray:
 
 def all_centroids(phases, region, density) -> np.ndarray:
     """Centroids of all slices of a partition; every slice must hold workload."""
-    moments = moment_table(region, density).slice_moments(np.mod(phases, TWO_PI))
+    moments = moment_table(region, density).slice_moments(phases)
     if np.any(moments[0] <= 0.0):
         bad = int(np.argmin(moments[0]))
         raise DegenerateSubregionError(f"slice {bad} has no workload")
@@ -94,11 +94,11 @@ def subregion_cost(phases, region, density, cost_model: CostModel, i: int,
                    position) -> float:
     """Service cost of slice i for an agent at `position` by adaptive quadrature.
 
-    The reference that the moment-table costs are tested against.
+    The reference that the moment-table costs are tested against. The last
+    slice ends at phases[0], which `region_integral` moves on by 2*pi.
     """
-    wrapped = np.mod(phases, TWO_PI)
-    return region_integral(region, density, float(wrapped[i]),
-                           float(wrapped[(i + 1) % wrapped.size]), "cost",
+    return region_integral(region, density, float(phases[i]),
+                           float(phases[(i + 1) % len(phases)]), "cost",
                            cost_model=cost_model, position=np.asarray(position, float))
 
 
@@ -182,11 +182,3 @@ def optimal_targets(moments, cost_model: CostModel) -> np.ndarray:
             return targets
     raise TargetSearchError(f"Newton steps still {np.linalg.norm(steps, axis=1)} "
                             f"after {MAX_NEWTON_STEPS} iterations")
-
-
-def gradient_at(phases, region, density, cost_model: CostModel, i: int,
-                position) -> np.ndarray:
-    """Gradient of the slice-i cost at an arbitrary probe position."""
-    table = cost_table(region, density, cost_model)
-    moments = table.slice_moments(np.mod(phases, TWO_PI))[:, [i]]
-    return slice_cost_terms(moments, position, cost_model)[1][0]

@@ -61,8 +61,10 @@ def _fmt(value: float) -> str:
 
 
 def trajectory_csv_lines(log: TrajectoryLog):
-    """Header plus one row per record; 17 significant digits throughout."""
+    """Header plus one row per record; 17 significant digits throughout, and
+    each phi_i wrapped into [0, 2*pi)."""
     n = log.n_agents
+    wrapped = np.mod(log.phases_unwrapped, TWO_PI)
     header = (["t"]
               + [f"phi_{i + 1}" for i in range(n)]
               + [f"px_{i + 1}" for i in range(n)]
@@ -72,7 +74,7 @@ def trajectory_csv_lines(log: TrajectoryLog):
     lines = [",".join(header)]
     for k in range(log.times.size):
         row = [_fmt(log.times[k])]
-        row += [_fmt(v) for v in log.phases_wrapped[k]]
+        row += [_fmt(v) for v in wrapped[k]]
         row += [_fmt(v) for v in log.positions[k, :, 0]]
         row += [_fmt(v) for v in log.positions[k, :, 1]]
         row += [_fmt(v) for v in log.workloads[k]]
@@ -112,7 +114,7 @@ def render_snapshot(log: TrajectoryLog, record_index: int, region) -> str:
                         for rr, th in zip(r, thetas)))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="black" '
                      f'stroke-width="1.5"/>')
-    for phi in log.phases_wrapped[k]:
+    for phi in np.mod(log.phases_unwrapped[k], TWO_PI):
         r0 = region.inner.radius(phi)
         r1 = region.outer.radius(phi)
         x0, y0 = to_px(r0 * math.cos(phi), r0 * math.sin(phi))

@@ -303,8 +303,8 @@ class MomentTable:
     radial quadrature, interpolated by a truncated trigonometric series, and
     integrated term by term. `cumulative` then evaluates
     M_w(theta) = int_0^theta w-moment dt for any real (unwrapped) theta, and
-    `slice_moments` turns wrapped partition phases into per-slice integrals
-    with the wrap-through-zero branch handled explicitly.
+    `slice_moments` turns unwrapped partition phases in cyclic order
+    (phi_1 < ... < phi_N < phi_1 + 2*pi) into per-slice integrals.
 
     Row order is ("plain", "x", "y", "r2") for degree 2; degree 4 appends
     ("xx", "xy", "yy", "xr2", "yr2", "r4"), the moments of x^a y^b with
@@ -361,20 +361,17 @@ class MomentTable:
         out += self._cos_over_k @ np.sin(kt) + self._sin_over_k @ (1.0 - np.cos(kt))
         return out
 
-    def slice_moments(self, wrapped_phases):
+    def slice_moments(self, phases):
         """Per-slice integrals between consecutive bars, shape (rows, N).
 
-        Slice i spans [phi_i, phi_{i+1}] with phi_{N+1} = phi_1; when the
-        successor is numerically below the bar the slice wraps through zero.
+        `phases` are unwrapped and in cyclic order: slice i spans
+        [phi_i, phi_{i+1}] and the last slice [phi_N, phi_1 + 2*pi]. Bars out
+        of that order give a negative slice mass.
         """
-        phi = np.asarray(wrapped_phases, dtype=float)
-        nxt = np.roll(phi, -1)
-        lo = self.cumulative(phi)
-        hi = np.roll(lo, -1, axis=1)
-        out = hi - lo
-        wraps = nxt < phi
-        if np.any(wraps):
-            out[:, wraps] += self.totals[:, None]
+        lo = self.cumulative(phases)
+        out = np.empty_like(lo)
+        out[:, :-1] = lo[:, 1:] - lo[:, :-1]
+        out[:, -1] = (lo[:, 0] - lo[:, -1]) + self.totals
         return out
 
 

@@ -8,10 +8,12 @@ carries the machinery used to verify that convergence: the imbalance
 eigenvalue, the decay constants they induce, and the equal-share phase
 advance map.
 
-A partition is its array of unwrapped bar phases. These are the integration
-state and may leave [0, 2*pi) as bars rotate; functions wrap them with
-np.mod(phases, TWO_PI) only to pick each slice's branch, which keeps the
-mean unwrapped phase a conserved quantity that tests can check directly.
+A partition is its array of unwrapped bar phases in cyclic order,
+phi_1 < phi_2 < ... < phi_N < phi_1 + 2*pi (`cyclic_gaps` are all positive).
+These are the integration state and may leave [0, 2*pi) as bars rotate;
+every function takes them as they are, slice i spanning [phi_i, phi_{i+1}]
+and the last slice [phi_N, phi_1 + 2*pi], so the mean unwrapped phase is a
+conserved quantity that tests can check directly.
 """
 
 from __future__ import annotations
@@ -32,13 +34,22 @@ def validate_initial_phases(phases) -> np.ndarray:
         raise ValueError("at least two partition bars are required")
     if np.any(p < 0.0) or np.any(p >= TWO_PI):
         raise ValueError("initial phases must lie in [0, 2*pi)")
-    gaps = np.diff(p)
-    wrap_gap = p[0] + TWO_PI - p[-1]
-    if np.any(np.abs(gaps) < MIN_PHASE_SEPARATION) or wrap_gap < MIN_PHASE_SEPARATION:
+    gaps = cyclic_gaps(p)  # the last gap is positive on [0, 2*pi)
+    if np.any(np.abs(gaps) < MIN_PHASE_SEPARATION):
         raise ValueError("initial phases not strictly separated")
     if np.any(gaps <= 0.0):
         raise ValueError("initial phases must be strictly increasing")
     return p
+
+
+def cyclic_gaps(phases) -> np.ndarray:
+    """Gaps phi_{i+1} - phi_i between neighbouring bars, the last being
+    phi_1 + 2*pi - phi_N; all positive iff the bars are in cyclic order.
+
+    Works along the last axis, so an (R, N) array gives R rows of N gaps.
+    """
+    p = np.asarray(phases, dtype=float)
+    return np.concatenate([np.diff(p), p[..., :1] + TWO_PI - p[..., -1:]], axis=-1)
 
 
 def bar_rates(workloads, kappa_phi: float) -> np.ndarray:
@@ -91,7 +102,7 @@ def decay_constants(phases, kappa_phi: float, region, density):
     """
     n = len(phases)
     table = moment_table(region, density)
-    workloads = table.slice_moments(np.mod(phases, TWO_PI))[0]
+    workloads = table.slice_moments(phases)[0]
     v0 = imbalance(workloads, float(table.totals[0]) / n)
     omega_min, _ = radial_moment_extrema(region, density)
     _, lambda_min = cyclic_difference_form(n)
@@ -138,4 +149,3 @@ def advance_by_mean_workload(region, density, phi: float, n_agents: int) -> floa
         raise RuntimeError(f"equal-share advance residual {residual:.3e} "
                            "exceeds 1e-10 * share")
     return xi
-

@@ -30,7 +30,7 @@ class GossipProtocolError(RuntimeError):
     """Ring flooding ran longer than the synchronous bound allows."""
 
 
-def anchor_assignment(wrapped_phases, epoch_index: int, epoch_count: int) -> int:
+def anchor_assignment(phases, epoch_index: int, epoch_count: int) -> int:
     """Index of the agent whose bar sits closest to this epoch's anchor angle.
 
     Distance is circular; ties go to the lowest agent index. Epochs are
@@ -39,7 +39,7 @@ def anchor_assignment(wrapped_phases, epoch_index: int, epoch_count: int) -> int
     if not 0 <= epoch_index < epoch_count:
         raise ValueError("epoch index out of range")
     anchor = TWO_PI * epoch_index / epoch_count
-    phases = np.asarray(wrapped_phases, dtype=float)
+    phases = np.asarray(phases, dtype=float)
     offsets = np.abs(((phases - anchor + math.pi) % TWO_PI) - math.pi)
     return int(np.argmin(offsets))
 
@@ -90,8 +90,7 @@ def run_epoch(nodes, region, density, cost_model: CostModel, epoch_index: int,
     epoch_count = search_config.epoch_count
     phases = np.array([node.phase for node in nodes])
     positions = np.stack([node.position for node in nodes])
-    wrapped = np.mod(phases, TWO_PI)
-    anchor_agent = anchor_assignment(wrapped, epoch_index, epoch_count)
+    anchor_agent = anchor_assignment(phases, epoch_index, epoch_count)
     # The anchor angle's representative nearest the bar: no other bar lies
     # between them, so the unwrapped phases stay in cyclic order.
     anchor = TWO_PI * epoch_index / epoch_count
@@ -102,8 +101,7 @@ def run_epoch(nodes, region, density, cost_model: CostModel, epoch_index: int,
         dt, search_config.epoch_duration, pinned=anchor_agent)
 
     table = cost_table(region, density, cost_model)
-    costs = slice_cost_terms(table.slice_moments(np.mod(phases, TWO_PI)), positions,
-                             cost_model)[0]
+    costs = slice_cost_terms(table.slice_moments(phases), positions, cost_model)[0]
     for i, node in enumerate(nodes):
         node.phase = float(phases[i])
         node.position = positions[i].copy()

@@ -24,8 +24,8 @@ from . import agents as agents_mod
 from .agents import CostModel
 from .geometry import (TWO_PI, AnnularRegion, DensityField, PolarCurve,
                        radial_moment_extrema, region_integral)
-from .partition import (bar_rates, cyclic_difference_form, decay_constants, imbalance,
-                        validate_initial_phases)
+from .partition import (bar_rates, cyclic_difference_form, cyclic_gaps, decay_constants,
+                        imbalance, validate_initial_phases)
 
 WORKLOAD_FLOOR_FRACTION = 1e-9
 MAX_STEP_HALVINGS = 8
@@ -130,13 +130,15 @@ def _curve_to_dict(curve: PolarCurve) -> dict:
 
 
 def _number(value, field_name: str, kind=float):
-    """`value` as a finite float (or int); ConfigError naming the field otherwise."""
+    """`value` as a finite float or whole int; else a ConfigError naming the field."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(field_name, f"expected a number, got {value!r}") from None
     if not math.isfinite(number):
         raise ConfigError(field_name, f"must be finite, got {value!r}")
+    if kind is int and (isinstance(value, bool) or number != value):
+        raise ConfigError(field_name, f"expected a whole number, got {value!r}")
     return number
 
 
@@ -374,7 +376,6 @@ class TrajectoryLog:
     """Arrays of logged quantities, one row per record, plus run metadata."""
 
     times: np.ndarray
-    phases_wrapped: np.ndarray
     phases_unwrapped: np.ndarray
     positions: np.ndarray
     workloads: np.ndarray
@@ -389,7 +390,7 @@ class TrajectoryLog:
 
     @property
     def n_agents(self) -> int:
-        return self.phases_wrapped.shape[1]
+        return self.phases_unwrapped.shape[1]
 
     def to_dict(self) -> dict:
         records = {name: getattr(self, name).tolist() for name in _RECORDS}
@@ -428,8 +429,8 @@ _RECORDS = tuple(f.name for f in fields(TrajectoryLog)
                  if f.name not in ("config_echo", "meta"))
 _RECORD_DTYPES = {"excursion": bool, "halvings": int}
 # Per-agent columns and their axes after (records, agents); the rest are scalars.
-_AGENT_AXES = {"phases_wrapped": (), "phases_unwrapped": (), "workloads": (),
-               "positions": (2,), "targets": (2,)}
+_AGENT_AXES = {"phases_unwrapped": (), "workloads": (), "positions": (2,),
+               "targets": (2,)}
 
 
 def rk4_step(state: np.ndarray, derivative, dt: float, k1=None) -> np.ndarray:
@@ -478,7 +479,7 @@ class _System:
         """
         phases, positions = self.split(y)
         if moments is None:
-            moments = self.table.slice_moments(np.mod(phases, TWO_PI))
+            moments = self.table.slice_moments(phases)
         rates = bar_rates(moments[0], self.kappa_phi)
         if self.pinned is not None:
             rates[self.pinned] = 0.0
@@ -491,9 +492,9 @@ class _System:
         """Evaluation at y if the bars keep their cyclic order and every slice
         its workload floor, else None; a rejected y never reaches the targets."""
         phases = y[:self.n]
-        if phases[0] + TWO_PI <= phases[-1] or (phases[1:] <= phases[:-1]).any():
+        if (cyclic_gaps(phases) <= 0.0).any():
             return None
-        moments = self.table.slice_moments(np.mod(phases, TWO_PI))
+        moments = self.table.slice_moments(phases)
         if not float(np.min(moments[0])) > self.workload_floor:
             return None
         return self.evaluate(y, moments)
@@ -575,7 +576,6 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
         offsets = positions - evaluation.targets
         rows.append({
             "times": t,
-            "phases_wrapped": np.mod(phases, TWO_PI),
             "phases_unwrapped": phases.copy(),
             "positions": positions.copy(),
             "workloads": m.copy(),
@@ -655,7 +655,7 @@ def verify_invariants(log: TrajectoryLog,
     c2 = log.meta.get("c2")
     lambda_min = log.meta.get("lambda_min")
     if c1 is None or c2 is None or lambda_min is None:
-        c1, c2 = decay_constants(log.phases_wrapped[0], config.kappa_phi, region,
+        c1, c2 = decay_constants(log.phases_unwrapped[0], config.kappa_phi, region,
                                  density)
         _, lambda_min = cyclic_difference_form(n)
 
@@ -705,9 +705,7 @@ def verify_invariants(log: TrajectoryLog,
                               min_workload, "pass" if ok else "fail"))
 
     # Bars never overtake each other (checked, not enforced).
-    gaps = np.diff(log.phases_unwrapped, axis=1)
-    wrap = (log.phases_unwrapped[:, 0] + TWO_PI - log.phases_unwrapped[:, -1])
-    min_gap = float(min(np.min(gaps), np.min(wrap)))
+    min_gap = float(np.min(cyclic_gaps(log.phases_unwrapped)))
     checks.append(CheckResult("cyclic_order_preserved", "gaps>0", min_gap,
                               "pass" if min_gap > 0.0 else "fail"))
 
@@ -752,7 +750,7 @@ def _target_stationarity(log, region, density, cost_model):
     step = 1e-5  # central differences of the quadrature cost
     worst = 0.0
     for k in idx:
-        phases = log.phases_wrapped[k]
+        phases = log.phases_unwrapped[k]
         for i in range(n):
             mass = region_integral(region, density, float(phases[i]),
                                    float(phases[(i + 1) % n]))

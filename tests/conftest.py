@@ -72,14 +72,15 @@ def uniform_scenario_dict(**overrides):
 
 
 def overtaking_scenario_dict():
-    """Stiff bars (kappa_phi = 1, dt = 0.5): an unguarded step crosses two bars."""
+    """Stiff bars (kappa_phi = 1, dt = 1): an unguarded first step crosses bars,
+    so the guard halves it."""
     return {
         "region": {"inner": {"mean": 1.0}, "outer": {"mean": 2.0}},
         "density": {"kind": "uniform", "parameters": [1.0]},
         "agents": {"count": 3, "initial_phases": [0.1, 0.3, 3.0],
                    "initial_positions": [[1.5, 0.3], [-1.4, 0.2], [0.0, -1.5]]},
         "gains": {"kappa_phi": 1.0, "kappa_p": 0.5},
-        "integrator": {"dt": 0.5, "t_end": 10.0, "log_stride": 1},
+        "integrator": {"dt": 1.0, "t_end": 10.0, "log_stride": 1},
     }
 
 

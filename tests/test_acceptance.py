@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import reference_scenario_dict, uniform_scenario_dict
-from ringcover.agents import (CostModel, all_centroids, cost_table, gradient_at,
-                              slice_cost_terms, subregion_cost, total_cost)
+from ringcover.agents import (CostModel, all_centroids, cost_table, slice_cost_terms,
+                              subregion_cost, total_cost)
 from ringcover.geometry import TWO_PI, moment_table, region_integral
 from ringcover.partition import advance_by_mean_workload, cyclic_difference_form
 from ringcover.search import gossip_until_stable, make_nodes, run_search
@@ -120,9 +120,15 @@ def test_06_gradient_hessian_oracles(uniform_region, uniform_density):
         phases, position = _random_state(rng, uniform_region, 3)
         i = int(rng.integers(3))
 
+        def slice_moments(model):
+            return cost_table(uniform_region, uniform_density, model).slice_moments(
+                phases)[:, [i]]
+
+        def gradient(model, point):
+            return slice_cost_terms(slice_moments(model), point, model)[1][0]
+
         for model in (squared, generic):
-            grad = gradient_at(phases, uniform_region, uniform_density, model, i,
-                               position)
+            grad = gradient(model, position)
             fd = np.empty(2)
             for axis in range(2):
                 offset = np.zeros(2)
@@ -135,8 +141,7 @@ def test_06_gradient_hessian_oracles(uniform_region, uniform_density):
                         / max(float(np.linalg.norm(grad)), 1e-9))
 
         def mass_and_hessian(model):
-            moments = cost_table(uniform_region, uniform_density, model).slice_moments(
-                np.mod(phases, TWO_PI))[:, [i]]
+            moments = slice_moments(model)
             return moments[0, 0], slice_cost_terms(moments, position, model)[2][0]
 
         _, hess = mass_and_hessian(squared)
@@ -144,10 +149,8 @@ def test_06_gradient_hessian_oracles(uniform_region, uniform_density):
         for axis in range(2):
             offset = np.zeros(2)
             offset[axis] = step
-            g_plus = gradient_at(phases, uniform_region, uniform_density, squared,
-                                 i, position + offset)
-            g_minus = gradient_at(phases, uniform_region, uniform_density, squared,
-                                  i, position - offset)
+            g_plus = gradient(squared, position + offset)
+            g_minus = gradient(squared, position - offset)
             fd_hess[:, axis] = (g_plus - g_minus) / (2 * step)
         worst = max(worst, float(np.max(np.abs(hess - fd_hess)))
                     / float(np.max(np.abs(hess))))
@@ -173,8 +176,7 @@ def test_07_parallel_axis_identity(reference_region, reference_density):
                            squared)
         spread = sum(subregion_cost(phases, reference_region, reference_density,
                                     squared, i, centroids[i]) for i in range(4))
-        w = moment_table(reference_region, reference_density).slice_moments(
-            np.mod(phases, TWO_PI))[0]
+        w = moment_table(reference_region, reference_density).slice_moments(phases)[0]
         offsets = positions - centroids
         carried = float(np.sum(w * np.sum(offsets * offsets, axis=1)))
         worst = max(worst, abs(total - spread - carried) / abs(total))
@@ -232,7 +234,7 @@ def test_10_search_optimality_gap(search_sweep, uniform_region, uniform_density)
     for anchor in np.arange(720) * (TWO_PI / 720.0):
         xi = advance_by_mean_workload(uniform_region, uniform_density,
                                       float(anchor), 2)
-        phases = np.array([anchor, xi % TWO_PI])
+        phases = np.array([anchor, xi])
         positions = all_centroids(phases, uniform_region, uniform_density)
         moments = moment_table(uniform_region, uniform_density).slice_moments(phases)
         costs, _, _ = slice_cost_terms(moments, positions, CostModel("squared_distance"))

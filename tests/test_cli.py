@@ -236,6 +236,21 @@ def test_malformed_log_exits_2(quick_config, tmp_path, caplog, column, forge):
     assert not (tmp_path / "export" / "trajectory.csv").exists()
 
 
+def test_log_with_a_wrapped_phase_column_still_loads(quick_config, tmp_path):
+    # logs written before the wrapped phases left the log carry them as an
+    # extra column, which verify and export ignore
+    run_out = tmp_path / "run"
+    assert cmd_run(quick_config, str(run_out)) == 0
+    data = json.loads((run_out / "log.json").read_text())
+    assert "phases_wrapped" not in data["records"]
+    data["records"]["phases_wrapped"] = data["records"]["phases_unwrapped"]
+    path = write_config(tmp_path, data, "older_log.json")
+    assert cmd_verify(path, str(tmp_path / "verify")) == 0
+    assert cmd_export(path, "csv", str(tmp_path / "export")) == 0
+    assert ((tmp_path / "export" / "trajectory.csv").read_bytes()
+            == (run_out / "trajectory.csv").read_bytes())
+
+
 def test_verify_rejects_overrides_on_stored_log(quick_config, tmp_path, caplog):
     run_out = tmp_path / "run"
     assert cmd_run(quick_config, str(run_out)) == 0
@@ -275,7 +290,7 @@ def test_csv_precision_full_double(quick_config, tmp_path):
     log = TrajectoryLog.from_dict(json.loads((out / "log.json").read_text()))
     lines = trajectory_csv_lines(log)
     value = float(lines[1].split(",")[1])
-    assert value == log.phases_wrapped[0, 0]  # round-trips exactly
+    assert value == log.phases_unwrapped[0, 0]  # round-trips exactly; t = 0 is in [0, 2*pi)
 
 
 def test_seed_override_redraws_random_init(tmp_path):
@@ -342,6 +357,12 @@ def test_python_dash_m_runs_the_cli(quick_config, tmp_path):
     ("gains.kappa_phi", math.nan, "gains.kappa_phi"),
     ("density", {"kind": "radial_polynomial_times_angular", "parameters": []},
      "density.parameters"),
+    # integer fields reject non-integral values and booleans instead of truncating
+    ("agents.count", 2.7, "agents.count"),
+    ("integrator.log_stride", 1.5, "integrator.log_stride"),
+    ("integrator.log_stride", True, "integrator.log_stride"),
+    ("search.K_star", 8.9, "search.K_star"),
+    ("seed", 3.9, "seed"),
 ])
 def test_run_rejects_malformed_number(tmp_path, caplog, path, value, field):
     data = uniform_scenario_dict()

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import region_and_density, star_regions
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField,
                                 InvalidDensityError, PolarCurve, _radial_batch,
                                 moment_table, radial_moment_extrema, region_integral)
@@ -165,9 +167,44 @@ def test_moment_table_matches_quadrature(reference_region, reference_density):
         assert abs(sliced - direct) <= 1e-9 * (abs(direct) + 1.0)
 
 
+@st.composite
+def cyclic_layouts(draw):
+    """N in [2, 8] bars in cyclic order: positive gaps summing to 2*pi, the
+    first bar anywhere in [-4*pi, 4*pi]."""
+    n = draw(st.integers(2, 8))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    gaps = TWO_PI * weights / np.sum(weights)
+    offset = draw(st.floats(-4.0 * math.pi, 4.0 * math.pi))
+    return offset + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+
+
+@settings(max_examples=25, deadline=None)
+@given(sections=star_regions(), phases=cyclic_layouts())
+def test_slice_moments_match_quadrature_for_unwrapped_phases(sections, phases):
+    region, density = region_and_density(sections)
+    table = moment_table(region, density)
+    moments = table.slice_moments(phases)
+    # each row against the bound on its size: |M_x|, |M_y| <= sqrt(m * M_r2)
+    mass, r2 = moments[0], moments[3]
+    scales = np.array([mass, np.sqrt(mass * r2), np.sqrt(mass * r2), r2])
+    n = phases.size
+    for i in range(n):
+        # the last slice ends at phases[0], which region_integral moves on by 2*pi
+        direct = [region_integral(region, density, phases[i], phases[(i + 1) % n],
+                                  weight, rel_tol=1e-11)
+                  for weight in ("plain", "x", "y", "r2")]
+        assert np.all(np.abs(moments[:, i] - direct) <= 1e-8 * scales[:, i])
+    assert abs(np.sum(mass) - table.totals[0]) <= 1e-12 * table.totals[0]
+    # a full turn of every bar leaves the slices as they were, up to the
+    # rounding of the cumulative moments at angles up to 6*pi
+    shifted = table.slice_moments(phases + TWO_PI)
+    assert np.all(np.abs(shifted - moments) <= 1e-11 * scales)
+
+
 def test_moment_table_slice_moments_wrap(uniform_region, uniform_density):
     table = moment_table(uniform_region, uniform_density)
-    phases = np.array([3.0 * math.pi / 2.0, math.pi / 2.0])
+    # the first slice runs from 3*pi/2 through 2*pi to 5*pi/2
+    phases = np.array([3.0 * math.pi / 2.0, 5.0 * math.pi / 2.0])
     moments = table.slice_moments(phases)
     assert_allclose(moments[0], [3.0 * math.pi / 2.0, 3.0 * math.pi / 2.0],
                     rtol=1e-10)

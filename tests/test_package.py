@@ -15,3 +15,14 @@ def test_no_imports_inside_functions():
                 found += [f"{path.name}:{node.lineno}" for node in ast.walk(function)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_np_mod_only_where_an_angle_is_printed():
+    # the library passes unwrapped phases in cyclic order; only the CSV and
+    # the SVG bars of the command-line front end wrap them
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.mod"]
+    assert all(site.startswith("cli.py:") for site in found), found

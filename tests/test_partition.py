@@ -9,8 +9,8 @@ from conftest import region_and_density, star_regions
 from ringcover.agents import CostModel, all_centroids, subregion_cost
 from ringcover.geometry import TWO_PI, moment_table, radial_moment_extrema
 from ringcover.partition import (advance_by_mean_workload, bar_rates,
-                                 cyclic_difference_form, decay_constants, imbalance,
-                                 validate_initial_phases)
+                                 cyclic_difference_form, cyclic_gaps, decay_constants,
+                                 imbalance, validate_initial_phases)
 from ringcover import sim
 from ringcover.sim import _System
 
@@ -21,7 +21,7 @@ def two_bar_phases():
 
 
 def slice_workloads(phases, region, density):
-    return moment_table(region, density).slice_moments(np.mod(phases, TWO_PI))[0]
+    return moment_table(region, density).slice_moments(phases)[0]
 
 
 def evaluation(phases, region, density, pinned=None):
@@ -34,7 +34,7 @@ def evaluation(phases, region, density, pinned=None):
 def test_workloads_two_bars(two_bar_phases, uniform_region, uniform_density):
     w = slice_workloads(two_bar_phases, uniform_region, uniform_density)
     assert_allclose(w[0], 3.0 * math.pi / 4.0, rtol=1e-10)
-    # second slice wraps through zero
+    # the second slice runs from pi/2 on to 2*pi
     assert_allclose(w[1], 9.0 * math.pi / 4.0, rtol=1e-10)
 
 
@@ -207,18 +207,28 @@ def test_validate_initial_phases():
         validate_initial_phases([1.0])
 
 
+def test_cyclic_gaps():
+    assert_allclose(cyclic_gaps([-1.0, 0.5, 2.0]), [1.5, 1.5, TWO_PI - 3.0], rtol=1e-15)
+    # rows of a log at once; a crossed pair or a lap too many shows a gap <= 0
+    rows = cyclic_gaps([[0.0, 1.0], [1.0, 0.5], [0.0, 7.0]])
+    assert_allclose(rows, [[1.0, TWO_PI - 1.0], [-0.5, 0.5 + TWO_PI], [7.0, TWO_PI - 7.0]],
+                    rtol=1e-15)
+    assert [bool(np.all(row > 0.0)) for row in rows] == [True, False, False]
+
+
 def test_unwrapped_phases_pick_the_wrapped_slices(reference_region, reference_density):
-    # unwrapped phases are the state; every function wraps them itself
-    phases = np.array([-1.0, 7.0])
-    wrapped = np.mod(phases, TWO_PI)
-    assert_allclose(wrapped, [TWO_PI - 1.0, 7.0 - TWO_PI], rtol=1e-12)
+    # unwrapped phases are the state; a full turn of every bar is the same partition
+    phases = np.array([-1.0, 7.0 - TWO_PI])
+    wrapped = phases + TWO_PI
+    assert_allclose(wrapped, [TWO_PI - 1.0, 7.0], rtol=1e-12)
     args = (reference_region, reference_density)
-    assert decay_constants(phases, 0.03, *args) == decay_constants(wrapped, 0.03, *args)
-    assert np.array_equal(all_centroids(phases, *args), all_centroids(wrapped, *args))
+    assert_allclose(decay_constants(phases, 0.03, *args),
+                    decay_constants(wrapped, 0.03, *args), rtol=1e-12)
+    assert_allclose(all_centroids(phases, *args), all_centroids(wrapped, *args), rtol=1e-12)
     squared = CostModel()
     assert (subregion_cost(phases, *args, squared, 0, (1.5, 0.0))
             == subregion_cost(wrapped, *args, squared, 0, (1.5, 0.0)))
-    # slice 0 runs from 2*pi - 1 through zero to 7 - 2*pi
+    # slice 0 runs from -1 through zero to 7 - 2*pi
     assert_allclose(slice_workloads(phases, *args)[0],
                     moment_table(*args).cumulative([7.0 - TWO_PI])[0, 0]
                     - moment_table(*args).cumulative([-1.0])[0, 0], rtol=1e-12)

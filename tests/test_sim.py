@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import (overtaking_scenario_dict, reference_scenario_dict,
+from conftest import (overtaking_scenario_dict, reference_scenario_dict, star_regions,
                       uniform_scenario_dict)
 from ringcover import agents, sim
 from ringcover.agents import CostModel, all_centroids, total_cost
@@ -255,7 +255,7 @@ def test_generic_cost_step_completes_and_logs_quadrature_cost():
     log = run_scenario(config)
     assert log.times.size == 2
     for k in range(2):
-        oracle = total_cost(log.phases_wrapped[k], log.positions[k], config.region,
+        oracle = total_cost(log.phases_unwrapped[k], log.positions[k], config.region,
                             config.density, config.cost)
         assert abs(log.cost[k] - oracle) <= 1e-8 * oracle
 
@@ -306,11 +306,14 @@ def test_workload_bounds_hold_at_start(seed):
 
 
 def test_step_guard_keeps_cyclic_order():
-    log = run_scenario(scenario_from_dict(overtaking_scenario_dict()))
-    phases = log.phases_unwrapped
-    gaps = np.diff(np.concatenate([phases, phases[:, :1] + TWO_PI], axis=1), axis=1)
-    assert np.min(gaps) > 0.0
-    assert int(np.sum(log.halvings)) >= 1
+    for cost in ({"kind": "squared_distance"},
+                 {"kind": "generic_builtin", "parameters": [0.25]}):
+        log = run_scenario(scenario_from_dict({**overtaking_scenario_dict(),
+                                               "cost": cost}))
+        phases = log.phases_unwrapped
+        gaps = np.diff(np.concatenate([phases, phases[:, :1] + TWO_PI], axis=1), axis=1)
+        assert np.min(gaps) > 0.0
+        assert int(np.sum(log.halvings)) >= 1
 
 
 def test_step_guard_raises_when_halving_cannot_keep_order(monkeypatch):
@@ -373,12 +376,18 @@ def test_guard_rejects_before_targets(monkeypatch, uniform_region, uniform_densi
     assert not any(targets_in_rejections)
 
 
+# The region and density of the bundled reference scenario.
+REFERENCE_SECTIONS = {name: reference_scenario_dict()[name]
+                      for name in ("region", "density")}
+
+
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
+@given(sections=st.one_of(st.just(REFERENCE_SECTIONS), star_regions()),
+       seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
        steps=st.integers(1, 30), stride=st.integers(1, 5))
-def test_logged_rates_are_fresh_evaluations(seed, n, steps, stride):
+def test_logged_rates_are_fresh_evaluations(sections, seed, n, steps, stride):
     config = scenario_from_dict(reference_scenario_dict(
-        seed=seed,
+        **sections, seed=seed,
         agents={"count": n, "initial_phases": "random", "initial_positions": "random"},
         integrator={"dt": 0.01, "t_end": 0.01 * steps, "log_stride": stride}))
     log = run_scenario(config)
@@ -429,12 +438,12 @@ def test_centroids_are_not_the_generic_cost_targets(generic_run):
     log, config = generic_run
     forged = TrajectoryLog.from_dict(log.to_dict())
     forged.targets = np.array([all_centroids(phases, config.region, config.density)
-                               for phases in forged.phases_wrapped])
+                               for phases in forged.phases_unwrapped])
     check = stationarity(forged, config)
     assert check.status == "fail", check.line()
 
 
 def test_squared_distance_targets_are_the_centroids(reference_run):
     log, config = reference_run
-    for phases, targets in zip(log.phases_wrapped, log.targets):
+    for phases, targets in zip(log.phases_unwrapped, log.targets):
         assert np.array_equal(targets, all_centroids(phases, config.region, config.density))
