@@ -11,9 +11,8 @@ from .agents import (CostModel, DegenerateSubregionError, TargetSearchError,
 from .sim import (ConfigError, IntegrationError, ScenarioConfig, SearchConfig,
                   TrajectoryLog, VerificationReport, epoch_count_for_tolerance,
                   rk4_step, run_scenario, scenario_from_dict, verify_invariants)
-from .search import (AgentNode, GossipProtocolError, RingMessage, SearchResult,
-                     anchor_assignment, gossip_until_stable, run_epoch, run_search,
-                     select_and_finalize)
+from .search import (SearchResult, anchor_assignment, gossip_until_stable, run_epoch,
+                     run_search)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,33 +1,26 @@
-"""Circular anchored-epoch search over a synchronous ring of agent nodes.
+"""Circular anchored-epoch search over a synchronous ring of agents.
 
 The search sweeps K* evenly spaced anchor angles. In epoch k the agent whose
 bar is closest to the anchor pins its bar there while the rest of the system
-relaxes for a fixed duration; each node then records its slice cost and the
-ring floods the per-slice costs with synchronous set-union rounds until
-every node holds all N of them. After the last epoch every node selects the
-epoch with the least total cost and restores that configuration.
+relaxes for a fixed duration; each agent then knows its own slice cost and
+the ring floods the costs in synchronous rounds until every agent holds all
+N of them. After the last epoch every agent selects the epoch with the least
+total cost and restores that configuration.
 
 State (bars and positions) carries over between epochs; only the epoch timer
-resets. Cost sets hold (agent_id, cost) pairs so that equal costs from
-different agents do not collapse during the union.
+resets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import TWO_PI
-from .agents import CostModel, cost_table, slice_cost_terms, total_cost
-# SearchConfig and epoch_count_for_tolerance live in sim, whose parser builds
-# them; they stay importable from here.
-from .sim import SearchConfig, epoch_count_for_tolerance, integrate_system
-
-
-class GossipProtocolError(RuntimeError):
-    """Ring flooding ran longer than the synchronous bound allows."""
+from .agents import cost_table, slice_cost_terms, total_cost
+from .sim import integrate_system
 
 
 def anchor_assignment(phases, epoch_index: int, epoch_count: int) -> int:
@@ -44,52 +37,16 @@ def anchor_assignment(phases, epoch_index: int, epoch_count: int) -> int:
     return int(np.argmin(offsets))
 
 
-@dataclass
-class AgentNode:
-    """One agent's local state plus its per-epoch records and cost set."""
-
-    agent_id: int
-    phase: float  # unwrapped
-    position: np.ndarray
-    records: dict = field(default_factory=dict)   # epoch -> (phase, position, slice_cost)
-    cost_set: set = field(default_factory=set)    # {(agent_id, slice_cost)}
-    cost_totals: dict = field(default_factory=dict)  # epoch -> summed cost
-
-
-@dataclass(frozen=True)
-class RingMessage:
-    """Snapshot of a node's cost set sent to its ring successor."""
-
-    sender_id: int
-    epoch: int
-    payload: frozenset
-
-    def __post_init__(self):
-        senders = [agent_id for agent_id, _ in self.payload]
-        if len(senders) != len(set(senders)):
-            raise ValueError("payload repeats an agent id")
-
-
-def make_nodes(phases, positions) -> list:
-    phases = np.asarray(phases, dtype=float)
-    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-    return [AgentNode(i, float(phases[i]), positions[i].copy())
-            for i in range(phases.size)]
-
-
-def run_epoch(nodes, region, density, cost_model: CostModel, epoch_index: int,
-              search_config: SearchConfig, kappa_phi: float, kappa_p: float,
-              dt: float) -> int:
-    """One anchored relaxation epoch; returns the anchor agent's index.
+def run_epoch(config, phases, positions, epoch_index: int):
+    """One anchored relaxation epoch of a scenario with a search section.
 
     The anchor bar jumps to the anchor angle (the representative nearest its
     unwrapped phase) and stays pinned for the whole epoch while everything
-    else follows the coupled dynamics. At the end each node saves its record
-    and seeds its cost set with its own slice cost, from the moment table.
+    else follows the coupled dynamics. Returns (anchor agent, phases,
+    positions, slice costs), the costs from the moment table.
     """
-    epoch_count = search_config.epoch_count
-    phases = np.array([node.phase for node in nodes])
-    positions = np.stack([node.position for node in nodes])
+    epoch_count = config.search.epoch_count
+    phases = np.array(phases, dtype=float)  # the jump must not move the caller's array
     anchor_agent = anchor_assignment(phases, epoch_index, epoch_count)
     # The anchor angle's representative nearest the bar: no other bar lies
     # between them, so the unwrapped phases stay in cyclic order.
@@ -97,76 +54,35 @@ def run_epoch(nodes, region, density, cost_model: CostModel, epoch_index: int,
     phases[anchor_agent] = anchor + TWO_PI * round((phases[anchor_agent] - anchor) / TWO_PI)
 
     phases, positions = integrate_system(
-        region, density, cost_model, phases, positions, kappa_phi, kappa_p,
-        dt, search_config.epoch_duration, pinned=anchor_agent)
+        config.region, config.density, config.cost, phases, positions,
+        config.kappa_phi, config.kappa_p, config.dt, config.search.epoch_duration,
+        pinned=anchor_agent)
 
-    table = cost_table(region, density, cost_model)
-    costs = slice_cost_terms(table.slice_moments(phases), positions, cost_model)[0]
-    for i, node in enumerate(nodes):
-        node.phase = float(phases[i])
-        node.position = positions[i].copy()
-        slice_cost = float(costs[i])
-        node.records[epoch_index] = (node.phase, node.position.copy(), slice_cost)
-        node.cost_set = {(node.agent_id, slice_cost)}
-    return anchor_agent
+    table = cost_table(config.region, config.density, config.cost)
+    costs = slice_cost_terms(table.slice_moments(phases), positions, config.cost)[0]
+    return anchor_agent, phases, positions, costs
 
 
-def gossip_until_stable(nodes, epoch_index: int) -> int:
-    """Synchronous ring flooding of the cost sets; returns changing rounds.
+def gossip_until_stable(costs) -> tuple[int, float]:
+    """Synchronous ring flooding of the slice costs; returns (rounds, total).
 
-    Every round each node sends its set to its successor and unions the
-    predecessor's snapshot. The loop stops on the first round in which no set
-    changed (one confirming round beyond the N-1 needed on a ring), so the
-    return value is N-1 for N > 1 and 0 for a single node. Each node then
-    stores the epoch total as the id-ordered sum of its set.
+    `holds[i, j]` says agent i holds agent j's cost. Every round each agent
+    adds what its ring predecessor held; the loop stops on the first round
+    that changes nothing, so `rounds` is N-1 for N > 1 and 0 for a single
+    agent. The total is the agent-ordered sum of the costs every agent holds.
     """
-    n = len(nodes)
+    n = len(costs)
+    holds = np.eye(n, dtype=bool)
     rounds = 0
     while True:
-        messages = [RingMessage(node.agent_id, epoch_index, frozenset(node.cost_set))
-                    for node in nodes]
-        changed = False
-        for i, node in enumerate(nodes):
-            incoming = messages[(i - 1) % n]
-            merged = node.cost_set | set(incoming.payload)
-            if merged != node.cost_set:
-                node.cost_set = merged
-                changed = True
-        if not changed:
+        merged = holds | np.roll(holds, 1, axis=0)
+        if np.array_equal(merged, holds):
             break
+        holds = merged
         rounds += 1
-        if rounds > n + 1:
-            raise GossipProtocolError(
-                f"ring flooding still changing after {rounds} rounds with {n} nodes")
-    for node in nodes:
-        ordered = sorted(node.cost_set)
-        node.cost_totals[epoch_index] = float(sum(cost for _, cost in ordered))
-    return rounds
-
-
-def select_and_finalize(nodes, search_config: SearchConfig):
-    """Restore the best epoch's configuration on every node.
-
-    Every node holds the same total-cost sequence after gossip, so all select
-    the same epoch; ties break toward the earliest epoch. Returns
-    (phases, positions, best_total, best_epoch).
-    """
-    epoch_count = search_config.epoch_count
-    reference = nodes[0].cost_totals
-    missing = [k for k in range(epoch_count) if k not in reference]
-    if missing:
-        raise ValueError(f"epochs {missing} have no recorded totals")
-    totals = np.array([reference[k] for k in range(epoch_count)])
-    best_epoch = int(np.argmin(totals))
-    phases = np.empty(len(nodes))
-    positions = np.empty((len(nodes), 2))
-    for i, node in enumerate(nodes):
-        phase, position, _ = node.records[best_epoch]
-        node.phase = phase
-        node.position = position.copy()
-        phases[i] = phase
-        positions[i] = position
-    return phases, positions, float(totals[best_epoch]), best_epoch
+    # Python's left-to-right sum, not np.sum, whose pairwise order differs
+    # for N >= 8.
+    return rounds, sum(float(c) for c in costs)
 
 
 @dataclass
@@ -192,24 +108,15 @@ def run_search(config) -> SearchResult:
     """Full anchored search for a scenario config carrying a search section."""
     if config.search is None:
         raise ValueError("scenario has no search section")
-    search_config = config.search
-    nodes = make_nodes(config.initial_phases, config.initial_positions)
+    phases, positions = config.initial_phases, config.initial_positions
     records = []
-    for k in range(search_config.epoch_count):
-        anchor_agent = run_epoch(nodes, config.region, config.density, config.cost,
-                                 k, search_config, config.kappa_phi,
-                                 config.kappa_p, config.dt)
-        rounds = gossip_until_stable(nodes, k)
-        records.append(EpochRecord(
-            epoch=k,
-            anchor_agent=anchor_agent,
-            total_cost=nodes[0].cost_totals[k],
-            gossip_rounds=rounds,
-            phases=np.array([node.phase for node in nodes]),
-            positions=np.stack([node.position for node in nodes]),
-        ))
-    phases, positions, best_total, best_epoch = select_and_finalize(nodes, search_config)
-    return SearchResult(records, phases, positions, best_total, best_epoch)
+    for k in range(config.search.epoch_count):
+        anchor_agent, phases, positions, costs = run_epoch(config, phases, positions, k)
+        rounds, total = gossip_until_stable(costs)
+        records.append(EpochRecord(k, anchor_agent, total, rounds, phases, positions))
+    # The first minimum: ties go to the earliest epoch.
+    best = records[int(np.argmin([record.total_cost for record in records]))]
+    return SearchResult(records, best.phases, best.positions, best.total_cost, best.epoch)
 
 
 def recompute_total(config, phases, positions) -> float:

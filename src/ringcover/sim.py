@@ -22,7 +22,7 @@ import numpy as np
 
 from . import agents as agents_mod
 from .agents import CostModel
-from .geometry import (TWO_PI, AnnularRegion, DensityField, PolarCurve,
+from .geometry import (TWO_PI, AnnularRegion, DensityField, PolarCurve, moment_table,
                        radial_moment_extrema, region_integral)
 from .partition import (bar_rates, cyclic_difference_form, cyclic_gaps, decay_constants,
                         imbalance, validate_initial_phases)
@@ -131,13 +131,15 @@ def _curve_to_dict(curve: PolarCurve) -> dict:
 
 def _number(value, field_name: str, kind=float):
     """`value` as a finite float or whole int; else a ConfigError naming the field."""
+    if isinstance(value, (bool, str)):
+        raise ConfigError(field_name, f"expected a number, got {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(field_name, f"expected a number, got {value!r}") from None
     if not math.isfinite(number):
         raise ConfigError(field_name, f"must be finite, got {value!r}")
-    if kind is int and (isinstance(value, bool) or number != value):
+    if kind is int and number != value:
         raise ConfigError(field_name, f"expected a whole number, got {value!r}")
     return number
 
@@ -401,7 +403,9 @@ class TrajectoryLog:
     def from_dict(cls, data: dict) -> "TrajectoryLog":
         """Load a `to_dict` dict; ValueError naming the first record column that
         is missing or not shaped for len(times) records of N agents (N from
-        phases_unwrapped). Unknown record columns are ignored."""
+        phases_unwrapped), or a meta that is not an object or whose
+        guard_failures is not a whole number. Unknown record columns are
+        ignored."""
         try:
             rec = data["records"]
             columns = {name: np.asarray(rec[name], dtype=_RECORD_DTYPES.get(name, float))
@@ -411,6 +415,15 @@ class TrajectoryLog:
             raise ValueError(f"malformed trajectory log: missing {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed trajectory log: {exc}") from None
+        meta = data.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"malformed trajectory log: meta is {meta!r}, "
+                             f"expected an object")
+        failures = meta.get("guard_failures", 0)
+        if (isinstance(failures, bool) or not isinstance(failures, (int, float))
+                or not float(failures).is_integer()):
+            raise ValueError(f"malformed trajectory log: meta.guard_failures is "
+                             f"{failures!r}, expected a whole number")
         phases = columns["phases_unwrapped"].shape
         if len(phases) != 2 or phases[0] < 1 or phases[1] < 2:
             raise ValueError(f"malformed trajectory log: phases_unwrapped has shape "
@@ -421,7 +434,7 @@ class TrajectoryLog:
             if column.shape != expected:
                 raise ValueError(f"malformed trajectory log: {name} has shape "
                                  f"{column.shape}, expected {expected}")
-        return cls(**columns, config_echo=config, meta=data.get("meta", {}))
+        return cls(**columns, config_echo=config, meta=meta)
 
 
 # The per-record columns of a log, in log.json order, and their non-float types.
@@ -650,14 +663,11 @@ def verify_invariants(log: TrajectoryLog,
     n = log.n_agents
     t = log.times
     span = float(t[-1] - t[0]) if t.size > 1 else 0.0
-    m_bar = log.meta.get("m_bar", float(np.mean(log.workloads[0])))
-    c1 = log.meta.get("c1")
-    c2 = log.meta.get("c2")
-    lambda_min = log.meta.get("lambda_min")
-    if c1 is None or c2 is None or lambda_min is None:
-        c1, c2 = decay_constants(log.phases_unwrapped[0], config.kappa_phi, region,
-                                 density)
-        _, lambda_min = cyclic_difference_form(n)
+    # The bound constants come from the config and the first record, never
+    # from the log's meta, which only echoes them.
+    m_bar = float(moment_table(region, density).totals[0]) / n
+    c1, c2 = decay_constants(log.phases_unwrapped[0], config.kappa_phi, region, density)
+    _, lambda_min = cyclic_difference_form(n)
 
     checks = []
 

@@ -14,7 +14,7 @@ from ringcover.agents import (CostModel, all_centroids, cost_table, slice_cost_t
                               subregion_cost, total_cost)
 from ringcover.geometry import TWO_PI, moment_table, region_integral
 from ringcover.partition import advance_by_mean_workload, cyclic_difference_form
-from ringcover.search import gossip_until_stable, make_nodes, run_search
+from ringcover.search import gossip_until_stable, run_search
 from ringcover.sim import run_scenario, scenario_from_dict
 
 SEEDS = (101, 102, 103, 104, 105)
@@ -255,17 +255,12 @@ def test_11_gossip_protocol(uniform_region, uniform_density):
     for n in (2, 4, 8):
         phases = np.sort(rng.uniform(0.0, TWO_PI, n))
         positions = all_centroids(phases, uniform_region, uniform_density)
-        nodes = make_nodes(phases, positions)
-        for i, node in enumerate(nodes):
-            slice_cost = subregion_cost(phases, uniform_region, uniform_density,
-                                        squared, i, positions[i])
-            node.cost_set = {(node.agent_id, slice_cost)}
-        rounds = gossip_until_stable(nodes, 0)
+        costs = [subregion_cost(phases, uniform_region, uniform_density, squared, i,
+                                positions[i]) for i in range(n)]
+        rounds, total = gossip_until_stable(costs)
         direct = total_cost(phases, positions, uniform_region, uniform_density, squared)
-        sets_ok = all(len(node.cost_set) == n for node in nodes)
-        totals_ok = all(abs(node.cost_totals[0] - direct) <= 1e-8 * direct
-                        for node in nodes)
-        ok &= rounds <= n and sets_ok and totals_ok
+        # N-1 rounds bring every agent's cost to every agent on the ring
+        ok &= rounds == n - 1 and abs(total - direct) <= 1e-8 * direct
         details.append(f"N={n}: rounds={rounds}")
     report(11, "gossip_protocol", ok, "; ".join(details))
 

@@ -236,6 +236,43 @@ def test_malformed_log_exits_2(quick_config, tmp_path, caplog, column, forge):
     assert not (tmp_path / "export" / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("forge, message", [
+    (lambda data: data.update(meta=[]), "meta is []"),
+    (lambda data: data["meta"].update(guard_failures="x"), "meta.guard_failures is 'x'"),
+    (lambda data: data["meta"].update(guard_failures=0.5), "meta.guard_failures is 0.5"),
+], ids=["meta_not_an_object", "guard_failures_a_string", "guard_failures_a_fraction"])
+def test_malformed_meta_exits_2(quick_config, tmp_path, caplog, forge, message):
+    run_out = tmp_path / "run"
+    assert cmd_run(quick_config, str(run_out)) == 0
+    data = json.loads((run_out / "log.json").read_text())
+    forge(data)
+    path = write_config(tmp_path, data, "forged_log.json")
+    assert cmd_verify(path, str(tmp_path / "verify")) == 2
+    assert cmd_export(path, "csv", str(tmp_path / "export")) == 2
+    assert caplog.text.count(f"malformed trajectory log: {message}") == 2
+
+
+BOUND_CONSTANTS = ("m_bar", "c1", "c2", "lambda_min")
+
+
+@pytest.mark.parametrize("forge", [
+    lambda meta: [meta.pop(name) for name in BOUND_CONSTANTS],
+    lambda meta: meta.update(dict.fromkeys(BOUND_CONSTANTS, "x")),
+], ids=["deleted", "not_numbers"])
+def test_verify_bound_constants_ignore_meta(quick_config, tmp_path, forge):
+    # verify works the bound constants out from the config echo and the
+    # first record; the meta entries only echo them
+    run_out = tmp_path / "run"
+    assert cmd_run(quick_config, str(run_out)) == 0
+    assert cmd_verify(str(run_out / "log.json"), str(tmp_path / "intact")) == 0
+    data = json.loads((run_out / "log.json").read_text())
+    forge(data["meta"])
+    path = write_config(tmp_path, data, "forged_log.json")
+    assert cmd_verify(path, str(tmp_path / "forged")) == 0
+    assert ((tmp_path / "forged" / "report.txt").read_bytes()
+            == (tmp_path / "intact" / "report.txt").read_bytes())
+
+
 def test_log_with_a_wrapped_phase_column_still_loads(quick_config, tmp_path):
     # logs written before the wrapped phases left the log carry them as an
     # extra column, which verify and export ignore
@@ -363,6 +400,10 @@ def test_python_dash_m_runs_the_cli(quick_config, tmp_path):
     ("integrator.log_stride", True, "integrator.log_stride"),
     ("search.K_star", 8.9, "search.K_star"),
     ("seed", 3.9, "seed"),
+    # float fields reject booleans and numeric strings instead of converting
+    ("gains.kappa_phi", True, "gains.kappa_phi"),
+    ("gains.kappa_p", "0.5", "gains.kappa_p"),
+    ("integrator.dt", "0.05", "integrator.dt"),
 ])
 def test_run_rejects_malformed_number(tmp_path, caplog, path, value, field):
     data = uniform_scenario_dict()

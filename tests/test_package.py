@@ -26,3 +26,22 @@ def test_np_mod_only_where_an_angle_is_printed():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.mod"]
     assert all(site.startswith("cli.py:") for site in found), found
+
+
+def test_no_unused_imports():
+    # every name a module imports at top level is used there; __init__.py
+    # is the export list
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.name}:{node.lineno} {name}" for name in
+                          ((alias.asname or alias.name.split(".")[0]) for alias in node.names)
+                          if name not in used]
+    assert found == []

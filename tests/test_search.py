@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import star_regions, uniform_scenario_dict
+from ringcover import search
 from ringcover.agents import CostModel, subregion_cost, total_cost
 from ringcover.geometry import TWO_PI
-from ringcover.search import (AgentNode, RingMessage, SearchConfig,
-                              anchor_assignment, epoch_count_for_tolerance,
-                              gossip_until_stable, make_nodes, recompute_total,
-                              run_epoch, run_search, select_and_finalize)
-from ringcover.sim import ConfigError, scenario_from_dict
+from ringcover.search import (anchor_assignment, gossip_until_stable, recompute_total,
+                              run_epoch, run_search)
+from ringcover.sim import ConfigError, epoch_count_for_tolerance, scenario_from_dict
 
 
 def test_epoch_count_for_tolerance():
@@ -49,84 +49,74 @@ def test_anchor_assignment():
         anchor_assignment([0.1], 4, 4)
 
 
-def test_ring_message_rejects_duplicate_ids():
-    with pytest.raises(ValueError):
-        RingMessage(0, 0, frozenset({(1, 2.0), (1, 3.0)}))
-    RingMessage(0, 0, frozenset({(1, 2.0), (2, 2.0)}))  # equal costs are fine
-
-
-def _gossip_ring(n):
-    nodes = [AgentNode(i, 0.0, np.zeros(2)) for i in range(n)]
-    for node in nodes:
-        node.cost_set = {(node.agent_id, float(node.agent_id) + 0.5)}
-    return nodes
-
-
 def test_gossip_single_node():
-    nodes = _gossip_ring(1)
-    assert gossip_until_stable(nodes, 0) == 0
-    assert nodes[0].cost_totals[0] == 0.5
+    assert gossip_until_stable([0.5]) == (0, 0.5)
 
 
 def test_gossip_four_ring():
-    nodes = _gossip_ring(4)
-    rounds = gossip_until_stable(nodes, 0)
-    assert rounds == 3  # N-1 content-changing rounds (plus a confirming one)
-    expected_total = sum(i + 0.5 for i in range(4))
-    for node in nodes:
-        assert len(node.cost_set) == 4
-        assert node.cost_totals[0] == pytest.approx(expected_total, rel=1e-15)
-    totals = {node.cost_totals[0] for node in nodes}
-    assert len(totals) == 1
+    costs = [i + 0.5 for i in range(4)]
+    # N-1 content-changing rounds (plus a confirming one)
+    assert gossip_until_stable(costs) == (3, sum(costs))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_gossip_rounds_scale(n):
-    nodes = _gossip_ring(n)
-    rounds = gossip_until_stable(nodes, 0)
-    assert rounds == max(0, n - 1)
-    assert all(len(node.cost_set) == n for node in nodes)
+    costs = np.array([0.1 * (i + 1) for i in range(n)])
+    rounds, total = gossip_until_stable(costs)
+    assert rounds == n - 1
+    # agent order, bit for bit; np.sum adds these eight in another order
+    assert total == sum(float(c) for c in costs)
 
 
-def test_select_and_finalize_tie_breaks_low():
-    nodes = [AgentNode(i, 0.0, np.zeros(2)) for i in range(2)]
+def test_run_search_tie_breaks_low(monkeypatch):
     totals = [5.0, 4.2, 4.2, 6.0]
-    for k, value in enumerate(totals):
-        for i, node in enumerate(nodes):
-            node.records[k] = (0.1 * k + i, np.array([float(k), float(i)]), value / 2)
-            node.cost_totals[k] = value
-    config = SearchConfig(epoch_count=4)
-    phases, positions, best, best_epoch = select_and_finalize(nodes, config)
-    assert best_epoch == 1
-    assert best == 4.2
-    assert_allclose(phases, [0.1, 1.1])
-    assert_allclose(positions[0], [1.0, 0.0])
-    single = SearchConfig(epoch_count=1)
-    for node in nodes:
-        node.cost_totals = {0: 9.0}
-    assert select_and_finalize(nodes, single)[3] == 0
+
+    def scripted_epoch(config, phases, positions, k):
+        # halves of each total, so the two-agent sum is exact
+        return (0, np.array([0.1 * k, 0.1 * k + 1.0]),
+                np.array([[float(k), 0.0], [float(k), 1.0]]), np.full(2, totals[k] / 2))
+
+    monkeypatch.setattr(search, "run_epoch", scripted_epoch)
+    config = scenario_from_dict(uniform_scenario_dict(
+        search={"K_star": 4, "T_epsilon": 1.0}))
+    result = run_search(config)
+    assert [record.total_cost for record in result.epochs] == totals
+    assert result.best_epoch == 1
+    assert result.best_total == 4.2
+    assert_allclose(result.final_phases, [0.1, 1.1])
+    assert_allclose(result.final_positions, [[1.0, 0.0], [1.0, 1.0]])
+    single = dataclasses.replace(config, search=dataclasses.replace(config.search,
+                                                                    epoch_count=1))
+    assert run_search(single).best_epoch == 0
 
 
-def test_run_epoch_pinning_and_static_bars(uniform_region, uniform_density):
+def epoch_config(kappa_phi: float, duration: float):
+    """The uniform two-agent scenario with an anchor grid of 4 and the given
+    bar gain (0 decouples the bars) and epoch length."""
+    config = scenario_from_dict(uniform_scenario_dict(
+        search={"K_star": 4, "T_epsilon": duration}))
+    return dataclasses.replace(config, kappa_phi=kappa_phi)
+
+
+def test_run_epoch_pinning_and_static_bars():
     # kappa_phi = 0 decouples: non-anchor bars must not move
-    nodes = make_nodes([0.4, 1.9], [[1.5, 0.3], [-1.4, 0.2]])
-    config = SearchConfig(epoch_count=4, epoch_duration=5.0)
-    anchor = run_epoch(nodes, uniform_region, uniform_density,
-                       CostModel("squared_distance"), 0, config,
-                       kappa_phi=0.0, kappa_p=0.5, dt=0.05)
+    config = epoch_config(kappa_phi=0.0, duration=5.0)
+    initial = np.array(config.initial_phases)
+    anchor, phases, positions, costs = run_epoch(config, config.initial_phases,
+                                                 config.initial_positions, 0)
     assert anchor == 0
-    assert nodes[0].phase == 0.0  # pinned at the anchor angle
-    assert nodes[1].phase == pytest.approx(1.9, abs=1e-12)
-    for node in nodes:
-        assert math.isfinite(node.records[0][2])
+    assert phases[0] == 0.0  # pinned at the anchor angle
+    assert phases[1] == pytest.approx(1.9, abs=1e-12)
+    assert np.array_equal(config.initial_phases, initial)  # the input is not moved
+    assert positions.shape == (2, 2)
+    assert np.isfinite(costs).all()
 
 
-def test_run_epoch_two_bars_opposite(uniform_region, uniform_density):
-    nodes = make_nodes([0.4, 1.9], [[1.5, 0.3], [-1.4, 0.2]])
-    config = SearchConfig(epoch_count=4, epoch_duration=60.0)
-    run_epoch(nodes, uniform_region, uniform_density, CostModel("squared_distance"),
-              0, config, kappa_phi=0.1, kappa_p=0.5, dt=0.05)
-    gap = (nodes[1].phase - nodes[0].phase) % TWO_PI
+def test_run_epoch_two_bars_opposite():
+    config = epoch_config(kappa_phi=0.1, duration=60.0)
+    _, phases, _, _ = run_epoch(config, config.initial_phases,
+                                config.initial_positions, 0)
+    gap = (phases[1] - phases[0]) % TWO_PI
     assert abs(gap - math.pi) <= 1e-6
 
 
@@ -156,16 +146,11 @@ def test_gossip_totals_match_direct_cost(uniform_region, uniform_density):
     phases = np.array([0.3, 1.1, 2.8, 4.9])
     positions = np.array([[1.5, 0.3], [0.2, 1.4], [-1.5, 0.1], [0.4, -1.5]])
     squared = CostModel("squared_distance")
-    nodes = make_nodes(phases, positions)
-    for i, node in enumerate(nodes):
-        slice_cost = subregion_cost(phases, uniform_region, uniform_density,
-                                    squared, i, positions[i])
-        node.records[0] = (node.phase, node.position.copy(), slice_cost)
-        node.cost_set = {(node.agent_id, slice_cost)}
-    gossip_until_stable(nodes, 0)
+    costs = [subregion_cost(phases, uniform_region, uniform_density, squared, i,
+                            positions[i]) for i in range(4)]
+    _, total = gossip_until_stable(costs)
     direct = total_cost(phases, positions, uniform_region, uniform_density, squared)
-    for node in nodes:
-        assert node.cost_totals[0] == pytest.approx(direct, rel=1e-8)
+    assert total == pytest.approx(direct, rel=1e-8)
 
 
 def test_monotone_refinement_nested_anchors():
