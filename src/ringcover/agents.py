@@ -77,8 +77,7 @@ def slice_centroids(moments) -> np.ndarray:
 
     `moments` are slice moments of shape (rows, N) from the moment table.
     """
-    mass = moments[0]
-    return np.stack([moments[1] / mass, moments[2] / mass], axis=1)
+    return (moments[1:3] / moments[0]).T
 
 
 def all_centroids(phases, region, density) -> np.ndarray:

@@ -157,7 +157,7 @@ def _write_run_artifacts(log: TrajectoryLog, config: ScenarioConfig, out_dir: Pa
     (out_dir / "trajectory.csv").write_text(
         "\n".join(trajectory_csv_lines(log)) + "\n", encoding="utf-8")
     with open(out_dir / "log.json", "w", encoding="utf-8") as handle:
-        json.dump(log.to_dict(), handle)
+        handle.write(json.dumps(log.to_dict()))  # one-shot: the C encoder
     with open(out_dir / "config_echo.json", "w", encoding="utf-8") as handle:
         json.dump(config.to_dict(), handle, indent=2)
     _write_snapshots(log, config.region, snapshot_times, out_dir)

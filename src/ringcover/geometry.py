@@ -334,13 +334,15 @@ class MomentTable:
         modes = int(np.max(np.nonzero(np.any(keep, axis=0))[0])) if keep.any() else 0
         modes = max(modes, 1)
 
-        self._mean = cos_c[:, 0]
-        self._k = np.arange(1, modes + 1, dtype=float)
+        k = np.arange(1, modes + 1, dtype=float)
         self._cos = cos_c[:, 1:modes + 1]
         self._sin = sin_c[:, 1:modes + 1]
-        self._cos_over_k = self._cos / self._k
-        self._sin_over_k = self._sin / self._k
-        self.totals = self._mean * TWO_PI
+        self._cos_over_k = self._cos / k
+        self._sin_over_k = self._sin / k
+        self.totals = cos_c[:, 0] * TWO_PI
+        # Columns that broadcast against a row of angles.
+        self._k = k[:, None]
+        self._mean = cos_c[:, :1]
 
     @property
     def mode_count(self) -> int:
@@ -349,15 +351,15 @@ class MomentTable:
     def value(self, theta):
         """Point values of the moment profiles, shape (rows, len(theta))."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        kt = self._k[:, None] * theta[None, :]
-        out = self._mean[:, None] + self._cos @ np.cos(kt) + self._sin @ np.sin(kt)
+        kt = self._k * theta
+        out = self._mean + self._cos @ np.cos(kt) + self._sin @ np.sin(kt)
         return out
 
     def cumulative(self, theta):
         """M_w(theta) = int_0^theta of each profile; valid for unwrapped theta."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        kt = self._k[:, None] * theta[None, :]
-        out = self._mean[:, None] * theta[None, :]
+        kt = self._k * theta
+        out = self._mean * theta
         out += self._cos_over_k @ np.sin(kt) + self._sin_over_k @ (1.0 - np.cos(kt))
         return out
 

@@ -49,7 +49,10 @@ def cyclic_gaps(phases) -> np.ndarray:
     Works along the last axis, so an (R, N) array gives R rows of N gaps.
     """
     p = np.asarray(phases, dtype=float)
-    return np.concatenate([np.diff(p), p[..., :1] + TWO_PI - p[..., -1:]], axis=-1)
+    gaps = np.empty_like(p)
+    np.subtract(p[..., 1:], p[..., :-1], out=gaps[..., :-1])
+    np.subtract(p[..., :1] + TWO_PI, p[..., -1:], out=gaps[..., -1:])
+    return gaps
 
 
 def bar_rates(workloads, kappa_phi: float) -> np.ndarray:
@@ -58,7 +61,7 @@ def bar_rates(workloads, kappa_phi: float) -> np.ndarray:
     Bar i separates slice i-1 from slice i, so it turns at
     kappa_phi * (m_i - m_{i-1}); the rates sum to zero.
     """
-    return kappa_phi * (workloads - np.roll(workloads, 1))
+    return kappa_phi * (workloads - workloads[np.arange(-1, len(workloads) - 1)])
 
 
 def imbalance(workloads, mean: float) -> float:

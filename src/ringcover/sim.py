@@ -240,6 +240,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     seed = data.get("seed")
     if seed is not None:
         seed = _number(seed, "seed", int)
+        if seed < 0:
+            raise ConfigError("seed", f"must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
 
     phases_spec = agents_data.get("initial_phases", "random")
@@ -508,7 +510,7 @@ class _System:
         if (cyclic_gaps(phases) <= 0.0).any():
             return None
         moments = self.table.slice_moments(phases)
-        if not float(np.min(moments[0])) > self.workload_floor:
+        if not moments[0].min() > self.workload_floor:
             return None
         return self.evaluate(y, moments)
 

@@ -1,7 +1,10 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ringcover.geometry import AnnularRegion, DensityField, PolarCurve
+from ringcover.geometry import TWO_PI, AnnularRegion, DensityField, PolarCurve
 from ringcover.sim import run_scenario, scenario_from_dict
 
 
@@ -117,3 +120,14 @@ def region_and_density(sections):
                            curve(sections["region"]["outer"]))
     density = sections["density"]
     return region, DensityField(density["kind"], tuple(density["parameters"]))
+
+
+@st.composite
+def cyclic_layouts(draw):
+    """N in [2, 8] bars in cyclic order: positive gaps summing to 2*pi, the
+    first bar anywhere in [-4*pi, 4*pi]."""
+    n = draw(st.integers(2, 8))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    gaps = TWO_PI * weights / np.sum(weights)
+    offset = draw(st.floats(-4.0 * math.pi, 4.0 * math.pi))
+    return offset + np.concatenate([[0.0], np.cumsum(gaps[:-1])])

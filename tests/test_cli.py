@@ -400,6 +400,7 @@ def test_python_dash_m_runs_the_cli(quick_config, tmp_path):
     ("integrator.log_stride", True, "integrator.log_stride"),
     ("search.K_star", 8.9, "search.K_star"),
     ("seed", 3.9, "seed"),
+    ("seed", -1, "seed"),
     # float fields reject booleans and numeric strings instead of converting
     ("gains.kappa_phi", True, "gains.kappa_phi"),
     ("gains.kappa_p", "0.5", "gains.kappa_p"),
@@ -414,6 +415,14 @@ def test_run_rejects_malformed_number(tmp_path, caplog, path, value, field):
     node[key] = value
     assert cmd_run(write_config(tmp_path, data), str(tmp_path / "out")) == 2
     assert f"invalid config: {field}: " in caplog.text
+
+
+@pytest.mark.parametrize("command", ["run", "search", "verify"])
+def test_negative_seed_override_exits_2(tmp_path, caplog, command):
+    path = write_config(tmp_path, uniform_scenario_dict())
+    assert main([command, "--config", path, "--out", str(tmp_path / "out"),
+                 "--seed", "-1"]) == 2
+    assert "seed: must be non-negative" in caplog.text
 
 
 def test_run_integration_failure_exits_3_with_partial_log(tmp_path, monkeypatch):

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from conftest import region_and_density, star_regions
+from conftest import cyclic_layouts, region_and_density, star_regions
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField,
                                 InvalidDensityError, PolarCurve, _radial_batch,
                                 moment_table, radial_moment_extrema, region_integral)
@@ -165,17 +165,6 @@ def test_moment_table_matches_quadrature(reference_region, reference_density):
         direct = region_integral(reference_region, reference_density, a, b,
                                  rel_tol=1e-11)
         assert abs(sliced - direct) <= 1e-9 * (abs(direct) + 1.0)
-
-
-@st.composite
-def cyclic_layouts(draw):
-    """N in [2, 8] bars in cyclic order: positive gaps summing to 2*pi, the
-    first bar anywhere in [-4*pi, 4*pi]."""
-    n = draw(st.integers(2, 8))
-    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
-    gaps = TWO_PI * weights / np.sum(weights)
-    offset = draw(st.floats(-4.0 * math.pi, 4.0 * math.pi))
-    return offset + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
 
 
 @settings(max_examples=25, deadline=None)

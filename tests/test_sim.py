@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import (overtaking_scenario_dict, reference_scenario_dict, star_regions,
-                      uniform_scenario_dict)
+from conftest import (cyclic_layouts, overtaking_scenario_dict, reference_scenario_dict,
+                      region_and_density, star_regions, uniform_scenario_dict)
 from ringcover import agents, sim
-from ringcover.agents import CostModel, all_centroids, total_cost
+from ringcover.agents import CostModel, all_centroids, slice_centroids, total_cost
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField, MomentTable,
                                 PolarCurve, radial_moment_extrema)
+from ringcover.partition import bar_rates, cyclic_gaps
 from ringcover.sim import (ConfigError, IntegrationError, ScenarioConfig, TrajectoryLog,
                            integrate_system, rk4_step, run_scenario,
                            scenario_from_dict, verify_invariants)
@@ -403,6 +404,79 @@ def test_logged_rates_are_fresh_evaluations(sections, seed, n, steps, stride):
     assert np.max(np.abs(means - means[0])) <= 1e-12
     # V never increases, up to rounding
     assert np.all(np.diff(log.lyapunov) <= 1e-12 * log.lyapunov[0])
+
+
+@st.composite
+def evaluation_states(draw):
+    """Unwrapped phases in cyclic order, a copy with two neighbouring bars
+    swapped or tied, agent positions, and a bar to pin."""
+    phases = draw(cyclic_layouts())
+    n = phases.size
+    crossed = phases.copy()
+    i = draw(st.integers(0, n - 2))
+    if draw(st.booleans()):
+        crossed[[i, i + 1]] = crossed[[i + 1, i]]
+    else:
+        crossed[i + 1] = crossed[i]
+    coordinates = draw(st.lists(st.floats(-4.0, 4.0), min_size=2 * n, max_size=2 * n))
+    return phases, crossed, np.array(coordinates).reshape(n, 2), draw(st.integers(0, n - 1))
+
+
+def reference_gaps(phases):
+    """Cyclic gaps written out with np.diff, along the last axis."""
+    return np.concatenate([np.diff(phases), phases[..., :1] + TWO_PI - phases[..., -1:]],
+                          axis=-1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sections=st.one_of(st.just(REFERENCE_SECTIONS), star_regions()),
+       state=evaluation_states())
+def test_evaluation_matches_the_written_out_formulas_bit_for_bit(sections, state):
+    # Each hot-path function against its plain formula, compared with
+    # np.array_equal: a rewrite that moves a digit fails here.
+    phases, crossed, positions, pinned_bar = state
+    n = phases.size
+    region, density = region_and_density(sections)
+    kappa_phi, kappa_p = 0.03, 0.1
+    rows = np.stack([phases, crossed, phases + TWO_PI])
+    assert np.array_equal(cyclic_gaps(rows), reference_gaps(rows))
+    for p in (phases, crossed):
+        assert np.array_equal(cyclic_gaps(p), reference_gaps(p))
+    assert np.any(reference_gaps(crossed) <= 0.0)
+    for beta in (0.0, 0.25):
+        cost = CostModel("generic_builtin", (beta,))
+        table = agents.cost_table(region, density, cost)
+        for p in (phases, crossed):
+            moments = table.slice_moments(p)
+            mass = moments[0]
+            assert np.array_equal(bar_rates(mass, kappa_phi),
+                                  kappa_phi * (mass - np.roll(mass, 1)))
+            with np.errstate(divide="ignore", invalid="ignore"):  # a tie's empty slice
+                centroids = np.stack([moments[1] / mass, moments[2] / mass], axis=1)
+                assert np.array_equal(slice_centroids(moments), centroids, equal_nan=True)
+
+        moments = table.slice_moments(phases)
+        mass = moments[0]
+        targets = agents.optimal_targets(moments, cost)
+        y = np.concatenate([phases, positions.ravel()])
+        for pinned in (None, pinned_bar):
+            system = sim._System(region, density, cost, n, kappa_phi, kappa_p, pinned)
+            # the guard rejects crossed or tied bars, and a slice at the floor
+            assert system.evaluate_guarded(np.concatenate([crossed, positions.ravel()])) is None
+            system.workload_floor = float(np.min(mass))
+            assert system.evaluate_guarded(y) is None
+            system.workload_floor = float(np.nextafter(np.min(mass), -np.inf))
+            accepted = system.evaluate_guarded(y)
+            assert accepted is not None
+            rates = kappa_phi * (mass - np.roll(mass, 1))
+            if pinned is not None:
+                rates[pinned] = 0.0
+            derivative = np.concatenate([rates, (-kappa_p * (positions - targets)).ravel()])
+            for evaluation in (accepted, system.evaluate(y)):
+                assert np.array_equal(evaluation.moments, moments)
+                assert np.array_equal(evaluation.rates, rates)
+                assert np.array_equal(evaluation.targets, targets)
+                assert np.array_equal(evaluation.derivative, derivative)
 
 
 def test_search_rng_seed_is_ignored():
