@@ -10,8 +10,9 @@ followed by an angular integral, so this module provides adaptive
 Gauss-Legendre quadrature for both stages. It also builds a cached spectral
 table of cumulative moments (`MomentTable`) so that the simulation inner
 loop can evaluate slice workloads, centroids and polynomial service costs
-in O(modes) instead of re-running the adaptive quadrature at every step;
-the table is validated against the quadrature path in the test suite.
+in O(modes) instead of re-running the adaptive quadrature at every step.
+Every table is checked against the radial quadrature off its sampling grid
+when it is built, and the moment extrema are read off its samples.
 """
 
 from __future__ import annotations
@@ -269,13 +270,12 @@ def region_integral(region, density, phi_lo, phi_hi, integrand="plain", *,
     raise QuadratureError("angular quadrature did not converge", residual)
 
 
+# Cached only for callers that clear it, and time it cold, with the table.
 @lru_cache(maxsize=32)
-def radial_moment_extrema(region, density, grid_size=2048):
-    """(min, max) of the plain radial moment over a uniform angle grid."""
-    if grid_size < 64:
-        raise ValueError("grid_size must be at least 64")
-    thetas = np.arange(grid_size) * (TWO_PI / grid_size)
-    values = _chunked_radial(region, density, thetas, "plain", 1e-8)
+def radial_moment_extrema(region, density):
+    """(min, max) of the plain radial moment on 2048 uniform angles, which
+    are the even-index samples of the moment table's plain row."""
+    values = moment_table(region, density).samples[0, ::2]
     lo = float(values.min())
     hi = float(values.max())
     if lo <= 0.0:
@@ -284,9 +284,11 @@ def radial_moment_extrema(region, density, grid_size=2048):
 
 
 # The table samples every profile on this many angles, each by radial
-# quadrature to this relative tolerance.
+# quadrature to this relative tolerance, and its build fails past the check
+# tolerance off the grid, relative to each row's largest sample.
 _TABLE_GRID = 4096
 _TABLE_REL_TOL = 1e-13
+_TABLE_CHECK_TOL = 1e-10
 
 # Table rows: the moments of degree <= 2 that workloads, centroids and the
 # squared-distance cost need, then the rows a quartic cost adds.
@@ -305,22 +307,20 @@ class MomentTable:
     M_w(theta) = int_0^theta w-moment dt for any real (unwrapped) theta, and
     `slice_moments` turns unwrapped partition phases in cyclic order
     (phi_1 < ... < phi_N < phi_1 + 2*pi) into per-slice integrals.
+    `samples` keeps the sampled profiles, one row per moment, and
+    `check_error`, set by `moment_table`, the fit's largest error off the
+    grid relative to each row's largest sample.
 
     Row order is ("plain", "x", "y", "r2") for degree 2; degree 4 appends
     ("xx", "xy", "yy", "xr2", "yr2", "r4"), the moments of x^a y^b with
-    a + b <= 4 that a quartic cost needs. The truncation is chosen over all
-    rows, so the degree-2 rows of the two tables agree only to rounding.
+    a + b <= 4 that a quartic cost needs. The degree-4 table reuses the
+    degree-2 samples, but its truncation is chosen over all rows, so the
+    degree-2 rows of the two tables agree only to rounding.
     """
 
-    def __init__(self, region, density, degree=2):
-        weights = _TABLE_WEIGHTS[degree]
-        n_grid = _TABLE_GRID
-        thetas = np.arange(n_grid) * (TWO_PI / n_grid)
-        samples = np.empty((len(weights), n_grid))
-        for row, weight in enumerate(weights):
-            samples[row] = _chunked_radial(region, density, thetas, weight,
-                                           _TABLE_REL_TOL)
-
+    def __init__(self, samples):
+        self.samples = samples
+        n_grid = samples.shape[1]
         spectrum = np.fft.rfft(samples, axis=1)
         cos_c = 2.0 * spectrum.real / n_grid
         sin_c = -2.0 * spectrum.imag / n_grid
@@ -383,6 +383,25 @@ def moment_table(region, density, degree=2) -> MomentTable:
 
     The cache key is the call as written: `moment_table(region, density)`
     and `moment_table(region, density, degree=2)` build two tables, so
-    degree-2 callers omit the argument.
+    degree-2 callers omit the argument; the degree-4 table stacks that
+    table's samples over its six quartic rows. Raises QuadratureError when
+    the fit misses the quadrature off the grid by more than `_TABLE_CHECK_TOL`.
     """
-    return MomentTable(region, density, degree=degree)
+    weights = _TABLE_WEIGHTS[degree]
+    thetas = np.arange(_TABLE_GRID) * (TWO_PI / _TABLE_GRID)
+    kept = (moment_table(region, density).samples if degree == 4
+            else np.empty((0, _TABLE_GRID)))
+    fresh = [_chunked_radial(region, density, thetas, weight, _TABLE_REL_TOL)
+             for weight in weights[len(kept):]]
+    table = MomentTable(np.vstack([kept, *fresh]))
+
+    # Halfway between samples, where an aliased or truncated harmonic shows.
+    checks = (np.arange(7) * (_TABLE_GRID // 7) + 0.5) * (TWO_PI / _TABLE_GRID)
+    direct = np.array([_radial_batch(region, density, checks, weight,
+                                     rel_tol=_TABLE_REL_TOL) for weight in weights])
+    scale = np.max(np.abs(table.samples), axis=1, keepdims=True)
+    table.check_error = float(np.max(np.abs(table.value(checks) - direct) / scale))
+    if table.check_error > _TABLE_CHECK_TOL:
+        raise QuadratureError("moment table misses the radial quadrature off its grid",
+                              table.check_error)
+    return table

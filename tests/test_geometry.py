@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
 from conftest import cyclic_layouts, region_and_density, star_regions
+from ringcover import geometry
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField,
-                                InvalidDensityError, PolarCurve, _radial_batch,
-                                moment_table, radial_moment_extrema, region_integral)
+                                InvalidDensityError, PolarCurve, QuadratureError,
+                                _chunked_radial, _radial_batch, moment_table,
+                                radial_moment_extrema, region_integral)
 
 
 def test_curve_harmonic_evaluation():
@@ -116,9 +118,10 @@ def test_extrema_uniform(uniform_region, uniform_density):
 
 
 def test_extrema_reference_dense_oracle(reference_region, reference_density):
-    lo, hi = radial_moment_extrema(reference_region, reference_density, 2048)
-    lo_dense, hi_dense = radial_moment_extrema(reference_region, reference_density,
-                                               16384)
+    lo, hi = radial_moment_extrema(reference_region, reference_density)
+    dense = _chunked_radial(reference_region, reference_density,
+                            np.arange(16384) * (TWO_PI / 16384), "plain", 1e-8)
+    lo_dense, hi_dense = dense.min(), dense.max()
     assert abs(lo - lo_dense) <= 1e-3 * lo_dense
     assert abs(hi - hi_dense) <= 1e-3 * hi_dense
     assert lo > 0.0
@@ -130,11 +133,6 @@ def test_extrema_density_scaling(reference_region):
     assert_allclose([lo2, hi2], [2.0 * lo1, 2.0 * hi1], rtol=1e-10)
 
 
-def test_extrema_grid_validation(uniform_region, uniform_density):
-    with pytest.raises(ValueError):
-        radial_moment_extrema(uniform_region, uniform_density, 32)
-
-
 def test_invalid_density_detected(uniform_region):
     # angular factor 0.5 + cos(theta) goes negative near theta = pi
     bad = DensityField("radial_polynomial_times_angular", (1.0,),
@@ -142,7 +140,7 @@ def test_invalid_density_detected(uniform_region):
     lo, _ = bad.bounds(uniform_region)
     assert lo <= 0.0
     with pytest.raises(InvalidDensityError):
-        radial_moment_extrema(uniform_region, bad, 64)
+        radial_moment_extrema(uniform_region, bad)
 
 
 def test_density_bounds_positive(reference_region, reference_density):
@@ -165,6 +163,31 @@ def test_moment_table_matches_quadrature(reference_region, reference_density):
         direct = region_integral(reference_region, reference_density, a, b,
                                  rel_tol=1e-11)
         assert abs(sliced - direct) <= 1e-9 * (abs(direct) + 1.0)
+
+
+def test_table_build_refuses_an_aliased_fit(monkeypatch, reference_region,
+                                           reference_density):
+    # the reference profiles need 25 modes; 16 samples alias them, and the
+    # check between the samples sees it
+    moment_table.cache_clear()
+    monkeypatch.setattr(geometry, "_TABLE_GRID", 16)
+    with pytest.raises(QuadratureError):
+        moment_table(reference_region, reference_density)
+
+
+@settings(max_examples=10, deadline=None)
+@given(sections=star_regions())
+def test_tables_and_extrema_share_one_sampling_pass(sections):
+    region, density = region_and_density(sections)
+    table, quartic = moment_table(region, density), moment_table(region, density, degree=4)
+    assert np.array_equal(quartic.samples[:4], table.samples)
+    # the build-time check found both fits far inside its tolerance
+    assert 0.0 <= table.check_error <= 1e-13 and 0.0 <= quartic.check_error <= 1e-13
+    lo, hi = radial_moment_extrema(region, density)
+    direct = _chunked_radial(region, density, np.arange(2048) * (TWO_PI / 2048),
+                             "plain", 1e-8)
+    assert abs(lo - direct.min()) <= 1e-12 * direct.min()
+    assert abs(hi - direct.max()) <= 1e-12 * direct.max()
 
 
 @settings(max_examples=25, deadline=None)

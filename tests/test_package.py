@@ -45,3 +45,15 @@ def test_no_unused_imports():
                           ((alias.asname or alias.name.split(".")[0]) for alias in node.names)
                           if name not in used]
     assert found == []
+
+
+def test_radial_profiles_sampled_at_one_site():
+    # the moment table samples every radial profile; the extrema and the
+    # degree-4 table read its samples instead of sampling again
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) == "_chunked_radial"]
+    assert len(found) == 1, found

@@ -129,7 +129,7 @@ def test_decay_constants_uniform_two_bars(two_bar_phases, uniform_region, unifor
 def test_decay_constants_reference_composition(reference_region, reference_density):
     phases = np.sort(np.random.default_rng(0).uniform(0, TWO_PI, 8))
     _, c2 = decay_constants(phases, 0.03, reference_region, reference_density)
-    omega_min, _ = radial_moment_extrema(reference_region, reference_density, 2048)
+    omega_min, _ = radial_moment_extrema(reference_region, reference_density)
     _, lam = cyclic_difference_form(8)
     assert_allclose(c2, 0.03 * omega_min * lam / 8.0, rtol=1e-12)
 

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from conftest import (cyclic_layouts, overtaking_scenario_dict, reference_scenario_dict,
                       region_and_density, star_regions, uniform_scenario_dict)
-from ringcover import agents, sim
+from ringcover import agents, geometry, sim
 from ringcover.agents import CostModel, all_centroids, slice_centroids, total_cost
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField, MomentTable,
                                 PolarCurve, radial_moment_extrema)
@@ -293,6 +293,23 @@ def test_run_computes_moment_extrema_once():
     run_scenario(scenario_from_dict(uniform_scenario_dict(
         integrator={"dt": 0.05, "t_end": 0.1, "log_stride": 1})))
     assert radial_moment_extrema.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("beta, samplings", [(0.0, 4), (0.25, 10)])
+def test_one_sampling_pass_per_table_row(monkeypatch, beta, samplings):
+    # four degree-2 rows, plus six quartic rows for a generic cost; the
+    # extrema and the degree-4 table reuse the degree-2 samples
+    rows = []
+    sample = geometry._chunked_radial
+    monkeypatch.setattr(geometry, "_chunked_radial",
+                        lambda *args: rows.append(args[3]) or sample(*args))
+    geometry.moment_table.cache_clear()
+    radial_moment_extrema.cache_clear()
+    run_scenario(scenario_from_dict(reference_scenario_dict(
+        integrator={"dt": 0.01, "t_end": 0.01, "log_stride": 1},
+        cost={"kind": "generic_builtin", "parameters": [beta]})))
+    assert len(rows) == samplings
+    assert len(set(rows)) == samplings
 
 
 @pytest.mark.parametrize("seed", [2, 3, 8])
