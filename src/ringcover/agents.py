@@ -29,6 +29,9 @@ MAX_NEWTON_STEPS = 20
 # thin slices of an annulus at radius 100) stays well below the threshold.
 NEWTON_STEP_TOL = 1e-8
 
+_IDENTITY = np.eye(2)
+_IDENTITY.flags.writeable = False
+
 
 class DegenerateSubregionError(ValueError):
     """Requested a centroid/target on a slice with no workload."""
@@ -137,7 +140,7 @@ def slice_cost_terms(moments, positions, cost_model: CostModel):
     quadratic = moments[3] - 2.0 * cross + norms * mass  # int |q - p|^2 rho
     costs = quadratic
     grads = 2.0 * (mass[:, None] * p - first)
-    hessians = 2.0 * mass[:, None, None] * np.eye(2)
+    hessians = 2.0 * mass[:, None, None] * _IDENTITY
     beta = cost_model.beta
     if beta:
         # int q q' rho and int |q|^2 q rho; row 9 is int |q|^4 rho
@@ -155,7 +158,7 @@ def slice_cost_terms(moments, positions, cost_model: CostModel):
                   + mass[:, None, None] * p[:, :, None] * p[:, None, :])
         costs = costs + beta * quartic
         grads = grads - 4.0 * beta * cubic
-        hessians = hessians + beta * (4.0 * quadratic[:, None, None] * np.eye(2)
+        hessians = hessians + beta * (4.0 * quadratic[:, None, None] * _IDENTITY
                                       + 8.0 * spread)
     return costs, grads, hessians
 

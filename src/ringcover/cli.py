@@ -5,7 +5,9 @@ Run as `ringcover <command> ...` or `python -m ringcover <command> ...`.
 Scenarios are single JSON files (see `configs/` for the bundled ones). Every
 command writes its artifacts into --out: trajectory CSV with full double
 precision, a JSON log that replays or re-export bit-for-bit, SVG snapshots,
-and verification reports. Exit codes: 0 success, 1 verification failure,
+and verification reports; `run` and `search` also write the config echo that
+replays them. Exit codes: 0 success, 1 verification failure (for `search`:
+the quadrature total of the best configuration misses the table total),
 2 input error, 3 runtime failure.
 """
 
@@ -32,6 +34,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
+
+# `search` fails when the quadrature total of its best configuration and the
+# table total differ by more than this, relative to the quadrature total.
+TOTALS_REL_TOL = 1e-8
 
 
 def _setup_logging():
@@ -158,9 +164,13 @@ def _write_run_artifacts(log: TrajectoryLog, config: ScenarioConfig, out_dir: Pa
         "\n".join(trajectory_csv_lines(log)) + "\n", encoding="utf-8")
     with open(out_dir / "log.json", "w", encoding="utf-8") as handle:
         handle.write(json.dumps(log.to_dict()))  # one-shot: the C encoder
+    _write_config_echo(config, out_dir)
+    _write_snapshots(log, config.region, snapshot_times, out_dir)
+
+
+def _write_config_echo(config: ScenarioConfig, out_dir: Path):
     with open(out_dir / "config_echo.json", "w", encoding="utf-8") as handle:
         json.dump(config.to_dict(), handle, indent=2)
-    _write_snapshots(log, config.region, snapshot_times, out_dir)
 
 
 def cmd_run(config_path: str, out_dir: str, seed=None, dt=None) -> int:
@@ -195,6 +205,7 @@ def cmd_search(config_path: str, out_dir: str, seed=None, dt=None) -> int:
         return EXIT_INPUT
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _write_config_echo(config, out)
     lines = ["k,anchor_agent,J_k,gossip_rounds"]
     try:
         result = run_search(config)
@@ -206,17 +217,21 @@ def cmd_search(config_path: str, out_dir: str, seed=None, dt=None) -> int:
         lines.append(f"{record.epoch + 1},{record.anchor_agent},"
                      f"{_fmt(record.total_cost)},{record.gossip_rounds}")
     (out / "epochs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    recomputed = recompute_total(config, result.final_phases, result.final_positions)
     final = {
         "best_epoch": result.best_epoch + 1,
         "best_total_cost": result.best_total,
         "phases": [float(v) for v in result.final_phases],
         "positions": [[float(x), float(y)] for x, y in result.final_positions],
-        "recomputed_total_cost": recompute_total(config, result.final_phases,
-                                                 result.final_positions),
+        "recomputed_total_cost": recomputed,
     }
     with open(out / "final_configuration.json", "w", encoding="utf-8") as handle:
         json.dump(final, handle, indent=2)
     print(f"k* = {result.best_epoch + 1}, J = {_fmt(result.best_total)}")
+    if abs(recomputed - result.best_total) > TOTALS_REL_TOL * abs(recomputed):
+        logger.error("quadrature total %s disagrees with the table total %s",
+                     _fmt(recomputed), _fmt(result.best_total))
+        return EXIT_VERIFY_FAILED
     return EXIT_OK
 
 

@@ -11,8 +11,11 @@ Gauss-Legendre quadrature for both stages. It also builds a cached spectral
 table of cumulative moments (`MomentTable`) so that the simulation inner
 loop can evaluate slice workloads, centroids and polynomial service costs
 in O(modes) instead of re-running the adaptive quadrature at every step.
-Every table is checked against the radial quadrature off its sampling grid
-when it is built, and the moment extrema are read off its samples.
+A table samples all its rows in one radial pass: at each panel level the
+density is evaluated once, with its angle terms on the angle column, and
+each row stops at its own converged level. Every table is checked against
+the radial quadrature off its sampling grid when it is built, and the
+moment extrema are read off its samples.
 """
 
 from __future__ import annotations
@@ -131,6 +134,8 @@ class DensityField:
     angular: PolarCurve | None = None
 
     def evaluate(self, r, theta):
+        """rho at r broadcast against theta; a column of angles against a
+        matrix of radii evaluates the angle terms once per angle."""
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
         if self.kind == "uniform":
@@ -193,19 +198,25 @@ def _integrand_values(weight, r, theta, cost_model, position):
     return _MONOMIALS[weight](r, theta)
 
 
-def _radial_batch(region, density, thetas, weight="plain", cost_model=None,
+def _radial_batch(region, density, thetas, weights=("plain",), cost_model=None,
                   position=None, rel_tol=1e-8):
-    """Radial moments for an array of angles, shared panel-doubling loop.
+    """Radial moments for an array of angles, one row per weight.
 
-    weight selects w(r, theta): a `_MONOMIALS` key, or "cost" for
-    cost_model.value(position, .).
+    Each weight selects w(r, theta): a `_MONOMIALS` key, or "cost" for
+    cost_model.value(position, .). All rows share one panel-doubling pass: at
+    each panel level the nodes r and the density are evaluated once, with the
+    angle terms on the angle column, and each row is kept at the first level
+    where its own estimates agree and dropped from later levels.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     r_lo = np.atleast_1d(region.inner.radius(thetas))
     r_hi = np.atleast_1d(region.outer.radius(thetas))
     span = r_hi - r_lo
+    th = thetas[:, None]
 
-    prev = None
+    out = np.empty((len(weights), thetas.size))
+    prev = [None] * len(weights)
+    active = range(len(weights))
     panels = 1
     residual = math.inf
     while panels <= _MAX_PANELS:
@@ -213,26 +224,33 @@ def _radial_batch(region, density, thetas, weight="plain", cost_model=None,
         s = s_pts.ravel()
         w = (s_half[:, None] * _GL_WEIGHTS[None, :]).ravel()
         r = r_lo[:, None] + span[:, None] * s[None, :]
-        th = np.broadcast_to(thetas[:, None], r.shape)
-        g = _integrand_values(weight, r, th, cost_model, position)
-        g = g * density.evaluate(r, th) * r
-        est = span * (g @ w)
-        if prev is not None:
-            diff = np.abs(est - prev)
-            tol = rel_tol * np.abs(est) + _ABS_FLOOR
-            if np.all(diff <= tol):
-                return est
-            residual = float(np.max(diff / (np.abs(est) + _ABS_FLOOR)))
-        prev = est
+        rho = density.evaluate(r, th)
+        unconverged, residuals = [], []
+        for row in active:
+            g = _integrand_values(weights[row], r, th, cost_model, position)
+            est = span * ((g * rho * r) @ w)
+            if prev[row] is not None:
+                diff = np.abs(est - prev[row])
+                if np.all(diff <= rel_tol * np.abs(est) + _ABS_FLOOR):
+                    out[row] = est
+                    continue
+                residuals.append(float(np.max(diff / (np.abs(est) + _ABS_FLOOR))))
+            prev[row] = est
+            unconverged.append(row)
+        if not unconverged:
+            return out
+        active = unconverged
+        residual = max(residuals, default=residual)
         panels *= 2
     raise QuadratureError("radial quadrature did not converge", residual)
 
 
-def _chunked_radial(region, density, thetas, weight, rel_tol):
-    out = np.empty(thetas.shape)
+def _chunked_radial(region, density, thetas, weights, rel_tol):
+    """`_radial_batch` over 1024-angle chunks, one row per weight."""
+    out = np.empty((len(weights), thetas.size))
     for start in range(0, thetas.size, 1024):
         sl = slice(start, start + 1024)
-        out[sl] = _radial_batch(region, density, thetas[sl], weight, rel_tol=rel_tol)
+        out[:, sl] = _radial_batch(region, density, thetas[sl], weights, rel_tol=rel_tol)
     return out
 
 
@@ -251,7 +269,8 @@ def region_integral(region, density, phi_lo, phi_hi, integrand="plain", *,
     inner_tol = 0.1 * rel_tol
 
     def profile(th):
-        return _radial_batch(region, density, th, integrand, cost_model, position, inner_tol)
+        return _radial_batch(region, density, th, (integrand,), cost_model, position,
+                             inner_tol)[0]
 
     prev = None
     panels = 1
@@ -391,14 +410,12 @@ def moment_table(region, density, degree=2) -> MomentTable:
     thetas = np.arange(_TABLE_GRID) * (TWO_PI / _TABLE_GRID)
     kept = (moment_table(region, density).samples if degree == 4
             else np.empty((0, _TABLE_GRID)))
-    fresh = [_chunked_radial(region, density, thetas, weight, _TABLE_REL_TOL)
-             for weight in weights[len(kept):]]
-    table = MomentTable(np.vstack([kept, *fresh]))
+    fresh = _chunked_radial(region, density, thetas, weights[len(kept):], _TABLE_REL_TOL)
+    table = MomentTable(np.vstack([kept, fresh]))
 
     # Halfway between samples, where an aliased or truncated harmonic shows.
     checks = (np.arange(7) * (_TABLE_GRID // 7) + 0.5) * (TWO_PI / _TABLE_GRID)
-    direct = np.array([_radial_batch(region, density, checks, weight,
-                                     rel_tol=_TABLE_REL_TOL) for weight in weights])
+    direct = _radial_batch(region, density, checks, weights, rel_tol=_TABLE_REL_TOL)
     scale = np.max(np.abs(table.samples), axis=1, keepdims=True)
     table.check_error = float(np.max(np.abs(table.value(checks) - direct) / scale))
     if table.check_error > _TABLE_CHECK_TOL:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from ringcover import geometry
 from ringcover.geometry import TWO_PI, AnnularRegion, DensityField, PolarCurve
 from ringcover.sim import run_scenario, scenario_from_dict
 
@@ -131,3 +132,32 @@ def cyclic_layouts(draw):
     gaps = TWO_PI * weights / np.sum(weights)
     offset = draw(st.floats(-4.0 * math.pi, 4.0 * math.pi))
     return offset + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+
+
+def per_row_radial(region, density, thetas, weight, cost_model=None, position=None,
+                   rel_tol=1e-8):
+    """Oracle for `geometry._chunked_radial`: one weight's radial moments, each
+    1024-angle chunk by its own panel-doubling pass on the materialised
+    (angle, node) grid."""
+    out = np.empty(thetas.shape)
+    for start in range(0, thetas.size, 1024):
+        chunk = thetas[start:start + 1024]
+        r_lo = region.inner.radius(chunk)
+        span = region.outer.radius(chunk) - r_lo
+        prev = None
+        panels = 1
+        while True:
+            s_pts, s_half = geometry._panel_points(0.0, 1.0, panels)
+            w = (s_half[:, None] * geometry._GL_WEIGHTS[None, :]).ravel()
+            r = r_lo[:, None] + span[:, None] * s_pts.ravel()[None, :]
+            th = np.broadcast_to(chunk[:, None], r.shape)
+            g = geometry._integrand_values(weight, r, th, cost_model, position)
+            g = g * density.evaluate(r, th) * r
+            est = span * (g @ w)
+            if prev is not None and np.all(np.abs(est - prev)
+                                           <= rel_tol * np.abs(est) + geometry._ABS_FLOOR):
+                break
+            prev = est
+            panels *= 2
+        out[start:start + 1024] = est
+    return out

@@ -217,8 +217,8 @@ def test_radial_second_moment_expansion_identity(reference_region, reference_den
         point = rng.normal(scale=1.5, size=2)
         via_moments = radial_second_moment_about(reference_region, reference_density,
                                                  theta, point)
-        direct = _radial_batch(reference_region, reference_density, theta, "cost",
-                               squared, point)
+        direct = _radial_batch(reference_region, reference_density, theta, ("cost",),
+                               squared, point)[0]
         assert_allclose(via_moments, direct[0], rtol=1e-8)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import (overtaking_scenario_dict, reference_scenario_dict,
                       uniform_scenario_dict)
-from ringcover import sim
+from ringcover import cli, sim
 from ringcover.cli import (_setup_logging, cmd_export, cmd_run, cmd_search, cmd_verify,
                            main, trajectory_csv_lines)
 from ringcover.sim import TrajectoryLog, run_scenario, scenario_from_dict
@@ -175,6 +175,38 @@ def test_search_rerun_identical(tmp_path):
     assert cmd_search(path, str(out_a)) == 0
     assert cmd_search(path, str(out_b)) == 0
     assert (out_a / "epochs.csv").read_bytes() == (out_b / "epochs.csv").read_bytes()
+
+
+def test_search_echo_replays_identically(tmp_path):
+    data = uniform_scenario_dict(
+        search={"epsilon_p": math.pi, "T_epsilon": 4.0},
+        integrator={"dt": 0.05, "t_end": 2.0, "log_stride": 5})
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert cmd_search(write_config(tmp_path, data), str(out_a)) == 0
+    assert cmd_search(str(out_a / "config_echo.json"), str(out_b)) == 0
+    assert (out_a / "epochs.csv").read_bytes() == (out_b / "epochs.csv").read_bytes()
+
+
+def test_search_fails_when_the_totals_disagree(tmp_path, monkeypatch, caplog):
+    data = uniform_scenario_dict(
+        search={"K_star": 2, "T_epsilon": 4.0},
+        integrator={"dt": 0.05, "t_end": 2.0, "log_stride": 5})
+    path = write_config(tmp_path, data)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert cmd_search(path, str(out_a)) == 0
+    recompute = cli.recompute_total
+    monkeypatch.setattr(cli, "recompute_total",
+                        lambda *args: recompute(*args) * (1.0 + 1e-7))
+    assert cmd_search(path, str(out_b)) == 1
+    assert "disagrees with the table total" in caplog.text
+    # both outputs are written first, and the table's own outputs do not move
+    assert (out_a / "epochs.csv").read_bytes() == (out_b / "epochs.csv").read_bytes()
+    final_a, final_b = (json.loads((out / "final_configuration.json").read_text())
+                        for out in (out_a, out_b))
+    assert final_b["recomputed_total_cost"] != final_a["recomputed_total_cost"]
+    final_a.pop("recomputed_total_cost")
+    final_b.pop("recomputed_total_cost")
+    assert final_a == final_b
 
 
 def test_search_requires_section(tmp_path):

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import cyclic_layouts, region_and_density, star_regions
+from conftest import cyclic_layouts, per_row_radial, region_and_density, star_regions
 from ringcover import geometry
+from ringcover.agents import CostModel
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField,
                                 InvalidDensityError, PolarCurve, QuadratureError,
                                 _chunked_radial, _radial_batch, moment_table,
@@ -47,7 +48,7 @@ def test_region_validation():
 def test_radial_moment_uniform(uniform_region, uniform_density):
     assert_allclose(_radial_batch(uniform_region, uniform_density, [0.0, 1.0, 4.5]),
                     1.5, rtol=1e-10)
-    assert_allclose(_radial_batch(uniform_region, uniform_density, 1.0, "r2"),
+    assert_allclose(_radial_batch(uniform_region, uniform_density, 1.0, ("r2",))[0],
                     [15.0 / 4.0], rtol=1e-10)
 
 
@@ -73,7 +74,7 @@ def test_product_density_closed_form(uniform_region):
     # 1.2 * int_1^2 (2 + r) r dr = 1.2 * (3 + 7/3) = 6.4
     density = DensityField("radial_polynomial_times_angular", (2.0, 1.0),
                            angular=PolarCurve(1.0, cosine_coeffs=(0.2,)))
-    assert_allclose(_radial_batch(uniform_region, density, 0.0), [6.4], rtol=1e-10)
+    assert_allclose(_radial_batch(uniform_region, density, 0.0)[0], [6.4], rtol=1e-10)
     lo, hi = density.bounds(uniform_region)
     assert 0.0 < lo < hi
 
@@ -120,7 +121,7 @@ def test_extrema_uniform(uniform_region, uniform_density):
 def test_extrema_reference_dense_oracle(reference_region, reference_density):
     lo, hi = radial_moment_extrema(reference_region, reference_density)
     dense = _chunked_radial(reference_region, reference_density,
-                            np.arange(16384) * (TWO_PI / 16384), "plain", 1e-8)
+                            np.arange(16384) * (TWO_PI / 16384), ("plain",), 1e-8)[0]
     lo_dense, hi_dense = dense.min(), dense.max()
     assert abs(lo - lo_dense) <= 1e-3 * lo_dense
     assert abs(hi - hi_dense) <= 1e-3 * hi_dense
@@ -185,9 +186,96 @@ def test_tables_and_extrema_share_one_sampling_pass(sections):
     assert 0.0 <= table.check_error <= 1e-13 and 0.0 <= quartic.check_error <= 1e-13
     lo, hi = radial_moment_extrema(region, density)
     direct = _chunked_radial(region, density, np.arange(2048) * (TWO_PI / 2048),
-                             "plain", 1e-8)
+                             ("plain",), 1e-8)[0]
     assert abs(lo - direct.min()) <= 1e-12 * direct.min()
     assert abs(hi - direct.max()) <= 1e-12 * direct.max()
+
+
+@settings(max_examples=15, deadline=None)
+@given(sections=star_regions(),
+       density=st.sampled_from([
+           DensityField("uniform", (1.5,)), DensityField("reference", (0.01,)),
+           DensityField("radial_polynomial_times_angular", (2.0, 0.5),
+                        angular=PolarCurve(1.0, (0.2,), (0.0, 0.1)))]),
+       count=st.integers(1, 2100), rel_tol=st.sampled_from([1e-8, 1e-13]),
+       position=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+def test_shared_radial_pass_matches_the_per_row_loop(sections, density, count, rel_tol,
+                                                     position):
+    # every row of the shared pass is bit for bit the row its own pass gives,
+    # across chunk boundaries, all density kinds and the cost weight
+    region, _ = region_and_density(sections)
+    weights = geometry._TABLE_WEIGHTS[4]
+    thetas = np.arange(count) * (TWO_PI / count)
+    shared = _chunked_radial(region, density, thetas, weights, rel_tol)
+    for row, weight in enumerate(weights):
+        oracle = per_row_radial(region, density, thetas, weight, rel_tol=rel_tol)
+        assert np.array_equal(shared[row], oracle), weight
+    # the cost weight next to a monomial, on one chunk
+    cost = CostModel("generic_builtin", (0.25,))
+    chunk = thetas[:1024]
+    mixed = _radial_batch(region, density, chunk, ("cost", "r4"), cost, position, rel_tol)
+    assert np.array_equal(mixed[0], per_row_radial(region, density, chunk, "cost", cost,
+                                                   position, rel_tol))
+    assert np.array_equal(mixed[1], shared[-1, :1024])
+
+
+class NearPoleDensity:
+    """rho = 1 / (r - 0.99), steep at the inner circle r = 1 of the uniform
+    region; counts its evaluations."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def evaluate(self, r, theta):
+        self.calls += 1
+        return 1.0 / (r - 0.99)
+
+
+def test_rows_stop_at_their_own_panel_level(uniform_region):
+    density = NearPoleDensity()
+    thetas = np.linspace(0.0, 6.0, 8)
+
+    def sample(weights):
+        density.calls = 0
+        return _radial_batch(uniform_region, density, thetas, weights), density.calls
+
+    (plain, plain_levels), (x, x_levels) = sample(("plain",)), sample(("x",))
+    # the plain row needs one panel level more than the x row
+    assert (plain_levels, x_levels) == (6, 5)
+    shared, levels = sample(("plain", "x"))
+    assert levels == 6
+    assert np.array_equal(shared, np.vstack([plain, x]))
+
+
+def test_shared_radial_pass_reports_the_worst_unconverged_row(monkeypatch, uniform_region):
+    # with no relative slack, only rounding-exact rows converge by two levels
+    monkeypatch.setattr(geometry, "_MAX_PANELS", 2)
+    density = DensityField("uniform", (1e6,))
+    thetas = np.linspace(0.0, 6.0, 50)
+
+    def residual(weights):
+        with pytest.raises(QuadratureError) as info:
+            _radial_batch(uniform_region, density, thetas, weights, rel_tol=0.0)
+        return info.value.residual
+
+    plain = _radial_batch(uniform_region, density, thetas, ("plain",), rel_tol=0.0)
+    assert plain.shape == (1, 50)
+    assert residual(("plain", "r4", "x")) == max(residual(("r4",)), residual(("x",)))
+
+
+def test_cold_builds_evaluate_the_density_once_per_chunk_and_level(
+        monkeypatch, reference_region, reference_density):
+    # 4 chunks of the table grid and 1 of check angles, each at 2 panel
+    # levels: 10 evaluations per build (a pass per row took 40, then 68)
+    calls = []
+    evaluate = DensityField.evaluate
+    monkeypatch.setattr(DensityField, "evaluate",
+                        lambda *args: calls.append(args) or evaluate(*args))
+    moment_table.cache_clear()
+    moment_table(reference_region, reference_density)
+    assert len(calls) <= 10
+    moment_table(reference_region, reference_density, degree=4)
+    assert len(calls) <= 20
 
 
 @settings(max_examples=25, deadline=None)
