@@ -33,10 +33,6 @@ _IDENTITY = np.eye(2)
 _IDENTITY.flags.writeable = False
 
 
-class DegenerateSubregionError(ValueError):
-    """Requested a centroid/target on a slice with no workload."""
-
-
 class TargetSearchError(RuntimeError):
     """Newton's method did not settle on a slice optimum within its step cap."""
 
@@ -81,15 +77,6 @@ def slice_centroids(moments) -> np.ndarray:
     `moments` are slice moments of shape (rows, N) from the moment table.
     """
     return (moments[1:3] / moments[0]).T
-
-
-def all_centroids(phases, region, density) -> np.ndarray:
-    """Centroids of all slices of a partition; every slice must hold workload."""
-    moments = moment_table(region, density).slice_moments(phases)
-    if np.any(moments[0] <= 0.0):
-        bad = int(np.argmin(moments[0]))
-        raise DegenerateSubregionError(f"slice {bad} has no workload")
-    return slice_centroids(moments)
 
 
 def subregion_cost(phases, region, density, cost_model: CostModel, i: int,

@@ -217,20 +217,21 @@ def cmd_search(config_path: str, out_dir: str, seed=None, dt=None) -> int:
         lines.append(f"{record.epoch + 1},{record.anchor_agent},"
                      f"{_fmt(record.total_cost)},{record.gossip_rounds}")
     (out / "epochs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    recomputed = recompute_total(config, result.final_phases, result.final_positions)
+    best = result.best
+    recomputed = recompute_total(config, best.phases, best.positions)
     final = {
-        "best_epoch": result.best_epoch + 1,
-        "best_total_cost": result.best_total,
-        "phases": [float(v) for v in result.final_phases],
-        "positions": [[float(x), float(y)] for x, y in result.final_positions],
+        "best_epoch": best.epoch + 1,
+        "best_total_cost": best.total_cost,
+        "phases": [float(v) for v in best.phases],
+        "positions": [[float(x), float(y)] for x, y in best.positions],
         "recomputed_total_cost": recomputed,
     }
     with open(out / "final_configuration.json", "w", encoding="utf-8") as handle:
         json.dump(final, handle, indent=2)
-    print(f"k* = {result.best_epoch + 1}, J = {_fmt(result.best_total)}")
-    if abs(recomputed - result.best_total) > TOTALS_REL_TOL * abs(recomputed):
+    print(f"k* = {best.epoch + 1}, J = {_fmt(best.total_cost)}")
+    if abs(recomputed - best.total_cost) > TOTALS_REL_TOL * abs(recomputed):
         logger.error("quadrature total %s disagrees with the table total %s",
-                     _fmt(recomputed), _fmt(result.best_total))
+                     _fmt(recomputed), _fmt(best.total_cost))
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 

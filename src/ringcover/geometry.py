@@ -15,12 +15,13 @@ A table samples all its rows in one radial pass: at each panel level the
 density is evaluated once, with its angle terms on the angle column, and
 each row stops at its own converged level. Every table is checked against
 the radial quadrature off its sampling grid when it is built, and the
-moment extrema are read off its samples.
+moment extrema are read off its samples. A radial pass that does not
+converge raises `QuadratureError` before its arrays outgrow a fixed node
+budget. Curves and membership take arrays of angles and points.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,17 +30,16 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-logger = logging.getLogger(__name__)
-
 # 16-node Gauss-Legendre rule on [-1, 1]; composite panels are doubled until
 # successive estimates agree to the requested relative tolerance.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_PANELS = 2 ** 14
+_NODE_BUDGET = 2 ** 22  # (angles x nodes) of a radial level past the second
 _ABS_FLOOR = 1e-12
 
 
 class QuadratureError(RuntimeError):
-    """Panel doubling hit the cap without reaching the tolerance."""
+    """Panel doubling hit the cap or the node budget without reaching the tolerance."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message}; achieved residual {residual:.3e}")
@@ -62,7 +62,8 @@ class PolarCurve:
     cosine_coeffs: tuple = ()
     sine_coeffs: tuple = ()
 
-    def radius(self, theta):
+    def radius(self, theta) -> np.ndarray:
+        """r(theta) as an array shaped like theta."""
         theta = np.asarray(theta, dtype=float)
         r = np.full(theta.shape, float(self.mean))
         for k, coeff in enumerate(self.cosine_coeffs, start=1):
@@ -71,8 +72,6 @@ class PolarCurve:
         for k, coeff in enumerate(self.sine_coeffs, start=1):
             if coeff:
                 r = r + coeff * np.sin(k * theta)
-        if r.ndim == 0:
-            return float(r)
         return r
 
 
@@ -100,18 +99,14 @@ class AnnularRegion:
         if np.min(r_out - r_in) <= 0.0:
             raise ValueError("outer curve must stay strictly outside the inner curve")
 
-    def contains(self, point) -> bool:
-        """Membership test; boundary points are inside."""
-        x = float(point[0])
-        y = float(point[1])
-        r = math.hypot(x, y)
-        if r == 0.0:
-            # Polar angle undefined at the origin; the origin sits in the hole
-            # anyway because the inner radius is positive.
-            logger.debug("membership query at the origin: polar angle undefined")
-            return False
-        theta = math.atan2(y, x)
-        return self.inner.radius(theta) <= r <= self.outer.radius(theta)
+    def contains(self, points) -> np.ndarray:
+        """Membership of each point of a (..., 2) array; boundary points are
+        inside, and the origin is not, since the inner radius is positive."""
+        points = np.asarray(points, dtype=float)
+        x, y = points[..., 0], points[..., 1]
+        r = np.hypot(x, y)
+        theta = np.arctan2(y, x)
+        return (self.inner.radius(theta) <= r) & (r <= self.outer.radius(theta))
 
     def bounding_radius(self) -> float:
         grid = np.arange(self.validation_grid_size) * (TWO_PI / self.validation_grid_size)
@@ -156,8 +151,8 @@ class DensityField:
     def bounds(self, region: AnnularRegion):
         """(rho_lower, rho_upper) sampled on a 256 x 33 polar grid of the region."""
         thetas = np.arange(256) * (TWO_PI / 256)
-        r_in = np.atleast_1d(region.inner.radius(thetas))
-        r_out = np.atleast_1d(region.outer.radius(thetas))
+        r_in = region.inner.radius(thetas)
+        r_out = region.outer.radius(thetas)
         fractions = np.linspace(0.0, 1.0, 33)
         r = r_in[:, None] + (r_out - r_in)[:, None] * fractions[None, :]
         values = self.evaluate(r, thetas[:, None])
@@ -198,20 +193,21 @@ def _integrand_values(weight, r, theta, cost_model, position):
     return _MONOMIALS[weight](r, theta)
 
 
-def _radial_batch(region, density, thetas, weights=("plain",), cost_model=None,
-                  position=None, rel_tol=1e-8):
+def _radial_batch(region, density, thetas, weights, rel_tol, cost_model=None,
+                  position=None):
     """Radial moments for an array of angles, one row per weight.
 
     Each weight selects w(r, theta): a `_MONOMIALS` key, or "cost" for
     cost_model.value(position, .). All rows share one panel-doubling pass: at
     each panel level the nodes r and the density are evaluated once, with the
     angle terms on the angle column, and each row is kept at the first level
-    where its own estimates agree and dropped from later levels.
+    where its own estimates agree and dropped from later levels. Raises
+    QuadratureError, with the worst residual, at the panel cap or before a
+    level past the second would build more than `_NODE_BUDGET` nodes.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    r_lo = np.atleast_1d(region.inner.radius(thetas))
-    r_hi = np.atleast_1d(region.outer.radius(thetas))
-    span = r_hi - r_lo
+    r_lo = region.inner.radius(thetas)
+    span = region.outer.radius(thetas) - r_lo
     th = thetas[:, None]
 
     out = np.empty((len(weights), thetas.size))
@@ -219,7 +215,8 @@ def _radial_batch(region, density, thetas, weights=("plain",), cost_model=None,
     active = range(len(weights))
     panels = 1
     residual = math.inf
-    while panels <= _MAX_PANELS:
+    while panels <= _MAX_PANELS and (panels <= 2 or
+                                     thetas.size * panels * _GL_NODES.size <= _NODE_BUDGET):
         s_pts, s_half = _panel_points(0.0, 1.0, panels)
         s = s_pts.ravel()
         w = (s_half[:, None] * _GL_WEIGHTS[None, :]).ravel()
@@ -250,7 +247,7 @@ def _chunked_radial(region, density, thetas, weights, rel_tol):
     out = np.empty((len(weights), thetas.size))
     for start in range(0, thetas.size, 1024):
         sl = slice(start, start + 1024)
-        out[:, sl] = _radial_batch(region, density, thetas[sl], weights, rel_tol=rel_tol)
+        out[:, sl] = _radial_batch(region, density, thetas[sl], weights, rel_tol)
     return out
 
 
@@ -269,8 +266,8 @@ def region_integral(region, density, phi_lo, phi_hi, integrand="plain", *,
     inner_tol = 0.1 * rel_tol
 
     def profile(th):
-        return _radial_batch(region, density, th, (integrand,), cost_model, position,
-                             inner_tol)[0]
+        return _radial_batch(region, density, th, (integrand,), inner_tol, cost_model,
+                             position)[0]
 
     prev = None
     panels = 1
@@ -415,7 +412,7 @@ def moment_table(region, density, degree=2) -> MomentTable:
 
     # Halfway between samples, where an aliased or truncated harmonic shows.
     checks = (np.arange(7) * (_TABLE_GRID // 7) + 0.5) * (TWO_PI / _TABLE_GRID)
-    direct = _radial_batch(region, density, checks, weights, rel_tol=_TABLE_REL_TOL)
+    direct = _radial_batch(region, density, checks, weights, _TABLE_REL_TOL)
     scale = np.max(np.abs(table.samples), axis=1, keepdims=True)
     table.check_error = float(np.max(np.abs(table.value(checks) - direct) / scale))
     if table.check_error > _TABLE_CHECK_TOL:

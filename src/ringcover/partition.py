@@ -95,23 +95,23 @@ def cyclic_difference_form(n: int):
     return matrix, lambda_min
 
 
-def decay_constants(phases, kappa_phi: float, region, density):
-    """(amplitude, rate) of the guaranteed exponential workload-gap decay.
+def decay_constants(phases, kappa_phi: float, region, density) -> dict:
+    """The constants of the guaranteed exponential workload-gap decay.
 
-    amplitude = sqrt(2 * V(0)) with V the imbalance of the slice workloads at
-    `phases`; rate = kappa_phi * omega_min * lambda_min / N where omega_min
-    is the grid minimum of the radial moment profile and lambda_min comes
-    from the cyclic-difference form.
+    Returns c1 = sqrt(2 * V(0)), the amplitude, with V the imbalance of the
+    slice workloads at `phases`; c2 = kappa_phi * omega_min * lambda_min / N,
+    the rate; lambda_min, the least eigenvalue of the cyclic-difference form;
+    and omega_min and omega_max, the grid extrema of the radial moment
+    profile. The keys keep that order, the order of a run's log meta.
     """
     n = len(phases)
     table = moment_table(region, density)
     workloads = table.slice_moments(phases)[0]
     v0 = imbalance(workloads, float(table.totals[0]) / n)
-    omega_min, _ = radial_moment_extrema(region, density)
+    omega_min, omega_max = radial_moment_extrema(region, density)
     _, lambda_min = cyclic_difference_form(n)
-    c1 = math.sqrt(2.0 * v0)
-    c2 = kappa_phi * omega_min * lambda_min / n
-    return c1, c2
+    return {"c1": math.sqrt(2.0 * v0), "c2": kappa_phi * omega_min * lambda_min / n,
+            "lambda_min": lambda_min, "omega_min": omega_min, "omega_max": omega_max}
 
 
 def advance_by_mean_workload(region, density, phi: float, n_agents: int) -> float:

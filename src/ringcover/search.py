@@ -8,7 +8,9 @@ N of them. After the last epoch every agent selects the epoch with the least
 total cost and restores that configuration.
 
 State (bars and positions) carries over between epochs; only the epoch timer
-resets.
+resets. An epoch steps the coverage run's own loop (`sim.integrate_system`)
+with the anchor bar pinned, and its slice costs come from the slice moments
+of the epoch's last step.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TWO_PI
-from .agents import cost_table, slice_cost_terms, total_cost
+from .agents import slice_cost_terms, total_cost
 from .sim import integrate_system
 
 
@@ -43,7 +45,8 @@ def run_epoch(config, phases, positions, epoch_index: int):
     The anchor bar jumps to the anchor angle (the representative nearest its
     unwrapped phase) and stays pinned for the whole epoch while everything
     else follows the coupled dynamics. Returns (anchor agent, phases,
-    positions, slice costs), the costs from the moment table.
+    positions, slice costs), the costs from the moment table's slice moments
+    at the epoch's last step.
     """
     epoch_count = config.search.epoch_count
     phases = np.array(phases, dtype=float)  # the jump must not move the caller's array
@@ -53,13 +56,9 @@ def run_epoch(config, phases, positions, epoch_index: int):
     anchor = TWO_PI * epoch_index / epoch_count
     phases[anchor_agent] = anchor + TWO_PI * round((phases[anchor_agent] - anchor) / TWO_PI)
 
-    phases, positions = integrate_system(
-        config.region, config.density, config.cost, phases, positions,
-        config.kappa_phi, config.kappa_p, config.dt, config.search.epoch_duration,
-        pinned=anchor_agent)
-
-    table = cost_table(config.region, config.density, config.cost)
-    costs = slice_cost_terms(table.slice_moments(phases), positions, config.cost)[0]
+    phases, positions, moments = integrate_system(
+        config, phases, positions, config.search.epoch_duration, anchor_agent)
+    costs = slice_cost_terms(moments, positions, config.cost)[0]
     return anchor_agent, phases, positions, costs
 
 
@@ -98,10 +97,7 @@ class EpochRecord:
 @dataclass
 class SearchResult:
     epochs: list
-    final_phases: np.ndarray
-    final_positions: np.ndarray
-    best_total: float
-    best_epoch: int
+    best: EpochRecord  # the first epoch with the least total cost
 
 
 def run_search(config) -> SearchResult:
@@ -115,8 +111,7 @@ def run_search(config) -> SearchResult:
         rounds, total = gossip_until_stable(costs)
         records.append(EpochRecord(k, anchor_agent, total, rounds, phases, positions))
     # The first minimum: ties go to the earliest epoch.
-    best = records[int(np.argmin([record.total_cost for record in records]))]
-    return SearchResult(records, best.phases, best.positions, best.total_cost, best.epoch)
+    return SearchResult(records, records[int(np.argmin([r.total_cost for r in records]))])
 
 
 def recompute_total(config, phases, positions) -> float:

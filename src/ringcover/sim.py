@@ -7,8 +7,10 @@ squared-distance cost). Integration is fixed-step classical Runge-Kutta for
 reproducibility; every accepted step must keep the bars in cyclic order and
 every slice above a workload floor, and the step is halved when needed. One
 evaluation per state (`_System.evaluate`) serves the RK4 stages, the step
-guard, the next step's first stage and the logger. Runs produce a
-`TrajectoryLog`; `verify_invariants` checks its records against the
+guard, the next step's first stage and the logger. `_System.run` is the one
+stepping loop: `run_scenario` drives it with a recorder and produces a
+`TrajectoryLog`, and `integrate_system` drives it for a search epoch with one
+bar pinned. `verify_invariants` checks a log's records against the
 convergence guarantees and reports the end-of-run trends for information.
 """
 
@@ -23,9 +25,9 @@ import numpy as np
 from . import agents as agents_mod
 from .agents import CostModel
 from .geometry import (TWO_PI, AnnularRegion, DensityField, PolarCurve, moment_table,
-                       radial_moment_extrema, region_integral)
-from .partition import (bar_rates, cyclic_difference_form, cyclic_gaps, decay_constants,
-                        imbalance, validate_initial_phases)
+                       region_integral)
+from .partition import (bar_rates, cyclic_gaps, decay_constants, imbalance,
+                        validate_initial_phases)
 
 WORKLOAD_FLOOR_FRACTION = 1e-9
 MAX_STEP_HALVINGS = 8
@@ -272,10 +274,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             positions = np.empty(0)
         if positions.shape != (n, 2):
             raise ConfigError("agents.initial_positions", f"expected {n} [x, y] pairs")
-        for i, point in enumerate(positions):
-            if not region.contains(point):
-                raise ConfigError("agents.initial_positions",
-                                  f"agent {i} starts outside the region")
+        outside = ~region.contains(positions)
+        if outside.any():
+            raise ConfigError("agents.initial_positions",
+                              f"agent {int(np.argmax(outside))} starts outside the region")
 
     gains = _section(data, "gains", {})
     kappa_phi = _number(gains.get("kappa_phi", 0.0), "gains.kappa_phi")
@@ -448,13 +450,9 @@ _AGENT_AXES = {"phases_unwrapped": (), "workloads": (), "positions": (2,),
                "targets": (2,)}
 
 
-def rk4_step(state: np.ndarray, derivative, dt: float, k1=None) -> np.ndarray:
-    """One classical 4-stage Runge-Kutta step of an autonomous system.
-
-    `k1`, when given, is derivative(state), already evaluated by the caller.
-    """
-    if k1 is None:
-        k1 = derivative(state)
+def rk4_step(state: np.ndarray, derivative, dt: float, k1: np.ndarray) -> np.ndarray:
+    """One classical 4-stage Runge-Kutta step of an autonomous system, from
+    the first stage k1 = derivative(state) that the caller has evaluated."""
     k2 = derivative(state + 0.5 * dt * k1)
     k3 = derivative(state + 0.5 * dt * k2)
     k4 = derivative(state + dt * k3)
@@ -533,23 +531,32 @@ class _System:
         end, second = self.advance(mid, 0.5 * dt, depth + 1)
         return end, max(first, second)
 
+    def run(self, phases, positions, dt: float, steps: int, on_step=None) -> _Evaluation:
+        """Take `steps` guarded steps of dt from (phases, positions) and return
+        the last evaluation.
 
-def integrate_system(region, density, cost: CostModel, phases_unwrapped,
-                     positions, kappa_phi: float, kappa_p: float, dt: float,
-                     duration: float, pinned: int | None = None):
-    """Integrate for `duration`, returning (phases_unwrapped, positions).
+        `on_step(k, evaluation, halvings)`, when given, sees the start as k = 0
+        and then every accepted step k with the deepest halving it took.
+        """
+        current = self.evaluate(np.concatenate([phases, np.ravel(positions)]))
+        if on_step is not None:
+            on_step(0, current, 0)
+        for k in range(1, steps + 1):
+            current, halvings = self.advance(current, dt)
+            if on_step is not None:
+                on_step(k, current, halvings)
+        return current
 
-    Used directly by the anchored-epoch search; `pinned` freezes one bar.
-    """
-    phases = np.asarray(phases_unwrapped, dtype=float)
-    pos = np.asarray(positions, dtype=float).reshape(-1, 2)
-    system = _System(region, density, cost, phases.size, kappa_phi, kappa_p, pinned)
-    current = system.evaluate(np.concatenate([phases, pos.ravel()]))
-    steps = max(1, int(round(duration / dt)))
-    for _ in range(steps):
-        current, _ = system.advance(current, dt)
-    out_phases, out_pos = system.split(current.state)
-    return out_phases.copy(), out_pos.copy()
+
+def integrate_system(config: ScenarioConfig, phases, positions, duration: float,
+                     pinned: int | None):
+    """Integrate the config's dynamics for `duration` with bar `pinned` frozen,
+    as a search epoch does; returns (phases, positions, slice moments) at the
+    end, the moments from the table the config's cost needs."""
+    system = _System(config.region, config.density, config.cost, config.n_agents,
+                     config.kappa_phi, config.kappa_p, pinned)
+    end = system.run(phases, positions, config.dt, round(duration / config.dt))
+    return (*system.split(end.state), end.moments)
 
 
 def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
@@ -559,38 +566,31 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
     materialized at parse time). On a guard failure the partial log is
     attached to the raised IntegrationError.
     """
-    n = config.n_agents
-    system = _System(config.region, config.density, config.cost, n,
+    system = _System(config.region, config.density, config.cost, config.n_agents,
                      config.kappa_phi, config.kappa_p)
-    table = system.table
-    m_bar = float(table.totals[0]) / n
-
-    c1, c2 = decay_constants(config.initial_phases, config.kappa_phi, config.region,
-                             config.density)
-    _, lambda_min = cyclic_difference_form(n)
-    omega_min, omega_max = radial_moment_extrema(config.region, config.density)
+    total = float(system.table.totals[0])
+    m_bar = total / config.n_agents
     meta = {
         "m_bar": m_bar,
-        "total_workload": float(table.totals[0]),
-        "c1": c1,
-        "c2": c2,
-        "lambda_min": lambda_min,
-        "omega_min": omega_min,
-        "omega_max": omega_max,
+        "total_workload": total,
+        **decay_constants(config.initial_phases, config.kappa_phi, config.region,
+                          config.density),
         "guard_failures": 0,
         "workload_floor": system.workload_floor,
     }
-
+    steps = round(config.t_end / config.dt)
     rows = []
 
-    def record(t: float, evaluation: _Evaluation, halvings: int):
+    def record(k: int, evaluation: _Evaluation, halvings: int):
+        if k % config.log_stride and k != steps:
+            return
         phases, positions = system.split(evaluation.state)
         moments = evaluation.moments
         m = moments[0]
         costs, _, _ = agents_mod.slice_cost_terms(moments, positions, config.cost)
         offsets = positions - evaluation.targets
         rows.append({
-            "times": t,
+            "times": k * config.dt,
             "phases_unwrapped": phases.copy(),
             "positions": positions.copy(),
             "workloads": m.copy(),
@@ -598,19 +598,12 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
             "cost": float(np.sum(costs)),
             "targets": evaluation.targets,
             "tracking": float(np.sum(m * np.sum(offsets * offsets, axis=1))),
-            "excursion": bool(any(not config.region.contains(p) for p in positions)),
+            "excursion": not config.region.contains(positions).all(),
             "halvings": halvings,
         })
 
-    current = system.evaluate(np.concatenate(
-        [config.initial_phases, np.asarray(config.initial_positions, float).ravel()]))
-    steps = int(round(config.t_end / config.dt))
-    record(0.0, current, 0)
     try:
-        for k in range(1, steps + 1):
-            current, halvings = system.advance(current, config.dt)
-            if k % config.log_stride == 0 or k == steps:
-                record(k * config.dt, current, halvings)
+        system.run(config.initial_phases, config.initial_positions, config.dt, steps, record)
     except IntegrationError as exc:
         meta["guard_failures"] = 1
         partial = _assemble_log(rows, config, meta)
@@ -648,19 +641,16 @@ class VerificationReport:
         return [c.line() for c in self.checks]
 
 
-def verify_invariants(log: TrajectoryLog,
-                      config: ScenarioConfig | None = None) -> VerificationReport:
+def verify_invariants(log: TrajectoryLog, config: ScenarioConfig) -> VerificationReport:
     """Check the logged trajectory against the guarantees and report margins.
 
     Every gating check reads the log's records; the quadrature check of the
     logged targets and workloads (target stationarity) samples 8 evenly
     spaced records. The end-of-run trends (bar rate, agent speed, target
     rate at the last record) have no bound at a finite horizon and are
-    reported as "info". Works from the log's embedded config echo unless an
-    explicit config is passed.
+    reported as "info". `config` is the run's scenario, as parsed from the
+    log's config echo.
     """
-    if config is None:
-        config = scenario_from_dict(log.config_echo)
     region, density = config.region, config.density
     n = log.n_agents
     t = log.times
@@ -668,8 +658,8 @@ def verify_invariants(log: TrajectoryLog,
     # The bound constants come from the config and the first record, never
     # from the log's meta, which only echoes them.
     m_bar = float(moment_table(region, density).totals[0]) / n
-    c1, c2 = decay_constants(log.phases_unwrapped[0], config.kappa_phi, region, density)
-    _, lambda_min = cyclic_difference_form(n)
+    constants = decay_constants(log.phases_unwrapped[0], config.kappa_phi, region, density)
+    c1, c2, lambda_min = constants["c1"], constants["c2"], constants["lambda_min"]
 
     checks = []
 

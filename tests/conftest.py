@@ -5,8 +5,15 @@ import pytest
 from hypothesis import strategies as st
 
 from ringcover import geometry
+from ringcover.agents import slice_centroids
 from ringcover.geometry import TWO_PI, AnnularRegion, DensityField, PolarCurve
 from ringcover.sim import run_scenario, scenario_from_dict
+
+
+def all_centroids(phases, region, density):
+    """Density-weighted centroids of every slice, shape (N, 2), from the
+    degree-2 moment table."""
+    return slice_centroids(geometry.moment_table(region, density).slice_moments(phases))
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_scenario_dict, uniform_scenario_dict
-from ringcover.agents import (CostModel, all_centroids, cost_table, slice_cost_terms,
-                              subregion_cost, total_cost)
+from conftest import all_centroids, reference_scenario_dict, uniform_scenario_dict
+from ringcover.agents import (CostModel, cost_table, slice_cost_terms, subregion_cost,
+                              total_cost)
 from ringcover.geometry import TWO_PI, moment_table, region_integral
 from ringcover.partition import advance_by_mean_workload, cyclic_difference_form
 from ringcover.search import gossip_until_stable, run_search
@@ -48,7 +48,7 @@ def search_sweep():
     for k_star in (8, 16, 32, 64):
         config = scenario_from_dict(uniform_scenario_dict(
             search={"K_star": k_star, "T_epsilon": 30.0}))
-        best[k_star] = run_search(config).best_total
+        best[k_star] = run_search(config).best.total_cost
     return best
 
 

@@ -33,6 +33,9 @@ def test_contains(uniform_region):
     assert uniform_region.contains((2.0, 0.0))  # boundary inclusive
     assert not uniform_region.contains((0.0, 0.0))  # origin: angle undefined
     assert not uniform_region.contains((2.5, 0.0))
+    # a (..., 2) array of points in one call
+    points = [[[1.5, 0.0], [0.5, 0.0]], [[0.0, 2.0], [0.0, 0.0]]]
+    assert np.array_equal(uniform_region.contains(points), [[True, False], [True, False]])
 
 
 def test_region_validation():
@@ -46,16 +49,16 @@ def test_region_validation():
 
 
 def test_radial_moment_uniform(uniform_region, uniform_density):
-    assert_allclose(_radial_batch(uniform_region, uniform_density, [0.0, 1.0, 4.5]),
-                    1.5, rtol=1e-10)
-    assert_allclose(_radial_batch(uniform_region, uniform_density, 1.0, ("r2",))[0],
+    assert_allclose(_radial_batch(uniform_region, uniform_density, [0.0, 1.0, 4.5],
+                                  ("plain",), 1e-8), 1.5, rtol=1e-10)
+    assert_allclose(_radial_batch(uniform_region, uniform_density, 1.0, ("r2",), 1e-8)[0],
                     [15.0 / 4.0], rtol=1e-10)
 
 
 def test_radial_moment_reference_closed_form(reference_region, reference_density):
     # r_in(0) = 1, r_out(0) = 3.5, rho(r, 0) = e + 0.01 r; antiderivative by hand
     expected = math.e * (3.5 ** 2 - 1.0) / 2.0 + 0.01 * (3.5 ** 3 - 1.0) / 3.0
-    value = _radial_batch(reference_region, reference_density, 0.0)[0]
+    value = _radial_batch(reference_region, reference_density, 0.0, ("plain",), 1e-8)[0]
     assert_allclose(value, expected, rtol=1e-10)
     assert_allclose(value, 15.4299186, rtol=1e-7)
 
@@ -64,8 +67,8 @@ def test_radial_moment_linear_in_density(reference_region):
     # doubling a uniform density doubles the plain moment
     one = DensityField("uniform", (1.0,))
     two = DensityField("uniform", (2.0,))
-    m1 = _radial_batch(reference_region, one, 0.7)
-    m2 = _radial_batch(reference_region, two, 0.7)
+    m1 = _radial_batch(reference_region, one, 0.7, ("plain",), 1e-8)
+    m2 = _radial_batch(reference_region, two, 0.7, ("plain",), 1e-8)
     assert_allclose(m2, 2.0 * m1, rtol=1e-10)
 
 
@@ -74,7 +77,8 @@ def test_product_density_closed_form(uniform_region):
     # 1.2 * int_1^2 (2 + r) r dr = 1.2 * (3 + 7/3) = 6.4
     density = DensityField("radial_polynomial_times_angular", (2.0, 1.0),
                            angular=PolarCurve(1.0, cosine_coeffs=(0.2,)))
-    assert_allclose(_radial_batch(uniform_region, density, 0.0)[0], [6.4], rtol=1e-10)
+    assert_allclose(_radial_batch(uniform_region, density, 0.0, ("plain",), 1e-8)[0], [6.4],
+                    rtol=1e-10)
     lo, hi = density.bounds(uniform_region)
     assert 0.0 < lo < hi
 
@@ -213,7 +217,7 @@ def test_shared_radial_pass_matches_the_per_row_loop(sections, density, count, r
     # the cost weight next to a monomial, on one chunk
     cost = CostModel("generic_builtin", (0.25,))
     chunk = thetas[:1024]
-    mixed = _radial_batch(region, density, chunk, ("cost", "r4"), cost, position, rel_tol)
+    mixed = _radial_batch(region, density, chunk, ("cost", "r4"), rel_tol, cost, position)
     assert np.array_equal(mixed[0], per_row_radial(region, density, chunk, "cost", cost,
                                                    position, rel_tol))
     assert np.array_equal(mixed[1], shared[-1, :1024])
@@ -237,7 +241,7 @@ def test_rows_stop_at_their_own_panel_level(uniform_region):
 
     def sample(weights):
         density.calls = 0
-        return _radial_batch(uniform_region, density, thetas, weights), density.calls
+        return _radial_batch(uniform_region, density, thetas, weights, 1e-8), density.calls
 
     (plain, plain_levels), (x, x_levels) = sample(("plain",)), sample(("x",))
     # the plain row needs one panel level more than the x row
@@ -255,12 +259,39 @@ def test_shared_radial_pass_reports_the_worst_unconverged_row(monkeypatch, unifo
 
     def residual(weights):
         with pytest.raises(QuadratureError) as info:
-            _radial_batch(uniform_region, density, thetas, weights, rel_tol=0.0)
+            _radial_batch(uniform_region, density, thetas, weights, 0.0)
         return info.value.residual
 
-    plain = _radial_batch(uniform_region, density, thetas, ("plain",), rel_tol=0.0)
+    plain = _radial_batch(uniform_region, density, thetas, ("plain",), 0.0)
     assert plain.shape == (1, 50)
     assert residual(("plain", "r4", "x")) == max(residual(("r4",)), residual(("x",)))
+
+
+class RadialStepDensity:
+    """rho = 1 + [r > 1.5 + 0.3 sin(theta)], a jump in r that no panel level
+    resolves; records the largest r array it is evaluated on."""
+
+    def __init__(self):
+        self.largest = 0
+
+    def evaluate(self, r, theta):
+        self.largest = max(self.largest, r.size)
+        return 1.0 + (r > 1.5 + 0.3 * np.sin(theta))
+
+
+def test_radial_quadrature_fails_within_the_node_budget(monkeypatch, uniform_region):
+    density = RadialStepDensity()
+    thetas = np.arange(1024) * (TWO_PI / 1024)
+    with pytest.raises(QuadratureError) as info:
+        _radial_batch(uniform_region, density, thetas, ("plain", "x"), 1e-8)
+    assert math.isfinite(info.value.residual) and info.value.residual > 1e-8
+    assert 2 * 16 * thetas.size <= density.largest <= geometry._NODE_BUDGET
+    # the first two levels run whatever the budget
+    monkeypatch.setattr(geometry, "_NODE_BUDGET", 16 * 8)
+    density.largest = 0
+    with pytest.raises(QuadratureError):
+        _radial_batch(uniform_region, density, thetas[:8], ("plain",), 1e-8)
+    assert density.largest == 2 * 16 * 8
 
 
 def test_cold_builds_evaluate_the_density_once_per_chunk_and_level(

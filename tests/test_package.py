@@ -57,3 +57,37 @@ def test_radial_profiles_sampled_at_one_site():
                   if isinstance(node, ast.Call)
                   and ast.unparse(node.func) == "_chunked_radial"]
     assert len(found) == 1, found
+
+
+def _defined_names(node) -> list:
+    """Public names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    # each public top-level name is used in the package outside its own
+    # definition, or named as module.name by the benchmark; a name only the
+    # tests use belongs in the tests
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+    bench = "\n".join(path.read_text(encoding="utf-8")
+                      for path in sorted((SOURCE.parents[1] / "perfbench").glob("*.py")))
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            inside = {id(child) for child in ast.walk(node)}
+            for name in _defined_names(node):
+                used = any((isinstance(use, ast.Name) and use.id == name
+                            or isinstance(use, ast.Attribute) and use.attr == name)
+                           and id(use) not in inside
+                           for other in trees.values() for use in ast.walk(other))
+                if not used and f"{module}.{name}" not in bench:
+                    found.append(f"{module}.{name}")
+    assert found == []

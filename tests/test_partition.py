@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import region_and_density, star_regions
-from ringcover.agents import CostModel, all_centroids, subregion_cost
+from conftest import all_centroids, region_and_density, star_regions
+from ringcover.agents import CostModel, subregion_cost
 from ringcover.geometry import TWO_PI, moment_table, radial_moment_extrema
 from ringcover.partition import (advance_by_mean_workload, bar_rates,
                                  cyclic_difference_form, cyclic_gaps, decay_constants,
@@ -118,20 +118,23 @@ def test_cyclic_form_matches_difference_sum():
 
 
 def test_decay_constants_uniform_two_bars(two_bar_phases, uniform_region, uniform_density):
-    c1, c2 = decay_constants(two_bar_phases, 0.03, uniform_region, uniform_density)
-    assert_allclose(c2, 0.03 * 1.5 * 8.0 / 2.0, rtol=1e-10)
-    assert_allclose(c1, math.sqrt(2.0 * (3.0 * math.pi / 4.0) ** 2), rtol=1e-10)
-    c1_eq, _ = decay_constants(np.arange(2) * math.pi, 0.03, uniform_region,
-                               uniform_density)
+    constants = decay_constants(two_bar_phases, 0.03, uniform_region, uniform_density)
+    assert_allclose(constants["c2"], 0.03 * 1.5 * 8.0 / 2.0, rtol=1e-10)
+    assert_allclose(constants["c1"], math.sqrt(2.0 * (3.0 * math.pi / 4.0) ** 2),
+                    rtol=1e-10)
+    c1_eq = decay_constants(np.arange(2) * math.pi, 0.03, uniform_region,
+                            uniform_density)["c1"]
     assert c1_eq <= 1e-10
 
 
 def test_decay_constants_reference_composition(reference_region, reference_density):
     phases = np.sort(np.random.default_rng(0).uniform(0, TWO_PI, 8))
-    _, c2 = decay_constants(phases, 0.03, reference_region, reference_density)
-    omega_min, _ = radial_moment_extrema(reference_region, reference_density)
+    constants = decay_constants(phases, 0.03, reference_region, reference_density)
+    omega_min, omega_max = radial_moment_extrema(reference_region, reference_density)
     _, lam = cyclic_difference_form(8)
-    assert_allclose(c2, 0.03 * omega_min * lam / 8.0, rtol=1e-12)
+    assert_allclose(constants["c2"], 0.03 * omega_min * lam / 8.0, rtol=1e-12)
+    assert (constants["lambda_min"], constants["omega_min"],
+            constants["omega_max"]) == (lam, omega_min, omega_max)
 
 
 def test_equal_share_uniform_quarter(uniform_region, uniform_density):
@@ -222,8 +225,8 @@ def test_unwrapped_phases_pick_the_wrapped_slices(reference_region, reference_de
     wrapped = phases + TWO_PI
     assert_allclose(wrapped, [TWO_PI - 1.0, 7.0], rtol=1e-12)
     args = (reference_region, reference_density)
-    assert_allclose(decay_constants(phases, 0.03, *args),
-                    decay_constants(wrapped, 0.03, *args), rtol=1e-12)
+    assert_allclose(list(decay_constants(phases, 0.03, *args).values()),
+                    list(decay_constants(wrapped, 0.03, *args).values()), rtol=1e-12)
     assert_allclose(all_centroids(phases, *args), all_centroids(wrapped, *args), rtol=1e-12)
     squared = CostModel()
     assert (subregion_cost(phases, *args, squared, 0, (1.5, 0.0))

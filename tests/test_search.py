@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 
 from conftest import star_regions, uniform_scenario_dict
 from ringcover import search
-from ringcover.agents import CostModel, subregion_cost, total_cost
+from ringcover.agents import (CostModel, cost_table, slice_cost_terms, subregion_cost,
+                              total_cost)
 from ringcover.geometry import TWO_PI
 from ringcover.search import (anchor_assignment, gossip_until_stable, recompute_total,
                               run_epoch, run_search)
@@ -81,13 +82,13 @@ def test_run_search_tie_breaks_low(monkeypatch):
         search={"K_star": 4, "T_epsilon": 1.0}))
     result = run_search(config)
     assert [record.total_cost for record in result.epochs] == totals
-    assert result.best_epoch == 1
-    assert result.best_total == 4.2
-    assert_allclose(result.final_phases, [0.1, 1.1])
-    assert_allclose(result.final_positions, [[1.0, 0.0], [1.0, 1.0]])
+    assert result.best.epoch == 1
+    assert result.best.total_cost == 4.2
+    assert_allclose(result.best.phases, [0.1, 1.1])
+    assert_allclose(result.best.positions, [[1.0, 0.0], [1.0, 1.0]])
     single = dataclasses.replace(config, search=dataclasses.replace(config.search,
                                                                     epoch_count=1))
-    assert run_search(single).best_epoch == 0
+    assert run_search(single).best.epoch == 0
 
 
 def epoch_config(kappa_phi: float, duration: float):
@@ -130,16 +131,16 @@ def test_search_determinism():
         assert a.anchor_agent == b.anchor_agent
         assert np.array_equal(a.phases, b.phases)
         assert np.array_equal(a.positions, b.positions)
-    assert first.best_epoch == second.best_epoch
+    assert first.best.epoch == second.best.epoch
 
 
 def test_search_final_cost_recomputes(uniform_region, uniform_density):
     config = scenario_from_dict(uniform_scenario_dict(
         search={"K_star": 2, "T_epsilon": 30.0}))
     result = run_search(config)
-    recomputed = total_cost(result.final_phases, result.final_positions, config.region,
+    recomputed = total_cost(result.best.phases, result.best.positions, config.region,
                             config.density, config.cost)
-    assert abs(recomputed - result.best_total) <= 1e-6 * abs(recomputed)
+    assert abs(recomputed - result.best.total_cost) <= 1e-6 * abs(recomputed)
 
 
 def test_gossip_totals_match_direct_cost(uniform_region, uniform_density):
@@ -160,7 +161,7 @@ def test_monotone_refinement_nested_anchors():
     for k in (4, 8):
         config = scenario_from_dict(uniform_scenario_dict(
             search={"K_star": k, "T_epsilon": 20.0}))
-        best[k] = run_search(config).best_total
+        best[k] = run_search(config).best.total_cost
     assert best[8] <= best[4] + 1e-6
 
 
@@ -187,6 +188,22 @@ def test_recomputed_total_equals_reported_best(data):
     # adaptive quadrature: two independent evaluators of the same J
     config = scenario_from_dict(data)
     result = run_search(config)
-    assert result.best_total == min(record.total_cost for record in result.epochs)
-    recomputed = recompute_total(config, result.final_phases, result.final_positions)
-    assert abs(recomputed - result.best_total) <= 1e-8 * abs(recomputed)
+    assert result.best.total_cost == min(record.total_cost for record in result.epochs)
+    recomputed = recompute_total(config, result.best.phases, result.best.positions)
+    assert abs(recomputed - result.best.total_cost) <= 1e-8 * abs(recomputed)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=search_scenarios(), beta=st.sampled_from([0.0, 0.25]),
+       epoch=st.integers(0, 2))
+def test_epoch_costs_are_the_table_costs_at_the_epoch_end(data, beta, epoch):
+    # the costs that the epoch's last step gives are the costs of a fresh
+    # table lookup at the epoch's end state, bit for bit
+    config = scenario_from_dict({**data, "cost": {"kind": "generic_builtin",
+                                                  "parameters": [beta]}})
+    _, phases, positions, costs = run_epoch(config, config.initial_phases,
+                                            config.initial_positions,
+                                            epoch % config.search.epoch_count)
+    table = cost_table(config.region, config.density, config.cost)
+    expected = slice_cost_terms(table.slice_moments(phases), positions, config.cost)[0]
+    assert np.array_equal(costs, expected)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import (cyclic_layouts, overtaking_scenario_dict, reference_scenario_dict,
-                      region_and_density, star_regions, uniform_scenario_dict)
+from conftest import (all_centroids, cyclic_layouts, overtaking_scenario_dict,
+                      reference_scenario_dict, region_and_density, star_regions,
+                      uniform_scenario_dict)
 from ringcover import agents, geometry, sim
-from ringcover.agents import CostModel, all_centroids, slice_centroids, total_cost
+from ringcover.agents import CostModel, slice_centroids, total_cost
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField, MomentTable,
                                 PolarCurve, radial_moment_extrema)
 from ringcover.partition import bar_rates, cyclic_gaps
@@ -38,12 +40,12 @@ def equilibrium_scenario_dict(t_end=60.0, **overrides):
 
 def test_rk4_zero_derivative():
     y = np.array([1.0, -2.0])
-    assert np.array_equal(rk4_step(y, lambda s: np.zeros_like(s), 0.1), y)
+    assert np.array_equal(rk4_step(y, lambda s: np.zeros_like(s), 0.1, np.zeros_like(y)), y)
 
 
 def test_rk4_scalar_decay():
     y = np.array([1.0])
-    new = rk4_step(y, lambda s: -s, 0.1)
+    new = rk4_step(y, lambda s: -s, 0.1, -y)
     # fourth-order Taylor value of exp(-0.1)
     assert_allclose(new[0], 0.9048375, rtol=1e-12)
 
@@ -56,7 +58,7 @@ def test_rk4_reuses_a_given_first_stage():
         return -s
 
     y = np.array([1.0, -0.5])
-    fresh = rk4_step(y, derivative, 0.1)
+    fresh = rk4_step(y, derivative, 0.1, derivative(y))
     assert len(calls) == 4
     reused = rk4_step(y, derivative, 0.1, k1=-y)
     assert len(calls) == 7  # three more stages, none at y itself
@@ -70,7 +72,7 @@ def test_rk4_tracking_matches_exponential(uniform_region, uniform_density):
     y = np.array([1.9, 0.4])
     dt, horizon = 0.01, 10.0
     for _ in range(int(round(horizon / dt))):
-        y = rk4_step(y, lambda p: -kappa * (p - target), dt)
+        y = rk4_step(y, lambda p: -kappa * (p - target), dt, -kappa * (y - target))
     exact = target + (np.array([1.9, 0.4]) - target) * math.exp(-kappa * horizon)
     assert np.max(np.abs(y - exact)) < 1e-8
 
@@ -90,6 +92,10 @@ def test_config_validation_errors():
         scenario_from_dict(uniform_scenario_dict(
             agents={"count": 2, "initial_phases": [0.0, 2.0],
                     "initial_positions": [[0.1, 0.0], [-1.5, 0.0]]}))
+    with pytest.raises(ConfigError, match="agent 1 starts outside the region"):
+        scenario_from_dict(uniform_scenario_dict(
+            agents={"count": 3, "initial_phases": [0.0, 2.0, 4.0],
+                    "initial_positions": [[1.5, 0.0], [-2.5, 0.0], [0.0, 0.0]]}))
     with pytest.raises(ConfigError, match="t_end"):
         scenario_from_dict(uniform_scenario_dict(
             integrator={"dt": 0.1, "t_end": 0.05, "log_stride": 1}))
@@ -109,9 +115,9 @@ def test_decoupled_dynamics(uniform_region, uniform_density):
     # kappa_phi = 0: bars static, agents converge to the fixed centroids
     phases = np.array([0.4, 1.9])
     positions = np.array([[1.5, 0.3], [-1.4, 0.2]])
-    out_phases, out_positions = integrate_system(
-        uniform_region, uniform_density, CostModel("squared_distance"),
-        phases, positions, kappa_phi=0.0, kappa_p=0.5, dt=0.05, duration=40.0)
+    config = dataclasses.replace(scenario_from_dict(uniform_scenario_dict()), kappa_phi=0.0)
+    out_phases, out_positions, _ = integrate_system(config, phases, positions,
+                                                    duration=40.0, pinned=None)
     assert np.array_equal(out_phases, phases)
     centroids = all_centroids(phases, uniform_region, uniform_density)
     assert np.max(np.linalg.norm(out_positions - centroids, axis=1)) < 1e-8
@@ -372,6 +378,29 @@ def test_one_evaluation_per_state(monkeypatch):
     # plus the initial evaluation, and V(0) for the decay constants
     assert counts["slice_moments"] == 4 * steps + 2
     assert counts["optimal_targets"] == 4 * steps + 1
+
+
+def test_run_advances_once_per_step_and_reports_every_step(monkeypatch):
+    # the stiff scenario halves steps; only the top-level advances count
+    config = scenario_from_dict(overtaking_scenario_dict())
+    advances, seen = [], []
+    real_advance = sim._System.advance
+
+    def advance(self, start, dt, depth=0):
+        if depth == 0:
+            advances.append(dt)
+        return real_advance(self, start, dt, depth)
+
+    monkeypatch.setattr(sim._System, "advance", advance)
+    system = sim._System(config.region, config.density, config.cost, config.n_agents,
+                         config.kappa_phi, config.kappa_p)
+    steps = 4
+    end = system.run(config.initial_phases, config.initial_positions, config.dt, steps,
+                     lambda k, evaluation, halvings: seen.append((k, evaluation, halvings)))
+    assert advances == [config.dt] * steps
+    assert [k for k, _, _ in seen] == list(range(steps + 1))
+    assert seen[0][2] == 0 and max(h for _, _, h in seen) >= 1
+    assert seen[-1][1] is end
 
 
 def test_guard_rejects_before_targets(monkeypatch, uniform_region, uniform_density):
