@@ -1,22 +1,23 @@
 """Agent positions, service cost, targets, and analytic diagnostics.
 
 Each agent serves the slice between its bar and the next one. The service
-cost of a configuration is the density-weighted integral of a move cost
-f(p_i, q) over each slice. Both built-in costs are polynomials of degree at
-most four in the event position, so a slice's cost, gradient and exact
-Hessian are linear combinations of its rows in the moment table
-(`slice_cost_terms`). Every slice cost is strictly convex; `optimal_targets`
-finds its minimiser by Newton's method from the slice centroid, which is
-already the minimiser of the squared-distance cost. Adaptive quadrature
-(`subregion_cost`, `total_cost`) stays as the independent reference.
+cost of a configuration is the density-weighted integral over each slice of
+the move cost f(p_i, q) = |p_i - q|^2 + beta * |p_i - q|^4, and beta >= 0 is
+the one cost value this module takes (0 is the squared-distance cost). f is a
+polynomial of degree four in the event position, so a slice's cost, gradient
+and exact Hessian are linear combinations of its rows in the moment table
+(`slice_cost_terms`). The Hessian of f in p, 2I + beta * (4|d|^2 I + 8 d d')
+with d = p - q, is at least 2I, so every slice cost is strictly convex;
+`optimal_targets` finds its minimiser by Newton's method from the slice
+centroid, which is already the minimiser of the squared-distance cost.
+Adaptive quadrature of `cost_weight` (`subregion_cost`, `total_cost`) stays
+as the independent reference.
 
 A partition is passed as its unwrapped bar phases (see `partition`) and the
 agents as their (N, 2) positions; slice i lies between bars i and i+1.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,38 +38,18 @@ class TargetSearchError(RuntimeError):
     """Newton's method did not settle on a slice optimum within its step cap."""
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Move-cost f(p, q) between an agent at p and an event at q.
+def cost_weight(beta: float, position):
+    """The quadrature weight w(r, theta) = f(position, q) of the move cost at
+    the event q = (r cos(theta), r sin(theta))."""
+    p = np.asarray(position, dtype=float)
 
-    Kinds:
-      squared_distance   f = |p - q|^2 (optimum: the slice centroid)
-      generic_builtin    f = |p - q|^2 + beta * |p - q|^4 with
-                         beta = parameters[0] (default 0.25); beta = 0 is the
-                         squared-distance cost.
-
-    For beta >= 0 the Hessian in p, 2I + beta * (4|d|^2 I + 8 d d') with
-    d = p - q, is at least 2I, so every slice cost is strictly convex and
-    has a unique minimiser.
-    """
-
-    kind: str = "squared_distance"
-    parameters: tuple = ()
-
-    @property
-    def beta(self) -> float:
-        """Weight of the quartic term; 0 for the squared-distance cost."""
-        if self.kind == "squared_distance":
-            return 0.0
-        if self.kind == "generic_builtin":
-            return float(self.parameters[0]) if self.parameters else 0.25
-        raise ValueError(f"unknown cost kind {self.kind!r}")
-
-    def value(self, p, x, y):
-        dx = np.asarray(x, dtype=float) - p[0]
-        dy = np.asarray(y, dtype=float) - p[1]
+    def weight(r, theta):
+        dx = r * np.cos(theta) - p[0]
+        dy = r * np.sin(theta) - p[1]
         d2 = dx * dx + dy * dy
-        return d2 + self.beta * d2 * d2
+        return d2 + beta * d2 * d2
+
+    return weight
 
 
 def slice_centroids(moments) -> np.ndarray:
@@ -79,39 +60,37 @@ def slice_centroids(moments) -> np.ndarray:
     return (moments[1:3] / moments[0]).T
 
 
-def subregion_cost(phases, region, density, cost_model: CostModel, i: int,
-                   position) -> float:
+def subregion_cost(phases, region, density, beta: float, i: int, position) -> float:
     """Service cost of slice i for an agent at `position` by adaptive quadrature.
 
     The reference that the moment-table costs are tested against. The last
     slice ends at phases[0], which `region_integral` moves on by 2*pi.
     """
     return region_integral(region, density, float(phases[i]),
-                           float(phases[(i + 1) % len(phases)]), "cost",
-                           cost_model=cost_model, position=np.asarray(position, float))
+                           float(phases[(i + 1) % len(phases)]), cost_weight(beta, position))
 
 
-def total_cost(phases, positions, region, density, cost_model: CostModel) -> float:
+def total_cost(phases, positions, region, density, beta: float) -> float:
     """Total service cost by quadrature: slice i's cost at positions[i], summed."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     if len(positions) != len(phases):
         raise ValueError(f"{len(positions)} positions for {len(phases)} bars")
-    return sum(subregion_cost(phases, region, density, cost_model, i, positions[i])
+    return sum(subregion_cost(phases, region, density, beta, i, positions[i])
                for i in range(len(phases)))
 
 
-def cost_table(region, density, cost_model: CostModel) -> MomentTable:
-    """The cached moment table with the rows `cost_model` needs.
+def cost_table(region, density, beta: float) -> MomentTable:
+    """The cached moment table with the rows the cost of quartic weight `beta` needs.
 
     The six quartic rows are built only for beta != 0, so a squared-distance
     run keeps the default four-row table and its truncation bit for bit.
     """
-    if cost_model.beta:
+    if beta:
         return moment_table(region, density, degree=4)
     return moment_table(region, density)
 
 
-def slice_cost_terms(moments, positions, cost_model: CostModel):
+def slice_cost_terms(moments, positions, beta: float):
     """Cost, gradient and exact Hessian of every slice cost, from table rows.
 
     `moments` are slice moments of shape (rows, N) from `cost_table`, and
@@ -128,7 +107,6 @@ def slice_cost_terms(moments, positions, cost_model: CostModel):
     costs = quadratic
     grads = 2.0 * (mass[:, None] * p - first)
     hessians = 2.0 * mass[:, None, None] * _IDENTITY
-    beta = cost_model.beta
     if beta:
         # int q q' rho and int |q|^2 q rho; row 9 is int |q|^4 rho
         second = moments[[4, 5, 5, 6]].T.reshape(-1, 2, 2)
@@ -150,7 +128,7 @@ def slice_cost_terms(moments, positions, cost_model: CostModel):
     return costs, grads, hessians
 
 
-def optimal_targets(moments, cost_model: CostModel) -> np.ndarray:
+def optimal_targets(moments, beta: float) -> np.ndarray:
     """Minimiser of every slice cost, shape (N, 2), from table rows.
 
     The squared-distance minimiser is the centroid (M_x / m, M_y / m). For
@@ -160,11 +138,11 @@ def optimal_targets(moments, cost_model: CostModel) -> np.ndarray:
     centroid it may lie outside the slice.
     """
     targets = slice_centroids(moments)
-    if not cost_model.beta:
+    if not beta:
         return targets
     tolerance = NEWTON_STEP_TOL * np.sqrt(moments[3] / moments[0])
     for _ in range(MAX_NEWTON_STEPS):
-        _, grads, hessians = slice_cost_terms(moments, targets, cost_model)
+        _, grads, hessians = slice_cost_terms(moments, targets, beta)
         steps = np.linalg.solve(hessians, grads[:, :, None])[:, :, 0]
         targets = targets - steps
         if np.all(np.linalg.norm(steps, axis=1) <= tolerance):

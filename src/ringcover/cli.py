@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import TWO_PI
+from .agents import TargetSearchError
+from .geometry import TWO_PI, QuadratureError
 from .search import run_search, recompute_total
 from .sim import (ConfigError, IntegrationError, ScenarioConfig, TrajectoryLog,
                   run_scenario, scenario_from_dict, verify_invariants, within_span)
@@ -186,8 +187,8 @@ def cmd_run(config_path: str, out_dir: str, seed=None, dt=None) -> int:
         logger.error("integration failed: %s", exc)
         if exc.log is not None:
             first, last = exc.log.times[0], exc.log.times[-1]
-            _write_run_artifacts(exc.log, config, out,
-                                 [t for t in config.snapshot_times if first <= t <= last])
+            _write_run_artifacts(exc.log, config, out, [t for t in config.snapshot_times
+                                                        if within_span(t, first, last)])
         return EXIT_RUNTIME
     _write_run_artifacts(log, config, out, config.snapshot_times)
     logger.info("run complete: %d records -> %s", log.times.size, out)
@@ -206,13 +207,8 @@ def cmd_search(config_path: str, out_dir: str, seed=None, dt=None) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_config_echo(config, out)
+    result = run_search(config)
     lines = ["k,anchor_agent,J_k,gossip_rounds"]
-    try:
-        result = run_search(config)
-    except IntegrationError as exc:
-        logger.error("epoch integration failed: %s", exc)
-        (out / "epochs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return EXIT_RUNTIME
     for record in result.epochs:
         lines.append(f"{record.epoch + 1},{record.anchor_agent},"
                      f"{_fmt(record.total_cost)},{record.gossip_rounds}")
@@ -262,9 +258,6 @@ def cmd_verify(path: str, out_dir: str, seed=None, dt=None) -> int:
     except (ConfigError, ValueError) as exc:
         logger.error("invalid input: %s", exc)
         return EXIT_INPUT
-    except IntegrationError as exc:
-        logger.error("integration failed: %s", exc)
-        return EXIT_RUNTIME
     report = verify_invariants(log, config)
     (out / "report.txt").write_text("\n".join(report.lines()) + "\n", encoding="utf-8")
     for line in report.lines():
@@ -335,16 +328,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        code = cmd_run(args.config, args.out, args.seed, args.dt)
-    elif args.command == "search":
-        code = cmd_search(args.config, args.out, args.seed, args.dt)
-    elif args.command == "verify":
-        code = cmd_verify(args.config, args.out, args.seed, args.dt)
-    elif args.command == "export":
-        code = cmd_export(args.log, args.format, args.out, args.times)
-    else:  # pragma: no cover - argparse enforces the choices
-        code = EXIT_INPUT
+    try:
+        if args.command == "run":
+            code = cmd_run(args.config, args.out, args.seed, args.dt)
+        elif args.command == "search":
+            code = cmd_search(args.config, args.out, args.seed, args.dt)
+        elif args.command == "verify":
+            code = cmd_verify(args.config, args.out, args.seed, args.dt)
+        elif args.command == "export":
+            code = cmd_export(args.log, args.format, args.out, args.times)
+        else:  # pragma: no cover - argparse enforces the choices
+            code = EXIT_INPUT
+    except (IntegrationError, QuadratureError, TargetSearchError) as exc:
+        # a run the guard refuses, or a table or target that does not
+        # converge, is a runtime failure, not a failed verification
+        logger.error("runtime failure: %s", exc)
+        code = EXIT_RUNTIME
     if argv is None:
         sys.exit(code)
     return code

@@ -7,7 +7,8 @@ region reduces to a radial moment
     int_{r_in(theta)}^{r_out(theta)} w(r, theta) * rho(r, theta) * r dr
 
 followed by an angular integral, so this module provides adaptive
-Gauss-Legendre quadrature for both stages. It also builds a cached spectral
+Gauss-Legendre quadrature for both stages, one panel-doubling loop over any
+weight function w(r, theta) the caller passes. It also builds a cached spectral
 table of cumulative moments (`MomentTable`) so that the simulation inner
 loop can evaluate slice workloads, centroids and polynomial service costs
 in O(modes) instead of re-running the adaptive quadrature at every step.
@@ -183,49 +184,21 @@ _MONOMIALS = {
 }
 
 
-def _integrand_values(weight, r, theta, cost_model, position):
-    if weight == "cost":
-        if cost_model is None or position is None:
-            raise ValueError("cost-weighted moments need cost_model and position")
-        return cost_model.value(position, r * np.cos(theta), r * np.sin(theta))
-    if weight not in _MONOMIALS:
-        raise ValueError(f"unknown weight {weight!r}")
-    return _MONOMIALS[weight](r, theta)
-
-
-def _radial_batch(region, density, thetas, weights, rel_tol, cost_model=None,
-                  position=None):
-    """Radial moments for an array of angles, one row per weight.
-
-    Each weight selects w(r, theta): a `_MONOMIALS` key, or "cost" for
-    cost_model.value(position, .). All rows share one panel-doubling pass: at
-    each panel level the nodes r and the density are evaluated once, with the
-    angle terms on the angle column, and each row is kept at the first level
-    where its own estimates agree and dropped from later levels. Raises
-    QuadratureError, with the worst residual, at the panel cap or before a
-    level past the second would build more than `_NODE_BUDGET` nodes.
-    """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    r_lo = region.inner.radius(thetas)
-    span = region.outer.radius(thetas) - r_lo
-    th = thetas[:, None]
-
-    out = np.empty((len(weights), thetas.size))
-    prev = [None] * len(weights)
-    active = range(len(weights))
+def _doubling(estimate, rows, rel_tol, width, stage):
+    """Panel doubling of both stages: `estimate(panels, active)` gives each
+    active row's estimate (`width` values) on `panels` panels, and a row stops
+    at the first level that agrees with the one before. Raises QuadratureError
+    at the panel cap, or before a level past the second would need more than
+    `_NODE_BUDGET` (width x nodes), with the worst residual."""
+    out = np.empty((rows, width))
+    prev = [None] * rows
+    active = range(rows)
     panels = 1
     residual = math.inf
     while panels <= _MAX_PANELS and (panels <= 2 or
-                                     thetas.size * panels * _GL_NODES.size <= _NODE_BUDGET):
-        s_pts, s_half = _panel_points(0.0, 1.0, panels)
-        s = s_pts.ravel()
-        w = (s_half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-        r = r_lo[:, None] + span[:, None] * s[None, :]
-        rho = density.evaluate(r, th)
+                                     width * panels * _GL_NODES.size <= _NODE_BUDGET):
         unconverged, residuals = [], []
-        for row in active:
-            g = _integrand_values(weights[row], r, th, cost_model, position)
-            est = span * ((g * rho * r) @ w)
+        for row, est in zip(active, estimate(panels, active)):
             if prev[row] is not None:
                 diff = np.abs(est - prev[row])
                 if np.all(diff <= rel_tol * np.abs(est) + _ABS_FLOOR):
@@ -239,7 +212,25 @@ def _radial_batch(region, density, thetas, weights, rel_tol, cost_model=None,
         active = unconverged
         residual = max(residuals, default=residual)
         panels *= 2
-    raise QuadratureError("radial quadrature did not converge", residual)
+    raise QuadratureError(f"{stage} quadrature did not converge", residual)
+
+
+def _radial_batch(region, density, thetas, weights, rel_tol):
+    """Radial moments for an array of angles, one row per weight w(r, theta);
+    each panel level evaluates the nodes and the density once for all rows."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    r_lo = region.inner.radius(thetas)
+    span = region.outer.radius(thetas) - r_lo
+    th = thetas[:, None]
+
+    def estimate(panels, active):
+        s_pts, s_half = _panel_points(0.0, 1.0, panels)
+        w = (s_half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+        r = r_lo[:, None] + span[:, None] * s_pts.ravel()[None, :]
+        rho = density.evaluate(r, th)
+        return [span * ((weights[row](r, th) * rho * r) @ w) for row in active]
+
+    return _doubling(estimate, len(weights), rel_tol, thetas.size, "radial")
 
 
 def _chunked_radial(region, density, thetas, weights, rel_tol):
@@ -251,9 +242,9 @@ def _chunked_radial(region, density, thetas, weights, rel_tol):
     return out
 
 
-def region_integral(region, density, phi_lo, phi_hi, integrand="plain", *,
-                    cost_model=None, position=None, rel_tol=1e-8):
-    """Integral of integrand * rho over the angular slice [phi_lo, phi_hi].
+def region_integral(region, density, phi_lo, phi_hi, weight=_MONOMIALS["plain"], *,
+                    rel_tol=1e-8):
+    """Integral of weight(r, theta) * rho over the angular slice [phi_lo, phi_hi].
 
     When phi_hi < phi_lo the slice wraps through zero (2*pi is added).
     An equal pair gives an empty slice, not a full turn.
@@ -263,27 +254,14 @@ def region_integral(region, density, phi_lo, phi_hi, integrand="plain", *,
         span += TWO_PI
     if span <= 0.0:
         return 0.0
-    inner_tol = 0.1 * rel_tol
 
-    def profile(th):
-        return _radial_batch(region, density, th, (integrand,), inner_tol, cost_model,
-                             position)[0]
-
-    prev = None
-    panels = 1
-    residual = math.inf
-    while panels <= _MAX_PANELS:
+    def estimate(panels, active):
         pts, half = _panel_points(phi_lo, phi_lo + span, panels)
-        vals = profile(pts.ravel()).reshape(pts.shape)
-        est = float(np.sum((vals * _GL_WEIGHTS).sum(axis=1) * half))
-        if prev is not None:
-            diff = abs(est - prev)
-            if diff <= rel_tol * abs(est) + _ABS_FLOOR:
-                return est
-            residual = diff / (abs(est) + _ABS_FLOOR)
-        prev = est
-        panels *= 2
-    raise QuadratureError("angular quadrature did not converge", residual)
+        vals = _radial_batch(region, density, pts.ravel(), (weight,),
+                             0.1 * rel_tol)[0].reshape(pts.shape)
+        return [float(np.sum((vals * _GL_WEIGHTS).sum(axis=1) * half))]
+
+    return float(_doubling(estimate, 1, rel_tol, 1, "angular")[0, 0])
 
 
 # Cached only for callers that clear it, and time it cold, with the table.
@@ -403,7 +381,7 @@ def moment_table(region, density, degree=2) -> MomentTable:
     table's samples over its six quartic rows. Raises QuadratureError when
     the fit misses the quadrature off the grid by more than `_TABLE_CHECK_TOL`.
     """
-    weights = _TABLE_WEIGHTS[degree]
+    weights = tuple(_MONOMIALS[name] for name in _TABLE_WEIGHTS[degree])
     thetas = np.arange(_TABLE_GRID) * (TWO_PI / _TABLE_GRID)
     kept = (moment_table(region, density).samples if degree == 4
             else np.empty((0, _TABLE_GRID)))

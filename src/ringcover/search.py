@@ -58,7 +58,7 @@ def run_epoch(config, phases, positions, epoch_index: int):
 
     phases, positions, moments = integrate_system(
         config, phases, positions, config.search.epoch_duration, anchor_agent)
-    costs = slice_cost_terms(moments, positions, config.cost)[0]
+    costs = slice_cost_terms(moments, positions, config.beta)[0]
     return anchor_agent, phases, positions, costs
 
 
@@ -117,4 +117,4 @@ def run_search(config) -> SearchResult:
 def recompute_total(config, phases, positions) -> float:
     """Re-evaluate the configuration cost by quadrature, independently of the
     moment table that gave the epoch totals (verification path)."""
-    return total_cost(phases, positions, config.region, config.density, config.cost)
+    return total_cost(phases, positions, config.region, config.density, config.beta)

@@ -17,13 +17,12 @@ convergence guarantees and reports the end-of-run trends for information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import agents as agents_mod
-from .agents import CostModel
 from .geometry import (TWO_PI, AnnularRegion, DensityField, PolarCurve, moment_table,
                        region_integral)
 from .partition import (bar_rates, cyclic_gaps, decay_constants, imbalance,
@@ -84,7 +83,7 @@ class ScenarioConfig:
     dt: float
     t_end: float
     log_stride: int
-    cost: CostModel = field(default_factory=CostModel)
+    beta: float = 0.0  # weight of the quartic cost term (see `agents`)
     search: SearchConfig | None = None
     snapshot_times: tuple = ()
     seed: int | None = None
@@ -110,7 +109,8 @@ class ScenarioConfig:
             "gains": {"kappa_phi": self.kappa_phi, "kappa_p": self.kappa_p},
             "integrator": {"dt": self.dt, "t_end": self.t_end,
                            "log_stride": self.log_stride},
-            "cost": {"kind": self.cost.kind, "parameters": list(self.cost.parameters)},
+            "cost": ({"kind": "generic_builtin", "parameters": [self.beta]} if self.beta
+                     else {"kind": "squared_distance", "parameters": []}),
             "output": {"snapshot_times": list(self.snapshot_times)},
         }
         if self.density.angular is not None:
@@ -184,18 +184,25 @@ def _section(data: dict, name: str, default=None) -> dict:
     return value
 
 
+def _required(section: dict, field_name: str):
+    """The entry of `section` that `field_name` ends in; ConfigError if absent."""
+    key = field_name.rsplit(".", 1)[-1]
+    if key not in section:
+        raise ConfigError(field_name, "missing")
+    return section[key]
+
+
 def _parse_curve(data, field_name: str) -> PolarCurve:
     if not isinstance(data, dict):
         raise ConfigError(field_name, "expected an object with a 'mean' entry")
-    if "mean" not in data:
-        raise ConfigError(f"{field_name}.mean", "missing")
-    return PolarCurve(_number(data["mean"], f"{field_name}.mean"),
+    return PolarCurve(_number(_required(data, f"{field_name}.mean"), f"{field_name}.mean"),
                       _numbers(data.get("cos", ()), f"{field_name}.cos"),
                       _numbers(data.get("sin", ()), f"{field_name}.sin"))
 
 
 _DENSITY_KINDS = ("uniform", "reference", "radial_polynomial_times_angular")
-_COST_KINDS = ("squared_distance", "generic_builtin")
+# The cost kinds and their beta without a parameter; only generic_builtin takes one.
+_COST_KINDS = {"squared_distance": 0.0, "generic_builtin": 0.25}
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
@@ -214,9 +221,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError("region", str(exc)) from None
 
     density_data = _section(data, "density", {})
-    if "kind" not in density_data:
-        raise ConfigError("density.kind", "missing")
-    kind = density_data["kind"]
+    kind = _required(density_data, "density.kind")
     if kind not in _DENSITY_KINDS:
         raise ConfigError("density.kind",
                           f"unknown kind {kind!r}; expected one of {_DENSITY_KINDS}")
@@ -233,9 +238,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError("density", f"not strictly positive on the region (min {lo:.3e})")
 
     agents_data = _section(data, "agents", {})
-    if "count" not in agents_data:
-        raise ConfigError("agents.count", "missing")
-    n = _number(agents_data["count"], "agents.count", int)
+    n = _number(_required(agents_data, "agents.count"), "agents.count", int)
     if n < 2:
         raise ConfigError("agents.count", "need at least two agents")
 
@@ -280,8 +283,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                               f"agent {int(np.argmax(outside))} starts outside the region")
 
     gains = _section(data, "gains", {})
-    kappa_phi = _number(gains.get("kappa_phi", 0.0), "gains.kappa_phi")
-    kappa_p = _number(gains.get("kappa_p", 0.0), "gains.kappa_p")
+    kappa_phi = _number(_required(gains, "gains.kappa_phi"), "gains.kappa_phi")
+    kappa_p = _number(_required(gains, "gains.kappa_p"), "gains.kappa_p")
     if kappa_phi <= 0.0:
         raise ConfigError("gains.kappa_phi", "must be positive")
     if kappa_p <= 0.0:
@@ -289,7 +292,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
     integrator = _section(data, "integrator", {})
     dt = _number(integrator.get("dt", 0.01), "integrator.dt")
-    t_end = _number(integrator.get("t_end", 0.0), "integrator.t_end")
+    t_end = _number(_required(integrator, "integrator.t_end"), "integrator.t_end")
     log_stride = _number(integrator.get("log_stride", 1), "integrator.log_stride", int)
     if dt <= 0.0:
         raise ConfigError("integrator.dt", "must be positive")
@@ -297,12 +300,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if log_stride < 1:
         raise ConfigError("integrator.log_stride", "must be at least 1")
 
-    cost_data = _section(data, "cost", {"kind": "squared_distance"})
-    cost_kind = cost_data.get("kind", "squared_distance")
-    if cost_kind not in _COST_KINDS:
-        raise ConfigError("cost.kind",
-                          f"unknown kind {cost_kind!r}; expected one of {_COST_KINDS}")
-    cost = CostModel(cost_kind, _parse_cost_parameters(cost_kind, cost_data))
+    beta = _parse_beta(_section(data, "cost", {}))
 
     search = None
     if data.get("search") is not None:
@@ -311,7 +309,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         epsilon_p = sdata.get("epsilon_p")
         if k_star is None and epsilon_p is None:
             raise ConfigError("search", "needs K_star or epsilon_p")
-        duration = _number(sdata.get("T_epsilon", 0.0), "search.T_epsilon")
+        duration = _number(_required(sdata, "search.T_epsilon"), "search.T_epsilon")
         _check_whole_steps(duration, dt, "search.T_epsilon")
         if epsilon_p is not None:
             epsilon_p = _number(epsilon_p, "search.epsilon_p")
@@ -334,15 +332,20 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     return ScenarioConfig(region=region, density=density, n_agents=n,
                           initial_phases=phases, initial_positions=positions,
                           kappa_phi=kappa_phi, kappa_p=kappa_p, dt=dt, t_end=t_end,
-                          log_stride=log_stride, cost=cost, search=search,
+                          log_stride=log_stride, beta=beta, search=search,
                           snapshot_times=snapshot_times, seed=seed)
 
 
-def _parse_cost_parameters(kind: str, cost_data: dict) -> tuple:
-    """Squared distance takes no parameter; generic_builtin at most one beta >= 0.
+def _parse_beta(cost_data: dict) -> float:
+    """The cost section's beta: squared_distance, the default kind, is beta = 0;
+    generic_builtin takes at most one beta >= 0, by default 0.25.
 
-    beta >= 0 keeps every slice cost strictly convex (see CostModel).
+    beta >= 0 keeps every slice cost strictly convex (see `agents`).
     """
+    kind = cost_data.get("kind", "squared_distance")
+    if kind not in _COST_KINDS:
+        raise ConfigError("cost.kind",
+                          f"unknown kind {kind!r}; expected one of {tuple(_COST_KINDS)}")
     values = _numbers(cost_data.get("parameters", ()), "cost.parameters")
     allowed = 0 if kind == "squared_distance" else 1
     if len(values) > allowed:
@@ -350,7 +353,7 @@ def _parse_cost_parameters(kind: str, cost_data: dict) -> tuple:
                                              f"got {len(values)}")
     if values and values[0] < 0.0:
         raise ConfigError("cost.parameters", f"beta must be >= 0, got {values[0]}")
-    return values
+    return values[0] if values else _COST_KINDS[kind]
 
 
 def _draw_phases(rng, n: int) -> np.ndarray:
@@ -472,14 +475,14 @@ class _Evaluation(NamedTuple):
 class _System:
     """Stacked (unwrapped phases, positions) dynamics with the workload guard."""
 
-    def __init__(self, region, density, cost: CostModel, n: int,
+    def __init__(self, region, density, beta: float, n: int,
                  kappa_phi: float, kappa_p: float, pinned: int | None = None):
-        self.cost = cost
+        self.beta = beta
         self.n = n
         self.kappa_phi = kappa_phi
         self.kappa_p = kappa_p
         self.pinned = pinned
-        self.table = agents_mod.cost_table(region, density, cost)
+        self.table = agents_mod.cost_table(region, density, beta)
         self.workload_floor = WORKLOAD_FLOOR_FRACTION * float(self.table.totals[0]) / n
 
     def split(self, y: np.ndarray):
@@ -496,7 +499,7 @@ class _System:
         rates = bar_rates(moments[0], self.kappa_phi)
         if self.pinned is not None:
             rates[self.pinned] = 0.0
-        targets = agents_mod.optimal_targets(moments, self.cost)
+        targets = agents_mod.optimal_targets(moments, self.beta)
         velocity = -self.kappa_p * (positions - targets)
         return _Evaluation(y, moments, rates, targets,
                            np.concatenate([rates, velocity.ravel()]))
@@ -553,7 +556,7 @@ def integrate_system(config: ScenarioConfig, phases, positions, duration: float,
     """Integrate the config's dynamics for `duration` with bar `pinned` frozen,
     as a search epoch does; returns (phases, positions, slice moments) at the
     end, the moments from the table the config's cost needs."""
-    system = _System(config.region, config.density, config.cost, config.n_agents,
+    system = _System(config.region, config.density, config.beta, config.n_agents,
                      config.kappa_phi, config.kappa_p, pinned)
     end = system.run(phases, positions, config.dt, round(duration / config.dt))
     return (*system.split(end.state), end.moments)
@@ -566,7 +569,7 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
     materialized at parse time). On a guard failure the partial log is
     attached to the raised IntegrationError.
     """
-    system = _System(config.region, config.density, config.cost, config.n_agents,
+    system = _System(config.region, config.density, config.beta, config.n_agents,
                      config.kappa_phi, config.kappa_p)
     total = float(system.table.totals[0])
     m_bar = total / config.n_agents
@@ -587,7 +590,7 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
         phases, positions = system.split(evaluation.state)
         moments = evaluation.moments
         m = moments[0]
-        costs, _, _ = agents_mod.slice_cost_terms(moments, positions, config.cost)
+        costs, _, _ = agents_mod.slice_cost_terms(moments, positions, config.beta)
         offsets = positions - evaluation.targets
         rows.append({
             "times": k * config.dt,
@@ -721,7 +724,7 @@ def verify_invariants(log: TrajectoryLog, config: ScenarioConfig) -> Verificatio
 
     # Logged workloads are the slice masses and logged targets the slice
     # optima of the run's cost, both by quadrature on sampled records.
-    worst_target = _target_stationarity(log, region, density, config.cost)
+    worst_target = _target_stationarity(log, region, density, config.beta)
     checks.append(CheckResult("target_stationarity", "rel<1e-6", worst_target,
                               "pass" if worst_target < 1e-6 else "fail"))
 
@@ -740,7 +743,7 @@ def verify_invariants(log: TrajectoryLog, config: ScenarioConfig) -> Verificatio
     return VerificationReport(checks)
 
 
-def _target_stationarity(log, region, density, cost_model):
+def _target_stationarity(log, region, density, beta: float):
     """Worst slice defect on 8 evenly spaced records, relative: the logged
     workload against the quadrature mass m_i, and the certified distance
     |grad F_i(target_i)| / (2 m_i) of the logged target from the optimum
@@ -758,7 +761,7 @@ def _target_stationarity(log, region, density, cost_model):
                                    float(phases[(i + 1) % n]))
 
             def cost(p):
-                return agents_mod.subregion_cost(phases, region, density, cost_model, i, p)
+                return agents_mod.subregion_cost(phases, region, density, beta, i, p)
 
             target = log.targets[k, i]
             grad = np.array([cost(target + step * e) - cost(target - step * e)

@@ -141,11 +141,10 @@ def cyclic_layouts(draw):
     return offset + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
 
 
-def per_row_radial(region, density, thetas, weight, cost_model=None, position=None,
-                   rel_tol=1e-8):
-    """Oracle for `geometry._chunked_radial`: one weight's radial moments, each
-    1024-angle chunk by its own panel-doubling pass on the materialised
-    (angle, node) grid."""
+def per_row_radial(region, density, thetas, weight, rel_tol=1e-8):
+    """Oracle for `geometry._chunked_radial`: the radial moments of one weight
+    function w(r, theta), each 1024-angle chunk by its own panel-doubling pass
+    on the materialised (angle, node) grid."""
     out = np.empty(thetas.shape)
     for start in range(0, thetas.size, 1024):
         chunk = thetas[start:start + 1024]
@@ -158,8 +157,7 @@ def per_row_radial(region, density, thetas, weight, cost_model=None, position=No
             w = (s_half[:, None] * geometry._GL_WEIGHTS[None, :]).ravel()
             r = r_lo[:, None] + span[:, None] * s_pts.ravel()[None, :]
             th = np.broadcast_to(chunk[:, None], r.shape)
-            g = geometry._integrand_values(weight, r, th, cost_model, position)
-            g = g * density.evaluate(r, th) * r
+            g = weight(r, th) * density.evaluate(r, th) * r
             est = span * (g @ w)
             if prev is not None and np.all(np.abs(est - prev)
                                            <= rel_tol * np.abs(est) + geometry._ABS_FLOOR):

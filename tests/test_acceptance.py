@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import all_centroids, reference_scenario_dict, uniform_scenario_dict
-from ringcover.agents import (CostModel, cost_table, slice_cost_terms, subregion_cost,
+from ringcover.agents import (cost_table, slice_cost_terms, subregion_cost,
                               total_cost)
 from ringcover.geometry import TWO_PI, moment_table, region_integral
 from ringcover.partition import advance_by_mean_workload, cyclic_difference_form
@@ -111,9 +111,9 @@ def _random_state(rng, region, n):
 
 def test_06_gradient_hessian_oracles(uniform_region, uniform_density):
     rng = np.random.default_rng(60)
-    squared = CostModel("squared_distance")
-    generic = CostModel("generic_builtin", (0.25,))
-    generic_limit = CostModel("generic_builtin", (0.0,))
+    squared = 0.0
+    generic = 0.25
+    generic_limit = 0.0
     step = 1e-5
     worst = 0.0
     for _ in range(20):
@@ -166,7 +166,7 @@ def test_06_gradient_hessian_oracles(uniform_region, uniform_density):
 
 def test_07_parallel_axis_identity(reference_region, reference_density):
     rng = np.random.default_rng(70)
-    squared = CostModel("squared_distance")
+    squared = 0.0
     worst = 0.0
     for _ in range(20):
         phases, _ = _random_state(rng, reference_region, 4)
@@ -237,7 +237,7 @@ def test_10_search_optimality_gap(search_sweep, uniform_region, uniform_density)
         phases = np.array([anchor, xi])
         positions = all_centroids(phases, uniform_region, uniform_density)
         moments = moment_table(uniform_region, uniform_density).slice_moments(phases)
-        costs, _, _ = slice_cost_terms(moments, positions, CostModel("squared_distance"))
+        costs, _, _ = slice_cost_terms(moments, positions, 0.0)
         oracle = min(oracle, float(np.sum(costs)))
     gaps = {k: (search_sweep[k] - oracle) / oracle for k in (8, 16, 32, 64)}
     non_increasing = all(gaps[b] <= gaps[a] + 1e-6
@@ -249,7 +249,7 @@ def test_10_search_optimality_gap(search_sweep, uniform_region, uniform_density)
 
 def test_11_gossip_protocol(uniform_region, uniform_density):
     rng = np.random.default_rng(110)
-    squared = CostModel("squared_distance")
+    squared = 0.0
     details = []
     ok = True
     for n in (2, 4, 8):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import all_centroids, region_and_density, star_regions
-from ringcover.agents import (CostModel, cost_table, optimal_targets,
+from ringcover.agents import (cost_table, cost_weight, optimal_targets,
                               slice_centroids, slice_cost_terms, subregion_cost,
                               total_cost)
 from ringcover.geometry import TWO_PI, _radial_batch, moment_table
@@ -22,15 +22,15 @@ def sector_phases():
     return np.array([-math.pi / 4.0, math.pi / 4.0])
 
 
-def slice_moments(phases, region, density, cost_model=CostModel()):
-    """Table rows of every slice, shape (rows, N), for `cost_model`."""
-    return cost_table(region, density, cost_model).slice_moments(phases)
+def slice_moments(phases, region, density, beta=0.0):
+    """Table rows of every slice, shape (rows, N), for `beta`."""
+    return cost_table(region, density, beta).slice_moments(phases)
 
 
-def slice_gradient(phases, region, density, cost_model, i, position):
+def slice_gradient(phases, region, density, beta, i, position):
     """Gradient of the slice-i cost at an arbitrary probe position."""
-    moments = slice_moments(phases, region, density, cost_model)[:, [i]]
-    return slice_cost_terms(moments, position, cost_model)[1][0]
+    moments = slice_moments(phases, region, density, beta)[:, [i]]
+    return slice_cost_terms(moments, position, beta)[1][0]
 
 
 def test_centroid_sector_closed_form(sector_phases, uniform_region, uniform_density):
@@ -55,18 +55,19 @@ def test_centroid_rotational_equivariance(uniform_region, uniform_density):
 
 
 def test_cost_model_zero_at_event():
-    for model in (CostModel("squared_distance"), CostModel("generic_builtin", (0.3,))):
-        assert model.value(np.array([0.4, -0.2]), 0.4, -0.2) == 0.0
+    # the event (1.5, 0) at r = 1.5, theta = 0, where cos and sin are exact
+    for beta in (0.0, 0.3):
+        assert cost_weight(beta, np.array([1.5, 0.0]))(1.5, 0.0) == 0.0
 
 
 def test_total_cost_full_circle_origin(uniform_region, uniform_density):
     # both agents at the origin: slice costs add up to the full-circle integral
     value = total_cost(np.array([0.0, math.pi]), np.zeros((2, 2)), uniform_region,
-                       uniform_density, CostModel("squared_distance"))
+                       uniform_density, 0.0)
     assert_allclose(value, 15.0 * math.pi / 2.0, rtol=1e-8)
     with pytest.raises(ValueError, match="3 positions for 2 bars"):
         total_cost(np.array([0.0, math.pi]), np.zeros((3, 2)), uniform_region,
-                   uniform_density, CostModel("squared_distance"))
+                   uniform_density, 0.0)
 
 
 def test_squared_distance_cost_matches_quadrature(reference_region, reference_density):
@@ -74,16 +75,16 @@ def test_squared_distance_cost_matches_quadrature(reference_region, reference_de
     phases = np.sort(rng.uniform(0.0, TWO_PI, 4))
     positions = rng.uniform(-1.0, 1.0, (4, 2)) + np.array([2.0, 0.0])
     moments = slice_moments(phases, reference_region, reference_density)
-    costs, _, _ = slice_cost_terms(moments, positions, CostModel("squared_distance"))
+    costs, _, _ = slice_cost_terms(moments, positions, 0.0)
     fast = float(np.sum(costs))
     slow = total_cost(phases, positions, reference_region, reference_density,
-                      CostModel("squared_distance"))
+                      0.0)
     assert_allclose(fast, slow, rtol=1e-8)
 
 
 def test_parallel_axis_identity(reference_region, reference_density):
     rng = np.random.default_rng(6)
-    squared = CostModel("squared_distance")
+    squared = 0.0
     for _ in range(3):
         phases = np.sort(rng.uniform(0.0, TWO_PI, 3))
         centroids = all_centroids(phases, reference_region, reference_density)
@@ -104,38 +105,38 @@ def test_parallel_axis_identity(reference_region, reference_density):
 def test_gradient_zero_at_centroid(sector_phases, uniform_region, uniform_density):
     c = all_centroids(sector_phases, uniform_region, uniform_density)[0]
     g = slice_gradient(sector_phases, uniform_region, uniform_density,
-                       CostModel("squared_distance"), 0, c)
+                       0.0, 0, c)
     assert_allclose(g, [0.0, 0.0], atol=1e-12)
 
 
 def test_gradient_sector_closed_form(sector_phases, uniform_region, uniform_density):
     g = slice_gradient(sector_phases, uniform_region, uniform_density,
-                       CostModel("squared_distance"), 0, np.zeros(2))
+                       0.0, 0, np.zeros(2))
     assert_allclose(g, [-2.0 * SECTOR_MASS * SECTOR_CENTROID_X, 0.0], atol=1e-9)
     assert_allclose(g[0], -6.5997, rtol=1e-4)
 
 
 def test_gradient_finite_difference_generic(sector_phases, uniform_region,
                                             uniform_density):
-    model = CostModel("generic_builtin", (0.25,))
+    beta = 0.25
     position = np.array([1.1, 0.2])
-    g = slice_gradient(sector_phases, uniform_region, uniform_density, model, 0, position)
+    g = slice_gradient(sector_phases, uniform_region, uniform_density, beta, 0, position)
     step = 1e-5
     fd = np.empty(2)
     for axis in range(2):
         offset = np.zeros(2)
         offset[axis] = step
         f_plus = subregion_cost(sector_phases, uniform_region, uniform_density,
-                                model, 0, position + offset)
+                                beta, 0, position + offset)
         f_minus = subregion_cost(sector_phases, uniform_region, uniform_density,
-                                 model, 0, position - offset)
+                                 beta, 0, position - offset)
         fd[axis] = (f_plus - f_minus) / (2.0 * step)
     assert np.linalg.norm(g - fd) <= 1e-4 * np.linalg.norm(g)
 
 
 def test_control_input(sector_phases, uniform_region, uniform_density):
     # the integrator's agent velocity is -kappa_p * (p - target)
-    system = _System(uniform_region, uniform_density, CostModel(), 2, 0.03, 0.1)
+    system = _System(uniform_region, uniform_density, 0.0, 2, 0.03, 0.1)
 
     def velocity(positions):
         ev = system.evaluate(np.concatenate([sector_phases, np.ravel(positions)]))
@@ -155,16 +156,16 @@ def test_control_input(sector_phases, uniform_region, uniform_density):
     assert_allclose(vb[0], 2.0 * va[0], rtol=1e-12)
 
 
-def optimal_target(phases, region, density, cost_model, i):
+def optimal_target(phases, region, density, beta, i):
     """Slice i's optimal serving point from the batched Newton solve."""
-    return optimal_targets(slice_moments(phases, region, density, cost_model),
-                           cost_model)[i]
+    return optimal_targets(slice_moments(phases, region, density, beta),
+                           beta)[i]
 
 
 def test_optimal_target_squared_is_centroid(sector_phases, uniform_region,
                                             uniform_density):
     target = optimal_target(sector_phases, uniform_region, uniform_density,
-                            CostModel("squared_distance"), 0)
+                            0.0, 0)
     c = all_centroids(sector_phases, uniform_region, uniform_density)[0]
     assert np.array_equal(target, c)
 
@@ -172,7 +173,7 @@ def test_optimal_target_squared_is_centroid(sector_phases, uniform_region,
 def test_optimal_target_generic_path_matches_centroid(sector_phases, uniform_region,
                                                       uniform_density):
     target = optimal_target(sector_phases, uniform_region, uniform_density,
-                            CostModel("generic_builtin", (0.0,)), 0)
+                            0.0, 0)
     c = all_centroids(sector_phases, uniform_region, uniform_density)[0]
     assert np.linalg.norm(target - c) <= 1e-6
 
@@ -180,7 +181,7 @@ def test_optimal_target_generic_path_matches_centroid(sector_phases, uniform_reg
 def test_optimal_target_symmetric_slice_on_axis(sector_phases, uniform_region,
                                                 uniform_density):
     target = optimal_target(sector_phases, uniform_region, uniform_density,
-                            CostModel("generic_builtin", (0.25,)), 0)
+                            0.25, 0)
     assert abs(target[1]) <= 1e-6
     assert uniform_region.contains(target)
 
@@ -205,27 +206,27 @@ def test_radial_second_moment(uniform_region, uniform_density):
 
 def test_radial_second_moment_expansion_identity(reference_region, reference_density):
     rng = np.random.default_rng(8)
-    squared = CostModel("squared_distance")
+    squared = 0.0
     for _ in range(4):
         theta = rng.uniform(0.0, TWO_PI)
         point = rng.normal(scale=1.5, size=2)
         via_moments = radial_second_moment_about(reference_region, reference_density,
                                                  theta, point)
-        direct = _radial_batch(reference_region, reference_density, theta, ("cost",),
-                               1e-8, squared, point)[0]
+        direct = _radial_batch(reference_region, reference_density, theta,
+                               (cost_weight(squared, point),), 1e-8)[0]
         assert_allclose(via_moments, direct[0], rtol=1e-8)
 
 
-def slice_hessians(phases, region, density, cost_model, positions):
+def slice_hessians(phases, region, density, beta, positions):
     """Exact Hessian of every slice cost at its agent's position."""
-    return slice_cost_terms(slice_moments(phases, region, density, cost_model),
-                            positions, cost_model)[2]
+    return slice_cost_terms(slice_moments(phases, region, density, beta),
+                            positions, beta)[2]
 
 
 def test_hessian_squared(sector_phases, uniform_region, uniform_density):
     positions = np.array([[1.2, 0.1], [-1.4, 0.0]])
     hessian = slice_hessians(sector_phases, uniform_region, uniform_density,
-                             CostModel("squared_distance"), positions)[0]
+                             0.0, positions)[0]
     assert_allclose(hessian, 2.0 * SECTOR_MASS * np.eye(2), rtol=1e-10)
     # rank counts singular values above 1e-8 of the largest
     assert np.linalg.matrix_rank(hessian, tol=1e-8 * np.linalg.norm(hessian, 2)) == 2
@@ -235,7 +236,7 @@ def test_hessian_generic_matches_analytic(sector_phases, uniform_region,
                                           uniform_density):
     positions = np.array([[1.2, 0.1], [-1.4, 0.0]])
     hessian = slice_hessians(sector_phases, uniform_region, uniform_density,
-                             CostModel("generic_builtin", (0.0,)), positions)[0]
+                             0.0, positions)[0]
     # rank counts singular values above 1e-8 of the largest
     assert np.linalg.matrix_rank(hessian, tol=1e-8 * np.linalg.norm(hessian, 2)) == 2
     expected = 2.0 * SECTOR_MASS * np.eye(2)
@@ -247,11 +248,11 @@ def test_all_centroids_consistent(reference_region, reference_density):
     stacked = all_centroids(phases, reference_region, reference_density)
     moments = slice_moments(phases, reference_region, reference_density)
     assert np.array_equal(stacked, slice_centroids(moments))
-    assert np.array_equal(stacked, optimal_targets(moments, CostModel()))
+    assert np.array_equal(stacked, optimal_targets(moments, 0.0))
     for i in range(4):
         # slice i alone: the formulas do not mix slices
         assert_allclose(stacked[i], slice_centroids(moments[:, [i]])[0], rtol=1e-12)
-        assert_allclose(stacked[i], optimal_targets(moments[:, [i]], CostModel())[0],
+        assert_allclose(stacked[i], optimal_targets(moments[:, [i]], 0.0)[0],
                         rtol=1e-12)
 
 
@@ -266,20 +267,20 @@ def slice_probes(draw):
     i = draw(st.integers(0, n - 1))
     probe = np.array([draw(st.floats(-3.5, 3.5)), draw(st.floats(-3.5, 3.5))])
     beta = draw(st.floats(0.0, 1.0))
-    return phases, i, probe, CostModel("generic_builtin", (beta,))
+    return phases, i, probe, beta
 
 
 @settings(max_examples=30, deadline=None)
 @given(sections=star_regions(), case=slice_probes())
 def test_moment_table_cost_terms_match_quadrature(sections, case):
     region, density = region_and_density(sections)
-    phases, i, probe, model = case
+    phases, i, probe, beta = case
 
     def oracle(p):
-        return subregion_cost(phases, region, density, model, i, p)
+        return subregion_cost(phases, region, density, beta, i, p)
 
-    moments = slice_moments(phases, region, density, model)[:, [i]]
-    costs, grads, hessians = slice_cost_terms(moments, probe, model)
+    moments = slice_moments(phases, region, density, beta)[:, [i]]
+    costs, grads, hessians = slice_cost_terms(moments, probe, beta)
     value = oracle(probe)
     assert abs(costs[0] - value) <= 1e-8 * abs(value)
 
@@ -295,7 +296,7 @@ def test_moment_table_cost_terms_match_quadrature(sections, case):
                          / (4.0 * h * h) for b in axes] for a in axes])
     assert np.max(np.abs(hessians[0] - fd_hess)) <= 1e-3 * np.max(np.abs(hessians[0]))
 
-    target = optimal_targets(moments, model)[0]
+    target = optimal_targets(moments, beta)[0]
     best = oracle(target)
     for angle in np.arange(8) * (TWO_PI / 8.0):
         delta = 0.05 * np.array([math.cos(angle), math.sin(angle)])

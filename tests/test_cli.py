@@ -10,7 +10,7 @@ import pytest
 
 from conftest import (overtaking_scenario_dict, reference_scenario_dict,
                       uniform_scenario_dict)
-from ringcover import cli, sim
+from ringcover import agents, cli, geometry, sim
 from ringcover.cli import (_setup_logging, cmd_export, cmd_run, cmd_search, cmd_verify,
                            main, trajectory_csv_lines)
 from ringcover.sim import TrajectoryLog, run_scenario, scenario_from_dict
@@ -88,6 +88,19 @@ def test_config_echo_replays_identically(quick_config, tmp_path):
     out_a = tmp_path / "a"
     assert cmd_run(quick_config, str(out_a)) == 0
     echo_path = out_a / "config_echo.json"
+    out_b = tmp_path / "b"
+    assert cmd_run(str(echo_path), str(out_b)) == 0
+    assert (out_a / "trajectory.csv").read_bytes() == (out_b / "trajectory.csv").read_bytes()
+
+
+def test_generic_cost_without_beta_echoes_the_default_and_replays(tmp_path):
+    data = uniform_scenario_dict(cost={"kind": "generic_builtin"},
+                                 integrator={"dt": 0.05, "t_end": 1.0, "log_stride": 5})
+    out_a = tmp_path / "a"
+    assert cmd_run(write_config(tmp_path, data), str(out_a)) == 0
+    echo_path = out_a / "config_echo.json"
+    assert json.loads(echo_path.read_text())["cost"] == {"kind": "generic_builtin",
+                                                         "parameters": [0.25]}
     out_b = tmp_path / "b"
     assert cmd_run(str(echo_path), str(out_b)) == 0
     assert (out_a / "trajectory.csv").read_bytes() == (out_b / "trajectory.csv").read_bytes()
@@ -449,6 +462,16 @@ def test_run_rejects_malformed_number(tmp_path, caplog, path, value, field):
     assert f"invalid config: {field}: " in caplog.text
 
 
+@pytest.mark.parametrize("path", ["gains.kappa_phi", "gains.kappa_p", "integrator.t_end",
+                                  "search.T_epsilon"])
+def test_run_reports_a_missing_required_field(tmp_path, caplog, path):
+    data = uniform_scenario_dict()
+    section, key = path.split(".")
+    del data[section][key]
+    assert cmd_run(write_config(tmp_path, data), str(tmp_path / "out")) == 2
+    assert f"invalid config: {path}: missing" in caplog.text
+
+
 @pytest.mark.parametrize("command", ["run", "search", "verify"])
 def test_negative_seed_override_exits_2(tmp_path, caplog, command):
     path = write_config(tmp_path, uniform_scenario_dict())
@@ -467,6 +490,65 @@ def test_run_integration_failure_exits_3_with_partial_log(tmp_path, monkeypatch)
     # only the snapshot inside the partial log's span
     assert (out / "snapshot_t0.svg").exists()
     assert not (out / "snapshot_t5.svg").exists()
+
+
+def test_partial_log_keeps_a_snapshot_at_its_last_record(tmp_path, monkeypatch):
+    # record 3 of dt = 0.15 lies at 0.44999999999999996, and the fourth step
+    # fails: the snapshot at 0.45 is in the partial log's span up to rounding,
+    # as it is in a complete log's
+    steps = iter(range(3))
+    advance = sim._System.advance
+
+    def advance_three_steps(self, start, dt, depth=0):
+        if next(steps, None) is None:
+            raise sim.IntegrationError("step refused")
+        return advance(self, start, dt, depth)
+
+    monkeypatch.setattr(sim._System, "advance", advance_three_steps)
+    data = uniform_scenario_dict(integrator={"dt": 0.15, "t_end": 0.6, "log_stride": 1},
+                                 output={"snapshot_times": [0.0, 0.45, 0.6]})
+    out = tmp_path / "out"
+    assert cmd_run(write_config(tmp_path, data), str(out)) == 3
+    log = TrajectoryLog.from_dict(json.loads((out / "log.json").read_text()))
+    assert log.times[-1] == 3 * 0.15 != 0.45
+    assert sorted(path.name for path in out.glob("*.svg")) == ["snapshot_t0.45.svg",
+                                                               "snapshot_t0.svg"]
+
+
+@pytest.mark.parametrize("command", ["run", "search", "verify"])
+def test_table_failure_exits_3(tmp_path, monkeypatch, caplog, command):
+    # 16 samples alias the reference profiles, so the table's build-time check
+    # raises QuadratureError: a runtime failure, not a failed verification
+    data = reference_scenario_dict(integrator={"dt": 0.01, "t_end": 0.02, "log_stride": 1},
+                                   search={"K_star": 2, "T_epsilon": 0.01})
+    path = write_config(tmp_path, data)
+    if command == "verify":
+        assert main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
+        path = str(tmp_path / "run" / "log.json")
+    geometry.moment_table.cache_clear()
+    monkeypatch.setattr(geometry, "_TABLE_GRID", 16)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "runtime failure: moment table misses the radial quadrature" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["search", "verify"])
+def test_integration_failure_exits_3(tmp_path, monkeypatch, caplog, command):
+    # the stiff bars cross on a whole step, and no halving is allowed
+    monkeypatch.setattr(sim, "MAX_STEP_HALVINGS", 0)
+    data = {**overtaking_scenario_dict(), "search": {"K_star": 2, "T_epsilon": 1.0}}
+    path = write_config(tmp_path, data)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "runtime failure: step still crosses bars" in caplog.text
+
+
+def test_target_search_failure_exits_3(tmp_path, monkeypatch, caplog):
+    # one Newton step from the centroid does not reach the quartic cost's optimum
+    monkeypatch.setattr(agents, "MAX_NEWTON_STEPS", 1)
+    data = uniform_scenario_dict(cost={"kind": "generic_builtin", "parameters": [0.25]},
+                                 integrator={"dt": 0.05, "t_end": 0.1, "log_stride": 1})
+    path = write_config(tmp_path, data)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "runtime failure: Newton steps still" in caplog.text
 
 
 @pytest.mark.parametrize("command, overrides, extra, field", [

@@ -7,11 +7,16 @@ from numpy.testing import assert_allclose
 
 from conftest import cyclic_layouts, per_row_radial, region_and_density, star_regions
 from ringcover import geometry
-from ringcover.agents import CostModel
+from ringcover.agents import cost_weight
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField,
                                 InvalidDensityError, PolarCurve, QuadratureError,
-                                _chunked_radial, _radial_batch, moment_table,
+                                _MONOMIALS, _chunked_radial, _radial_batch, moment_table,
                                 radial_moment_extrema, region_integral)
+
+
+def rows(*names):
+    """The weight functions of the named tabulated moments."""
+    return tuple(_MONOMIALS[name] for name in names)
 
 
 def test_curve_harmonic_evaluation():
@@ -50,15 +55,15 @@ def test_region_validation():
 
 def test_radial_moment_uniform(uniform_region, uniform_density):
     assert_allclose(_radial_batch(uniform_region, uniform_density, [0.0, 1.0, 4.5],
-                                  ("plain",), 1e-8), 1.5, rtol=1e-10)
-    assert_allclose(_radial_batch(uniform_region, uniform_density, 1.0, ("r2",), 1e-8)[0],
+                                  rows("plain"), 1e-8), 1.5, rtol=1e-10)
+    assert_allclose(_radial_batch(uniform_region, uniform_density, 1.0, rows("r2"), 1e-8)[0],
                     [15.0 / 4.0], rtol=1e-10)
 
 
 def test_radial_moment_reference_closed_form(reference_region, reference_density):
     # r_in(0) = 1, r_out(0) = 3.5, rho(r, 0) = e + 0.01 r; antiderivative by hand
     expected = math.e * (3.5 ** 2 - 1.0) / 2.0 + 0.01 * (3.5 ** 3 - 1.0) / 3.0
-    value = _radial_batch(reference_region, reference_density, 0.0, ("plain",), 1e-8)[0]
+    value = _radial_batch(reference_region, reference_density, 0.0, rows("plain"), 1e-8)[0]
     assert_allclose(value, expected, rtol=1e-10)
     assert_allclose(value, 15.4299186, rtol=1e-7)
 
@@ -67,8 +72,8 @@ def test_radial_moment_linear_in_density(reference_region):
     # doubling a uniform density doubles the plain moment
     one = DensityField("uniform", (1.0,))
     two = DensityField("uniform", (2.0,))
-    m1 = _radial_batch(reference_region, one, 0.7, ("plain",), 1e-8)
-    m2 = _radial_batch(reference_region, two, 0.7, ("plain",), 1e-8)
+    m1 = _radial_batch(reference_region, one, 0.7, rows("plain"), 1e-8)
+    m2 = _radial_batch(reference_region, two, 0.7, rows("plain"), 1e-8)
     assert_allclose(m2, 2.0 * m1, rtol=1e-10)
 
 
@@ -77,7 +82,7 @@ def test_product_density_closed_form(uniform_region):
     # 1.2 * int_1^2 (2 + r) r dr = 1.2 * (3 + 7/3) = 6.4
     density = DensityField("radial_polynomial_times_angular", (2.0, 1.0),
                            angular=PolarCurve(1.0, cosine_coeffs=(0.2,)))
-    assert_allclose(_radial_batch(uniform_region, density, 0.0, ("plain",), 1e-8)[0], [6.4],
+    assert_allclose(_radial_batch(uniform_region, density, 0.0, rows("plain"), 1e-8)[0], [6.4],
                     rtol=1e-10)
     lo, hi = density.bounds(uniform_region)
     assert 0.0 < lo < hi
@@ -125,7 +130,7 @@ def test_extrema_uniform(uniform_region, uniform_density):
 def test_extrema_reference_dense_oracle(reference_region, reference_density):
     lo, hi = radial_moment_extrema(reference_region, reference_density)
     dense = _chunked_radial(reference_region, reference_density,
-                            np.arange(16384) * (TWO_PI / 16384), ("plain",), 1e-8)[0]
+                            np.arange(16384) * (TWO_PI / 16384), rows("plain"), 1e-8)[0]
     lo_dense, hi_dense = dense.min(), dense.max()
     assert abs(lo - lo_dense) <= 1e-3 * lo_dense
     assert abs(hi - hi_dense) <= 1e-3 * hi_dense
@@ -157,7 +162,7 @@ def test_moment_table_matches_quadrature(reference_region, reference_density):
     table = moment_table(reference_region, reference_density)
     for row, weight in enumerate(("plain", "x", "y", "r2")):
         direct = region_integral(reference_region, reference_density, 0.0, TWO_PI,
-                                 weight, rel_tol=1e-11)
+                                 _MONOMIALS[weight], rel_tol=1e-11)
         assert abs(table.totals[row] - direct) <= 1e-9 * (abs(direct) + 1.0)
     rng = np.random.default_rng(11)
     for _ in range(6):
@@ -190,7 +195,7 @@ def test_tables_and_extrema_share_one_sampling_pass(sections):
     assert 0.0 <= table.check_error <= 1e-13 and 0.0 <= quartic.check_error <= 1e-13
     lo, hi = radial_moment_extrema(region, density)
     direct = _chunked_radial(region, density, np.arange(2048) * (TWO_PI / 2048),
-                             ("plain",), 1e-8)[0]
+                             rows("plain"), 1e-8)[0]
     assert abs(lo - direct.min()) <= 1e-12 * direct.min()
     assert abs(hi - direct.max()) <= 1e-12 * direct.max()
 
@@ -208,18 +213,17 @@ def test_shared_radial_pass_matches_the_per_row_loop(sections, density, count, r
     # every row of the shared pass is bit for bit the row its own pass gives,
     # across chunk boundaries, all density kinds and the cost weight
     region, _ = region_and_density(sections)
-    weights = geometry._TABLE_WEIGHTS[4]
+    weights = rows(*geometry._TABLE_WEIGHTS[4])
     thetas = np.arange(count) * (TWO_PI / count)
     shared = _chunked_radial(region, density, thetas, weights, rel_tol)
     for row, weight in enumerate(weights):
         oracle = per_row_radial(region, density, thetas, weight, rel_tol=rel_tol)
-        assert np.array_equal(shared[row], oracle), weight
+        assert np.array_equal(shared[row], oracle), row
     # the cost weight next to a monomial, on one chunk
-    cost = CostModel("generic_builtin", (0.25,))
+    cost = cost_weight(0.25, position)
     chunk = thetas[:1024]
-    mixed = _radial_batch(region, density, chunk, ("cost", "r4"), rel_tol, cost, position)
-    assert np.array_equal(mixed[0], per_row_radial(region, density, chunk, "cost", cost,
-                                                   position, rel_tol))
+    mixed = _radial_batch(region, density, chunk, (cost, _MONOMIALS["r4"]), rel_tol)
+    assert np.array_equal(mixed[0], per_row_radial(region, density, chunk, cost, rel_tol))
     assert np.array_equal(mixed[1], shared[-1, :1024])
 
 
@@ -243,10 +247,10 @@ def test_rows_stop_at_their_own_panel_level(uniform_region):
         density.calls = 0
         return _radial_batch(uniform_region, density, thetas, weights, 1e-8), density.calls
 
-    (plain, plain_levels), (x, x_levels) = sample(("plain",)), sample(("x",))
+    (plain, plain_levels), (x, x_levels) = sample(rows("plain")), sample(rows("x"))
     # the plain row needs one panel level more than the x row
     assert (plain_levels, x_levels) == (6, 5)
-    shared, levels = sample(("plain", "x"))
+    shared, levels = sample(rows("plain", "x"))
     assert levels == 6
     assert np.array_equal(shared, np.vstack([plain, x]))
 
@@ -262,9 +266,9 @@ def test_shared_radial_pass_reports_the_worst_unconverged_row(monkeypatch, unifo
             _radial_batch(uniform_region, density, thetas, weights, 0.0)
         return info.value.residual
 
-    plain = _radial_batch(uniform_region, density, thetas, ("plain",), 0.0)
+    plain = _radial_batch(uniform_region, density, thetas, rows("plain"), 0.0)
     assert plain.shape == (1, 50)
-    assert residual(("plain", "r4", "x")) == max(residual(("r4",)), residual(("x",)))
+    assert residual(rows("plain", "r4", "x")) == max(residual(rows("r4")), residual(rows("x")))
 
 
 class RadialStepDensity:
@@ -283,14 +287,14 @@ def test_radial_quadrature_fails_within_the_node_budget(monkeypatch, uniform_reg
     density = RadialStepDensity()
     thetas = np.arange(1024) * (TWO_PI / 1024)
     with pytest.raises(QuadratureError) as info:
-        _radial_batch(uniform_region, density, thetas, ("plain", "x"), 1e-8)
+        _radial_batch(uniform_region, density, thetas, rows("plain", "x"), 1e-8)
     assert math.isfinite(info.value.residual) and info.value.residual > 1e-8
     assert 2 * 16 * thetas.size <= density.largest <= geometry._NODE_BUDGET
     # the first two levels run whatever the budget
     monkeypatch.setattr(geometry, "_NODE_BUDGET", 16 * 8)
     density.largest = 0
     with pytest.raises(QuadratureError):
-        _radial_batch(uniform_region, density, thetas[:8], ("plain",), 1e-8)
+        _radial_batch(uniform_region, density, thetas[:8], rows("plain"), 1e-8)
     assert density.largest == 2 * 16 * 8
 
 
@@ -322,7 +326,7 @@ def test_slice_moments_match_quadrature_for_unwrapped_phases(sections, phases):
     for i in range(n):
         # the last slice ends at phases[0], which region_integral moves on by 2*pi
         direct = [region_integral(region, density, phases[i], phases[(i + 1) % n],
-                                  weight, rel_tol=1e-11)
+                                  _MONOMIALS[weight], rel_tol=1e-11)
                   for weight in ("plain", "x", "y", "r2")]
         assert np.all(np.abs(moments[:, i] - direct) <= 1e-8 * scales[:, i])
     assert abs(np.sum(mass) - table.totals[0]) <= 1e-12 * table.totals[0]

@@ -91,3 +91,38 @@ def test_every_public_name_has_a_user_outside_the_tests():
                 if not used and f"{module}.{name}" not in bench:
                     found.append(f"{module}.{name}")
     assert found == []
+
+
+def test_one_panel_doubling_loop():
+    # the radial and the angular quadrature stage share one doubling loop
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(part, ast.Name) and part.id == "_MAX_PANELS"
+                          for part in ast.walk(node))]
+    assert len(found) == 1, found
+
+
+def test_geometry_integrates_weights_without_knowing_the_cost():
+    # the service cost is decided in `agents`, which hands geometry a weight
+    # function; no name, argument or attribute in geometry speaks of a cost
+    tree = ast.parse((SOURCE / "geometry.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.arg):
+            names = [node.arg]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.keyword):
+            names = [node.arg or ""]
+        else:
+            continue
+        found += [f"geometry.py:{node.lineno} {name}" for name in names
+                  if "cost" in name.lower()]
+    assert found == []

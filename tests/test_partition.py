@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import all_centroids, region_and_density, star_regions
-from ringcover.agents import CostModel, subregion_cost
+from ringcover.agents import subregion_cost
 from ringcover.geometry import TWO_PI, moment_table, radial_moment_extrema
 from ringcover.partition import (advance_by_mean_workload, bar_rates,
                                  cyclic_difference_form, cyclic_gaps, decay_constants,
@@ -27,7 +27,7 @@ def slice_workloads(phases, region, density):
 def evaluation(phases, region, density, pinned=None):
     """The integrator's evaluation at a partition, agents at the origin, kappa_phi 0.03."""
     n = len(phases)
-    system = _System(region, density, CostModel(), n, 0.03, 0.1, pinned)
+    system = _System(region, density, 0.0, n, 0.03, 0.1, pinned)
     return system, system.evaluate(np.concatenate([phases, np.zeros(2 * n)]))
 
 
@@ -228,7 +228,7 @@ def test_unwrapped_phases_pick_the_wrapped_slices(reference_region, reference_de
     assert_allclose(list(decay_constants(phases, 0.03, *args).values()),
                     list(decay_constants(wrapped, 0.03, *args).values()), rtol=1e-12)
     assert_allclose(all_centroids(phases, *args), all_centroids(wrapped, *args), rtol=1e-12)
-    squared = CostModel()
+    squared = 0.0
     assert (subregion_cost(phases, *args, squared, 0, (1.5, 0.0))
             == subregion_cost(wrapped, *args, squared, 0, (1.5, 0.0)))
     # slice 0 runs from -1 through zero to 7 - 2*pi

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from conftest import star_regions, uniform_scenario_dict
 from ringcover import search
-from ringcover.agents import (CostModel, cost_table, slice_cost_terms, subregion_cost,
+from ringcover.agents import (cost_table, slice_cost_terms, subregion_cost,
                               total_cost)
 from ringcover.geometry import TWO_PI
 from ringcover.search import (anchor_assignment, gossip_until_stable, recompute_total,
@@ -139,14 +139,14 @@ def test_search_final_cost_recomputes(uniform_region, uniform_density):
         search={"K_star": 2, "T_epsilon": 30.0}))
     result = run_search(config)
     recomputed = total_cost(result.best.phases, result.best.positions, config.region,
-                            config.density, config.cost)
+                            config.density, config.beta)
     assert abs(recomputed - result.best.total_cost) <= 1e-6 * abs(recomputed)
 
 
 def test_gossip_totals_match_direct_cost(uniform_region, uniform_density):
     phases = np.array([0.3, 1.1, 2.8, 4.9])
     positions = np.array([[1.5, 0.3], [0.2, 1.4], [-1.5, 0.1], [0.4, -1.5]])
-    squared = CostModel("squared_distance")
+    squared = 0.0
     costs = [subregion_cost(phases, uniform_region, uniform_density, squared, i,
                             positions[i]) for i in range(4)]
     _, total = gossip_until_stable(costs)
@@ -204,6 +204,6 @@ def test_epoch_costs_are_the_table_costs_at_the_epoch_end(data, beta, epoch):
     _, phases, positions, costs = run_epoch(config, config.initial_phases,
                                             config.initial_positions,
                                             epoch % config.search.epoch_count)
-    table = cost_table(config.region, config.density, config.cost)
-    expected = slice_cost_terms(table.slice_moments(phases), positions, config.cost)[0]
+    table = cost_table(config.region, config.density, config.beta)
+    expected = slice_cost_terms(table.slice_moments(phases), positions, config.beta)[0]
     assert np.array_equal(costs, expected)

@@ -10,7 +10,7 @@ from conftest import (all_centroids, cyclic_layouts, overtaking_scenario_dict,
                       reference_scenario_dict, region_and_density, star_regions,
                       uniform_scenario_dict)
 from ringcover import agents, geometry, sim
-from ringcover.agents import CostModel, slice_centroids, total_cost
+from ringcover.agents import slice_centroids, total_cost
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField, MomentTable,
                                 PolarCurve, radial_moment_extrema)
 from ringcover.partition import bar_rates, cyclic_gaps
@@ -263,7 +263,7 @@ def test_generic_cost_step_completes_and_logs_quadrature_cost():
     assert log.times.size == 2
     for k in range(2):
         oracle = total_cost(log.phases_unwrapped[k], log.positions[k], config.region,
-                            config.density, config.cost)
+                            config.density, config.beta)
         assert abs(log.cost[k] - oracle) <= 1e-8 * oracle
 
 
@@ -275,9 +275,10 @@ def test_generic_cost_at_beta_zero_is_squared_distance_bit_for_bit():
     generic["integrator"]["t_end"] = 0.5
     log_a = run_scenario(scenario_from_dict(squared))
     log_b = run_scenario(scenario_from_dict(generic))
-    assert np.array_equal(log_a.positions, log_b.positions)
-    assert np.array_equal(log_a.phases_unwrapped, log_b.phases_unwrapped)
-    assert np.array_equal(log_a.cost, log_b.cost)
+    for name in sim._RECORDS:
+        assert np.array_equal(getattr(log_a, name), getattr(log_b, name)), name
+    # beta = 0 is the squared-distance cost, and its echo says so
+    assert log_b.config_echo == log_a.config_echo
 
 
 @pytest.mark.parametrize("cost, message", [
@@ -358,9 +359,9 @@ def count_calls(monkeypatch):
         counts["slice_moments"] += 1
         return real_moments(self, phases)
 
-    def optimal_targets(moments, cost_model):
+    def optimal_targets(moments, beta):
         counts["optimal_targets"] += 1
-        return real_targets(moments, cost_model)
+        return real_targets(moments, beta)
 
     monkeypatch.setattr(MomentTable, "slice_moments", slice_moments)
     monkeypatch.setattr(agents, "optimal_targets", optimal_targets)
@@ -392,7 +393,7 @@ def test_run_advances_once_per_step_and_reports_every_step(monkeypatch):
         return real_advance(self, start, dt, depth)
 
     monkeypatch.setattr(sim._System, "advance", advance)
-    system = sim._System(config.region, config.density, config.cost, config.n_agents,
+    system = sim._System(config.region, config.density, config.beta, config.n_agents,
                          config.kappa_phi, config.kappa_p)
     steps = 4
     end = system.run(config.initial_phases, config.initial_positions, config.dt, steps,
@@ -417,7 +418,7 @@ def test_guard_rejects_before_targets(monkeypatch, uniform_region, uniform_densi
 
     monkeypatch.setattr(sim._System, "evaluate_guarded", guard)
     run_scenario(scenario_from_dict(overtaking_scenario_dict()))  # order rejections
-    system = sim._System(uniform_region, uniform_density, CostModel(), 2, 0.1, 0.5)
+    system = sim._System(uniform_region, uniform_density, 0.0, 2, 0.1, 0.5)
     system.workload_floor = 1e9  # a floor rejection
     assert system.evaluate_guarded(np.array([0.4, 1.9, 1.5, 0.3, -1.4, 0.2])) is None
     assert len(targets_in_rejections) >= 2
@@ -439,7 +440,7 @@ def test_logged_rates_are_fresh_evaluations(sections, seed, n, steps, stride):
         agents={"count": n, "initial_phases": "random", "initial_positions": "random"},
         integrator={"dt": 0.01, "t_end": 0.01 * steps, "log_stride": stride}))
     log = run_scenario(config)
-    system = sim._System(config.region, config.density, config.cost, n,
+    system = sim._System(config.region, config.density, config.beta, n,
                          config.kappa_phi, config.kappa_p)
     for k in range(log.times.size):
         # the workloads fix the bar rates, the targets the agent velocities
@@ -491,8 +492,7 @@ def test_evaluation_matches_the_written_out_formulas_bit_for_bit(sections, state
         assert np.array_equal(cyclic_gaps(p), reference_gaps(p))
     assert np.any(reference_gaps(crossed) <= 0.0)
     for beta in (0.0, 0.25):
-        cost = CostModel("generic_builtin", (beta,))
-        table = agents.cost_table(region, density, cost)
+        table = agents.cost_table(region, density, beta)
         for p in (phases, crossed):
             moments = table.slice_moments(p)
             mass = moments[0]
@@ -504,10 +504,10 @@ def test_evaluation_matches_the_written_out_formulas_bit_for_bit(sections, state
 
         moments = table.slice_moments(phases)
         mass = moments[0]
-        targets = agents.optimal_targets(moments, cost)
+        targets = agents.optimal_targets(moments, beta)
         y = np.concatenate([phases, positions.ravel()])
         for pinned in (None, pinned_bar):
-            system = sim._System(region, density, cost, n, kappa_phi, kappa_p, pinned)
+            system = sim._System(region, density, beta, n, kappa_phi, kappa_p, pinned)
             # the guard rejects crossed or tied bars, and a slice at the floor
             assert system.evaluate_guarded(np.concatenate([crossed, positions.ravel()])) is None
             system.workload_floor = float(np.min(mass))
