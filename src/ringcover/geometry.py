@@ -11,14 +11,17 @@ Gauss-Legendre quadrature for both stages, one panel-doubling loop over any
 weight function w(r, theta) the caller passes. It also builds a cached spectral
 table of cumulative moments (`MomentTable`) so that the simulation inner
 loop can evaluate slice workloads, centroids and polynomial service costs
-in O(modes) instead of re-running the adaptive quadrature at every step.
-A table samples all its rows in one radial pass: at each panel level the
-density is evaluated once, with its angle terms on the angle column, and
-each row stops at its own converged level. Every table is checked against
-the radial quadrature off its sampling grid when it is built, and the
-moment extrema are read off its samples. A radial pass that does not
+in O(modes) instead of re-running the adaptive quadrature at every step:
+all slices of a partition come out of one matrix product, the table's
+antiderivative coefficients times the differences of a trigonometric basis
+between neighbouring bars. A table samples all its rows in one radial pass:
+at each panel level the density is evaluated once, with its angle terms on
+the angle column, and each row stops at its own converged level. Every table
+is checked against the radial quadrature off its sampling grid when it is
+built, and the moment extrema are read off its samples. A radial pass that does not
 converge raises `QuadratureError` before its arrays outgrow a fixed node
-budget. Curves and membership take arrays of angles and points.
+budget. Curves, membership and the distance to the boundary take arrays of
+angles and points.
 """
 
 from __future__ import annotations
@@ -108,6 +111,31 @@ class AnnularRegion:
         r = np.hypot(x, y)
         theta = np.arctan2(y, x)
         return (self.inner.radius(theta) <= r) & (r <= self.outer.radius(theta))
+
+    def boundary_distance(self, points) -> np.ndarray:
+        """Euclidean distance of each point of a (..., 2) array to the nearer
+        boundary curve, each curve taken as the polygon through its
+        validation grid and measured on the two edges at the nearest vertex."""
+        points = np.asarray(points, dtype=float)
+        flat = points.reshape(-1, 2)
+        grid = np.arange(self.validation_grid_size) * (TWO_PI / self.validation_grid_size)
+        out = np.full(len(flat), np.inf)
+        for curve in (self.inner, self.outer):
+            r = curve.radius(grid)
+            vertices = np.stack([r * np.cos(grid), r * np.sin(grid)], axis=1)
+            edges = np.roll(vertices, -1, axis=0) - vertices
+            squares = np.sum(vertices * vertices, axis=1)
+            for start in range(0, len(flat), 64):  # (64, grid) distances at a time
+                p = flat[start:start + 64]
+                nearest = np.argmin(squares - 2.0 * (p @ vertices.T), axis=1)
+                for j in (nearest - 1, nearest):
+                    offset = p - vertices[j]
+                    along = np.clip(np.sum(offset * edges[j], axis=1)
+                                    / np.sum(edges[j] * edges[j], axis=1), 0.0, 1.0)
+                    gap = offset - along[:, None] * edges[j]
+                    np.minimum(out[start:start + 64], np.hypot(gap[:, 0], gap[:, 1]),
+                               out=out[start:start + 64])
+        return out.reshape(points.shape[:-1])
 
     def bounding_radius(self) -> float:
         grid = np.arange(self.validation_grid_size) * (TWO_PI / self.validation_grid_size)
@@ -296,11 +324,19 @@ class MomentTable:
     """Spectral antiderivatives of the tabulated radial moments.
 
     Each moment profile is sampled on a uniform angle grid with the adaptive
-    radial quadrature, interpolated by a truncated trigonometric series, and
-    integrated term by term. `cumulative` then evaluates
-    M_w(theta) = int_0^theta w-moment dt for any real (unwrapped) theta, and
-    `slice_moments` turns unwrapped partition phases in cyclic order
-    (phi_1 < ... < phi_N < phi_1 + 2*pi) into per-slice integrals.
+    radial quadrature, interpolated by a truncated trigonometric series
+    mean + sum_k c_k cos(k theta) + s_k sin(k theta), and integrated term by
+    term. The table keeps the antiderivative as one matrix, `coefficients`
+    = [mean | c/k | -s/k] of shape rows x (1 + 2K), against the basis
+    (theta, sin k theta, cos k theta). A slice integral is the difference of
+    that basis between two bars times the matrix, so `slice_moments` turns
+    unwrapped partition phases in cyclic order
+    (phi_1 < ... < phi_N < phi_1 + 2*pi) into every per-slice integral with
+    one product; the last slice's full turn comes out of its theta
+    difference. `cumulative` evaluates M_w(theta) = int_0^theta w-moment dt
+    for any real (unwrapped) theta with the same matrix and the basis
+    (theta, sin k theta, cos k theta - 1), and `value` with the basis
+    differentiated. `totals` are the full-turn integrals 2*pi*mean.
     `samples` keeps the sampled profiles, one row per moment, and
     `check_error`, set by `moment_table`, the fit's largest error off the
     grid relative to each row's largest sample.
@@ -329,46 +365,49 @@ class MomentTable:
         modes = max(modes, 1)
 
         k = np.arange(1, modes + 1, dtype=float)
-        self._cos = cos_c[:, 1:modes + 1]
-        self._sin = sin_c[:, 1:modes + 1]
-        self._cos_over_k = self._cos / k
-        self._sin_over_k = self._sin / k
         self.totals = cos_c[:, 0] * TWO_PI
-        # Columns that broadcast against a row of angles.
-        self._k = k[:, None]
-        self._mean = cos_c[:, :1]
+        # [mean | C/k | -S/k]: the antiderivative against (theta, sin k*theta, cos k*theta)
+        self.coefficients = np.hstack([cos_c[:, :1], cos_c[:, 1:modes + 1] / k,
+                                       -sin_c[:, 1:modes + 1] / k])
+        self._k = k[:, None]  # broadcasts against a row of angles
 
     @property
     def mode_count(self) -> int:
         return self._k.size
 
     def value(self, theta):
-        """Point values of the moment profiles, shape (rows, len(theta))."""
+        """Point values of the moment profiles, shape (rows, len(theta)): the
+        antiderivative's basis differentiated term by term."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         kt = self._k * theta
-        out = self._mean + self._cos @ np.cos(kt) + self._sin @ np.sin(kt)
-        return out
+        return self.coefficients @ np.vstack([np.ones_like(theta), self._k * np.cos(kt),
+                                              -self._k * np.sin(kt)])
 
     def cumulative(self, theta):
         """M_w(theta) = int_0^theta of each profile; valid for unwrapped theta."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         kt = self._k * theta
-        out = self._mean * theta
-        out += self._cos_over_k @ np.sin(kt) + self._sin_over_k @ (1.0 - np.cos(kt))
-        return out
+        return self.coefficients @ np.vstack([theta, np.sin(kt), np.cos(kt) - 1.0])
 
     def slice_moments(self, phases):
         """Per-slice integrals between consecutive bars, shape (rows, N).
 
         `phases` are unwrapped and in cyclic order: slice i spans
         [phi_i, phi_{i+1}] and the last slice [phi_N, phi_1 + 2*pi]. Bars out
-        of that order give a negative slice mass.
+        of that order give a negative slice mass. One basis buffer holds
+        theta, sin k*theta and cos k*theta at the N bars and at phi_1 + 2*pi;
+        its column differences times the coefficients are the slices.
         """
-        lo = self.cumulative(phases)
-        out = np.empty_like(lo)
-        out[:, :-1] = lo[:, 1:] - lo[:, :-1]
-        out[:, -1] = (lo[:, 0] - lo[:, -1]) + self.totals
-        return out
+        n = len(phases)
+        basis = np.empty((self.coefficients.shape[1], n + 1))
+        theta = basis[0]
+        theta[:n] = phases
+        theta[n] = phases[0] + TWO_PI
+        kt = self._k * theta
+        modes = kt.shape[0]
+        np.sin(kt, out=basis[1:modes + 1])
+        np.cos(kt, out=basis[modes + 1:])
+        return self.coefficients @ (basis[:, 1:] - basis[:, :-1])
 
 
 @lru_cache(maxsize=16)

@@ -141,6 +141,16 @@ def cyclic_layouts(draw):
     return offset + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
 
 
+def cumulative_difference_moments(table, phases):
+    """Oracle for `MomentTable.slice_moments`: differences of the cumulative
+    moments at the bars, the last slice closed by a full turn's totals."""
+    lo = table.cumulative(phases)
+    out = np.empty_like(lo)
+    out[:, :-1] = lo[:, 1:] - lo[:, :-1]
+    out[:, -1] = (lo[:, 0] - lo[:, -1]) + table.totals
+    return out
+
+
 def per_row_radial(region, density, thetas, weight, rel_tol=1e-8):
     """Oracle for `geometry._chunked_radial`: the radial moments of one weight
     function w(r, theta), each 1024-angle chunk by its own panel-doubling pass

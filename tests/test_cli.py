@@ -244,11 +244,12 @@ def test_verify_log_with_forged_positivity(tmp_path):
 
 
 TRENDS = ("trend_phi_rate", "trend_max_speed", "trend_target_rate")
+EXCURSIONS = ("excursion_fraction", "excursion_depth", "targets_outside")
 
 
 def assert_trends_reported_as_info(report: str):
     lines = {line.split(":")[0]: line for line in report.splitlines()}
-    for name in TRENDS:
+    for name in TRENDS + EXCURSIONS:
         assert lines[name].endswith(" INFO"), lines[name]
 
 

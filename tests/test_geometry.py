@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import cyclic_layouts, per_row_radial, region_and_density, star_regions
+from conftest import (cumulative_difference_moments, cyclic_layouts, per_row_radial,
+                      region_and_density, star_regions)
 from ringcover import geometry
 from ringcover.agents import cost_weight
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField,
@@ -334,6 +335,29 @@ def test_slice_moments_match_quadrature_for_unwrapped_phases(sections, phases):
     # rounding of the cumulative moments at angles up to 6*pi
     shifted = table.slice_moments(phases + TWO_PI)
     assert np.all(np.abs(shifted - moments) <= 1e-11 * scales)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sections=star_regions(), phases=cyclic_layouts(), turns=st.integers(-2, 2),
+       quartic=st.booleans(), crossed=st.integers(0, 6))
+def test_slice_moments_match_the_cumulative_difference(sections, phases, turns, quartic,
+                                                       crossed):
+    # the one product form against the differences of the antiderivative,
+    # on phases moved by whole turns and with two neighbouring bars crossed
+    region, density = region_and_density(sections)
+    table = (moment_table(region, density, degree=4) if quartic
+             else moment_table(region, density))
+    scale = TWO_PI * np.max(np.abs(table.samples), axis=1, keepdims=True)
+    phases = phases + TWO_PI * turns
+    swapped = phases.copy()
+    i = crossed % (phases.size - 1)
+    swapped[[i, i + 1]] = swapped[[i + 1, i]]
+    for p in (phases, swapped):
+        moments = table.slice_moments(p)
+        oracle = cumulative_difference_moments(table, p)
+        assert np.all(np.abs(moments - oracle) <= 1e-13 * scale)
+    # the crossed slice's mass is negative in both forms
+    assert moments[0, i] < 0.0 and oracle[0, i] < 0.0
 
 
 def test_moment_table_slice_moments_wrap(uniform_region, uniform_density):

@@ -3,6 +3,10 @@
 import ast
 from pathlib import Path
 
+import numpy as np
+
+from ringcover.geometry import AnnularRegion, DensityField, PolarCurve, moment_table
+
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "ringcover"
 
 
@@ -126,3 +130,27 @@ def test_geometry_integrates_weights_without_knowing_the_cost():
         found += [f"geometry.py:{node.lineno} {name}" for name in names
                   if "cost" in name.lower()]
     assert found == []
+
+
+def test_slice_moments_are_one_product_of_one_coefficient_matrix():
+    # slice_moments differences its own basis and multiplies once; it does not
+    # go through the cumulative moments, and the table keeps no second set of
+    # per-row coefficients for another slice formula
+    tree = ast.parse((SOURCE / "geometry.py").read_text(encoding="utf-8"))
+    table_class = next(node for node in tree.body
+                       if isinstance(node, ast.ClassDef) and node.name == "MomentTable")
+    method = next(node for node in table_class.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "slice_moments")
+    calls = [ast.unparse(node.func) for node in ast.walk(method) if isinstance(node, ast.Call)]
+    assert not any("cumulative" in call or "value" in call for call in calls), calls
+    assert sum(isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+               for node in ast.walk(method)) == 1
+
+    table = moment_table(AnnularRegion(PolarCurve(1.0, (0.0, 0.3)), PolarCurve(2.5)),
+                         DensityField("reference", (0.01,)))
+    rows = table.samples.shape[0]
+    per_row = sorted(name for name, value in vars(table).items()
+                     if isinstance(value, np.ndarray) and value.ndim == 2
+                     and value.shape[0] == rows)
+    assert per_row == ["coefficients", "samples"], per_row
+    assert table.coefficients.shape == (rows, 1 + 2 * table.mode_count)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import (all_centroids, cyclic_layouts, overtaking_scenario_dict,
-                      reference_scenario_dict, region_and_density, star_regions,
-                      uniform_scenario_dict)
+from conftest import (all_centroids, cumulative_difference_moments, cyclic_layouts,
+                      overtaking_scenario_dict, reference_scenario_dict,
+                      region_and_density, star_regions, uniform_scenario_dict)
 from ringcover import agents, geometry, sim
 from ringcover.agents import slice_centroids, total_cost
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField, MomentTable,
@@ -166,17 +166,47 @@ def test_log_round_trip_serialization():
         TrajectoryLog.from_dict({"records": {}})
 
 
-def test_excursion_flag_set_when_target_in_hole(uniform_region, uniform_density):
-    # a nearly-degenerate split puts the big slice's centroid inside the hole;
-    # with slow bars and a fast tracking gain the agent follows it there
+def hole_scenario():
+    """A nearly-degenerate split puts the big slice's centroid inside the hole;
+    with slow bars and a fast tracking gain the agent follows it there."""
     data = uniform_scenario_dict(
         agents={"count": 2, "initial_phases": [0.0, 0.3],
                 "initial_positions": [[1.2, 0.1], [1.4, 0.2]]},
         gains={"kappa_phi": 0.001, "kappa_p": 5.0},
         integrator={"dt": 0.01, "t_end": 3.0, "log_stride": 10})
     data.pop("search")
-    log = run_scenario(scenario_from_dict(data))
+    return scenario_from_dict(data)
+
+
+def test_excursion_flag_set_when_target_in_hole():
+    log = run_scenario(hole_scenario())
     assert bool(log.excursion.any())
+
+
+def test_verify_reports_excursions_as_info():
+    # on the annulus 1 <= r <= 2 the distance to the nearer circle is radial
+    config = hole_scenario()
+    log = run_scenario(config)
+    lines = {c.name: c for c in verify_invariants(log, config).checks}
+    radius = np.linalg.norm(log.positions, axis=2)
+    depth = np.maximum(1.0 - radius, radius - 2.0)
+    target_radius = np.linalg.norm(log.targets, axis=2)
+    expected = {
+        "excursion_fraction": np.mean(np.any(depth > 0.0, axis=1)),
+        "excursion_depth": np.max(depth),
+        "targets_outside": np.sum((target_radius < 1.0) | (target_radius > 2.0)),
+    }
+    assert 0.0 < expected["excursion_fraction"] < 1.0 and expected["targets_outside"] > 0
+    for name, value in expected.items():
+        assert lines[name].status == "info"
+        assert_allclose(lines[name].worst, value, rtol=0.0, atol=1e-5)
+
+
+def test_boundary_distance_on_circles():
+    region = AnnularRegion(PolarCurve(1.0), PolarCurve(2.0))
+    points = np.array([[[0.0, 0.0], [0.5, 0.0]], [[1.2, 0.0], [0.0, -3.5]]])
+    # polygons through 2048 points sit within r * (pi / 2048)**2 / 2 of the circles
+    assert_allclose(region.boundary_distance(points), [[1.0, 0.5], [0.2, 1.5]], atol=1e-5)
 
 
 def test_verify_passes_on_equilibrium():
@@ -200,9 +230,21 @@ def short_reference_run():
 def test_verify_short_horizon_reports_trends_as_info(short_reference_run):
     # no bound holds on the end-of-run trends at a finite horizon
     statuses = dict(short_reference_run[2])
-    trends = ("trend_phi_rate", "trend_max_speed", "trend_target_rate")
-    assert [statuses.pop(name) for name in trends] == ["info"] * 3
+    info = ("trend_phi_rate", "trend_max_speed", "trend_target_rate",
+            "excursion_fraction", "excursion_depth", "targets_outside")
+    assert [statuses.pop(name) for name in info] == ["info"] * 6
     assert set(statuses.values()) == {"pass"}
+
+
+def test_exponential_bound_reports_its_margin_after_the_first_record(short_reference_run):
+    # the ratio at the first record is 1 by construction and shows no margin
+    log, config, _ = short_reference_run
+    worst = {c.name: c.worst for c in verify_invariants(log, config).checks}
+    envelope = log.lyapunov[0] * np.exp(-2.0 * log.meta["c2"] * (log.times - log.times[0]))
+    assert log.lyapunov[0] / envelope[0] == 1.0
+    margin = np.max(log.lyapunov[1:] / envelope[1:])
+    assert_allclose(worst["lyapunov_exponential_bound"], margin, rtol=1e-12)
+    assert worst["lyapunov_exponential_bound"] < 0.97
 
 
 # For each gating check: the log column it reads, the entries to forge, and
@@ -379,6 +421,19 @@ def test_one_evaluation_per_state(monkeypatch):
     # plus the initial evaluation, and V(0) for the decay constants
     assert counts["slice_moments"] == 4 * steps + 2
     assert counts["optimal_targets"] == 4 * steps + 1
+
+
+def test_trajectory_with_the_cumulative_difference_oracle(monkeypatch):
+    # the one-product slice moments differ from the cumulative differences
+    # only by rounding, and so does a run on either
+    config = scenario_from_dict(reference_scenario_dict(
+        integrator={"dt": 0.01, "t_end": 1.0, "log_stride": 10}))
+    log = run_scenario(config)
+    monkeypatch.setattr(MomentTable, "slice_moments", cumulative_difference_moments)
+    oracle = run_scenario(config)
+    assert np.array_equal(log.halvings, oracle.halvings)
+    for column in ("phases_unwrapped", "positions"):
+        assert np.max(np.abs(getattr(log, column) - getattr(oracle, column))) <= 1e-12
 
 
 def test_run_advances_once_per_step_and_reports_every_step(monkeypatch):
