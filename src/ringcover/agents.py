@@ -10,8 +10,9 @@ and exact Hessian are linear combinations of its rows in the moment table
 with d = p - q, is at least 2I, so every slice cost is strictly convex;
 `optimal_targets` finds its minimiser by Newton's method from the slice
 centroid, which is already the minimiser of the squared-distance cost.
-Adaptive quadrature of `cost_weight` (`subregion_cost`, `total_cost`) stays
-as the independent reference.
+Quadrature of `cost_weight` (`subregion_cost`, `total_cost`) stays as the
+independent reference: adaptive in the angle, and exact in r, because the
+weight has degree 4 in r, the most that `geometry`'s radial rule allows.
 
 A partition is passed as its unwrapped bar phases (see `partition`) and the
 agents as their (N, 2) positions; slice i lies between bars i and i+1.

@@ -55,11 +55,13 @@ def _load_json(path: str):
 
 
 def _scenario(data: dict, seed=None, dt=None) -> ScenarioConfig:
-    """Parse a scenario dict after applying the --seed/--dt overrides."""
-    if seed is not None:
-        data["seed"] = seed
-    if dt is not None:
-        data.setdefault("integrator", {})["dt"] = dt
+    """Parse a scenario dict after applying the --seed/--dt overrides; they go
+    only into sections of the right shape, and the parser names the others."""
+    if isinstance(data, dict):
+        if seed is not None:
+            data["seed"] = seed
+        if dt is not None and isinstance(data.setdefault("integrator", {}), dict):
+            data["integrator"]["dt"] = dt
     return scenario_from_dict(data)
 
 

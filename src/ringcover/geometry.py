@@ -6,22 +6,19 @@ region reduces to a radial moment
 
     int_{r_in(theta)}^{r_out(theta)} w(r, theta) * rho(r, theta) * r dr
 
-followed by an angular integral, so this module provides adaptive
-Gauss-Legendre quadrature for both stages, one panel-doubling loop over any
-weight function w(r, theta) the caller passes. It also builds a cached spectral
-table of cumulative moments (`MomentTable`) so that the simulation inner
-loop can evaluate slice workloads, centroids and polynomial service costs
-in O(modes) instead of re-running the adaptive quadrature at every step:
-all slices of a partition come out of one matrix product, the table's
-antiderivative coefficients times the differences of a trigonometric basis
-between neighbouring bars. A table samples all its rows in one radial pass:
-at each panel level the density is evaluated once, with its angle terms on
-the angle column, and each row stops at its own converged level. Every table
-is checked against the radial quadrature off its sampling grid when it is
-built, and the moment extrema are read off its samples. A radial pass that does not
-converge raises `QuadratureError` before its arrays outgrow a fixed node
-budget. Curves, membership and the distance to the boundary take arrays of
-angles and points.
+followed by an angular integral. Every density is a polynomial in r of
+degree `DensityField.radial_degree` and every weight w has degree <= 4 in r,
+so the radial stage is one Gauss-Legendre rule with just enough nodes to be
+exact: one density evaluation per batch of angles, within a node budget.
+The angular stage doubles composite Gauss-Legendre panels until two levels
+agree. A cached spectral table of cumulative moments (`MomentTable`) lets
+the simulation evaluate slice workloads, centroids and polynomial service
+costs in O(modes): all slices of a partition come out of one matrix product,
+the table's antiderivative coefficients times the differences of a
+trigonometric basis between neighbouring bars. A build samples all rows in
+one radial pass and checks the fit off its grid against the rule with one
+node more; the moment extrema are read off its samples. Curves, membership
+and the distance to the boundary take arrays of angles and points.
 """
 
 from __future__ import annotations
@@ -34,16 +31,16 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# 16-node Gauss-Legendre rule on [-1, 1]; composite panels are doubled until
-# successive estimates agree to the requested relative tolerance.
+# 16-node Gauss-Legendre rule on [-1, 1] of the angular stage; its composite
+# panels double until successive estimates agree to the relative tolerance.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_PANELS = 2 ** 14
-_NODE_BUDGET = 2 ** 22  # (angles x nodes) of a radial level past the second
+_NODE_BUDGET = 2 ** 22  # (angles x nodes) of a radial pass, (nodes x nodes) of its rule
 _ABS_FLOOR = 1e-12
 
 
 class QuadratureError(RuntimeError):
-    """Panel doubling hit the cap or the node budget without reaching the tolerance."""
+    """Panel doubling hit its cap, a radial pass the node budget, or a table its check."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message}; achieved residual {residual:.3e}")
@@ -177,6 +174,16 @@ class DensityField:
             return radial * self.angular.radius(theta)
         raise ValueError(f"unknown density kind {self.kind!r}")
 
+    @property
+    def radial_degree(self) -> int:
+        """Degree of rho as a polynomial in r: trailing zero coefficients of a
+        radial polynomial do not count."""
+        if self.kind == "uniform":
+            return 0
+        if self.kind == "reference":
+            return 1
+        return int(max(np.flatnonzero(self.parameters), default=0))
+
     def bounds(self, region: AnnularRegion):
         """(rho_lower, rho_upper) sampled on a 256 x 33 polar grid of the region."""
         thetas = np.arange(256) * (TWO_PI / 256)
@@ -212,62 +219,34 @@ _MONOMIALS = {
 }
 
 
-def _doubling(estimate, rows, rel_tol, width, stage):
-    """Panel doubling of both stages: `estimate(panels, active)` gives each
-    active row's estimate (`width` values) on `panels` panels, and a row stops
-    at the first level that agrees with the one before. Raises QuadratureError
-    at the panel cap, or before a level past the second would need more than
-    `_NODE_BUDGET` (width x nodes), with the worst residual."""
-    out = np.empty((rows, width))
-    prev = [None] * rows
-    active = range(rows)
-    panels = 1
-    residual = math.inf
-    while panels <= _MAX_PANELS and (panels <= 2 or
-                                     width * panels * _GL_NODES.size <= _NODE_BUDGET):
-        unconverged, residuals = [], []
-        for row, est in zip(active, estimate(panels, active)):
-            if prev[row] is not None:
-                diff = np.abs(est - prev[row])
-                if np.all(diff <= rel_tol * np.abs(est) + _ABS_FLOOR):
-                    out[row] = est
-                    continue
-                residuals.append(float(np.max(diff / (np.abs(est) + _ABS_FLOOR))))
-            prev[row] = est
-            unconverged.append(row)
-        if not unconverged:
-            return out
-        active = unconverged
-        residual = max(residuals, default=residual)
-        panels *= 2
-    raise QuadratureError(f"{stage} quadrature did not converge", residual)
+@lru_cache(maxsize=16)
+def _unit_rule(m: int):
+    """m-node Gauss-Legendre nodes and weights on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(m)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def _radial_batch(region, density, thetas, weights, rel_tol):
-    """Radial moments for an array of angles, one row per weight w(r, theta);
-    each panel level evaluates the nodes and the density once for all rows."""
+def _radial_batch(region, density, thetas, weights, extra=0):
+    """Radial moments for an array of angles, one row per weight w(r, theta),
+    from one evaluation of the nodes and the density for all rows.
+
+    Every weight a caller passes is a polynomial of degree <= 4 in r (the
+    table's monomials and the move weights of `agents`). With rho of degree d
+    the integrand w * rho * r has degree <= d + 5, which m = (d + 7) // 2
+    Gauss-Legendre nodes integrate exactly; `extra` adds nodes.
+    """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    m = (density.radial_degree + 7) // 2 + extra
+    if max(thetas.size, m) * m > _NODE_BUDGET:
+        raise QuadratureError(f"radial pass of {thetas.size} angles x {m} nodes "
+                              f"exceeds the node budget {_NODE_BUDGET}", math.inf)
+    s, w = _unit_rule(m)
     r_lo = region.inner.radius(thetas)
     span = region.outer.radius(thetas) - r_lo
     th = thetas[:, None]
-
-    def estimate(panels, active):
-        s_pts, s_half = _panel_points(0.0, 1.0, panels)
-        w = (s_half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-        r = r_lo[:, None] + span[:, None] * s_pts.ravel()[None, :]
-        rho = density.evaluate(r, th)
-        return [span * ((weights[row](r, th) * rho * r) @ w) for row in active]
-
-    return _doubling(estimate, len(weights), rel_tol, thetas.size, "radial")
-
-
-def _chunked_radial(region, density, thetas, weights, rel_tol):
-    """`_radial_batch` over 1024-angle chunks, one row per weight."""
-    out = np.empty((len(weights), thetas.size))
-    for start in range(0, thetas.size, 1024):
-        sl = slice(start, start + 1024)
-        out[:, sl] = _radial_batch(region, density, thetas[sl], weights, rel_tol)
-    return out
+    r = r_lo[:, None] + span[:, None] * s
+    rho_r = density.evaluate(r, th) * r
+    return np.array([span * ((weight(r, th) * rho_r) @ w) for weight in weights])
 
 
 def region_integral(region, density, phi_lo, phi_hi, weight=_MONOMIALS["plain"], *,
@@ -275,21 +254,30 @@ def region_integral(region, density, phi_lo, phi_hi, weight=_MONOMIALS["plain"],
     """Integral of weight(r, theta) * rho over the angular slice [phi_lo, phi_hi].
 
     When phi_hi < phi_lo the slice wraps through zero (2*pi is added).
-    An equal pair gives an empty slice, not a full turn.
+    An equal pair gives an empty slice, not a full turn. The angular panels
+    double until two levels agree to `rel_tol`; QuadratureError at the cap,
+    with the last residual.
     """
     span = phi_hi - phi_lo
     if phi_hi < phi_lo:
         span += TWO_PI
     if span <= 0.0:
         return 0.0
-
-    def estimate(panels, active):
+    prev = None
+    residual = math.inf
+    panels = 1
+    while panels <= _MAX_PANELS:
         pts, half = _panel_points(phi_lo, phi_lo + span, panels)
-        vals = _radial_batch(region, density, pts.ravel(), (weight,),
-                             0.1 * rel_tol)[0].reshape(pts.shape)
-        return [float(np.sum((vals * _GL_WEIGHTS).sum(axis=1) * half))]
-
-    return float(_doubling(estimate, 1, rel_tol, 1, "angular")[0, 0])
+        vals = _radial_batch(region, density, pts.ravel(), (weight,))[0].reshape(pts.shape)
+        est = float(np.sum((vals * _GL_WEIGHTS).sum(axis=1) * half))
+        if prev is not None:
+            diff = abs(est - prev)
+            if diff <= rel_tol * abs(est) + _ABS_FLOOR:
+                return est
+            residual = diff / (abs(est) + _ABS_FLOOR)
+        prev = est
+        panels *= 2
+    raise QuadratureError("angular quadrature did not converge", residual)
 
 
 # Cached only for callers that clear it, and time it cold, with the table.
@@ -305,11 +293,9 @@ def radial_moment_extrema(region, density):
     return lo, hi
 
 
-# The table samples every profile on this many angles, each by radial
-# quadrature to this relative tolerance, and its build fails past the check
-# tolerance off the grid, relative to each row's largest sample.
+# The table samples every profile on this many angles, and its build fails
+# past the check tolerance off the grid, relative to each row's largest sample.
 _TABLE_GRID = 4096
-_TABLE_REL_TOL = 1e-13
 _TABLE_CHECK_TOL = 1e-10
 
 # Table rows: the moments of degree <= 2 that workloads, centroids and the
@@ -323,8 +309,8 @@ _TABLE_WEIGHTS = {
 class MomentTable:
     """Spectral antiderivatives of the tabulated radial moments.
 
-    Each moment profile is sampled on a uniform angle grid with the adaptive
-    radial quadrature, interpolated by a truncated trigonometric series
+    Each moment profile is sampled on a uniform angle grid with the exact
+    radial rule, interpolated by a truncated trigonometric series
     mean + sum_k c_k cos(k theta) + s_k sin(k theta), and integrated term by
     term. The table keeps the antiderivative as one matrix, `coefficients`
     = [mean | c/k | -s/k] of shape rows x (1 + 2K), against the basis
@@ -418,18 +404,20 @@ def moment_table(region, density, degree=2) -> MomentTable:
     and `moment_table(region, density, degree=2)` build two tables, so
     degree-2 callers omit the argument; the degree-4 table stacks that
     table's samples over its six quartic rows. Raises QuadratureError when
-    the fit misses the quadrature off the grid by more than `_TABLE_CHECK_TOL`.
+    the fit misses the radial rule with one node more off the grid by more
+    than `_TABLE_CHECK_TOL`.
     """
     weights = tuple(_MONOMIALS[name] for name in _TABLE_WEIGHTS[degree])
     thetas = np.arange(_TABLE_GRID) * (TWO_PI / _TABLE_GRID)
     kept = (moment_table(region, density).samples if degree == 4
             else np.empty((0, _TABLE_GRID)))
-    fresh = _chunked_radial(region, density, thetas, weights[len(kept):], _TABLE_REL_TOL)
+    fresh = _radial_batch(region, density, thetas, weights[len(kept):])
     table = MomentTable(np.vstack([kept, fresh]))
 
-    # Halfway between samples, where an aliased or truncated harmonic shows.
+    # Halfway between samples, where an aliased or truncated harmonic shows;
+    # the extra node exposes a rule that is not exact for the stated degree.
     checks = (np.arange(7) * (_TABLE_GRID // 7) + 0.5) * (TWO_PI / _TABLE_GRID)
-    direct = _radial_batch(region, density, checks, weights, _TABLE_REL_TOL)
+    direct = _radial_batch(region, density, checks, weights, extra=1)
     scale = np.max(np.abs(table.samples), axis=1, keepdims=True)
     table.check_error = float(np.max(np.abs(table.value(checks) - direct) / scale))
     if table.check_error > _TABLE_CHECK_TOL:

@@ -348,7 +348,7 @@ def _parse_beta(cost_data: dict) -> float:
     beta >= 0 keeps every slice cost strictly convex (see `agents`).
     """
     kind = cost_data.get("kind", "squared_distance")
-    if kind not in _COST_KINDS:
+    if not isinstance(kind, str) or kind not in _COST_KINDS:
         raise ConfigError("cost.kind",
                           f"unknown kind {kind!r}; expected one of {tuple(_COST_KINDS)}")
     values = _numbers(cost_data.get("parameters", ()), "cost.parameters")

@@ -152,9 +152,9 @@ def cumulative_difference_moments(table, phases):
 
 
 def per_row_radial(region, density, thetas, weight, rel_tol=1e-8):
-    """Oracle for `geometry._chunked_radial`: the radial moments of one weight
-    function w(r, theta), each 1024-angle chunk by its own panel-doubling pass
-    on the materialised (angle, node) grid."""
+    """Oracle for `geometry._radial_batch`: the radial moments of one weight
+    function w(r, theta), each 1024-angle chunk by its own adaptive
+    panel-doubling pass on the materialised (angle, node) grid."""
     out = np.empty(thetas.shape)
     for start in range(0, thetas.size, 1024):
         chunk = thetas[start:start + 1024]

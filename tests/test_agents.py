@@ -213,7 +213,7 @@ def test_radial_second_moment_expansion_identity(reference_region, reference_den
         via_moments = radial_second_moment_about(reference_region, reference_density,
                                                  theta, point)
         direct = _radial_batch(reference_region, reference_density, theta,
-                               (cost_weight(squared, point),), 1e-8)[0]
+                               (cost_weight(squared, point),))[0]
         assert_allclose(via_moments, direct[0], rtol=1e-8)
 
 

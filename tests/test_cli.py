@@ -568,6 +568,34 @@ def test_duration_not_a_whole_number_of_steps_exits_2(tmp_path, caplog, command,
     assert f"invalid config: {field}: " in caplog.text
 
 
+@pytest.mark.parametrize("command, data, extra, field", [
+    ("run", [1, 2], ["--seed", "1"], "config"),
+    ("verify", [1, 2], ["--seed", "1"], "config"),
+    ("run", {**uniform_scenario_dict(), "integrator": 5}, ["--dt", "0.1"], "integrator"),
+    ("search", {**uniform_scenario_dict(), "integrator": 5, "search": {"K_star": 2}},
+     ["--dt", "0.1"], "integrator"),
+    ("run", uniform_scenario_dict(cost={"kind": ["x"]}), [], "cost.kind"),
+], ids=["seed_on_array", "verify_seed_on_array", "dt_on_integrator_number",
+        "search_dt_on_integrator_number", "cost_kind_list"])
+def test_malformed_config_exits_2_naming_the_field(tmp_path, caplog, command, data, extra,
+                                                  field):
+    # the overrides are written only into sections of the right shape, so
+    # the parser reports the bad field instead of a TypeError escaping
+    path = write_config(tmp_path, data)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out"), *extra]) == 2
+    assert f": {field}: " in caplog.text
+
+
+def test_node_budget_failure_exits_3(tmp_path, monkeypatch, caplog):
+    # a radial pass past the node budget fails before it allocates its nodes
+    path = write_config(tmp_path, uniform_scenario_dict(
+        integrator={"dt": 0.05, "t_end": 0.1, "log_stride": 1}))
+    geometry.moment_table.cache_clear()
+    monkeypatch.setattr(geometry, "_NODE_BUDGET", 8)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "runtime failure: radial pass of 4096 angles x 3 nodes exceeds" in caplog.text
+
+
 def test_duration_of_whole_steps_up_to_rounding_runs(tmp_path):
     t_end = 0.05 * 7  # 0.35000000000000003
     data = uniform_scenario_dict(integrator={"dt": 0.05, "t_end": t_end, "log_stride": 1},

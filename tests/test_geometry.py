@@ -11,7 +11,7 @@ from ringcover import geometry
 from ringcover.agents import cost_weight
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField,
                                 InvalidDensityError, PolarCurve, QuadratureError,
-                                _MONOMIALS, _chunked_radial, _radial_batch, moment_table,
+                                _MONOMIALS, _TABLE_WEIGHTS, _radial_batch, moment_table,
                                 radial_moment_extrema, region_integral)
 
 
@@ -56,16 +56,16 @@ def test_region_validation():
 
 def test_radial_moment_uniform(uniform_region, uniform_density):
     assert_allclose(_radial_batch(uniform_region, uniform_density, [0.0, 1.0, 4.5],
-                                  rows("plain"), 1e-8), 1.5, rtol=1e-10)
-    assert_allclose(_radial_batch(uniform_region, uniform_density, 1.0, rows("r2"), 1e-8)[0],
-                    [15.0 / 4.0], rtol=1e-10)
+                                  rows("plain")), 1.5, rtol=1e-14)
+    assert_allclose(_radial_batch(uniform_region, uniform_density, 1.0, rows("r2"))[0],
+                    [15.0 / 4.0], rtol=1e-14)
 
 
 def test_radial_moment_reference_closed_form(reference_region, reference_density):
     # r_in(0) = 1, r_out(0) = 3.5, rho(r, 0) = e + 0.01 r; antiderivative by hand
     expected = math.e * (3.5 ** 2 - 1.0) / 2.0 + 0.01 * (3.5 ** 3 - 1.0) / 3.0
-    value = _radial_batch(reference_region, reference_density, 0.0, rows("plain"), 1e-8)[0]
-    assert_allclose(value, expected, rtol=1e-10)
+    value = _radial_batch(reference_region, reference_density, 0.0, rows("plain"))[0]
+    assert_allclose(value, expected, rtol=1e-14)
     assert_allclose(value, 15.4299186, rtol=1e-7)
 
 
@@ -73,8 +73,8 @@ def test_radial_moment_linear_in_density(reference_region):
     # doubling a uniform density doubles the plain moment
     one = DensityField("uniform", (1.0,))
     two = DensityField("uniform", (2.0,))
-    m1 = _radial_batch(reference_region, one, 0.7, rows("plain"), 1e-8)
-    m2 = _radial_batch(reference_region, two, 0.7, rows("plain"), 1e-8)
+    m1 = _radial_batch(reference_region, one, 0.7, rows("plain"))
+    m2 = _radial_batch(reference_region, two, 0.7, rows("plain"))
     assert_allclose(m2, 2.0 * m1, rtol=1e-10)
 
 
@@ -83,8 +83,8 @@ def test_product_density_closed_form(uniform_region):
     # 1.2 * int_1^2 (2 + r) r dr = 1.2 * (3 + 7/3) = 6.4
     density = DensityField("radial_polynomial_times_angular", (2.0, 1.0),
                            angular=PolarCurve(1.0, cosine_coeffs=(0.2,)))
-    assert_allclose(_radial_batch(uniform_region, density, 0.0, rows("plain"), 1e-8)[0], [6.4],
-                    rtol=1e-10)
+    assert_allclose(_radial_batch(uniform_region, density, 0.0, rows("plain"))[0], [6.4],
+                    rtol=1e-14)
     lo, hi = density.bounds(uniform_region)
     assert 0.0 < lo < hi
 
@@ -130,8 +130,8 @@ def test_extrema_uniform(uniform_region, uniform_density):
 
 def test_extrema_reference_dense_oracle(reference_region, reference_density):
     lo, hi = radial_moment_extrema(reference_region, reference_density)
-    dense = _chunked_radial(reference_region, reference_density,
-                            np.arange(16384) * (TWO_PI / 16384), rows("plain"), 1e-8)[0]
+    dense = _radial_batch(reference_region, reference_density,
+                          np.arange(16384) * (TWO_PI / 16384), rows("plain"))[0]
     lo_dense, hi_dense = dense.min(), dense.max()
     assert abs(lo - lo_dense) <= 1e-3 * lo_dense
     assert abs(hi - hi_dense) <= 1e-3 * hi_dense
@@ -195,123 +195,135 @@ def test_tables_and_extrema_share_one_sampling_pass(sections):
     # the build-time check found both fits far inside its tolerance
     assert 0.0 <= table.check_error <= 1e-13 and 0.0 <= quartic.check_error <= 1e-13
     lo, hi = radial_moment_extrema(region, density)
-    direct = _chunked_radial(region, density, np.arange(2048) * (TWO_PI / 2048),
-                             rows("plain"), 1e-8)[0]
+    direct = per_row_radial(region, density, np.arange(2048) * (TWO_PI / 2048),
+                            _MONOMIALS["plain"])
     assert abs(lo - direct.min()) <= 1e-12 * direct.min()
     assert abs(hi - direct.max()) <= 1e-12 * direct.max()
 
 
-@settings(max_examples=15, deadline=None)
-@given(sections=star_regions(),
-       density=st.sampled_from([
-           DensityField("uniform", (1.5,)), DensityField("reference", (0.01,)),
-           DensityField("radial_polynomial_times_angular", (2.0, 0.5),
-                        angular=PolarCurve(1.0, (0.2,), (0.0, 0.1)))]),
-       count=st.integers(1, 2100), rel_tol=st.sampled_from([1e-8, 1e-13]),
+@st.composite
+def densities(draw):
+    """A density of each kind; the radial polynomial has 1 to 8 coefficients."""
+    kind = draw(st.sampled_from(["uniform", "reference", "radial_polynomial_times_angular"]))
+    if kind == "uniform":
+        return DensityField(kind, (draw(st.floats(0.5, 2.0)),))
+    if kind == "reference":
+        return DensityField(kind, (draw(st.floats(0.0, 0.1)),))
+    coefficients = draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=8))
+    return DensityField(kind, tuple(coefficients), angular=PolarCurve(1.0, (0.2,), (0.0, 0.1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sections=star_regions(), density=densities(), count=st.integers(1, 64),
        position=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
-def test_shared_radial_pass_matches_the_per_row_loop(sections, density, count, rel_tol,
-                                                     position):
-    # every row of the shared pass is bit for bit the row its own pass gives,
-    # across chunk boundaries, all density kinds and the cost weight
+def test_exact_radial_rule_matches_the_adaptive_oracle(sections, density, count, position):
+    # the one rule of (degree + 7) // 2 nodes against panel doubling to 1e-13,
+    # for every tabulated monomial and the quartic move weight
     region, _ = region_and_density(sections)
-    weights = rows(*geometry._TABLE_WEIGHTS[4])
+    weights = rows(*_TABLE_WEIGHTS[4]) + (cost_weight(0.25, position),)
     thetas = np.arange(count) * (TWO_PI / count)
-    shared = _chunked_radial(region, density, thetas, weights, rel_tol)
-    for row, weight in enumerate(weights):
-        oracle = per_row_radial(region, density, thetas, weight, rel_tol=rel_tol)
-        assert np.array_equal(shared[row], oracle), row
-    # the cost weight next to a monomial, on one chunk
-    cost = cost_weight(0.25, position)
-    chunk = thetas[:1024]
-    mixed = _radial_batch(region, density, chunk, (cost, _MONOMIALS["r4"]), rel_tol)
-    assert np.array_equal(mixed[0], per_row_radial(region, density, chunk, cost, rel_tol))
-    assert np.array_equal(mixed[1], shared[-1, :1024])
+    exact = _radial_batch(region, density, thetas, weights)
+    for row, weight in zip(exact, weights):
+        oracle = per_row_radial(region, density, thetas, weight, rel_tol=1e-13)
+        assert np.all(np.abs(row - oracle) <= 1e-14 * np.max(np.abs(oracle)))
 
 
-class NearPoleDensity:
-    """rho = 1 / (r - 0.99), steep at the inner circle r = 1 of the uniform
-    region; counts its evaluations."""
+@pytest.mark.parametrize("density, degree", [
+    (DensityField("uniform", (1.5,)), 0),
+    (DensityField("reference", (0.01,)), 1),
+    (DensityField("radial_polynomial_times_angular", (2.0,)), 0),
+    (DensityField("radial_polynomial_times_angular", (2.0, 0.0, 0.5, 0.0, 0.0),
+                  angular=PolarCurve(1.0, (0.2,))), 2),
+    (DensityField("radial_polynomial_times_angular", (1.0, -0.5, 0.3, 0.2, 0.1, 0.05)), 5),
+])
+def test_radial_degree_is_exact(density, degree):
+    # at a fixed angle a degree-d fit in r leaves only rounding and a fit of
+    # degree d - 1 does not; trailing zero coefficients do not count
+    assert density.radial_degree == degree
+    r = np.linspace(0.5, 3.0, 12)
+    rho = density.evaluate(r, 0.7)
 
-    def __init__(self):
-        self.calls = 0
+    def residual(d):
+        fit = np.polynomial.Polynomial.fit(r, rho, d)
+        return np.max(np.abs(fit(r) - rho)) / np.max(np.abs(rho))
 
-    def evaluate(self, r, theta):
-        self.calls += 1
-        return 1.0 / (r - 0.99)
-
-
-def test_rows_stop_at_their_own_panel_level(uniform_region):
-    density = NearPoleDensity()
-    thetas = np.linspace(0.0, 6.0, 8)
-
-    def sample(weights):
-        density.calls = 0
-        return _radial_batch(uniform_region, density, thetas, weights, 1e-8), density.calls
-
-    (plain, plain_levels), (x, x_levels) = sample(rows("plain")), sample(rows("x"))
-    # the plain row needs one panel level more than the x row
-    assert (plain_levels, x_levels) == (6, 5)
-    shared, levels = sample(rows("plain", "x"))
-    assert levels == 6
-    assert np.array_equal(shared, np.vstack([plain, x]))
+    assert residual(degree) <= 1e-13
+    assert degree == 0 or residual(degree - 1) > 1e-6
 
 
-def test_shared_radial_pass_reports_the_worst_unconverged_row(monkeypatch, uniform_region):
-    # with no relative slack, only rounding-exact rows converge by two levels
-    monkeypatch.setattr(geometry, "_MAX_PANELS", 2)
-    density = DensityField("uniform", (1e6,))
-    thetas = np.linspace(0.0, 6.0, 50)
-
-    def residual(weights):
-        with pytest.raises(QuadratureError) as info:
-            _radial_batch(uniform_region, density, thetas, weights, 0.0)
-        return info.value.residual
-
-    plain = _radial_batch(uniform_region, density, thetas, rows("plain"), 0.0)
-    assert plain.shape == (1, 50)
-    assert residual(rows("plain", "r4", "x")) == max(residual(rows("r4")), residual(rows("x")))
+def test_every_weight_is_a_quartic_in_r():
+    # the exact radial rule counts on it: at fixed angles a degree-4 fit in r
+    # leaves only rounding, for every tabulated monomial and the move weights
+    r = np.linspace(0.5, 3.0, 12)
+    weights = rows(*_TABLE_WEIGHTS[4]) + (cost_weight(0.25, (1.2, -0.7)),
+                                          cost_weight(0.0, (0.3, 0.4)))
+    for theta in (0.3, 2.0, 4.4):
+        for weight in weights:
+            values = weight(r, theta)
+            fit = np.polynomial.Polynomial.fit(r, values, 4)
+            assert np.max(np.abs(fit(r) - values)) <= 1e-13 * np.max(np.abs(values))
 
 
-class RadialStepDensity:
-    """rho = 1 + [r > 1.5 + 0.3 sin(theta)], a jump in r that no panel level
-    resolves; records the largest r array it is evaluated on."""
-
-    def __init__(self):
-        self.largest = 0
-
-    def evaluate(self, r, theta):
-        self.largest = max(self.largest, r.size)
-        return 1.0 + (r > 1.5 + 0.3 * np.sin(theta))
-
-
-def test_radial_quadrature_fails_within_the_node_budget(monkeypatch, uniform_region):
-    density = RadialStepDensity()
-    thetas = np.arange(1024) * (TWO_PI / 1024)
-    with pytest.raises(QuadratureError) as info:
-        _radial_batch(uniform_region, density, thetas, rows("plain", "x"), 1e-8)
-    assert math.isfinite(info.value.residual) and info.value.residual > 1e-8
-    assert 2 * 16 * thetas.size <= density.largest <= geometry._NODE_BUDGET
-    # the first two levels run whatever the budget
-    monkeypatch.setattr(geometry, "_NODE_BUDGET", 16 * 8)
-    density.largest = 0
+@pytest.mark.parametrize("density", [
+    DensityField("reference", (0.01,)),
+    DensityField("radial_polynomial_times_angular", (1.0, 0.5, 0.3, 0.2, 0.1))])
+def test_table_check_catches_an_understated_radial_degree(monkeypatch, reference_region,
+                                                          density):
+    # two degrees short, the rule still integrates the degree-2 rows exactly
+    # but not the quartic ones, and the check's extra node sees it
+    degree = density.radial_degree
+    monkeypatch.setattr(DensityField, "radial_degree", property(lambda self: degree - 2))
+    moment_table.cache_clear()
+    assert moment_table(reference_region, density).check_error <= 1e-13
     with pytest.raises(QuadratureError):
-        _radial_batch(uniform_region, density, thetas[:8], rows("plain"), 1e-8)
-    assert density.largest == 2 * 16 * 8
+        moment_table(reference_region, density, degree=4)
+    moment_table.cache_clear()
 
 
-def test_cold_builds_evaluate_the_density_once_per_chunk_and_level(
-        monkeypatch, reference_region, reference_density):
-    # 4 chunks of the table grid and 1 of check angles, each at 2 panel
-    # levels: 10 evaluations per build (a pass per row took 40, then 68)
+def count_evaluations(monkeypatch):
+    """The argument tuples of every DensityField.evaluate call from now on."""
     calls = []
     evaluate = DensityField.evaluate
     monkeypatch.setattr(DensityField, "evaluate",
                         lambda *args: calls.append(args) or evaluate(*args))
+    return calls
+
+
+def test_node_budget_refuses_a_radial_pass_before_evaluating(monkeypatch, reference_region,
+                                                             reference_density):
+    # the reference table's grid pass is 4096 angles x 4 nodes
+    calls = count_evaluations(monkeypatch)
+    moment_table.cache_clear()
+    monkeypatch.setattr(geometry, "_NODE_BUDGET", 4096 * 4 - 1)
+    with pytest.raises(QuadratureError, match="node budget"):
+        moment_table(reference_region, reference_density)
+    assert calls == []
+    monkeypatch.setattr(geometry, "_NODE_BUDGET", 4096 * 4)
+    moment_table(reference_region, reference_density)
+    assert len(calls) == 2
+    moment_table.cache_clear()
+    # a config may ask for any polynomial length: 2048 coefficients need
+    # 1027 nodes, past the real budget on the table grid
+    monkeypatch.undo()
+    long = DensityField("radial_polynomial_times_angular", (1.0,) * 2048)
+    with pytest.raises(QuadratureError, match="node budget"):
+        moment_table(reference_region, long)
+    # on few angles the rule's own (nodes x nodes) eigenproblem is the bound
+    longer = DensityField("radial_polynomial_times_angular", (1.0,) * 4200)
+    with pytest.raises(QuadratureError, match="1 angles x 2103 nodes"):
+        _radial_batch(reference_region, longer, 0.0, rows("plain"))
+
+
+def test_cold_builds_evaluate_the_density_once_per_chunk_and_level(
+        monkeypatch, reference_region, reference_density):
+    # one pass over the table grid and one over the check angles per build
+    # (a pass per row took 40, then 68, and panel doubling in chunks 10)
+    calls = count_evaluations(monkeypatch)
     moment_table.cache_clear()
     moment_table(reference_region, reference_density)
-    assert len(calls) <= 10
+    assert len(calls) == 2
     moment_table(reference_region, reference_density, degree=4)
-    assert len(calls) <= 20
+    assert len(calls) == 4
 
 
 @settings(max_examples=25, deadline=None)

@@ -51,16 +51,25 @@ def test_no_unused_imports():
     assert found == []
 
 
-def test_radial_profiles_sampled_at_one_site():
-    # the moment table samples every radial profile; the extrema and the
-    # degree-4 table read its samples instead of sampling again
-    found = []
+def test_radial_batch_is_one_pass_called_by_the_table_and_the_integral():
+    # the radial stage is one exact rule: `_radial_batch` evaluates the density
+    # once, with no for or while loop (one comprehension maps the weights),
+    # and only the table's grid pass and check and the angular stage call it;
+    # the extrema and the degree-4 table read the table's samples
+    callers = []
     for path in sorted(SOURCE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Call)
-                  and ast.unparse(node.func) == "_chunked_radial"]
-    assert len(found) == 1, found
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            callers += [f"{path.name}:{getattr(top, 'name', top.lineno)}"
+                        for node in ast.walk(top) if isinstance(node, ast.Call)
+                        and ast.unparse(node.func) == "_radial_batch"]
+    assert sorted(callers) == ["geometry.py:moment_table", "geometry.py:moment_table",
+                               "geometry.py:region_integral"]
+    tree = ast.parse((SOURCE / "geometry.py").read_text(encoding="utf-8"))
+    batch = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_radial_batch")
+    assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(batch))
+    assert sum(isinstance(node, ast.Call) and ast.unparse(node.func) == "density.evaluate"
+               for node in ast.walk(batch)) == 1
 
 
 def _defined_names(node) -> list:
@@ -98,7 +107,7 @@ def test_every_public_name_has_a_user_outside_the_tests():
 
 
 def test_one_panel_doubling_loop():
-    # the radial and the angular quadrature stage share one doubling loop
+    # the angular quadrature stage is the one panel-doubling loop
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -229,8 +229,9 @@ def test_unwrapped_phases_pick_the_wrapped_slices(reference_region, reference_de
                     list(decay_constants(wrapped, 0.03, *args).values()), rtol=1e-12)
     assert_allclose(all_centroids(phases, *args), all_centroids(wrapped, *args), rtol=1e-12)
     squared = 0.0
-    assert (subregion_cost(phases, *args, squared, 0, (1.5, 0.0))
-            == subregion_cost(wrapped, *args, squared, 0, (1.5, 0.0)))
+    # inputs 2*pi apart: the quadrature cost agrees to rounding
+    assert_allclose(subregion_cost(phases, *args, squared, 0, (1.5, 0.0)),
+                    subregion_cost(wrapped, *args, squared, 0, (1.5, 0.0)), rtol=1e-14)
     # slice 0 runs from -1 through zero to 7 - 2*pi
     assert_allclose(slice_workloads(phases, *args)[0],
                     moment_table(*args).cumulative([7.0 - TWO_PI])[0, 0]

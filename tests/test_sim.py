@@ -347,12 +347,17 @@ def test_run_computes_moment_extrema_once():
 @pytest.mark.parametrize("beta, samplings", [(0.0, 4), (0.25, 10)])
 def test_one_sampling_pass_per_table_row(monkeypatch, beta, samplings):
     # four degree-2 rows, plus six quartic rows for a generic cost, counted
-    # over the weight tuples of the sampling calls; the extrema and the
-    # degree-4 table reuse the degree-2 samples
+    # over the weight tuples of the radial passes on the table grid; the
+    # extrema and the degree-4 table reuse the degree-2 samples
     rows = []
-    sample = geometry._chunked_radial
-    monkeypatch.setattr(geometry, "_chunked_radial",
-                        lambda *args: rows.extend(args[3]) or sample(*args))
+    sample = geometry._radial_batch
+
+    def counted(region, density, thetas, weights, extra=0):
+        if np.size(thetas) == geometry._TABLE_GRID:
+            rows.extend(weights)
+        return sample(region, density, thetas, weights, extra)
+
+    monkeypatch.setattr(geometry, "_radial_batch", counted)
     geometry.moment_table.cache_clear()
     radial_moment_extrema.cache_clear()
     run_scenario(scenario_from_dict(reference_scenario_dict(
