@@ -9,7 +9,11 @@ and exact Hessian are linear combinations of its rows in the moment table
 (`slice_cost_terms`). The Hessian of f in p, 2I + beta * (4|d|^2 I + 8 d d')
 with d = p - q, is at least 2I, so every slice cost is strictly convex;
 `optimal_targets` finds its minimiser by Newton's method from the slice
-centroid, which is already the minimiser of the squared-distance cost.
+centroid, which is already the minimiser of the squared-distance cost. It
+takes any number of slices at once: the integrator's agent pass hands it
+the stage moments of a whole block of RK4 steps in one call, and the
+columns do not interact, except that Newton stops when all of them have
+converged.
 Quadrature of `cost_weight` (`subregion_cost`, `total_cost`) stays as the
 independent reference: adaptive in the angle, and exact in r, because the
 weight has degree 4 in r, the most that `geometry`'s radial rule allows.

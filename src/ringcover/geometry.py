@@ -356,6 +356,7 @@ class MomentTable:
         self.coefficients = np.hstack([cos_c[:, :1], cos_c[:, 1:modes + 1] / k,
                                        -sin_c[:, 1:modes + 1] / k])
         self._k = k[:, None]  # broadcasts against a row of angles
+        self._workspaces = {}  # bar count -> the buffers of `slice_moments`
 
     @property
     def mode_count(self) -> int:
@@ -382,18 +383,37 @@ class MomentTable:
         [phi_i, phi_{i+1}] and the last slice [phi_N, phi_1 + 2*pi]. Bars out
         of that order give a negative slice mass. One basis buffer holds
         theta, sin k*theta and cos k*theta at the N bars and at phi_1 + 2*pi;
-        its column differences times the coefficients are the slices.
+        its column differences times the coefficients are the slices. The
+        buffers are kept per bar count (`_workspace`) and overwritten by
+        every call; the returned moments are a fresh array.
         """
         n = len(phases)
-        basis = np.empty((self.coefficients.shape[1], n + 1))
-        theta = basis[0]
+        theta, kt, sines, cosines, upper, lower, steps, difference = (
+            self._workspaces.get(n) or self._workspace(n))
         theta[:n] = phases
         theta[n] = phases[0] + TWO_PI
-        kt = self._k * theta
-        modes = kt.shape[0]
-        np.sin(kt, out=basis[1:modes + 1])
-        np.cos(kt, out=basis[modes + 1:])
-        return self.coefficients @ (basis[:, 1:] - basis[:, :-1])
+        np.multiply(self._k, theta, out=kt)
+        np.sin(kt, out=sines)
+        np.cos(kt, out=cosines)
+        np.subtract(upper, lower, out=steps)
+        return self.coefficients @ difference
+
+    def _workspace(self, n: int) -> tuple:
+        """The buffers of `slice_moments` for n bars, and views into them.
+
+        The basis is (1 + 2K) x (n + 1). Its column differences are taken
+        along the raveled basis, one contiguous subtraction for every row;
+        `difference` views the n differences of each row, and the entry
+        after them is scratch.
+        """
+        width, modes = self.coefficients.shape[1], self._k.size
+        basis = np.empty((width, n + 1))
+        flat = basis.ravel()
+        steps = np.empty(width * (n + 1))
+        work = (basis[0], np.empty((modes, n + 1)), basis[1:modes + 1], basis[modes + 1:],
+                flat[1:], flat[:-1], steps[:-1], steps.reshape(width, n + 1)[:, :n])
+        self._workspaces[n] = work
+        return work
 
 
 @lru_cache(maxsize=16)

@@ -64,9 +64,12 @@ def bar_rates(workloads, kappa_phi: float) -> np.ndarray:
     return kappa_phi * (workloads - workloads[np.arange(-1, len(workloads) - 1)])
 
 
-def imbalance(workloads, mean: float) -> float:
-    """Imbalance energy 0.5 * sum_i (m_i - mean)^2; zero iff equalized."""
-    return 0.5 * float(np.sum((workloads - mean) ** 2))
+def imbalance(workloads, mean: float):
+    """Imbalance energy 0.5 * sum_i (m_i - mean)^2; zero iff equalized.
+
+    Works along the last axis, so an (R, N) array gives R values.
+    """
+    return 0.5 * np.sum((np.asarray(workloads) - mean) ** 2, axis=-1)
 
 
 def cyclic_difference_form(n: int):

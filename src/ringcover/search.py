@@ -9,8 +9,10 @@ total cost and restores that configuration.
 
 State (bars and positions) carries over between epochs; only the epoch timer
 resets. An epoch steps the coverage run's own loop (`sim.integrate_system`)
-with the anchor bar pinned, and its slice costs come from the slice moments
-of the epoch's last step.
+with the anchor bar pinned: the bar pass steps the phases with the anchor's
+rate zeroed, and the agent pass moves the positions once per block of
+steps, as no record is logged within an epoch. Its slice costs come from the
+slice moments of the epoch's last step.
 """
 
 from __future__ import annotations

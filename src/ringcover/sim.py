@@ -1,22 +1,26 @@
-"""Scenario configuration, the coupled integrator, and invariant verification.
+"""Scenario configuration, the cascade integrator, and invariant verification.
 
 A scenario couples the bar-balancing dynamics with the agent tracking law:
 bars rotate toward the heavier neighbouring slice while each agent chases
 the optimal serving position of its slice (the centroid, for the
-squared-distance cost). Integration is fixed-step classical Runge-Kutta for
-reproducibility; every accepted step must keep the bars in cyclic order and
-every slice above a workload floor, and the step is halved when needed. One
-evaluation per state serves the RK4 stages, the step guard, the next step's
-first stage and the logger: the table's one-product slice moments, then the
-bar rates and agent velocities written into one derivative buffer
-(`_System._derivative`). The inner RK4 stages take that buffer alone
-(`_System.stage`); an accepted state keeps its moments and targets as well
-(`_System.evaluate`). `_System.run` is the one stepping loop:
-`run_scenario` drives it with a recorder and produces a `TrajectoryLog`, and
-`integrate_system` drives it for a search epoch with one bar pinned.
-`verify_invariants` checks a log's records against the convergence
-guarantees and reports the end-of-run trends and the excursions out of the
-region for information.
+squared-distance cost). The bar rates read the slice moments alone and
+nothing feeds back from the agents, so the coupled system is a cascade, and
+`_System` integrates it in two passes. The bar pass (`_System.advance`)
+takes fixed classical Runge-Kutta steps of the unwrapped phases; every
+accepted step must keep the bars in cyclic order and every slice above a
+workload floor, and the step is halved when needed. Each RK4 stage is one
+table product of slice moments, then the bar rates, and every accepted
+sub-step keeps its four stage moments. The agent pass (`_System.track`)
+then moves the positions over a block of accepted sub-steps: one
+`optimal_targets` call on all their stage moments, and RK4's closed-form map
+for the linear law p' = -kappa_p (p - T), which gives the stacked RK4 step's
+positions up to rounding. `_System.run` is the one stepping loop and runs
+the agent pass at every record and at least every `BLOCK_STEPS` sub-steps:
+`run_scenario` logs its records into a `TrajectoryLog`, computing the
+derived columns in one batch, and `integrate_system` runs a search epoch
+with one bar pinned. `verify_invariants` checks a log's records against the
+convergence guarantees and reports the end-of-run trends and the excursions
+out of the region for information.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from .partition import (bar_rates, cyclic_gaps, decay_constants, imbalance,
 
 WORKLOAD_FLOOR_FRACTION = 1e-9
 MAX_STEP_HALVINGS = 8
+# The region's checks allocate a few arrays of this many angles.
+MAX_VALIDATION_GRID = 2 ** 20
 
 
 class ConfigError(ValueError):
@@ -220,6 +226,9 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     outer = _parse_curve(region_data.get("outer"), "region.outer")
     grid = _number(region_data.get("validation_grid_size", 2048),
                    "region.validation_grid_size", int)
+    if grid > MAX_VALIDATION_GRID:
+        raise ConfigError("region.validation_grid_size",
+                          f"at most {MAX_VALIDATION_GRID}, got {grid}")
     try:
         region = AnnularRegion(inner, outer, validation_grid_size=grid)
     except ValueError as exc:
@@ -467,18 +476,47 @@ def rk4_step(state: np.ndarray, derivative, dt: float, k1: np.ndarray) -> np.nda
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-class _Evaluation(NamedTuple):
-    """The coupled dynamics at one stacked state (unwrapped phases, positions)."""
+# The agent pass runs at least once per this many accepted sub-steps, which
+# bounds the stage moments a run keeps between two records.
+BLOCK_STEPS = 256
 
-    state: np.ndarray
-    moments: np.ndarray     # slice moments, shape (rows, N)
-    rates: np.ndarray       # bar rates, the pinned bar's zeroed (a view of derivative)
-    targets: np.ndarray     # optimal serving points, shape (N, 2)
-    derivative: np.ndarray  # stacked (bar rates, agent velocities)
+
+class _Bars(NamedTuple):
+    """The bar system at one accepted state."""
+
+    phases: np.ndarray   # unwrapped, in cyclic order
+    moments: np.ndarray  # slice moments, shape (rows, N)
+    rates: np.ndarray    # bar rates, the pinned bar's zeroed
+
+
+class _SubStep(NamedTuple):
+    """An accepted RK4 sub-step of the bar pass: its length, and the slice
+    moments at its stages 2 to 4 and at its end (stage 1 is the start)."""
+
+    dt: float
+    moments: list
+
+
+class _Record(NamedTuple):
+    """A logged state: step index, phases, positions, slice moments, the
+    targets at those moments, and the deepest halving of the step."""
+
+    step: int
+    phases: np.ndarray
+    positions: np.ndarray
+    moments: np.ndarray
+    targets: np.ndarray
+    halvings: int
 
 
 class _System:
-    """Stacked (unwrapped phases, positions) dynamics with the workload guard."""
+    """The cascade of the bar system, guarded, into the agents' tracking law.
+
+    The bar rates read the slice moments alone, and nothing feeds back from
+    the agents, so the bar pass (`advance`) steps the phases first and keeps
+    every accepted sub-step's stage moments; the agent pass (`track`) then
+    moves the positions over that block of sub-steps.
+    """
 
     def __init__(self, region, density, beta: float, n: int,
                  kappa_phi: float, kappa_p: float, pinned: int | None = None):
@@ -490,86 +528,103 @@ class _System:
         self.table = agents_mod.cost_table(region, density, beta)
         self.workload_floor = WORKLOAD_FLOOR_FRACTION * float(self.table.totals[0]) / n
         self._previous = np.arange(-1, n - 1)  # bar i turns between slices i-1 and i
+        self._trial = []  # the stage moments of the RK4 trial in progress
 
-    def split(self, y: np.ndarray):
-        return y[:self.n], y[self.n:].reshape(self.n, 2)
-
-    def _derivative(self, y: np.ndarray, moments: np.ndarray):
-        """(targets, stacked derivative) at y from its slice moments: the
-        formulas of `bar_rates` and of the tracking law, written into one
-        buffer."""
-        n = self.n
-        derivative = np.empty_like(y)
+    def rates(self, moments: np.ndarray) -> np.ndarray:
+        """Bar rates from slice moments: the formula of `bar_rates`, with the
+        pinned bar's rate zeroed."""
         mass = moments[0]
-        rates = derivative[:n]
-        np.subtract(mass, mass[self._previous], out=rates)
+        rates = mass - mass[self._previous]
         rates *= self.kappa_phi
         if self.pinned is not None:
             rates[self.pinned] = 0.0
-        targets = agents_mod.optimal_targets(moments, self.beta)
-        velocity = derivative[n:].reshape(n, 2)
-        np.subtract(y[n:].reshape(n, 2), targets, out=velocity)
-        velocity *= -self.kappa_p
-        return targets, derivative
+        return rates
 
-    def stage(self, y: np.ndarray) -> np.ndarray:
-        """The derivative at an RK4 stage's state y."""
-        return self._derivative(y, self.table.slice_moments(y[:self.n]))[1]
+    def _stage(self, phases: np.ndarray) -> np.ndarray:
+        """The bar rates at an RK4 stage; its slice moments join the trial's."""
+        moments = self.table.slice_moments(phases)
+        self._trial.append(moments)
+        return self.rates(moments)
 
-    def evaluate(self, y: np.ndarray, moments=None) -> _Evaluation:
-        """Moments, bar rates, targets and derivative at y.
-
-        `moments`, when given, are the slice moments at y, already computed.
-        """
-        if moments is None:
-            moments = self.table.slice_moments(y[:self.n])
-        targets, derivative = self._derivative(y, moments)
-        return _Evaluation(y, moments, derivative[:self.n], targets, derivative)
-
-    def evaluate_guarded(self, y: np.ndarray) -> _Evaluation | None:
-        """Evaluation at y if the bars keep their cyclic order and every slice
-        its workload floor, else None; a rejected y never reaches the targets."""
-        phases = y[:self.n]
-        if (cyclic_gaps(phases) <= 0.0).any():
+    def guard(self, phases: np.ndarray) -> np.ndarray | None:
+        """Slice moments at `phases` if the bars keep their cyclic order and
+        every slice its workload floor, else None; bars out of order never
+        reach the table."""
+        if (phases[1:] <= phases[:-1]).any() or phases[0] + TWO_PI <= phases[-1]:
             return None
         moments = self.table.slice_moments(phases)
         if not moments[0].min() > self.workload_floor:
             return None
-        return self.evaluate(y, moments)
+        return moments
 
-    def advance(self, start: _Evaluation, dt: float,
-                depth: int = 0) -> tuple[_Evaluation, int]:
-        """Guarded step: halve (up to the cap) if bars would cross or a slice collapse.
+    def advance(self, start: _Bars, dt: float, block: list,
+                depth: int = 0) -> tuple[_Bars, int]:
+        """Guarded bar step: halve (up to the cap) if bars would cross or a slice
+        collapse. Appends every accepted sub-step to `block`, in order.
 
-        Returns the accepted evaluation and the deepest halving the step took.
+        Returns the accepted state and the deepest halving the step took.
         """
-        trial = rk4_step(start.state, self.stage, dt, k1=start.derivative)
-        accepted = self.evaluate_guarded(trial)
-        if accepted is not None:
-            return accepted, depth
+        self._trial = []
+        phases = rk4_step(start.phases, self._stage, dt, k1=start.rates)
+        moments = self.guard(phases)
+        if moments is not None:
+            block.append(_SubStep(dt, self._trial + [moments]))
+            return _Bars(phases, moments, self.rates(moments)), depth
         if depth >= MAX_STEP_HALVINGS:
             raise IntegrationError(
                 f"step still crosses bars or breaks the workload floor "
                 f"{self.workload_floor:.3e} after {MAX_STEP_HALVINGS} step halvings")
-        mid, first = self.advance(start, 0.5 * dt, depth + 1)
-        end, second = self.advance(mid, 0.5 * dt, depth + 1)
+        mid, first = self.advance(start, 0.5 * dt, block, depth + 1)
+        end, second = self.advance(mid, 0.5 * dt, block, depth + 1)
         return end, max(first, second)
 
-    def run(self, phases, positions, dt: float, steps: int, on_step=None) -> _Evaluation:
-        """Take `steps` guarded steps of dt from (phases, positions) and return
-        the last evaluation.
+    def track(self, positions: np.ndarray, targets: np.ndarray, block: list):
+        """The agent pass: move `positions` over a block of bar sub-steps.
 
-        `on_step(k, evaluation, halvings)`, when given, sees the start as k = 0
-        and then every accepted step k with the deepest halving it took.
+        `targets` are the optimal points at the block's start. One
+        `optimal_targets` call on every stage's moments gives T_1..T_4 of each
+        sub-step (T_1 is the previous end's), and RK4 applied to the linear
+        law p' = -kappa_p (p - T) is, with z = -kappa_p dt, the map
+        p+ = R(z) p - (c_1 T_1 + c_2 T_2 + c_3 T_3 + c_4 T_4). Returns the
+        positions and the targets at the block's end.
         """
-        current = self.evaluate(np.concatenate([phases, np.ravel(positions)]))
-        if on_step is not None:
-            on_step(0, current, 0)
+        n = self.n
+        stacked = agents_mod.optimal_targets(
+            np.concatenate([m for step in block for m in step.moments], axis=1), self.beta)
+        stages = stacked.reshape(len(block), 4, n, 2)
+        first = np.concatenate([targets[None], stages[:-1, 3]])
+        z = -self.kappa_p * np.array([step.dt for step in block])[:, None, None]
+        z2, z3, z4 = z * z, z * z * z, z * z * z * z
+        growth = 1.0 + z + z2 / 2.0 + z3 / 6.0 + z4 / 24.0
+        pulls = ((z + z2 + z3 / 2.0 + z4 / 4.0) / 6.0 * first
+                 + (2.0 * z + z2 + z3 / 2.0) / 6.0 * stages[:, 0]
+                 + (2.0 * z + z2) / 6.0 * stages[:, 1] + z / 6.0 * stages[:, 2])
+        for r, pull in zip(growth, pulls):
+            positions = r * positions - pull
+        return positions, stages[-1, 3].copy()
+
+    def run(self, phases, positions, dt: float, steps: int, stride: int):
+        """Take `steps` guarded steps of dt from (phases, positions), yielding a
+        `_Record` at the start, at every `stride`-th step and at the last.
+
+        The agent pass runs at every record and at least every `BLOCK_STEPS`
+        sub-steps; a guard failure raises IntegrationError after the records
+        yielded so far.
+        """
+        moments = self.table.slice_moments(phases)
+        bars = _Bars(phases, moments, self.rates(moments))
+        targets = agents_mod.optimal_targets(moments, self.beta)
+        positions = np.array(positions, dtype=float)
+        yield _Record(0, phases, positions, moments, targets, 0)
+        block = []
         for k in range(1, steps + 1):
-            current, halvings = self.advance(current, dt)
-            if on_step is not None:
-                on_step(k, current, halvings)
-        return current
+            bars, halvings = self.advance(bars, dt, block)
+            logged = k % stride == 0 or k == steps
+            if logged or len(block) >= BLOCK_STEPS:
+                positions, targets = self.track(positions, targets, block)
+                block = []
+            if logged:
+                yield _Record(k, bars.phases, positions, bars.moments, targets, halvings)
 
 
 def integrate_system(config: ScenarioConfig, phases, positions, duration: float,
@@ -579,8 +634,9 @@ def integrate_system(config: ScenarioConfig, phases, positions, duration: float,
     end, the moments from the table the config's cost needs."""
     system = _System(config.region, config.density, config.beta, config.n_agents,
                      config.kappa_phi, config.kappa_p, pinned)
-    end = system.run(phases, positions, config.dt, round(duration / config.dt))
-    return (*system.split(end.state), end.moments)
+    steps = round(duration / config.dt)
+    *_, end = system.run(phases, positions, config.dt, steps, steps)
+    return end.phases, end.positions, end.moments
 
 
 def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
@@ -593,52 +649,47 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
     system = _System(config.region, config.density, config.beta, config.n_agents,
                      config.kappa_phi, config.kappa_p)
     total = float(system.table.totals[0])
-    m_bar = total / config.n_agents
     meta = {
-        "m_bar": m_bar,
+        "m_bar": total / config.n_agents,
         "total_workload": total,
         **decay_constants(config.initial_phases, config.kappa_phi, config.region,
                           config.density),
         "guard_failures": 0,
         "workload_floor": system.workload_floor,
     }
-    steps = round(config.t_end / config.dt)
-    rows = []
-
-    def record(k: int, evaluation: _Evaluation, halvings: int):
-        if k % config.log_stride and k != steps:
-            return
-        phases, positions = system.split(evaluation.state)
-        moments = evaluation.moments
-        m = moments[0]
-        costs, _, _ = agents_mod.slice_cost_terms(moments, positions, config.beta)
-        offsets = positions - evaluation.targets
-        rows.append({
-            "times": k * config.dt,
-            "phases_unwrapped": phases.copy(),
-            "positions": positions.copy(),
-            "workloads": m.copy(),
-            "lyapunov": imbalance(m, m_bar),
-            "cost": float(np.sum(costs)),
-            "targets": evaluation.targets,
-            "tracking": float(np.sum(m * np.sum(offsets * offsets, axis=1))),
-            "excursion": not config.region.contains(positions).all(),
-            "halvings": halvings,
-        })
-
+    records = []
     try:
-        system.run(config.initial_phases, config.initial_positions, config.dt, steps, record)
+        records.extend(system.run(config.initial_phases, config.initial_positions,
+                                  config.dt, round(config.t_end / config.dt),
+                                  config.log_stride))
     except IntegrationError as exc:
         meta["guard_failures"] = 1
-        partial = _assemble_log(rows, config, meta)
+        partial = _assemble_log(records, config, meta)
         raise IntegrationError(str(exc), log=partial) from None
-    return _assemble_log(rows, config, meta)
+    return _assemble_log(records, config, meta)
 
 
-def _assemble_log(rows, config: ScenarioConfig, meta: dict) -> TrajectoryLog:
-    columns = {name: np.array([row[name] for row in rows],
-                              dtype=_RECORD_DTYPES.get(name, float))
-               for name in _RECORDS}
+def _assemble_log(records: list, config: ScenarioConfig, meta: dict) -> TrajectoryLog:
+    """The log's columns from its records, every derived column in one batch."""
+    phases, positions, targets = (np.array([getattr(r, name) for r in records])
+                                  for name in ("phases", "positions", "targets"))
+    moments = np.concatenate([r.moments for r in records], axis=1)
+    rows, n = phases.shape
+    workloads = moments[0].reshape(rows, n)
+    costs = agents_mod.slice_cost_terms(moments, positions.reshape(-1, 2), config.beta)[0]
+    offsets = positions - targets
+    columns = {
+        "times": np.array([r.step * config.dt for r in records]),
+        "phases_unwrapped": phases,
+        "positions": positions,
+        "workloads": workloads,
+        "lyapunov": imbalance(workloads, meta["m_bar"]),
+        "cost": np.sum(costs.reshape(rows, n), axis=1),
+        "targets": targets,
+        "tracking": np.sum(workloads * np.sum(offsets * offsets, axis=2), axis=1),
+        "excursion": ~config.region.contains(positions).all(axis=1),
+        "halvings": np.array([r.halvings for r in records], dtype=int),
+    }
     return TrajectoryLog(**columns, config_echo=config.to_dict(), meta=meta)
 
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ringcover import geometry
+from ringcover import agents, geometry, sim
 from ringcover.agents import slice_centroids
 from ringcover.geometry import TWO_PI, AnnularRegion, DensityField, PolarCurve
-from ringcover.sim import run_scenario, scenario_from_dict
+from ringcover.partition import bar_rates, cyclic_gaps
+from ringcover.sim import rk4_step, run_scenario, scenario_from_dict
 
 
 def all_centroids(phases, region, density):
@@ -176,3 +177,68 @@ def per_row_radial(region, density, thetas, weight, rel_tol=1e-8):
             panels *= 2
         out[start:start + 1024] = est
     return out
+
+
+def stacked_run(config, pinned=None) -> dict:
+    """Oracle for the cascade stepper of `sim._System`: the coupled system
+    integrated as one stacked (phases, positions) vector, every RK4 stage
+    evaluating the bar rates and the agents' targets together, with the same
+    guard and halving. Returns the record columns of a run of `config` with
+    bar `pinned` frozen, as `run_scenario` logs them."""
+    n, beta = config.n_agents, config.beta
+    table = agents.cost_table(config.region, config.density, beta)
+    floor = sim.WORKLOAD_FLOOR_FRACTION * float(table.totals[0]) / n
+    m_bar = float(table.totals[0]) / n
+
+    def evaluate(y, moments=None):
+        """(state, moments, targets, stacked derivative) at y."""
+        if moments is None:
+            moments = table.slice_moments(y[:n])
+        rates = bar_rates(moments[0], config.kappa_phi)
+        if pinned is not None:
+            rates[pinned] = 0.0
+        targets = agents.optimal_targets(moments, beta)
+        velocity = -config.kappa_p * (y[n:].reshape(n, 2) - targets)
+        return y, moments, targets, np.concatenate([rates, velocity.ravel()])
+
+    def advance(start, dt, depth=0):
+        trial = rk4_step(start[0], lambda y: evaluate(y)[3], dt, start[3])
+        if not (cyclic_gaps(trial[:n]) <= 0.0).any():
+            moments = table.slice_moments(trial[:n])
+            if moments[0].min() > floor:
+                return evaluate(trial, moments), depth
+        if depth >= sim.MAX_STEP_HALVINGS:
+            raise sim.IntegrationError("step halvings exhausted")
+        mid, first = advance(start, 0.5 * dt, depth + 1)
+        end, second = advance(mid, 0.5 * dt, depth + 1)
+        return end, max(first, second)
+
+    steps = round(config.t_end / config.dt)
+    current = evaluate(np.concatenate([config.initial_phases,
+                                       np.ravel(config.initial_positions)]))
+    rows, halvings = [], 0
+    for k in range(steps + 1):
+        if k:
+            current, halvings = advance(current, config.dt)
+        if k % config.log_stride and k != steps:
+            continue
+        y, moments, targets, _ = current
+        positions = y[n:].reshape(n, 2)
+        m = moments[0]
+        costs = agents.slice_cost_terms(moments, positions, beta)[0]
+        offsets = positions - targets
+        rows.append({
+            "times": k * config.dt,
+            "phases_unwrapped": y[:n],
+            "positions": positions,
+            "workloads": m,
+            "lyapunov": 0.5 * float(np.sum((m - m_bar) ** 2)),
+            "cost": float(np.sum(costs)),
+            "targets": targets,
+            "tracking": float(np.sum(m * np.sum(offsets * offsets, axis=1))),
+            "excursion": not config.region.contains(positions).all(),
+            "halvings": halvings,
+        })
+    return {name: np.array([row[name] for row in rows],
+                           dtype=sim._RECORD_DTYPES.get(name, float))
+            for name in sim._RECORDS}

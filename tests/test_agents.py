@@ -10,7 +10,7 @@ from ringcover.agents import (cost_table, cost_weight, optimal_targets,
                               slice_centroids, slice_cost_terms, subregion_cost,
                               total_cost)
 from ringcover.geometry import TWO_PI, _radial_batch, moment_table
-from ringcover.sim import _System
+from ringcover.sim import _Bars, _System
 
 SECTOR_CENTROID_X = 28.0 * math.sqrt(2.0) / (9.0 * math.pi)
 SECTOR_MASS = 3.0 * math.pi / 4.0
@@ -135,25 +135,33 @@ def test_gradient_finite_difference_generic(sector_phases, uniform_region,
 
 
 def test_control_input(sector_phases, uniform_region, uniform_density):
-    # the integrator's agent velocity is -kappa_p * (p - target)
-    system = _System(uniform_region, uniform_density, 0.0, 2, 0.03, 0.1)
+    # the agent pass is RK4 on p' = -kappa_p * (p - target): with the bars
+    # still (kappa_phi = 0) the targets are fixed, and one step of dt scales
+    # the offset from the target by the degree-4 Taylor polynomial of
+    # exp(-kappa_p dt)
+    system = _System(uniform_region, uniform_density, 0.0, 2, 0.0, 0.1)
+    moments = system.table.slice_moments(sector_phases)
+    targets = optimal_targets(moments, 0.0)
+    block = []
+    system.advance(_Bars(sector_phases, moments, system.rates(moments)), 0.5, block)
+    assert len(block) == 1
 
-    def velocity(positions):
-        ev = system.evaluate(np.concatenate([sector_phases, np.ravel(positions)]))
-        return ev.targets, ev.derivative[2:].reshape(2, 2)
+    def step(positions):
+        moved, end_targets = system.track(positions, targets, block)
+        assert np.array_equal(end_targets, targets)
+        return moved
 
-    targets, _ = velocity(np.zeros((2, 2)))
-    positions = targets + [[1.0, 0.0], [0.0, 1.0]]
-    _, v = velocity(positions)
-    assert np.array_equal(v, -0.1 * (positions - targets))
-    # p - target rounds the unit offsets
-    assert_allclose(v, [[-0.1, 0.0], [0.0, -0.1]], rtol=1e-12, atol=1e-15)
-    _, v = velocity(targets)
-    assert np.array_equal(v, np.zeros((2, 2)))
+    z = -0.1 * 0.5
+    growth = 1.0 + z + z * z / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+    offsets = np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert_allclose(step(targets + offsets) - targets, growth * offsets,
+                    rtol=1e-14, atol=1e-15)
+    # an agent at its target stays there, up to rounding
+    assert_allclose(step(targets), targets, rtol=1e-15, atol=1e-15)
     # linear in the offset
-    _, va = velocity(targets + [[2.0, -1.0], [0.0, 1.0]])
-    _, vb = velocity(targets + [[4.0, -2.0], [0.0, 1.0]])
-    assert_allclose(vb[0], 2.0 * va[0], rtol=1e-12)
+    moved_a = step(targets + [[2.0, -1.0], [0.0, 1.0]]) - targets
+    moved_b = step(targets + [[4.0, -2.0], [0.0, 1.0]]) - targets
+    assert_allclose(moved_b[0], 2.0 * moved_a[0], rtol=1e-14)
 
 
 def optimal_target(phases, region, density, beta, i):

@@ -463,6 +463,28 @@ def test_run_rejects_malformed_number(tmp_path, caplog, path, value, field):
     assert f"invalid config: {field}: " in caplog.text
 
 
+@pytest.mark.parametrize("size", [sim.MAX_VALIDATION_GRID + 1, 10 ** 12])
+def test_oversized_validation_grid_exits_2_before_the_region_is_built(
+        tmp_path, monkeypatch, caplog, size):
+    # the region's checks allocate arrays of the grid size; 10**12 angles
+    # would raise MemoryError there
+    built = []
+    region = sim.AnnularRegion
+    monkeypatch.setattr(sim, "AnnularRegion", lambda *args, **kw: built.append(kw)
+                        or region(*args, **kw))
+    data = uniform_scenario_dict()
+    data["region"]["validation_grid_size"] = size
+    assert cmd_run(write_config(tmp_path, data), str(tmp_path / "out")) == 2
+    assert (f"invalid config: region.validation_grid_size: at most "
+            f"{sim.MAX_VALIDATION_GRID}, got {size}") in caplog.text
+    assert built == []
+    assert not (tmp_path / "out").exists()
+    # the bound itself parses
+    data["region"]["validation_grid_size"] = sim.MAX_VALIDATION_GRID
+    config = sim.scenario_from_dict(data)
+    assert config.region.validation_grid_size == sim.MAX_VALIDATION_GRID
+
+
 @pytest.mark.parametrize("path", ["gains.kappa_phi", "gains.kappa_p", "integrator.t_end",
                                   "search.T_epsilon"])
 def test_run_reports_a_missing_required_field(tmp_path, caplog, path):
@@ -500,10 +522,10 @@ def test_partial_log_keeps_a_snapshot_at_its_last_record(tmp_path, monkeypatch):
     steps = iter(range(3))
     advance = sim._System.advance
 
-    def advance_three_steps(self, start, dt, depth=0):
-        if next(steps, None) is None:
+    def advance_three_steps(self, start, dt, block, depth=0):
+        if depth == 0 and next(steps, None) is None:
             raise sim.IntegrationError("step refused")
-        return advance(self, start, dt, depth)
+        return advance(self, start, dt, block, depth)
 
     monkeypatch.setattr(sim._System, "advance", advance_three_steps)
     data = uniform_scenario_dict(integrator={"dt": 0.15, "t_end": 0.6, "log_stride": 1},

@@ -163,3 +163,50 @@ def test_slice_moments_are_one_product_of_one_coefficient_matrix():
                      and value.shape[0] == rows)
     assert per_row == ["coefficients", "samples"], per_row
     assert table.coefficients.shape == (rows, 1 + 2 * table.mode_count)
+
+
+def _enclosing_functions(tree, matches) -> list:
+    """Qualified names (Class.method or function) of the top-level functions
+    and methods that hold a node for which `matches(node)` is true, once per
+    node."""
+    found = []
+    for top in tree.body:
+        methods = ([(f"{top.name}.{node.name}", node) for node in top.body
+                    if isinstance(node, ast.FunctionDef)]
+                   if isinstance(top, ast.ClassDef) else [(getattr(top, "name", ""), top)])
+        for name, node in methods:
+            found += [name for child in ast.walk(node) if matches(child)]
+    return found
+
+
+def test_bars_step_by_rk4_and_agents_by_its_closed_form_map():
+    # the cascade stepper: the bar pass is the only caller of rk4_step, and
+    # the positions move only by RK4's closed-form map of the tracking law,
+    # one assignment in a loop of `_System.track`, the one method of the
+    # stepper that reads the tracking gain, run from one site
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+
+    def sites(matches):
+        return sorted(f"{name}:{site}" for name, tree in trees.items()
+                      for site in _enclosing_functions(tree, matches))
+
+    def called(name):
+        return lambda node: (isinstance(node, ast.Call)
+                             and ast.unparse(node.func).split(".")[-1] == name)
+
+    assert sites(called("rk4_step")) == ["sim.py:_System.advance"]
+    assert sites(called("track")) == ["sim.py:_System.run"]
+    gain_reads = sites(lambda node: isinstance(node, ast.Attribute)
+                       and node.attr == "kappa_p" and ast.unparse(node.value) == "self"
+                       and isinstance(node.ctx, ast.Load))
+    assert [site for site in gain_reads if ":_System." in site] == ["sim.py:_System.track"]
+    system = next(node for node in trees["sim.py"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "_System")
+    track = next(node for node in system.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "track")
+    moves = [node for node in ast.walk(track) if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "positions" for t in node.targets)]
+    assert len(moves) == 1
+    loops = [node for node in ast.walk(track) if isinstance(node, ast.For)]
+    assert len(loops) == 1 and loops[0].body == moves

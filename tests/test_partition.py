@@ -24,11 +24,13 @@ def slice_workloads(phases, region, density):
     return moment_table(region, density).slice_moments(phases)[0]
 
 
-def evaluation(phases, region, density, pinned=None):
-    """The integrator's evaluation at a partition, agents at the origin, kappa_phi 0.03."""
-    n = len(phases)
-    system = _System(region, density, 0.0, n, 0.03, 0.1, pinned)
-    return system, system.evaluate(np.concatenate([phases, np.zeros(2 * n)]))
+def bar_pass(phases, region, density, pinned=None):
+    """The integrator's bar pass at a partition, kappa_phi 0.03: the system,
+    its slice moments and its bar rates there."""
+    phases = np.asarray(phases, dtype=float)
+    system = _System(region, density, 0.0, len(phases), 0.03, 0.1, pinned)
+    moments = system.table.slice_moments(phases)
+    return system, moments, system.rates(moments)
 
 
 def test_workloads_two_bars(two_bar_phases, uniform_region, uniform_density):
@@ -55,21 +57,23 @@ def test_workload_sum_is_total(reference_region, reference_density):
 
 def test_rhs_equilibrium_is_zero(uniform_region, uniform_density):
     phases = np.arange(4) * math.pi / 2.0
-    _, ev = evaluation(phases, uniform_region, uniform_density)
-    assert_allclose(ev.rates, 0.0, atol=1e-14)
+    _, _, rates = bar_pass(phases, uniform_region, uniform_density)
+    assert_allclose(rates, 0.0, atol=1e-14)
 
 
 def test_rhs_two_bars(two_bar_phases, uniform_region, uniform_density):
-    _, ev = evaluation(two_bar_phases, uniform_region, uniform_density)
+    system, moments, rates = bar_pass(two_bar_phases, uniform_region, uniform_density)
     expected = 0.03 * (3.0 * math.pi / 4.0 - 9.0 * math.pi / 4.0)
-    assert_allclose(ev.rates, [expected, -expected], rtol=1e-10)
-    assert_allclose(ev.rates[0], -0.14137, rtol=1e-4)
-    assert np.array_equal(ev.derivative[:2], ev.rates)
-    assert np.array_equal(bar_rates(ev.moments[0], 0.03), ev.rates)
+    assert_allclose(rates, [expected, -expected], rtol=1e-10)
+    assert_allclose(rates[0], -0.14137, rtol=1e-4)
+    # an RK4 stage of the bar pass sees these rates
+    assert np.array_equal(system._stage(two_bar_phases), rates)
+    assert np.array_equal(bar_rates(moments[0], 0.03), rates)
     # a pinned bar holds still; the other keeps its rate
-    _, pinned = evaluation(two_bar_phases, uniform_region, uniform_density, pinned=0)
-    assert pinned.rates[0] == 0.0 and pinned.derivative[0] == 0.0
-    assert pinned.rates[1] == ev.rates[1]
+    pinned_system, _, pinned = bar_pass(two_bar_phases, uniform_region, uniform_density,
+                                        pinned=0)
+    assert pinned[0] == 0.0 and pinned_system._stage(two_bar_phases)[0] == 0.0
+    assert pinned[1] == rates[1]
 
 
 def test_rhs_rates_sum_to_zero(reference_region, reference_density):
@@ -177,25 +181,24 @@ def test_equal_share_residual(reference_region, reference_density):
 
 def test_mean_workload(two_bar_phases, uniform_region, uniform_density):
     # the guard's floor is a fixed fraction of the equal share total / N
-    system, _ = evaluation(two_bar_phases, uniform_region, uniform_density)
+    system, _, _ = bar_pass(two_bar_phases, uniform_region, uniform_density)
     assert_allclose(system.workload_floor / sim.WORKLOAD_FLOOR_FRACTION,
                     3.0 * math.pi / 2.0, rtol=1e-12)
 
 
 def test_min_workload_guard(two_bar_phases, uniform_region, uniform_density):
-    system, ev = evaluation(two_bar_phases, uniform_region, uniform_density)
-    accepted = system.evaluate_guarded(ev.state)
-    assert np.array_equal(accepted.derivative, ev.derivative)
+    system, moments, _ = bar_pass(two_bar_phases, uniform_region, uniform_density)
+    assert np.array_equal(system.guard(two_bar_phases), moments)
     system.workload_floor = 1.0  # min is 3*pi/4 ~ 2.36
-    assert system.evaluate_guarded(ev.state) is not None
+    assert system.guard(two_bar_phases) is not None
     system.workload_floor = 5.0
-    assert system.evaluate_guarded(ev.state) is None
+    assert system.guard(two_bar_phases) is None
     # the floor is strict: a slice holding exactly the floor is rejected
     thin = np.array([1.0, 1.0 + 1e-8])
-    system, ev = evaluation(thin, uniform_region, uniform_density)
-    assert system.evaluate_guarded(ev.state) is not None
-    system.workload_floor = float(np.min(ev.moments[0]))
-    assert system.evaluate_guarded(ev.state) is None
+    system, moments, _ = bar_pass(thin, uniform_region, uniform_density)
+    assert system.guard(thin) is not None
+    system.workload_floor = float(np.min(moments[0]))
+    assert system.guard(thin) is None
 
 
 def test_validate_initial_phases():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from numpy.testing import assert_allclose
 
 from conftest import (all_centroids, cumulative_difference_moments, cyclic_layouts,
                       overtaking_scenario_dict, reference_scenario_dict,
-                      region_and_density, star_regions, uniform_scenario_dict)
+                      region_and_density, stacked_run, star_regions,
+                      uniform_scenario_dict)
 from ringcover import agents, geometry, sim
 from ringcover.agents import slice_centroids, total_cost
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField, MomentTable,
@@ -397,8 +399,9 @@ def test_step_guard_raises_when_halving_cannot_keep_order(monkeypatch):
 
 
 def count_calls(monkeypatch):
-    """Count slice_moments and optimal_targets calls made through the integrator."""
-    counts = {"slice_moments": 0, "optimal_targets": 0}
+    """Count slice_moments and optimal_targets calls made through the
+    integrator, and the slices (target rows) the targets are computed for."""
+    counts = {"slice_moments": 0, "optimal_targets": 0, "target_rows": 0}
     real_moments = MomentTable.slice_moments
     real_targets = agents.optimal_targets
 
@@ -408,6 +411,7 @@ def count_calls(monkeypatch):
 
     def optimal_targets(moments, beta):
         counts["optimal_targets"] += 1
+        counts["target_rows"] += moments.shape[1]
         return real_targets(moments, beta)
 
     monkeypatch.setattr(MomentTable, "slice_moments", slice_moments)
@@ -416,16 +420,21 @@ def count_calls(monkeypatch):
 
 
 def test_one_evaluation_per_state(monkeypatch):
-    # per step: three RK4 stages plus the guard's evaluation of the accepted
-    # trial, which is also the next step's first stage and the logged record
+    # per step: slice moments at three RK4 stages plus the guard's at the
+    # accepted trial, which is also the next step's first stage and the logged
+    # record; targets once per slice of each of those four states
     counts = count_calls(monkeypatch)
     steps = 20
-    log = run_scenario(scenario_from_dict(uniform_scenario_dict(
-        integrator={"dt": 0.05, "t_end": 0.05 * steps, "log_stride": 3})))
+    config = scenario_from_dict(uniform_scenario_dict(
+        integrator={"dt": 0.05, "t_end": 0.05 * steps, "log_stride": 3}))
+    log = run_scenario(config)
     assert int(np.sum(log.halvings)) == 0
-    # plus the initial evaluation, and V(0) for the decay constants
+    # plus the initial state, and V(0) for the decay constants
     assert counts["slice_moments"] == 4 * steps + 2
-    assert counts["optimal_targets"] == 4 * steps + 1
+    assert counts["target_rows"] == (4 * steps + 1) * config.n_agents
+    # one targets call at the start and one per agent pass: at the records
+    # after it, 3, 6, ..., 18 and 20
+    assert counts["optimal_targets"] == log.times.size
 
 
 def test_trajectory_with_the_cumulative_difference_oracle(monkeypatch):
@@ -444,45 +453,66 @@ def test_trajectory_with_the_cumulative_difference_oracle(monkeypatch):
 def test_run_advances_once_per_step_and_reports_every_step(monkeypatch):
     # the stiff scenario halves steps; only the top-level advances count
     config = scenario_from_dict(overtaking_scenario_dict())
-    advances, seen = [], []
+    advances = []
     real_advance = sim._System.advance
 
-    def advance(self, start, dt, depth=0):
+    def advance(self, start, dt, block, depth=0):
         if depth == 0:
             advances.append(dt)
-        return real_advance(self, start, dt, depth)
+        return real_advance(self, start, dt, block, depth)
 
     monkeypatch.setattr(sim._System, "advance", advance)
     system = sim._System(config.region, config.density, config.beta, config.n_agents,
                          config.kappa_phi, config.kappa_p)
     steps = 4
-    end = system.run(config.initial_phases, config.initial_positions, config.dt, steps,
-                     lambda k, evaluation, halvings: seen.append((k, evaluation, halvings)))
+    records = list(system.run(config.initial_phases, config.initial_positions, config.dt,
+                              steps, 1))
     assert advances == [config.dt] * steps
-    assert [k for k, _, _ in seen] == list(range(steps + 1))
-    assert seen[0][2] == 0 and max(h for _, _, h in seen) >= 1
-    assert seen[-1][1] is end
+    assert [r.step for r in records] == list(range(steps + 1))
+    assert records[0].halvings == 0 and max(r.halvings for r in records) >= 1
+    # with one record at the end, the run reaches the same last state
+    *_, end = system.run(config.initial_phases, config.initial_positions, config.dt,
+                         steps, steps)
+    assert end.step == steps
+    for name in ("phases", "positions", "moments", "targets"):
+        assert np.array_equal(getattr(end, name), getattr(records[-1], name)), name
 
 
 def test_guard_rejects_before_targets(monkeypatch, uniform_region, uniform_density):
+    # a rejected trial's stage moments are dropped: targets are computed for
+    # the start and for the four stages of each accepted sub-step only, and
+    # bars out of order never reach the table
     counts = count_calls(monkeypatch)
-    real_guard = sim._System.evaluate_guarded
-    targets_in_rejections = []
+    rejections, accepted = [], []
+    real_guard, real_track = sim._System.guard, sim._System.track
 
-    def guard(self, y):
-        before = counts["optimal_targets"]
-        evaluation = real_guard(self, y)
-        if evaluation is None:
-            targets_in_rejections.append(counts["optimal_targets"] - before)
-        return evaluation
+    def guard(self, phases):
+        moments = real_guard(self, phases)
+        if moments is None:
+            rejections.append(phases)
+        return moments
 
-    monkeypatch.setattr(sim._System, "evaluate_guarded", guard)
-    run_scenario(scenario_from_dict(overtaking_scenario_dict()))  # order rejections
+    def track(self, positions, targets, block):
+        accepted.extend(block)
+        return real_track(self, positions, targets, block)
+
+    monkeypatch.setattr(sim._System, "guard", guard)
+    monkeypatch.setattr(sim._System, "track", track)
+    config = scenario_from_dict(overtaking_scenario_dict())
+    log = run_scenario(config)  # order rejections
+    steps = round(config.t_end / config.dt)
+    assert len(rejections) >= 1 and int(np.sum(log.halvings)) >= 1
+    # each rejection turns one trial into two half steps
+    assert len(accepted) == steps + len(rejections)
+    assert counts["target_rows"] == config.n_agents * (1 + 4 * len(accepted))
+    assert sum(step.dt for step in accepted) == pytest.approx(config.t_end)
+
     system = sim._System(uniform_region, uniform_density, 0.0, 2, 0.1, 0.5)
+    before = counts["slice_moments"]
+    assert system.guard(np.array([1.9, 0.4])) is None  # an order rejection
+    assert counts["slice_moments"] == before
     system.workload_floor = 1e9  # a floor rejection
-    assert system.evaluate_guarded(np.array([0.4, 1.9, 1.5, 0.3, -1.4, 0.2])) is None
-    assert len(targets_in_rejections) >= 2
-    assert not any(targets_in_rejections)
+    assert system.guard(np.array([0.4, 1.9])) is None
 
 
 # The region and density of the bundled reference scenario.
@@ -504,10 +534,9 @@ def test_logged_rates_are_fresh_evaluations(sections, seed, n, steps, stride):
                          config.kappa_phi, config.kappa_p)
     for k in range(log.times.size):
         # the workloads fix the bar rates, the targets the agent velocities
-        fresh = system.evaluate(np.concatenate([log.phases_unwrapped[k],
-                                                log.positions[k].ravel()]))
-        assert np.array_equal(log.workloads[k], fresh.moments[0])
-        assert np.array_equal(log.targets[k], fresh.targets)
+        moments = system.table.slice_moments(log.phases_unwrapped[k])
+        assert np.array_equal(log.workloads[k], moments[0])
+        assert np.array_equal(log.targets[k], agents.optimal_targets(moments, config.beta))
     means = np.mean(log.phases_unwrapped, axis=1)
     assert np.max(np.abs(means - means[0])) <= 1e-12
     # V never increases, up to rounding
@@ -565,25 +594,48 @@ def test_evaluation_matches_the_written_out_formulas_bit_for_bit(sections, state
         moments = table.slice_moments(phases)
         mass = moments[0]
         targets = agents.optimal_targets(moments, beta)
-        y = np.concatenate([phases, positions.ravel()])
+        if not beta:
+            # targets batched over several states are each state's own
+            stacked = agents.optimal_targets(np.concatenate([moments, moments], axis=1), beta)
+            assert np.array_equal(stacked, np.concatenate([targets, targets]))
         for pinned in (None, pinned_bar):
             system = sim._System(region, density, beta, n, kappa_phi, kappa_p, pinned)
-            # the guard rejects crossed or tied bars, and a slice at the floor
-            assert system.evaluate_guarded(np.concatenate([crossed, positions.ravel()])) is None
+            # the guard's order test decides as the cyclic gaps do
+            system.workload_floor = -np.inf
+            for p in (phases, crossed):
+                assert (system.guard(p) is None) == bool(np.any(reference_gaps(p) <= 0.0))
+            # the guard rejects a slice at the floor, and accepts above it
             system.workload_floor = float(np.min(mass))
-            assert system.evaluate_guarded(y) is None
+            assert system.guard(phases) is None
             system.workload_floor = float(np.nextafter(np.min(mass), -np.inf))
-            accepted = system.evaluate_guarded(y)
-            assert accepted is not None
+            assert np.array_equal(system.guard(phases), moments)
             rates = kappa_phi * (mass - np.roll(mass, 1))
             if pinned is not None:
                 rates[pinned] = 0.0
-            derivative = np.concatenate([rates, (-kappa_p * (positions - targets)).ravel()])
-            for evaluation in (accepted, system.evaluate(y)):
-                assert np.array_equal(evaluation.moments, moments)
-                assert np.array_equal(evaluation.rates, rates)
-                assert np.array_equal(evaluation.targets, targets)
-                assert np.array_equal(evaluation.derivative, derivative)
+            assert np.array_equal(system.rates(moments), rates)
+            # an RK4 stage of the bar pass: the rates, its moments kept
+            system._trial = []
+            assert np.array_equal(system._stage(phases), rates)
+            assert len(system._trial) == 1 and np.array_equal(system._trial[0], moments)
+
+        # the agent pass over one sub-step from the targets at `phases`: RK4's
+        # closed-form map of the tracking law, as written in `_System.track`
+        dt = 0.5
+        stage_moments = [table.slice_moments(phases + shift)
+                         for shift in (0.01, 0.02, 0.03, 0.04)]  # stages 2-4, end
+        system = sim._System(region, density, beta, n, kappa_phi, kappa_p)
+        moved, end_targets = system.track(positions, targets,
+                                          [sim._SubStep(dt, stage_moments)])
+        stages = agents.optimal_targets(np.concatenate(stage_moments, axis=1),
+                                        beta).reshape(4, n, 2)
+        assert np.array_equal(end_targets, stages[3])
+        z = -kappa_p * dt
+        z2, z3, z4 = z * z, z * z * z, z * z * z * z
+        growth = 1.0 + z + z2 / 2.0 + z3 / 6.0 + z4 / 24.0
+        pull = ((z + z2 + z3 / 2.0 + z4 / 4.0) / 6.0 * targets
+                + (2.0 * z + z2 + z3 / 2.0) / 6.0 * stages[0]
+                + (2.0 * z + z2) / 6.0 * stages[1] + z / 6.0 * stages[2])
+        assert np.array_equal(moved, growth * positions - pull)
 
 
 def test_search_rng_seed_is_ignored():
@@ -628,3 +680,125 @@ def test_squared_distance_targets_are_the_centroids(reference_run):
     log, config = reference_run
     for phases, targets in zip(log.phases_unwrapped, log.targets):
         assert np.array_equal(targets, all_centroids(phases, config.region, config.density))
+
+
+def cascade_columns(config, pinned):
+    """The record columns of the package's stepper on `config` with bar
+    `pinned` frozen: `run_scenario`'s log when nothing is pinned."""
+    if pinned is None:
+        log = run_scenario(config)
+    else:
+        system = sim._System(config.region, config.density, config.beta, config.n_agents,
+                             config.kappa_phi, config.kappa_p, pinned)
+        records = list(system.run(config.initial_phases, config.initial_positions,
+                                  config.dt, round(config.t_end / config.dt),
+                                  config.log_stride))
+        log = sim._assemble_log(records, config,
+                                {"m_bar": float(system.table.totals[0]) / config.n_agents})
+    return {name: getattr(log, name) for name in sim._RECORDS}
+
+
+def radial_margin(region, points):
+    """Radial distance of each point of a (..., 2) array to the nearer boundary
+    curve, the quantity `AnnularRegion.contains` compares."""
+    r = np.hypot(points[..., 0], points[..., 1])
+    theta = np.arctan2(points[..., 1], points[..., 0])
+    return np.minimum(np.abs(r - region.inner.radius(theta)),
+                      np.abs(r - region.outer.radius(theta)))
+
+
+def assert_matches_the_stacked_oracle(config, pinned=None):
+    got, oracle = cascade_columns(config, pinned), stacked_run(config, pinned)
+    # the bar pass is the stacked integrator's phase block, bit for bit
+    exact = ["times", "phases_unwrapped", "workloads", "lyapunov", "halvings"]
+    if not config.beta:
+        exact.append("targets")  # centroids, slice by slice
+    for name in exact:
+        assert np.array_equal(got[name], oracle[name]), name
+    # the closed-form map reorders the agents' arithmetic
+    for name in ("positions", "cost", "tracking", "targets"):
+        scale = np.max(np.abs(oracle[name]))
+        assert np.max(np.abs(got[name] - oracle[name])) <= 1e-12 * scale, name
+    clear = np.all(radial_margin(config.region, oracle["positions"]) > 1e-9, axis=1)
+    assert np.array_equal(got["excursion"][clear], oracle["excursion"][clear])
+
+
+@st.composite
+def oracle_scenarios(draw):
+    """(config dict, pinned bar): a short run on the reference or a star
+    region with N in [2, 8], or the stiff scenario that halves steps; any
+    bar pinned or none, and the squared-distance or the quartic cost."""
+    beta = draw(st.sampled_from([0.0, 0.25]))
+    cost = {"kind": "generic_builtin", "parameters": [beta]}
+    if draw(st.integers(0, 4)) == 0:
+        data, n = {**overtaking_scenario_dict(), "cost": cost}, 3
+    else:
+        n = draw(st.integers(2, 8))
+        steps = draw(st.integers(1, 30))
+        data = reference_scenario_dict(
+            **draw(st.one_of(st.just(REFERENCE_SECTIONS), star_regions())),
+            seed=draw(st.integers(0, 2 ** 32 - 1)), cost=cost,
+            agents={"count": n, "initial_phases": "random", "initial_positions": "random"},
+            integrator={"dt": 0.01, "t_end": 0.01 * steps,
+                        "log_stride": draw(st.integers(1, 5))})
+    return data, draw(st.one_of(st.none(), st.integers(0, n - 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenario=oracle_scenarios(), cap=st.sampled_from([1, 2, 3, sim.BLOCK_STEPS]))
+def test_cascade_matches_the_stacked_oracle(scenario, cap):
+    # any flush cap: the agent pass over any cut of the sub-steps
+    data, pinned = scenario
+    with mock.patch.object(sim, "BLOCK_STEPS", cap):
+        assert_matches_the_stacked_oracle(scenario_from_dict(data), pinned)
+
+
+def test_run_longer_than_the_flush_cap_with_one_record_matches_the_oracle():
+    steps = 2 * sim.BLOCK_STEPS + 37
+    config = scenario_from_dict(reference_scenario_dict(
+        agents={"count": 3, "initial_phases": "random", "initial_positions": "random"},
+        integrator={"dt": 0.01, "t_end": 0.01 * steps, "log_stride": steps}))
+    assert round(config.t_end / config.dt) == steps
+    assert run_scenario(config).times.size == 2
+    assert_matches_the_stacked_oracle(config)
+
+
+@pytest.mark.parametrize("scenario", [
+    reference_scenario_dict(integrator={"dt": 0.01, "t_end": 0.6, "log_stride": 1}),
+    overtaking_scenario_dict(),
+])
+def test_flushes_never_change_the_trajectory(scenario):
+    # a record flushes the agent pass; with one record at the end, or with the
+    # cap at one sub-step, the shared records hold the same bits
+    every = run_scenario(scenario_from_dict(scenario))
+    steps = every.times.size - 1
+    last = scenario_from_dict({**scenario, "integrator": {**scenario["integrator"],
+                                                          "log_stride": steps}})
+    ends = run_scenario(last)
+    with mock.patch.object(sim, "BLOCK_STEPS", 1):
+        capped = run_scenario(last)
+    for log in (ends, capped):
+        assert log.times.size == 2
+        for name in sim._RECORDS:
+            assert np.array_equal(getattr(log, name), getattr(every, name)[[0, -1]]), name
+
+
+def test_partial_log_is_the_complete_logs_first_records(monkeypatch):
+    data = reference_scenario_dict(integrator={"dt": 0.01, "t_end": 0.3, "log_stride": 4})
+    complete = run_scenario(scenario_from_dict(data))
+    real_advance = sim._System.advance
+    calls = iter(range(17))
+
+    def advance(self, start, dt, block, depth=0):
+        if depth == 0 and next(calls, None) is None:
+            raise IntegrationError("step refused")
+        return real_advance(self, start, dt, block, depth)
+
+    monkeypatch.setattr(sim._System, "advance", advance)
+    with pytest.raises(IntegrationError) as info:
+        run_scenario(scenario_from_dict(data))
+    partial = info.value.log
+    assert partial.times.size == 5  # steps 0, 4, 8, 12, 16 of the 17 taken
+    for name in sim._RECORDS:
+        assert np.array_equal(getattr(partial, name),
+                              getattr(complete, name)[:partial.times.size]), name
