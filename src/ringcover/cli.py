@@ -151,13 +151,10 @@ def _snapshot_index(log: TrajectoryLog, t: float) -> int:
 
 
 def _write_snapshots(log: TrajectoryLog, region, times, out_dir: Path):
-    paths = []
     for t in times:
         idx = _snapshot_index(log, t)
         path = out_dir / f"snapshot_t{t:g}.svg"
         path.write_text(render_snapshot(log, idx, region), encoding="utf-8")
-        paths.append(path)
-    return paths
 
 
 def _write_run_artifacts(log: TrajectoryLog, config: ScenarioConfig, out_dir: Path,
@@ -248,8 +245,6 @@ def cmd_verify(path: str, out_dir: str, seed=None, dt=None) -> int:
         logger.error("invalid input: --seed/--dt apply to a scenario config, "
                      "not to a stored log")
         return EXIT_INPUT
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         if _looks_like_log(data):
             log = TrajectoryLog.from_dict(data)
@@ -260,6 +255,8 @@ def cmd_verify(path: str, out_dir: str, seed=None, dt=None) -> int:
     except (ConfigError, ValueError) as exc:
         logger.error("invalid input: %s", exc)
         return EXIT_INPUT
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     report = verify_invariants(log, config)
     (out / "report.txt").write_text("\n".join(report.lines()) + "\n", encoding="utf-8")
     for line in report.lines():

@@ -49,19 +49,26 @@ def cyclic_gaps(phases) -> np.ndarray:
     Works along the last axis, so an (R, N) array gives R rows of N gaps.
     """
     p = np.asarray(phases, dtype=float)
-    gaps = np.empty_like(p)
-    np.subtract(p[..., 1:], p[..., :-1], out=gaps[..., :-1])
-    np.subtract(p[..., :1] + TWO_PI, p[..., -1:], out=gaps[..., -1:])
-    return gaps
+    return np.concatenate((p[..., 1:], p[..., :1] + TWO_PI), axis=-1) - p
 
 
-def bar_rates(workloads, kappa_phi: float) -> np.ndarray:
-    """Bar rates: each bar moves toward the heavier neighbouring slice.
+_PREVIOUS = {}  # bar count N -> np.arange(-1, N - 1), the slice before each bar
 
-    Bar i separates slice i-1 from slice i, so it turns at
-    kappa_phi * (m_i - m_{i-1}); the rates sum to zero.
-    """
-    return kappa_phi * (workloads - workloads[np.arange(-1, len(workloads) - 1)])
+
+def bar_rates(workloads, kappa_phi: float, pinned: int | None = None) -> np.ndarray:
+    """The bar law: bar i, between slices i-1 and i, turns toward the heavier
+    of the two at kappa_phi * (m_i - m_{i-1}), and the rates sum to zero; the
+    bar `pinned`, if any, turns at 0. Works along the first axis, so an
+    (N, R) array gives the rates of R states."""
+    n = len(workloads)
+    previous = _PREVIOUS.get(n)
+    if previous is None:
+        previous = _PREVIOUS[n] = np.arange(-1, n - 1)
+    rates = workloads - workloads[previous]
+    rates *= kappa_phi
+    if pinned is not None:
+        rates[pinned] = 0.0
+    return rates
 
 
 def imbalance(workloads, mean: float):
@@ -77,22 +84,13 @@ def cyclic_difference_form(n: int):
 
     With errors e_i = m_i - mean satisfying sum_i e_i = 0, the sum of squared
     neighbour differences sum_i (e_i - e_{i-1})^2 equals e' S e in the first
-    N-1 coordinates once e_N is eliminated. S is assembled from that
-    expansion (S = A'A for the stacked difference rows), not from any fixed
-    printed pattern, and is positive definite; the minimum eigenvalue is
-    returned alongside.
+    N-1 coordinates once e_N is eliminated: S = A'A, A the bar law at unit
+    gain applied to the elimination [I; -1']. S is an integer matrix and
+    positive definite; its minimum eigenvalue is returned alongside.
     """
     if n < 2:
         raise ValueError("need at least two bars")
-    dim = n - 1
-    rows = np.zeros((n, dim))
-    rows[0] = 1.0
-    rows[0, 0] = 2.0
-    for i in range(2, n):
-        rows[i - 1, i - 2] = -1.0
-        rows[i - 1, i - 1] = 1.0
-    rows[n - 1] = 1.0
-    rows[n - 1, dim - 1] += 1.0
+    rows = bar_rates(np.vstack([np.eye(n - 1), -np.ones(n - 1)]), 1.0)
     matrix = rows.T @ rows
     lambda_min = float(np.linalg.eigvalsh(matrix)[0])
     return matrix, lambda_min

@@ -26,6 +26,8 @@ from .geometry import TWO_PI
 from .agents import slice_cost_terms, total_cost
 from .sim import integrate_system
 
+TOTAL_TIE_RTOL = 1e-14  # epoch totals this close to the least, relatively, tie
+
 
 def anchor_assignment(phases, epoch_index: int, epoch_count: int) -> int:
     """Index of the agent whose bar sits closest to this epoch's anchor angle.
@@ -99,7 +101,7 @@ class EpochRecord:
 @dataclass
 class SearchResult:
     epochs: list
-    best: EpochRecord  # the first epoch with the least total cost
+    best: EpochRecord  # the first epoch whose total ties with the least
 
 
 def run_search(config) -> SearchResult:
@@ -112,8 +114,10 @@ def run_search(config) -> SearchResult:
         anchor_agent, phases, positions, costs = run_epoch(config, phases, positions, k)
         rounds, total = gossip_until_stable(costs)
         records.append(EpochRecord(k, anchor_agent, total, rounds, phases, positions))
-    # The first minimum: ties go to the earliest epoch.
-    return SearchResult(records, records[int(np.argmin([r.total_cost for r in records]))])
+    # The first minimum up to rounding, which must not decide k* on a flat landscape.
+    totals = np.array([r.total_cost for r in records])
+    ties = totals - totals.min() <= TOTAL_TIE_RTOL * abs(totals.min())
+    return SearchResult(records, records[int(np.argmax(ties))])
 
 
 def recompute_total(config, phases, positions) -> float:

@@ -9,7 +9,7 @@ nothing feeds back from the agents, so the coupled system is a cascade, and
 takes fixed classical Runge-Kutta steps of the unwrapped phases; every
 accepted step must keep the bars in cyclic order and every slice above a
 workload floor, and the step is halved when needed. Each RK4 stage is one
-table product of slice moments, then the bar rates, and every accepted
+table product of slice moments, then `bar_rates`, and every accepted
 sub-step keeps its four stage moments. The agent pass (`_System.track`)
 then moves the positions over a block of accepted sub-steps: one
 `optimal_targets` call on all their stage moments, and RK4's closed-form map
@@ -32,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import agents as agents_mod
-from .geometry import (TWO_PI, AnnularRegion, DensityField, PolarCurve, moment_table,
-                       region_integral)
+from .geometry import (TWO_PI, AnnularRegion, DensityField, InvalidDensityError,
+                       PolarCurve, moment_table, radial_moment_extrema, region_integral)
 from .partition import (bar_rates, cyclic_gaps, decay_constants, imbalance,
                         validate_initial_phases)
 
@@ -250,6 +250,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError("density.parameters", str(exc)) from None
     if lo <= 0.0:
         raise ConfigError("density", f"not strictly positive on the region (min {lo:.3e})")
+    try:  # the grid above can miss where the table's radial moment dips
+        radial_moment_extrema(region, density)
+    except InvalidDensityError as exc:
+        raise ConfigError("density", str(exc)) from None
 
     agents_data = _section(data, "agents", {})
     n = _number(_required(agents_data, "agents.count"), "agents.count", int)
@@ -486,7 +490,6 @@ class _Bars(NamedTuple):
 
     phases: np.ndarray   # unwrapped, in cyclic order
     moments: np.ndarray  # slice moments, shape (rows, N)
-    rates: np.ndarray    # bar rates, the pinned bar's zeroed
 
 
 class _SubStep(NamedTuple):
@@ -515,7 +518,8 @@ class _System:
     The bar rates read the slice moments alone, and nothing feeds back from
     the agents, so the bar pass (`advance`) steps the phases first and keeps
     every accepted sub-step's stage moments; the agent pass (`track`) then
-    moves the positions over that block of sub-steps.
+    moves the positions over that block of sub-steps. Every RK4 stage calls
+    the bar law `bar_rates`, and the guard reads cyclic order off `cyclic_gaps`.
     """
 
     def __init__(self, region, density, beta: float, n: int,
@@ -527,30 +531,19 @@ class _System:
         self.pinned = pinned
         self.table = agents_mod.cost_table(region, density, beta)
         self.workload_floor = WORKLOAD_FLOOR_FRACTION * float(self.table.totals[0]) / n
-        self._previous = np.arange(-1, n - 1)  # bar i turns between slices i-1 and i
         self._trial = []  # the stage moments of the RK4 trial in progress
-
-    def rates(self, moments: np.ndarray) -> np.ndarray:
-        """Bar rates from slice moments: the formula of `bar_rates`, with the
-        pinned bar's rate zeroed."""
-        mass = moments[0]
-        rates = mass - mass[self._previous]
-        rates *= self.kappa_phi
-        if self.pinned is not None:
-            rates[self.pinned] = 0.0
-        return rates
 
     def _stage(self, phases: np.ndarray) -> np.ndarray:
         """The bar rates at an RK4 stage; its slice moments join the trial's."""
         moments = self.table.slice_moments(phases)
         self._trial.append(moments)
-        return self.rates(moments)
+        return bar_rates(moments[0], self.kappa_phi, self.pinned)
 
     def guard(self, phases: np.ndarray) -> np.ndarray | None:
         """Slice moments at `phases` if the bars keep their cyclic order and
         every slice its workload floor, else None; bars out of order never
         reach the table."""
-        if (phases[1:] <= phases[:-1]).any() or phases[0] + TWO_PI <= phases[-1]:
+        if not cyclic_gaps(phases).min() > 0.0:
             return None
         moments = self.table.slice_moments(phases)
         if not moments[0].min() > self.workload_floor:
@@ -565,11 +558,12 @@ class _System:
         Returns the accepted state and the deepest halving the step took.
         """
         self._trial = []
-        phases = rk4_step(start.phases, self._stage, dt, k1=start.rates)
+        k1 = bar_rates(start.moments[0], self.kappa_phi, self.pinned)
+        phases = rk4_step(start.phases, self._stage, dt, k1=k1)
         moments = self.guard(phases)
         if moments is not None:
             block.append(_SubStep(dt, self._trial + [moments]))
-            return _Bars(phases, moments, self.rates(moments)), depth
+            return _Bars(phases, moments), depth
         if depth >= MAX_STEP_HALVINGS:
             raise IntegrationError(
                 f"step still crosses bars or breaks the workload floor "
@@ -612,7 +606,7 @@ class _System:
         yielded so far.
         """
         moments = self.table.slice_moments(phases)
-        bars = _Bars(phases, moments, self.rates(moments))
+        bars = _Bars(phases, moments)
         targets = agents_mod.optimal_targets(moments, self.beta)
         positions = np.array(positions, dtype=float)
         yield _Record(0, phases, positions, moments, targets, 0)
@@ -773,7 +767,9 @@ def verify_invariants(log: TrajectoryLog, config: ScenarioConfig) -> Verificatio
                                    / deviation_envelope[:, None]))
     checks.append(CheckResult("workload_deviation_bound", "ratio<=1.05", deviation_ratio,
                               "pass" if deviation_ratio <= 1.05 else "fail"))
-    diffs = np.abs(log.workloads - np.roll(log.workloads, 1, axis=1))
+    # The bar law at unit gain gives the neighbour differences; C order keeps
+    # each record's row contiguous, so the row sums below add pairwise.
+    diffs = np.abs(bar_rates(log.workloads.T, 1.0).T, order="C")
     gap_envelope = np.maximum(math.sqrt(2.0) * c1 * decay, 1e-10 * m_bar)
     gap_ratio = float(np.max(diffs / gap_envelope[:, None]))
     checks.append(CheckResult("pairwise_difference_bound", "ratio<=1.05", gap_ratio,

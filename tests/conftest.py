@@ -8,6 +8,7 @@ from ringcover import agents, geometry, sim
 from ringcover.agents import slice_centroids
 from ringcover.geometry import TWO_PI, AnnularRegion, DensityField, PolarCurve
 from ringcover.partition import bar_rates, cyclic_gaps
+from ringcover.search import run_search
 from ringcover.sim import rk4_step, run_scenario, scenario_from_dict
 
 
@@ -94,6 +95,13 @@ def overtaking_scenario_dict():
         "gains": {"kappa_phi": 1.0, "kappa_p": 0.5},
         "integrator": {"dt": 1.0, "t_end": 10.0, "log_stride": 1},
     }
+
+
+@pytest.fixture(scope="session")
+def search_sweep():
+    """The search on the uniform scenario for each anchor-grid size K*."""
+    return {k_star: run_search(scenario_from_dict(uniform_scenario_dict(
+        search={"K_star": k_star, "T_epsilon": 30.0}))) for k_star in (8, 16, 32, 64)}
 
 
 @pytest.fixture(scope="session")

@@ -9,12 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import all_centroids, reference_scenario_dict, uniform_scenario_dict
+from conftest import all_centroids, reference_scenario_dict
 from ringcover.agents import (cost_table, slice_cost_terms, subregion_cost,
                               total_cost)
 from ringcover.geometry import TWO_PI, moment_table, region_integral
 from ringcover.partition import advance_by_mean_workload, cyclic_difference_form
-from ringcover.search import gossip_until_stable, run_search
+from ringcover.search import gossip_until_stable
 from ringcover.sim import run_scenario, scenario_from_dict
 
 SEEDS = (101, 102, 103, 104, 105)
@@ -39,17 +39,6 @@ def seeded_runs():
         config = scenario_from_dict(reference_scenario_dict(seed=seed))
         runs.append((run_scenario(config), config))
     return runs
-
-
-@pytest.fixture(scope="session")
-def search_sweep():
-    """Best search cost for each anchor-grid size on the uniform scenario."""
-    best = {}
-    for k_star in (8, 16, 32, 64):
-        config = scenario_from_dict(uniform_scenario_dict(
-            search={"K_star": k_star, "T_epsilon": 30.0}))
-        best[k_star] = run_search(config).best.total_cost
-    return best
 
 
 def test_01_equitable_partition(reference_run):
@@ -239,7 +228,7 @@ def test_10_search_optimality_gap(search_sweep, uniform_region, uniform_density)
         moments = moment_table(uniform_region, uniform_density).slice_moments(phases)
         costs, _, _ = slice_cost_terms(moments, positions, 0.0)
         oracle = min(oracle, float(np.sum(costs)))
-    gaps = {k: (search_sweep[k] - oracle) / oracle for k in (8, 16, 32, 64)}
+    gaps = {k: (search_sweep[k].best.total_cost - oracle) / oracle for k in (8, 16, 32, 64)}
     non_increasing = all(gaps[b] <= gaps[a] + 1e-6
                          for a, b in ((8, 16), (16, 32), (32, 64)))
     ok = gaps[64] < 0.02 and gaps[64] > -1e-6 and non_increasing

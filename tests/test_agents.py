@@ -143,7 +143,7 @@ def test_control_input(sector_phases, uniform_region, uniform_density):
     moments = system.table.slice_moments(sector_phases)
     targets = optimal_targets(moments, 0.0)
     block = []
-    system.advance(_Bars(sector_phases, moments, system.rates(moments)), 0.5, block)
+    system.advance(_Bars(sector_phases, moments), 0.5, block)
     assert len(block) == 1
 
     def step(positions):

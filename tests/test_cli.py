@@ -503,6 +503,20 @@ def test_negative_seed_override_exits_2(tmp_path, caplog, command):
     assert "seed: must be non-negative" in caplog.text
 
 
+@pytest.mark.parametrize("command", ["run", "search", "verify"])
+def test_negative_radial_moment_exits_2_and_writes_nothing(tmp_path, caplog, command):
+    # the angular factor's k = 256 harmonic aliases on the 256 angles of the
+    # parser's density grid, which sees rho = 2.01 everywhere, while the
+    # table's radial moment dips to -1.5e-2; every command rejects it at parse
+    density = {"kind": "radial_polynomial_times_angular", "parameters": [1.0],
+               "angular": {"mean": 1.0, "cos": [0.0] * 255 + [1.01]}}
+    path = write_config(tmp_path, uniform_scenario_dict(density=density))
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert "density: radial moment has non-positive minimum -1.500e-02" in caplog.text
+    assert not out.exists()
+
+
 def test_run_integration_failure_exits_3_with_partial_log(tmp_path, monkeypatch):
     monkeypatch.setattr(sim, "MAX_STEP_HALVINGS", 0)
     data = overtaking_scenario_dict()

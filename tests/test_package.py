@@ -210,3 +210,30 @@ def test_bars_step_by_rk4_and_agents_by_its_closed_form_map():
     assert len(moves) == 1
     loops = [node for node in ast.walk(track) if isinstance(node, ast.For)]
     assert len(loops) == 1 and loops[0].body == moves
+
+
+def test_one_bar_law_and_one_cyclic_order_test():
+    # `partition.bar_rates` is the only statement of the bar law and
+    # `cyclic_gaps` the only test of cyclic order: the stepper defines no rate
+    # method, neither module rolls an array, the slice index
+    # np.arange(-1, N - 1) is built only beside `bar_rates`, the cyclic form
+    # applies the law to its embedding, and the guard reads the gaps
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+
+    def sites(matches, names=trees):
+        return sorted(f"{name}:{site}" for name in names
+                      for site in _enclosing_functions(trees[name], matches))
+
+    def called(name):
+        return lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == name
+
+    system = next(node for node in trees["sim.py"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "_System")
+    methods = [node.name for node in system.body if isinstance(node, ast.FunctionDef)]
+    assert not any("rate" in name for name in methods), methods
+    assert sites(called("np.roll"), ("partition.py", "sim.py")) == []
+    assert sites(lambda node: called("np.arange")(node) and node.args
+                 and ast.unparse(node.args[0]) == "-1") == ["partition.py:bar_rates"]
+    assert "partition.py:cyclic_difference_form" in sites(called("bar_rates"))
+    assert sites(called("cyclic_gaps"), ("sim.py",)).count("sim.py:_System.guard") == 1

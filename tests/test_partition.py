@@ -30,7 +30,7 @@ def bar_pass(phases, region, density, pinned=None):
     phases = np.asarray(phases, dtype=float)
     system = _System(region, density, 0.0, len(phases), 0.03, 0.1, pinned)
     moments = system.table.slice_moments(phases)
-    return system, moments, system.rates(moments)
+    return system, moments, bar_rates(moments[0], 0.03, pinned)
 
 
 def test_workloads_two_bars(two_bar_phases, uniform_region, uniform_density):
@@ -94,6 +94,50 @@ def test_lyapunov_values(two_bar_phases, uniform_region, uniform_density):
     assert_allclose(v, (3.0 * math.pi / 4.0) ** 2, rtol=1e-10)
     assert v >= 0.0
     assert imbalance(np.array([1.0, 2.0, 6.0]), 3.0) == 0.5 * (4.0 + 1.0 + 9.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 8), states=st.one_of(st.none(), st.integers(1, 4)),
+       kappa=st.floats(1e-3, 10.0))
+def test_bar_rates_is_the_written_out_law(data, n, states, kappa):
+    # along the first axis, bit for bit: kappa (m_i - m_{i-1}) with the pinned
+    # bar's rate zeroed; with no bar pinned the rates sum to zero
+    shape = (n,) if states is None else (n, states)
+    workloads = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=math.prod(shape),
+                                            max_size=math.prod(shape)))).reshape(shape)
+    pinned = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    expected = kappa * (workloads - np.roll(workloads, 1, axis=0))
+    free = expected.copy()
+    if pinned is not None:
+        expected[pinned] = 0.0
+    assert np.array_equal(bar_rates(workloads, kappa, pinned), expected)
+    rates = bar_rates(workloads, kappa)
+    assert np.array_equal(rates, free)
+    scale = 8 * n * np.finfo(float).eps * kappa * np.sum(workloads, axis=0)
+    assert np.all(np.abs(np.sum(rates, axis=0)) <= scale)
+
+
+def hand_built_cyclic_form(n: int) -> np.ndarray:
+    """S = A'A from the neighbour-difference rows written out one by one
+    after eliminating e_N = -(e_1 + ... + e_{N-1})."""
+    dim = n - 1
+    rows = np.zeros((n, dim))
+    rows[0] = 1.0
+    rows[0, 0] = 2.0
+    for i in range(2, n):
+        rows[i - 1, i - 2] = -1.0
+        rows[i - 1, i - 1] = 1.0
+    rows[n - 1] = 1.0
+    rows[n - 1, dim - 1] += 1.0
+    return rows.T @ rows
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_cyclic_form_is_the_hand_built_matrix(n):
+    matrix, lam = cyclic_difference_form(n)
+    oracle = hand_built_cyclic_form(n)
+    assert np.array_equal(matrix, oracle)
+    assert lam == float(np.linalg.eigvalsh(oracle)[0])
 
 
 def test_cyclic_form_small_matrices():

@@ -69,8 +69,9 @@ def test_gossip_rounds_scale(n):
     assert total == sum(float(c) for c in costs)
 
 
-def test_run_search_tie_breaks_low(monkeypatch):
-    totals = [5.0, 4.2, 4.2, 6.0]
+def scripted_search(monkeypatch, totals):
+    """The two-agent uniform search over len(totals) epochs whose totals are
+    scripted, its config and its result."""
 
     def scripted_epoch(config, phases, positions, k):
         # halves of each total, so the two-agent sum is exact
@@ -79,8 +80,13 @@ def test_run_search_tie_breaks_low(monkeypatch):
 
     monkeypatch.setattr(search, "run_epoch", scripted_epoch)
     config = scenario_from_dict(uniform_scenario_dict(
-        search={"K_star": 4, "T_epsilon": 1.0}))
-    result = run_search(config)
+        search={"K_star": len(totals), "T_epsilon": 1.0}))
+    return config, run_search(config)
+
+
+def test_run_search_tie_breaks_low(monkeypatch):
+    totals = [5.0, 4.2, 4.2, 6.0]
+    config, result = scripted_search(monkeypatch, totals)
     assert [record.total_cost for record in result.epochs] == totals
     assert result.best.epoch == 1
     assert result.best.total_cost == 4.2
@@ -89,6 +95,29 @@ def test_run_search_tie_breaks_low(monkeypatch):
     single = dataclasses.replace(config, search=dataclasses.replace(config.search,
                                                                     epoch_count=1))
     assert run_search(single).best.epoch == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(shifts=st.lists(st.floats(-0.45e-14, 0.45e-14), min_size=3, max_size=3))
+def test_run_search_best_epoch_is_stable_under_rounding(shifts):
+    # totals that agree within a relative 1e-14 tie, and the first of them is
+    # the best, however their last bits fall; a total further below wins
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        totals = [5.0] + [4.2 * (1.0 + shift) for shift in shifts] + [6.0]
+        _, result = scripted_search(monkeypatch, totals)
+        assert result.best.epoch == 1
+        lower = totals[:3] + [4.2 * (1.0 - 3e-14)] + totals[4:]
+        assert scripted_search(monkeypatch, lower)[1].best.epoch == 3
+
+
+def test_bundled_search_best_epoch(search_sweep):
+    # on the flat uniform landscape epochs 3 on agree with the least total
+    # within 1e-15, and epoch 2 lies ~1e-13 above it: k* = 3 at K* = 8 and 64
+    for k_star in (8, 64):
+        result = search_sweep[k_star]
+        totals = np.array([record.total_cost for record in result.epochs])
+        assert (totals[1] - totals.min()) / totals.min() > 1e-13
+        assert result.best.epoch + 1 == 3
 
 
 def epoch_config(kappa_phi: float, duration: float):
@@ -188,7 +217,10 @@ def test_recomputed_total_equals_reported_best(data):
     # adaptive quadrature: two independent evaluators of the same J
     config = scenario_from_dict(data)
     result = run_search(config)
-    assert result.best.total_cost == min(record.total_cost for record in result.epochs)
+    least = min(record.total_cost for record in result.epochs)
+    ties = [record.epoch for record in result.epochs
+            if record.total_cost - least <= search.TOTAL_TIE_RTOL * least]
+    assert result.best.epoch == ties[0]
     recomputed = recompute_total(config, result.best.phases, result.best.positions)
     assert abs(recomputed - result.best.total_cost) <= 1e-8 * abs(recomputed)
 

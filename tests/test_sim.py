@@ -612,7 +612,7 @@ def test_evaluation_matches_the_written_out_formulas_bit_for_bit(sections, state
             rates = kappa_phi * (mass - np.roll(mass, 1))
             if pinned is not None:
                 rates[pinned] = 0.0
-            assert np.array_equal(system.rates(moments), rates)
+            assert np.array_equal(bar_rates(mass, kappa_phi, pinned), rates)
             # an RK4 stage of the bar pass: the rates, its moments kept
             system._trial = []
             assert np.array_equal(system._stage(phases), rates)
