@@ -97,18 +97,28 @@ def overtaking_scenario_dict():
     }
 
 
+def sweep_search(k_star):
+    """The search on the uniform scenario with anchor-grid size K*."""
+    return run_search(scenario_from_dict(uniform_scenario_dict(
+        search={"K_star": k_star, "T_epsilon": 30.0})))
+
+
 @pytest.fixture(scope="session")
 def search_sweep():
-    """The search on the uniform scenario for each anchor-grid size K*."""
-    return {k_star: run_search(scenario_from_dict(uniform_scenario_dict(
-        search={"K_star": k_star, "T_epsilon": 30.0}))) for k_star in (8, 16, 32, 64)}
+    """`sweep_search` for each anchor-grid size K*."""
+    return {k_star: sweep_search(k_star) for k_star in (8, 16, 32, 64)}
+
+
+def scenario_run(data):
+    """(log, config) of the scenario dict `data`, run."""
+    config = scenario_from_dict(data)
+    return run_scenario(config), config
 
 
 @pytest.fixture(scope="session")
 def reference_run():
     """The bundled N=8 scenario integrated to t=100 (shared across files)."""
-    config = scenario_from_dict(reference_scenario_dict())
-    return run_scenario(config), config
+    return scenario_run(reference_scenario_dict())
 
 
 @st.composite
