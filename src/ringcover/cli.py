@@ -73,69 +73,72 @@ def trajectory_csv_lines(log: TrajectoryLog):
     """Header plus one row per record; 17 significant digits throughout, and
     each phi_i wrapped into [0, 2*pi)."""
     n = log.n_agents
-    wrapped = np.mod(log.phases_unwrapped, TWO_PI)
     header = (["t"]
               + [f"phi_{i + 1}" for i in range(n)]
               + [f"px_{i + 1}" for i in range(n)]
               + [f"py_{i + 1}" for i in range(n)]
               + [f"m_{i + 1}" for i in range(n)]
               + ["V", "J", "H"])
-    lines = [",".join(header)]
-    for k in range(log.times.size):
-        row = [_fmt(log.times[k])]
-        row += [_fmt(v) for v in wrapped[k]]
-        row += [_fmt(v) for v in log.positions[k, :, 0]]
-        row += [_fmt(v) for v in log.positions[k, :, 1]]
-        row += [_fmt(v) for v in log.workloads[k]]
-        row += [_fmt(log.lyapunov[k]), _fmt(log.cost[k]), _fmt(log.tracking[k])]
-        lines.append(",".join(row))
-    return lines
+    table = np.column_stack([log.times, np.mod(log.phases_unwrapped, TWO_PI),
+                             log.positions[:, :, 0], log.positions[:, :, 1], log.workloads,
+                             log.lyapunov, log.cost, log.tracking])
+    row = ",".join(["%.17g"] * len(header))  # the same digits as format(v, ".17g")
+    return [",".join(header)] + [row % tuple(values) for values in table.tolist()]
 
 
-def _svg_star(cx: float, cy: float, size: float) -> str:
-    points = []
-    for i in range(10):
-        radius = size if i % 2 == 0 else 0.4 * size
-        angle = math.pi / 2 + i * math.pi / 5
-        points.append(f"{cx + radius * math.cos(angle):.4f},"
-                      f"{cy - radius * math.sin(angle):.4f}")
-    return f'<polygon points="{" ".join(points)}" fill="#2a9d2a" stroke="none"/>'
+# A target star's ten vertices relative to its centre, in pixels (y up).
+_STAR = [(r * math.cos(a), r * math.sin(a)) for r, a in
+         ((7.0 if i % 2 == 0 else 0.4 * 7.0, math.pi / 2 + i * math.pi / 5) for i in range(10))]
 
 
-def render_snapshot(log: TrajectoryLog, record_index: int, region) -> str:
-    """Static vector scene: boundary curves, bars, agent dots, target stars."""
+class _Scene:
+    """What every snapshot of a region shares: the pixel scale, and the SVG
+    header with the two boundary polylines, drawn from one cos/sin pass over
+    512 angles."""
+
+    SIZE = 640
+
+    def __init__(self, region):
+        self.region = region
+        size = self.SIZE
+        self.scale = size / (2.0 * (region.bounding_radius() * 1.08))
+        self.lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+                      f'height="{size}" viewBox="0 0 {size} {size}">',
+                      f'<rect width="{size}" height="{size}" fill="white"/>']
+        thetas = np.linspace(0.0, TWO_PI, 512)
+        cos, sin = np.cos(thetas), np.sin(thetas)
+        for curve in (region.inner, region.outer):
+            r = curve.radius(thetas)
+            points = np.column_stack(self.to_px(r * cos, r * sin)).ravel().tolist()
+            pts = " ".join(["%.2f,%.2f"] * thetas.size) % tuple(points)
+            self.lines.append(f'<polyline points="{pts}" fill="none" stroke="black" '
+                              f'stroke-width="1.5"/>')
+
+    def to_px(self, x, y):
+        return (self.SIZE / 2 + x * self.scale, self.SIZE / 2 - y * self.scale)
+
+
+def render_snapshot(log: TrajectoryLog, record_index: int, scene: _Scene) -> str:
+    """One record's SVG: the `scene`'s header and boundary curves (drawn once
+    per command by `_write_snapshots`), then the record's bars, target stars,
+    agent dots and time label."""
     k = record_index
-    bound = region.bounding_radius() * 1.08
-    size = 640
-    scale = size / (2.0 * bound)
-
-    def to_px(x, y):
-        return (size / 2 + x * scale, size / 2 - y * scale)
-
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-             f'viewBox="0 0 {size} {size}">',
-             f'<rect width="{size}" height="{size}" fill="white"/>']
-    thetas = np.linspace(0.0, TWO_PI, 512)
-    for curve in (region.inner, region.outer):
-        r = curve.radius(thetas)
-        pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in
-                       (to_px(rr * math.cos(th), rr * math.sin(th))
-                        for rr, th in zip(r, thetas)))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="black" '
-                     f'stroke-width="1.5"/>')
-    for phi in np.mod(log.phases_unwrapped[k], TWO_PI):
-        r0 = region.inner.radius(phi)
-        r1 = region.outer.radius(phi)
-        x0, y0 = to_px(r0 * math.cos(phi), r0 * math.sin(phi))
-        x1, y1 = to_px(r1 * math.cos(phi), r1 * math.sin(phi))
-        parts.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
-                     f'stroke="#5577aa" stroke-width="1.2"/>')
-    for cx, cy in log.targets[k]:
-        px, py = to_px(cx, cy)
-        parts.append(_svg_star(px, py, 7.0))
-    for x, y in log.positions[k]:
-        px, py = to_px(x, y)
-        parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4.5" fill="#1f4fd1"/>')
+    region, to_px = scene.region, scene.to_px
+    parts = list(scene.lines)
+    phis = np.mod(log.phases_unwrapped[k], TWO_PI)
+    cos, sin = np.cos(phis), np.sin(phis)
+    (x0, y0), (x1, y1) = (to_px(r * cos, r * sin) for r in (region.inner.radius(phis),
+                                                           region.outer.radius(phis)))
+    for bar in zip(x0.tolist(), y0.tolist(), x1.tolist(), y1.tolist()):
+        parts.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+                     'stroke="#5577aa" stroke-width="1.2"/>' % bar)
+    xs, ys = to_px(log.targets[k, :, 0], log.targets[k, :, 1])
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        star = " ".join([f"{x + dx:.4f},{y - dy:.4f}" for dx, dy in _STAR])
+        parts.append(f'<polygon points="{star}" fill="#2a9d2a" stroke="none"/>')
+    xs, ys = to_px(log.positions[k, :, 0], log.positions[k, :, 1])
+    parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4.5" fill="#1f4fd1"/>'
+              for x, y in zip(xs.tolist(), ys.tolist())]
     parts.append(f'<text x="10" y="20" font-family="monospace" font-size="14">'
                  f't = {log.times[k]:.2f}</text>')
     parts.append("</svg>")
@@ -151,10 +154,15 @@ def _snapshot_index(log: TrajectoryLog, t: float) -> int:
 
 
 def _write_snapshots(log: TrajectoryLog, region, times, out_dir: Path):
-    for t in times:
-        idx = _snapshot_index(log, t)
+    """One SVG per time, of the nearest record. Every time is resolved before
+    `out_dir` is made, so a time outside the log (ValueError) writes nothing;
+    the region's scene is then drawn once for all of them."""
+    indices = [_snapshot_index(log, t) for t in times]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    scene = _Scene(region) if indices else None
+    for t, idx in zip(times, indices):
         path = out_dir / f"snapshot_t{t:g}.svg"
-        path.write_text(render_snapshot(log, idx, region), encoding="utf-8")
+        path.write_text(render_snapshot(log, idx, scene), encoding="utf-8")
 
 
 def _write_run_artifacts(log: TrajectoryLog, config: ScenarioConfig, out_dir: Path,
@@ -273,8 +281,8 @@ def cmd_export(log_path: str, fmt: str, out_dir: str, times=None) -> int:
         logger.error("malformed log: %s", exc)
         return EXIT_INPUT
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
+        out.mkdir(parents=True, exist_ok=True)
         (out / "trajectory.csv").write_text(
             "\n".join(trajectory_csv_lines(log)) + "\n", encoding="utf-8")
         return EXIT_OK

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import (overtaking_scenario_dict, reference_scenario_dict,
@@ -125,6 +126,45 @@ def test_export_svg_time_out_of_range(quick_config, tmp_path):
     assert cmd_export(str(out / "log.json"), "svg-snapshots", str(empty_dir),
                       times=[]) == 0
     assert list(empty_dir.glob("*.svg")) == []
+
+
+def test_export_checks_every_time_before_writing(quick_config, tmp_path):
+    out = tmp_path / "out"
+    assert cmd_run(quick_config, str(out)) == 0
+    export_dir = tmp_path / "svg"
+    assert main(["export", "--log", str(out / "log.json"), "--format", "svg-snapshots",
+                 "--times", "0", "99", "--out", str(export_dir)]) == 2
+    assert not export_dir.exists()
+
+
+@pytest.mark.parametrize("times, outlines", [([0.0, 1.0, 2.0], 2), ([], 0)])
+def test_run_draws_the_outline_once(tmp_path, monkeypatch, times, outlines):
+    radius = geometry.PolarCurve.radius
+    calls = []
+
+    def counted(self, theta):
+        calls.append(np.shape(theta))
+        return radius(self, theta)
+
+    data = uniform_scenario_dict(integrator={"dt": 0.05, "t_end": 2.0, "log_stride": 5},
+                                 output={"snapshot_times": times})
+    path = write_config(tmp_path, data)
+    monkeypatch.setattr(geometry.PolarCurve, "radius", counted)
+    out = tmp_path / "out"
+    assert cmd_run(path, str(out)) == 0
+    assert len(list(out.glob("*.svg"))) == len(times)
+    assert calls.count((512,)) == outlines
+
+
+def test_exported_snapshot_matches_the_run(quick_config, tmp_path):
+    out = tmp_path / "out"
+    assert cmd_run(quick_config, str(out)) == 0
+    export_dir = tmp_path / "svg"
+    assert cmd_export(str(out / "log.json"), "svg-snapshots", str(export_dir),
+                      times=[2.0]) == 0
+    assert [path.name for path in export_dir.iterdir()] == ["snapshot_t2.svg"]
+    assert ((export_dir / "snapshot_t2.svg").read_bytes()
+            == (out / "snapshot_t2.svg").read_bytes())
 
 
 @pytest.mark.parametrize("t", [2.2, -0.2])
