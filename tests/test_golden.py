@@ -2,8 +2,10 @@
 
 `golden.json` holds sha256 digests of every file a `run` writes (the
 trajectory CSV, the log, the config echo, the snapshot SVGs), of the
-`verify` report and of the reprs of its checks' worst values, for the session
-`reference_run` and for the beta = 0.25 `reference_n8` run to t = 5; and k*,
+`verify` report and of the reprs of its checks' worst values, and the records
+whose step halved with their halvings, for the session `reference_run`, for
+the beta = 0.25 `reference_n8` run to t = 5 and for the stiff overtaking
+scenario, whose steps halve; and k*,
 the best total and a digest of the epoch totals of the uniform search at
 K* = 8 and K* = 64. Each CSV also keeps about ten sample rows, so a mismatch
 reports how far each column moved.
@@ -27,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import reference_scenario_dict, scenario_run, sweep_search
+from conftest import (overtaking_scenario_dict, reference_scenario_dict, scenario_run,
+                      sweep_search)
 from ringcover import cli
 from ringcover.sim import verify_invariants
 
@@ -54,8 +57,8 @@ def _sha256(data: bytes) -> str:
 
 
 def run_entry(log, config, out_dir: Path) -> dict:
-    """Digests of the files `run` writes and of `verify`'s report, and sample
-    rows of the trajectory CSV."""
+    """Digests of the files `run` writes and of `verify`'s report, sample
+    rows of the trajectory CSV, and the halvings of every record that halved."""
     cli._write_run_artifacts(log, config, out_dir, config.snapshot_times)
     checks = verify_invariants(log, config)
     # the report prints 7 digits; the worst values' reprs catch the last bits
@@ -66,7 +69,8 @@ def run_entry(log, config, out_dir: Path) -> dict:
     lines = (out_dir / "trajectory.csv").read_text(encoding="utf-8").splitlines()
     stride = max(1, (len(lines) - 2) // SAMPLE_ROWS)
     rows = {str(k): lines[k + 1] for k in range(0, len(lines) - 1, stride)}
-    return {"sha256": digests, "header": lines[0], "rows": rows}
+    halvings = {str(k): int(h) for k, h in enumerate(log.halvings) if h}
+    return {"sha256": digests, "header": lines[0], "rows": rows, "halvings": halvings}
 
 
 def search_entry(result) -> dict:
@@ -79,7 +83,8 @@ def search_entry(result) -> dict:
 def golden_entries(reference, generic, sweep, out_dir: Path) -> dict:
     runs = {}
     for name, (log, config) in (("reference_n8", reference),
-                                ("reference_n8_beta0.25_t5", generic)):
+                                ("reference_n8_beta0.25_t5", generic),
+                                ("overtaking", scenario_run(overtaking_scenario_dict()))):
         (out_dir / name).mkdir()
         runs[name] = run_entry(log, config, out_dir / name)
     return {"environment": environment(), "runs": runs,
@@ -109,6 +114,8 @@ def mismatch_report(expected: dict, actual: dict) -> str:
         moved = [f for f, digest in want["sha256"].items()
                  if got["sha256"].get(f) != digest]
         moved += sorted(set(got["sha256"]) - set(want["sha256"]))
+        if got["halvings"] != want["halvings"]:
+            moved.append("halvings")
         if moved:
             lines.append(f"{name}: changed {', '.join(moved)}")
             lines.append("  largest CSV deviation per column: "
