@@ -6,21 +6,22 @@ the optimal serving position of its slice (the centroid, for the
 squared-distance cost). The bar rates read the slice moments alone and
 nothing feeds back from the agents, so the coupled system is a cascade, and
 `_System` integrates it in two passes. The bar pass (`_System.advance`)
-takes fixed classical Runge-Kutta steps of the unwrapped phases; every
-accepted step must keep the bars in cyclic order and every slice above a
-workload floor, and the step is halved when needed. Each RK4 stage is one
-table product of slice moments, then `bar_rates`, and every accepted
-sub-step keeps its four stage moments. The agent pass (`_System.track`)
-then moves the positions over a block of accepted sub-steps: one
-`optimal_targets` call on all their stage moments, and RK4's closed-form map
-for the linear law p' = -kappa_p (p - T), which gives the stacked RK4 step's
-positions up to rounding. `_System.run` is the one stepping loop and runs
-the agent pass at every record and at least every `BLOCK_STEPS` sub-steps:
-`run_scenario` logs its records into a `TrajectoryLog`, computing the
-derived columns in one batch, and `integrate_system` runs a search epoch
-with one bar pinned. `verify_invariants` checks a log's records against the
-convergence guarantees and reports the end-of-run trends and the excursions
-out of the region for information.
+takes fixed classical Runge-Kutta steps of the unwrapped phases in one
+accept/reject loop that halves a trial until every slice mass exceeds a
+workload floor, a test that also refuses bars out of cyclic order. Each RK4
+stage is one table product of slice moments, then `bar_rates`, and every
+accepted sub-step keeps its four stage moments. The agent pass
+(`_System.track`) then moves the positions over a block of accepted
+sub-steps: one `optimal_targets` call on their stage moments, and RK4's
+closed-form map for the linear law p' = -kappa_p (p - T), which gives the
+stacked RK4 step's positions up to rounding. `_System.run` is the one
+stepping loop and runs the agent pass at every record and at least every
+`BLOCK_STEPS` sub-steps: `run_scenario` logs its records into a
+`TrajectoryLog`, computing the derived columns in one batch, and
+`integrate_system` runs a search epoch with one bar pinned.
+`verify_invariants` checks a log's records against the convergence
+guarantees and reports the end-of-run trends and the excursions out of the
+region for information.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ WORKLOAD_FLOOR_FRACTION = 1e-9
 MAX_STEP_HALVINGS = 8
 # The region's checks allocate a few arrays of this many angles.
 MAX_VALIDATION_GRID = 2 ** 20
+# The step guard's floor, 1e-9 W / N, must stay far above the rounding of a
+# computed slice mass, of order eps W: at N <= 1000 it is over 4000 times that.
+MAX_AGENTS = 1000
+# The quartic table rows grow as radius**6 times the density; below this
+# radius they stay far from overflow.
+MAX_RADIUS = 1e6
 
 
 class ConfigError(ValueError):
@@ -175,8 +182,7 @@ def _check_whole_steps(duration: float, dt: float, field_name: str):
     if steps < 1:
         raise ConfigError(field_name, "must cover at least one step")
     if abs(steps * dt - duration) > 1e-9 * duration:
-        raise ConfigError(field_name, f"{duration} is not a whole number of steps "
-                                      f"of dt {dt}")
+        raise ConfigError(field_name, f"{duration} is not a whole number of steps of dt {dt}")
 
 
 def within_span(t: float, first: float, last: float) -> bool:
@@ -211,6 +217,15 @@ def _parse_curve(data, field_name: str) -> PolarCurve:
                       _numbers(data.get("sin", ()), f"{field_name}.sin"))
 
 
+def _parse_boundary(data, field_name: str) -> PolarCurve:
+    """A region curve whose radius is at most `MAX_RADIUS` at every angle."""
+    curve = _parse_curve(data, field_name)
+    bound = abs(curve.mean) + sum(map(abs, curve.cosine_coeffs + curve.sine_coeffs))
+    if not bound <= MAX_RADIUS:
+        raise ConfigError(field_name, f"radius may reach {bound:.3e}; at most {MAX_RADIUS:g}")
+    return curve
+
+
 _DENSITY_KINDS = ("uniform", "reference", "radial_polynomial_times_angular")
 # The cost kinds and their beta without a parameter; only generic_builtin takes one.
 _COST_KINDS = {"squared_distance": 0.0, "generic_builtin": 0.25}
@@ -222,8 +237,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError("config", "top level must be an object")
 
     region_data = _section(data, "region")
-    inner = _parse_curve(region_data.get("inner"), "region.inner")
-    outer = _parse_curve(region_data.get("outer"), "region.outer")
+    inner = _parse_boundary(region_data.get("inner"), "region.inner")
+    outer = _parse_boundary(region_data.get("outer"), "region.outer")
     grid = _number(region_data.get("validation_grid_size", 2048),
                    "region.validation_grid_size", int)
     if grid > MAX_VALIDATION_GRID:
@@ -256,9 +271,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError("density", str(exc)) from None
 
     agents_data = _section(data, "agents", {})
-    n = _number(_required(agents_data, "agents.count"), "agents.count", int)
-    if n < 2:
-        raise ConfigError("agents.count", "need at least two agents")
+    count = _required(agents_data, "agents.count")
+    n = _number(count, "agents.count", int)
+    if not 2 <= n <= MAX_AGENTS:
+        raise ConfigError("agents.count", f"need 2 to {MAX_AGENTS} agents, got {count!r}")
 
     seed = data.get("seed")
     if seed is not None:
@@ -473,11 +489,17 @@ _AGENT_AXES = {"phases_unwrapped": (), "workloads": (), "positions": (2,),
 
 def rk4_step(state: np.ndarray, derivative, dt: float, k1: np.ndarray) -> np.ndarray:
     """One classical 4-stage Runge-Kutta step of an autonomous system, from
-    the first stage k1 = derivative(state) that the caller has evaluated."""
-    k2 = derivative(state + 0.5 * dt * k1)
-    k3 = derivative(state + 0.5 * dt * k2)
+    the first stage k1 = derivative(state) that the caller has evaluated; the
+    sum k1 + 2 k2 + 2 k3 + k4 is accumulated in place, in that order."""
+    half = 0.5 * dt
+    k2 = derivative(state + half * k1)
+    k3 = derivative(state + half * k2)
     k4 = derivative(state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    step = k1 + 2.0 * k2
+    step += 2.0 * k3
+    step += k4
+    step *= dt / 6.0
+    return np.add(step, state, out=step)
 
 
 # The agent pass runs at least once per this many accepted sub-steps, which
@@ -490,6 +512,7 @@ class _Bars(NamedTuple):
 
     phases: np.ndarray   # unwrapped, in cyclic order
     moments: np.ndarray  # slice moments, shape (rows, N)
+    t: float = 0.0       # time since the run's (or the epoch's) start
 
 
 class _SubStep(NamedTuple):
@@ -513,14 +536,9 @@ class _Record(NamedTuple):
 
 
 class _System:
-    """The cascade of the bar system, guarded, into the agents' tracking law.
-
-    The bar rates read the slice moments alone, and nothing feeds back from
-    the agents, so the bar pass (`advance`) steps the phases first and keeps
-    every accepted sub-step's stage moments; the agent pass (`track`) then
-    moves the positions over that block of sub-steps. Every RK4 stage calls
-    the bar law `bar_rates`, and the guard reads cyclic order off `cyclic_gaps`.
-    """
+    """The cascade of the guarded bar system into the agents' tracking law:
+    the bar pass `advance` keeps every accepted sub-step's stage moments, and
+    the agent pass `track` moves the positions over a block of them."""
 
     def __init__(self, region, density, beta: float, n: int,
                  kappa_phi: float, kappa_p: float, pinned: int | None = None):
@@ -532,6 +550,7 @@ class _System:
         self.table = agents_mod.cost_table(region, density, beta)
         self.workload_floor = WORKLOAD_FLOOR_FRACTION * float(self.table.totals[0]) / n
         self._trial = []  # the stage moments of the RK4 trial in progress
+        self.refusal = None  # the guard's last refusal: "crossing" or "floor"
 
     def _stage(self, phases: np.ndarray) -> np.ndarray:
         """The bar rates at an RK4 stage; its slice moments join the trial's."""
@@ -540,37 +559,42 @@ class _System:
         return bar_rates(moments[0], self.kappa_phi, self.pinned)
 
     def guard(self, phases: np.ndarray) -> np.ndarray | None:
-        """Slice moments at `phases` if the bars keep their cyclic order and
-        every slice its workload floor, else None; bars out of order never
-        reach the table."""
-        if not cyclic_gaps(phases).min() > 0.0:
-            return None
+        """Slice moments at `phases` if every slice mass exceeds the workload
+        floor (NaN does not), else None with `refusal` "crossing" if the bars
+        are out of cyclic order (by `cyclic_gaps`), else "floor". The masses
+        alone refuse a crossing: the parser's radial moment check makes the
+        density positive, so a crossing, tie or lap gives a slice a true mass
+        <= 0, and a computed mass rounds by O(eps W), W the total, far below
+        the floor 1e-9 W / N for N <= `MAX_AGENTS`."""
         moments = self.table.slice_moments(phases)
-        if not moments[0].min() > self.workload_floor:
-            return None
-        return moments
+        if all(mass > self.workload_floor for mass in moments[0].tolist()):
+            return moments
+        self.refusal = "floor" if cyclic_gaps(phases).min() > 0.0 else "crossing"
+        return None
 
-    def advance(self, start: _Bars, dt: float, block: list,
-                depth: int = 0) -> tuple[_Bars, int]:
-        """Guarded bar step: halve (up to the cap) if bars would cross or a slice
-        collapse. Appends every accepted sub-step to `block`, in order.
-
-        Returns the accepted state and the deepest halving the step took.
-        """
-        self._trial = []
-        k1 = bar_rates(start.moments[0], self.kappa_phi, self.pinned)
-        phases = rk4_step(start.phases, self._stage, dt, k1=k1)
-        moments = self.guard(phases)
-        if moments is not None:
-            block.append(_SubStep(dt, self._trial + [moments]))
-            return _Bars(phases, moments), depth
-        if depth >= MAX_STEP_HALVINGS:
-            raise IntegrationError(
-                f"step still crosses bars or breaks the workload floor "
-                f"{self.workload_floor:.3e} after {MAX_STEP_HALVINGS} step halvings")
-        mid, first = self.advance(start, 0.5 * dt, block, depth + 1)
-        end, second = self.advance(mid, 0.5 * dt, block, depth + 1)
-        return end, max(first, second)
+    def advance(self, start: _Bars, dt: float, block: list) -> tuple[_Bars, int]:
+        """Guarded bar step: a loop over a stack of pending (step, halvings)
+        halves a refused trial up to `MAX_STEP_HALVINGS` deep and appends the
+        accepted sub-steps to `block`; returns the end state and deepest halving."""
+        pending, deepest = [(dt, 0)], 0
+        while pending:
+            dt, halvings = pending.pop()
+            self._trial = []
+            k1 = bar_rates(start.moments[0], self.kappa_phi, self.pinned)
+            phases = rk4_step(start.phases, self._stage, dt, k1=k1)
+            moments = self.guard(phases)
+            if moments is not None:
+                block.append(_SubStep(dt, self._trial + [moments]))
+                start = _Bars(phases, moments, start.t + dt)
+                deepest = max(deepest, halvings)
+            elif halvings < MAX_STEP_HALVINGS:
+                pending += [(0.5 * dt, halvings + 1)] * 2
+            else:
+                cause = ("crosses bars" if self.refusal == "crossing" else
+                         f"breaks the workload floor {self.workload_floor:.3e}")
+                raise IntegrationError(f"step still {cause} at t = {start.t:.6g} after "
+                                       f"{MAX_STEP_HALVINGS} step halvings ({self.refusal})")
+        return start, deepest
 
     def track(self, positions: np.ndarray, targets: np.ndarray, block: list):
         """The agent pass: move `positions` over a block of bar sub-steps.
@@ -658,8 +682,7 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
                                   config.log_stride))
     except IntegrationError as exc:
         meta["guard_failures"] = 1
-        partial = _assemble_log(records, config, meta)
-        raise IntegrationError(str(exc), log=partial) from None
+        raise IntegrationError(str(exc), log=_assemble_log(records, config, meta)) from None
     return _assemble_log(records, config, meta)
 
 
@@ -734,19 +757,20 @@ def verify_invariants(log: TrajectoryLog, config: ScenarioConfig) -> Verificatio
 
     checks = []
 
+    def gate(name: str, bound: str, worst: float, ok: bool):
+        checks.append(CheckResult(name, bound, worst, "pass" if ok else "fail"))
+
     # Conserved mean of the unwrapped phases.
     means = np.mean(log.phases_unwrapped, axis=1)
     drift = float(np.max(np.abs(means - means[0])))
     allowed = 1e-6 * max(1.0, span / 100.0)
-    checks.append(CheckResult("mean_phase_conservation", f"<{allowed:.1e}", drift,
-                              "pass" if drift < allowed else "fail"))
+    gate("mean_phase_conservation", f"<{allowed:.1e}", drift, drift < allowed)
 
     # Imbalance never increases along the discrete trajectory.
     v = log.lyapunov
     eps_step = 1e-9 * max(v[0], 1e-30)
     rise = float(np.max(np.diff(v))) if v.size > 1 else 0.0
-    checks.append(CheckResult("lyapunov_nonincreasing", f"rise<{eps_step:.1e}", rise,
-                              "pass" if rise <= eps_step else "fail"))
+    gate("lyapunov_nonincreasing", f"rise<{eps_step:.1e}", rise, rise <= eps_step)
 
     # Guaranteed exponential decay with 5% discretization slack.
     v_floor = (1e-10 * m_bar) ** 2
@@ -755,8 +779,7 @@ def verify_invariants(log: TrajectoryLog, config: ScenarioConfig) -> Verificatio
     # the worst ratio after it.
     ratios = v / envelope
     ratio = float(np.max(ratios[1:] if ratios.size > 1 else ratios))
-    checks.append(CheckResult("lyapunov_exponential_bound", "ratio<=1.05", ratio,
-                              "pass" if ratio <= 1.05 else "fail"))
+    gate("lyapunov_exponential_bound", "ratio<=1.05", ratio, ratio <= 1.05)
 
     # Workload errors e_i = m_i - m_bar obey |e_i| <= sqrt(2 V) <= c1 e^{-c2 t},
     # and neighbour gaps |e_i - e_{i-1}| <= sqrt(2 (e_i^2 + e_{i-1}^2))
@@ -765,41 +788,34 @@ def verify_invariants(log: TrajectoryLog, config: ScenarioConfig) -> Verificatio
     deviation_envelope = np.maximum(c1 * decay, 1e-10 * m_bar)
     deviation_ratio = float(np.max(np.abs(log.workloads - m_bar)
                                    / deviation_envelope[:, None]))
-    checks.append(CheckResult("workload_deviation_bound", "ratio<=1.05", deviation_ratio,
-                              "pass" if deviation_ratio <= 1.05 else "fail"))
+    gate("workload_deviation_bound", "ratio<=1.05", deviation_ratio, deviation_ratio <= 1.05)
     # The bar law at unit gain gives the neighbour differences; C order keeps
     # each record's row contiguous, so the row sums below add pairwise.
     diffs = np.abs(bar_rates(log.workloads.T, 1.0).T, order="C")
     gap_envelope = np.maximum(math.sqrt(2.0) * c1 * decay, 1e-10 * m_bar)
     gap_ratio = float(np.max(diffs / gap_envelope[:, None]))
-    checks.append(CheckResult("pairwise_difference_bound", "ratio<=1.05", gap_ratio,
-                              "pass" if gap_ratio <= 1.05 else "fail"))
+    gate("pairwise_difference_bound", "ratio<=1.05", gap_ratio, gap_ratio <= 1.05)
 
     # No slice ever loses all workload; the step guard never gave up.
     min_workload = float(np.min(log.workloads))
-    failures = int(log.meta.get("guard_failures", 0))
-    ok = min_workload > 0.0 and failures == 0
-    checks.append(CheckResult("workload_positivity", ">0, no guard failures",
-                              min_workload, "pass" if ok else "fail"))
+    gate("workload_positivity", ">0, no guard failures", min_workload,
+         min_workload > 0.0 and int(log.meta.get("guard_failures", 0)) == 0)
 
     # Bars never overtake each other (checked, not enforced).
     min_gap = float(np.min(cyclic_gaps(log.phases_unwrapped)))
-    checks.append(CheckResult("cyclic_order_preserved", "gaps>0", min_gap,
-                              "pass" if min_gap > 0.0 else "fail"))
+    gate("cyclic_order_preserved", "gaps>0", min_gap, min_gap > 0.0)
 
     # Quadratic-form lower bound on the neighbour-gap energy.
     lhs = np.sum(diffs ** 2, axis=1)
     rhs = 2.0 * lambda_min * v / n
     margin = float(np.min(lhs - rhs))
     slack = -1e-9 * max(float(np.max(rhs)), 1e-30)
-    checks.append(CheckResult("cyclic_form_bound", "lhs>=rhs", margin,
-                              "pass" if margin >= slack else "fail"))
+    gate("cyclic_form_bound", "lhs>=rhs", margin, margin >= slack)
 
     # Logged workloads are the slice masses and logged targets the slice
     # optima of the run's cost, both by quadrature on sampled records.
     worst_target = _target_stationarity(log, region, density, config.beta)
-    checks.append(CheckResult("target_stationarity", "rel<1e-6", worst_target,
-                              "pass" if worst_target < 1e-6 else "fail"))
+    gate("target_stationarity", "rel<1e-6", worst_target, worst_target < 1e-6)
 
     # End-of-run trends at the last record, for information: the bar rates
     # are gated at every record through pairwise_difference_bound.

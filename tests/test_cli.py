@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -525,6 +526,44 @@ def test_oversized_validation_grid_exits_2_before_the_region_is_built(
     assert config.region.validation_grid_size == sim.MAX_VALIDATION_GRID
 
 
+@pytest.mark.parametrize("path, value, message", [
+    # numpy's shape limit in the phase draw raised ValueError (exit 1)
+    ("agents.count", 1e308, "agents.count: need 2 to 1000 agents, got 1e+308"),
+    ("agents.count", 10 ** 30, f"agents.count: need 2 to 1000 agents, got {10 ** 30}"),
+    ("agents.count", sim.MAX_AGENTS + 1, "agents.count: need 2 to 1000 agents, got 1001"),
+    # the position draw overflowed (exit 1), and the table's rows overflowed
+    # with warnings to an infinite workload floor (exit 3)
+    ("region.outer.mean", 1e308, "region.outer: radius may reach 1.000e+308; at most 1e+06"),
+    ("region.outer.mean", 1e200, "region.outer: radius may reach 1.000e+200; at most 1e+06"),
+], ids=["count_1e308", "count_10**30", "count_above_bound", "outer_1e308", "outer_1e200"])
+def test_oversized_config_values_exit_2_without_warnings(tmp_path, caplog, path, value,
+                                                         message):
+    data = reference_scenario_dict(integrator={"dt": 0.01, "t_end": 0.02, "log_stride": 1})
+    *parents, key = path.split(".")
+    node = data
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cmd_run(write_config(tmp_path, data), str(tmp_path / "out")) == 2
+    assert caught == []
+    assert f"invalid config: {message}" in caplog.text
+
+
+def test_the_size_bounds_parse():
+    # N = MAX_AGENTS bars, evenly spaced, on a region of outer radius MAX_RADIUS
+    n = sim.MAX_AGENTS
+    data = reference_scenario_dict(agents={"count": n, "initial_positions": "random",
+                                           "initial_phases": [k * geometry.TWO_PI / n
+                                                              for k in range(n)]})
+    data["region"]["outer"] = {"mean": sim.MAX_RADIUS - 0.5, "cos": [0.0, 0.5]}
+    config = scenario_from_dict(data)
+    system = sim._System(config.region, config.density, config.beta, n,
+                         config.kappa_phi, config.kappa_p)
+    assert config.n_agents == n and 0.0 < system.workload_floor < math.inf
+
+
 @pytest.mark.parametrize("path", ["gains.kappa_phi", "gains.kappa_p", "integrator.t_end",
                                   "search.T_epsilon"])
 def test_run_reports_a_missing_required_field(tmp_path, caplog, path):
@@ -576,10 +615,10 @@ def test_partial_log_keeps_a_snapshot_at_its_last_record(tmp_path, monkeypatch):
     steps = iter(range(3))
     advance = sim._System.advance
 
-    def advance_three_steps(self, start, dt, block, depth=0):
-        if depth == 0 and next(steps, None) is None:
+    def advance_three_steps(self, start, dt, block):
+        if next(steps, None) is None:
             raise sim.IntegrationError("step refused")
-        return advance(self, start, dt, block, depth)
+        return advance(self, start, dt, block)
 
     monkeypatch.setattr(sim._System, "advance", advance_three_steps)
     data = uniform_scenario_dict(integrator={"dt": 0.15, "t_end": 0.6, "log_stride": 1},

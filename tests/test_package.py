@@ -180,8 +180,10 @@ def _enclosing_functions(tree, matches) -> list:
 
 
 def test_bars_step_by_rk4_and_agents_by_its_closed_form_map():
-    # the cascade stepper: the bar pass is the only caller of rk4_step, and
-    # the positions move only by RK4's closed-form map of the tracking law,
+    # the cascade stepper: the bar pass is the only caller of rk4_step and
+    # one accept/reject loop, which does not call itself (`run` is its one
+    # caller), and the positions move only by RK4's closed-form map of the
+    # tracking law,
     # one assignment in a loop of `_System.track`, the one method of the
     # stepper that reads the tracking gain, run from one site
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -196,6 +198,7 @@ def test_bars_step_by_rk4_and_agents_by_its_closed_form_map():
                              and ast.unparse(node.func).split(".")[-1] == name)
 
     assert sites(called("rk4_step")) == ["sim.py:_System.advance"]
+    assert sites(called("advance")) == ["sim.py:_System.run"]
     assert sites(called("track")) == ["sim.py:_System.run"]
     gain_reads = sites(lambda node: isinstance(node, ast.Attribute)
                        and node.attr == "kappa_p" and ast.unparse(node.value) == "self"
@@ -217,7 +220,8 @@ def test_one_bar_law_and_one_cyclic_order_test():
     # `cyclic_gaps` the only test of cyclic order: the stepper defines no rate
     # method, neither module rolls an array, the slice index
     # np.arange(-1, N - 1) is built only beside `bar_rates`, the cyclic form
-    # applies the law to its embedding, and the guard reads the gaps
+    # applies the law to its embedding, and the step guard, whose slice
+    # masses refuse a crossing, reads the gaps only to name the cause
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SOURCE.glob("*.py"))}
 

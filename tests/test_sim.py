@@ -398,6 +398,28 @@ def test_step_guard_raises_when_halving_cannot_keep_order(monkeypatch):
     assert info.value.log.meta["guard_failures"] == 1
 
 
+@pytest.mark.parametrize("cause", ["crossing", "floor"])
+def test_integration_error_names_the_refusal_and_the_step_time(monkeypatch, cause):
+    # the stiff whole step crosses bars; with a floor above every slice mass,
+    # even the smallest sub-step is refused for the floor
+    config = scenario_from_dict(overtaking_scenario_dict())
+    system = sim._System(config.region, config.density, config.beta, config.n_agents,
+                         config.kappa_phi, config.kappa_p)
+    if cause == "crossing":
+        monkeypatch.setattr(sim, "MAX_STEP_HALVINGS", 0)
+        expected = "step still crosses bars at t = 2.5 after 0 step halvings (crossing)"
+    else:
+        system.workload_floor = 1e9
+        expected = ("step still breaks the workload floor 1.000e+09 at t = 2.5 after "
+                    "8 step halvings (floor)")
+    phases = config.initial_phases
+    start = sim._Bars(phases, system.table.slice_moments(phases), 2.5)
+    block = []
+    with pytest.raises(IntegrationError) as info:
+        system.advance(start, config.dt, block)
+    assert str(info.value) == expected and block == []
+
+
 def count_calls(monkeypatch):
     """Count slice_moments and optimal_targets calls made through the
     integrator, and the slices (target rows) the targets are computed for."""
@@ -451,15 +473,14 @@ def test_trajectory_with_the_cumulative_difference_oracle(monkeypatch):
 
 
 def test_run_advances_once_per_step_and_reports_every_step(monkeypatch):
-    # the stiff scenario halves steps; only the top-level advances count
+    # the stiff scenario halves steps, inside one advance call per step
     config = scenario_from_dict(overtaking_scenario_dict())
     advances = []
     real_advance = sim._System.advance
 
-    def advance(self, start, dt, block, depth=0):
-        if depth == 0:
-            advances.append(dt)
-        return real_advance(self, start, dt, block, depth)
+    def advance(self, start, dt, block):
+        advances.append(dt)
+        return real_advance(self, start, dt, block)
 
     monkeypatch.setattr(sim._System, "advance", advance)
     system = sim._System(config.region, config.density, config.beta, config.n_agents,
@@ -480,8 +501,7 @@ def test_run_advances_once_per_step_and_reports_every_step(monkeypatch):
 
 def test_guard_rejects_before_targets(monkeypatch, uniform_region, uniform_density):
     # a rejected trial's stage moments are dropped: targets are computed for
-    # the start and for the four stages of each accepted sub-step only, and
-    # bars out of order never reach the table
+    # the start and for the four stages of each accepted sub-step only
     counts = count_calls(monkeypatch)
     rejections, accepted = [], []
     real_guard, real_track = sim._System.guard, sim._System.track
@@ -508,11 +528,53 @@ def test_guard_rejects_before_targets(monkeypatch, uniform_region, uniform_densi
     assert sum(step.dt for step in accepted) == pytest.approx(config.t_end)
 
     system = sim._System(uniform_region, uniform_density, 0.0, 2, 0.1, 0.5)
-    before = counts["slice_moments"]
     assert system.guard(np.array([1.9, 0.4])) is None  # an order rejection
-    assert counts["slice_moments"] == before
+    assert system.refusal == "crossing"
     system.workload_floor = 1e9  # a floor rejection
     assert system.guard(np.array([0.4, 1.9])) is None
+    assert system.refusal == "floor"
+
+
+@st.composite
+def density_sections(draw):
+    """A `density` config section of each kind, positive on any region."""
+    kind = draw(st.sampled_from(["uniform", "reference", "radial_polynomial_times_angular"]))
+    if kind == "uniform":
+        return {"kind": kind, "parameters": [draw(st.floats(0.5, 2.0))]}
+    if kind == "reference":
+        return {"kind": kind, "parameters": [draw(st.floats(0.0, 0.1))]}
+    coefficients = draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=5))
+    return {"kind": kind, "parameters": coefficients,
+            "angular": {"mean": 1.0, "cos": [draw(st.floats(-0.5, 0.5))]}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(sections=star_regions(), density=density_sections(), phases=cyclic_layouts(),
+       beta=st.sampled_from([0.0, 0.25]), bar=st.integers(0, 7),
+       overshoot=st.one_of(st.just(0.0), st.floats(1e-15, 1.0)),
+       turn=st.sampled_from([-TWO_PI, TWO_PI]))
+def test_slice_masses_guard_the_cyclic_order(sections, density, phases, beta, bar,
+                                             overshoot, turn):
+    # With the system's own floor, the mass test alone refuses every state
+    # out of cyclic order and names it a crossing, and returns the slice
+    # moments of an ordered state bit for bit; a NaN mass is refused.
+    config = scenario_from_dict(reference_scenario_dict(region=sections["region"],
+                                                        density=density))
+    n = phases.size
+    system = sim._System(config.region, config.density, beta, n, 0.03, 0.1)
+    assert np.array_equal(system.guard(phases), system.table.slice_moments(phases))
+    i = bar % n
+    overtaken = phases.copy()  # bar i + 1 ties with bar i or passes it
+    overtaken[(i + 1) % n] = phases[i] - overshoot + (TWO_PI if i == n - 1 else 0.0)
+    lapped = phases.copy()  # one bar a full turn off
+    lapped[i] += turn
+    for crossed in (overtaken, lapped):
+        assert np.any(cyclic_gaps(crossed) <= 0.0)
+        assert system.guard(crossed) is None and system.refusal == "crossing"
+    broken = phases.copy()
+    broken[i] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert system.guard(broken) is None
 
 
 # The region and density of the bundled reference scenario.
@@ -600,10 +662,6 @@ def test_evaluation_matches_the_written_out_formulas_bit_for_bit(sections, state
             assert np.array_equal(stacked, np.concatenate([targets, targets]))
         for pinned in (None, pinned_bar):
             system = sim._System(region, density, beta, n, kappa_phi, kappa_p, pinned)
-            # the guard's order test decides as the cyclic gaps do
-            system.workload_floor = -np.inf
-            for p in (phases, crossed):
-                assert (system.guard(p) is None) == bool(np.any(reference_gaps(p) <= 0.0))
             # the guard rejects a slice at the floor, and accepts above it
             system.workload_floor = float(np.min(mass))
             assert system.guard(phases) is None
@@ -789,10 +847,10 @@ def test_partial_log_is_the_complete_logs_first_records(monkeypatch):
     real_advance = sim._System.advance
     calls = iter(range(17))
 
-    def advance(self, start, dt, block, depth=0):
-        if depth == 0 and next(calls, None) is None:
+    def advance(self, start, dt, block):
+        if next(calls, None) is None:
             raise IntegrationError("step refused")
-        return real_advance(self, start, dt, block, depth)
+        return real_advance(self, start, dt, block)
 
     monkeypatch.setattr(sim._System, "advance", advance)
     with pytest.raises(IntegrationError) as info:
