@@ -182,7 +182,8 @@ def _check_whole_steps(duration: float, dt: float, field_name: str):
     if steps < 1:
         raise ConfigError(field_name, "must cover at least one step")
     if abs(steps * dt - duration) > 1e-9 * duration:
-        raise ConfigError(field_name, f"{duration} is not a whole number of steps of dt {dt}")
+        raise ConfigError(field_name, f"{duration} is not a whole number of steps "
+                                      f"of dt {dt}")
 
 
 def within_span(t: float, first: float, last: float) -> bool:
@@ -581,7 +582,7 @@ class _System:
             dt, halvings = pending.pop()
             self._trial = []
             k1 = bar_rates(start.moments[0], self.kappa_phi, self.pinned)
-            phases = rk4_step(start.phases, self._stage, dt, k1=k1)
+            phases = rk4_step(start.phases, self._stage, dt, k1)
             moments = self.guard(phases)
             if moments is not None:
                 block.append(_SubStep(dt, self._trial + [moments]))
@@ -682,7 +683,8 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
                                   config.log_stride))
     except IntegrationError as exc:
         meta["guard_failures"] = 1
-        raise IntegrationError(str(exc), log=_assemble_log(records, config, meta)) from None
+        partial = _assemble_log(records, config, meta)
+        raise IntegrationError(str(exc), log=partial) from None
     return _assemble_log(records, config, meta)
 
 

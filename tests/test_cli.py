@@ -552,7 +552,9 @@ def test_oversized_config_values_exit_2_without_warnings(tmp_path, caplog, path,
 
 
 def test_the_size_bounds_parse():
-    # N = MAX_AGENTS bars, evenly spaced, on a region of outer radius MAX_RADIUS
+    # N = MAX_AGENTS bars, evenly spaced, on a region of outer radius
+    # MAX_RADIUS: the floor is finite, and the guard still refuses a bar
+    # that overtakes its neighbour by one ulp-sized step
     n = sim.MAX_AGENTS
     data = reference_scenario_dict(agents={"count": n, "initial_positions": "random",
                                            "initial_phases": [k * geometry.TWO_PI / n
@@ -562,6 +564,12 @@ def test_the_size_bounds_parse():
     system = sim._System(config.region, config.density, config.beta, n,
                          config.kappa_phi, config.kappa_p)
     assert config.n_agents == n and 0.0 < system.workload_floor < math.inf
+    phases = config.initial_phases
+    assert system.guard(phases) is not None
+    for i in (0, n // 2, n - 2):
+        crossed = phases.copy()
+        crossed[i + 1] = np.nextafter(phases[i], -math.inf)
+        assert system.guard(crossed) is None and system.refusal == "crossing"
 
 
 @pytest.mark.parametrize("path", ["gains.kappa_phi", "gains.kappa_p", "integrator.t_end",
