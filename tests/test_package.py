@@ -183,9 +183,8 @@ def test_bars_step_by_rk4_and_agents_by_its_closed_form_map():
     # the cascade stepper: the bar pass is the only caller of rk4_step and
     # one accept/reject loop, which does not call itself (`run` is its one
     # caller), and the positions move only by RK4's closed-form map of the
-    # tracking law,
-    # one assignment in a loop of `_System.track`, the one method of the
-    # stepper that reads the tracking gain, run from one site
+    # tracking law, one assignment in a loop of `_System.track`, the one
+    # method of the stepper that reads the tracking gain, run from one site
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SOURCE.glob("*.py"))}
 

@@ -420,6 +420,32 @@ def test_integration_error_names_the_refusal_and_the_step_time(monkeypatch, caus
     assert str(info.value) == expected and block == []
 
 
+def test_integration_error_time_counts_the_accepted_sub_steps(monkeypatch):
+    # the whole step is refused, its first half accepted and its second
+    # refused at the cap: the failure lies at the second half's start
+    monkeypatch.setattr(sim, "MAX_STEP_HALVINGS", 1)
+    config = scenario_from_dict(uniform_scenario_dict())
+    system = sim._System(config.region, config.density, config.beta, config.n_agents,
+                         config.kappa_phi, config.kappa_p)
+    verdicts = iter([False, True])
+    real_guard = sim._System.guard
+
+    def guard(self, phases):
+        moments = real_guard(self, phases)
+        if next(verdicts, False):
+            return moments
+        self.refusal = "floor"
+        return None
+
+    monkeypatch.setattr(sim._System, "guard", guard)
+    phases = config.initial_phases
+    start = sim._Bars(phases, system.table.slice_moments(phases), 2.5)
+    block = []
+    with pytest.raises(IntegrationError, match=r"at t = 2\.525 after 1 step halvings \(floor\)$"):
+        system.advance(start, config.dt, block)
+    assert [step.dt for step in block] == [0.5 * config.dt]
+
+
 def count_calls(monkeypatch):
     """Count slice_moments and optimal_targets calls made through the
     integrator, and the slices (target rows) the targets are computed for."""
@@ -809,6 +835,17 @@ def test_cascade_matches_the_stacked_oracle(scenario, cap):
     data, pinned = scenario
     with mock.patch.object(sim, "BLOCK_STEPS", cap):
         assert_matches_the_stacked_oracle(scenario_from_dict(data), pinned)
+
+
+def test_nested_halvings_match_the_stacked_oracle():
+    # at dt = 2 the stiff bars halve twice per step, so a refused half's two
+    # quarters must run before the pending second half, as the oracle's
+    # recursion takes them
+    data = overtaking_scenario_dict()
+    data["integrator"] = {"dt": 2.0, "t_end": 10.0, "log_stride": 1}
+    config = scenario_from_dict(data)
+    assert max(run_scenario(config).halvings) == 2
+    assert_matches_the_stacked_oracle(config)
 
 
 def test_run_longer_than_the_flush_cap_with_one_record_matches_the_oracle():
