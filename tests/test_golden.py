@@ -10,6 +10,15 @@ the best total and a digest of the epoch totals of the uniform search at
 K* = 8 and K* = 64. Each CSV also keeps about ten sample rows, so a mismatch
 reports how far each column moved.
 
+It also pins what the config parser makes of malformed input. Every entry
+of three scenarios (the two bundled configs and a variant with the generic
+cost, an angular density and a tolerance-set search), sections and list items
+included, is replaced in turn by each value of `MUTATIONS` and then deleted.
+Each input's outcome is the field its ConfigError names, the type of any
+other exception, or a digest of the config echo ("accepted" for an unseeded
+random draw), plus the types of any warnings; one digest per entry holds its
+outcomes.
+
 The digests hold for the environment named in the file (numpy and Python
 versions, machine). Anywhere else they may differ in the last bits; the test
 then fails, printing both environments, and never skips.
@@ -21,9 +30,12 @@ After a change that moves digits on purpose, regenerate the file with
 and list the moved digits in CHANGES.md.
 """
 
+import copy
 import hashlib
 import json
+import math
 import platform
+import warnings
 import tempfile
 from pathlib import Path
 
@@ -32,11 +44,15 @@ import numpy as np
 from conftest import (overtaking_scenario_dict, reference_scenario_dict, scenario_run,
                       sweep_search)
 from ringcover import cli
-from ringcover.sim import verify_invariants
+from ringcover.sim import ConfigError, scenario_from_dict, verify_invariants
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SAMPLE_ROWS = 10
 SEARCH_K_STARS = (8, 64)
+CONFIGS = Path(cli.__file__).with_name("configs")
+MUTATIONS = (None, [], {}, "x", "random", True, math.inf, -math.inf, math.nan, 1e308,
+             10 ** 30, 1e-320, 0, -1, 0.5, 1.5, 2)
+DELETED = object()
 
 
 def generic_run():
@@ -78,6 +94,80 @@ def search_entry(result) -> dict:
     return {"k_star": result.best.epoch + 1,
             "best_total": repr(float(result.best.total_cost)),
             "epoch_totals_sha256": _sha256(totals.encode("utf-8"))}
+
+
+def parser_scenarios() -> dict:
+    """The scenarios whose every entry the parser corpus mutates."""
+    bundled = {name: json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+               for name in ("reference_n8", "uniform_n2_search")}
+    variant = copy.deepcopy(bundled["uniform_n2_search"])
+    variant.update(density={"kind": "radial_polynomial_times_angular",
+                            "parameters": [1.0, 0.1],
+                            "angular": {"mean": 1.0, "cos": [0.2]}},
+                   cost={"kind": "generic_builtin", "parameters": [0.25]},
+                   search={"epsilon_p": 0.8, "T_epsilon": 30.0})
+    return {**bundled, "generic_angular_epsilon": variant}
+
+
+def entry_paths(node, path=()):
+    """The key path of every entry under `node`, sections and list items included."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from entry_paths(child, path + (key,))
+
+
+def parse_outcome(data) -> str:
+    """What `scenario_from_dict` makes of `data`, as a short string."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            config = scenario_from_dict(data)
+        except ConfigError as exc:
+            outcome = f"ConfigError {exc.field}"
+        except Exception as exc:  # an escape is an outcome to pin too
+            outcome = f"escaped {type(exc).__name__}"
+        else:
+            agents = data["agents"]
+            unseeded = config.seed is None and "random" in (
+                agents.get("initial_phases", "random"), agents.get("initial_positions", "random"))
+            outcome = ("accepted" if unseeded else
+                       _sha256(json.dumps(config.to_dict(), indent=2).encode("utf-8")))
+    return outcome + "".join(sorted({f" warned {w.category.__name__}" for w in caught}))
+
+
+def entry_outcomes(base: dict, path: tuple) -> list:
+    """The outcomes of `base` with the entry at `path` set to each mutation, then deleted."""
+    def mutated(value):
+        data = copy.deepcopy(base)
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        if value is DELETED:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = copy.deepcopy(value)
+        return data
+
+    return [parse_outcome(mutated(value)) for value in (*MUTATIONS, DELETED)]
+
+
+def parser_paths() -> dict:
+    """Per scenario, its base config and its entry paths keyed by their dotted names."""
+    return {name: (base, {".".join(map(str, path)): path for path in entry_paths(base)})
+            for name, base in parser_scenarios().items()}
+
+
+def parser_entries() -> dict:
+    """Per scenario and entry path, a digest of that entry's outcomes."""
+    return {name: {dotted: _sha256("\n".join(entry_outcomes(base, path)).encode("utf-8"))[:16]
+                   for dotted, path in paths.items()}
+            for name, (base, paths) in parser_paths().items()}
 
 
 def golden_entries(reference, generic, sweep, out_dir: Path) -> dict:
@@ -134,10 +224,27 @@ def test_outputs_match_golden(reference_run, search_sweep, tmp_path):
             == {key: expected[key] for key in outputs}), mismatch_report(expected, actual)
 
 
+def test_parser_outcomes_match_golden():
+    # on a mismatch, list each moved entry with its outcomes now
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))["parser"]
+    actual = parser_entries()
+    scenarios = parser_paths()
+    moved = []
+    for name in sorted(expected.keys() | actual.keys()):
+        want, got = expected.get(name, {}), actual.get(name, {})
+        base, paths = scenarios.get(name, ({}, {}))
+        for path in sorted(want.keys() | got.keys()):
+            if want.get(path) != got.get(path):
+                now = entry_outcomes(base, paths[path]) if path in paths else "gone"
+                moved.append(f"{name} {path}: now {now}")
+    assert moved == [], "parser outcomes moved:\n" + "\n".join(moved)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         entries = golden_entries(scenario_run(reference_scenario_dict()), generic_run(),
                                  {k: sweep_search(k) for k in SEARCH_K_STARS},
                                  Path(scratch))
+    entries["parser"] = parser_entries()
     GOLDEN.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")
