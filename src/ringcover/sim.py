@@ -149,81 +149,90 @@ def _curve_to_dict(curve: PolarCurve) -> dict:
             "sin": list(curve.sine_coeffs)}
 
 
-def _number(value, field_name: str, kind=float):
-    """`value` as a finite float or whole int; else a ConfigError naming the field."""
-    if isinstance(value, (bool, str)):
-        raise ConfigError(field_name, f"expected a number, got {value!r}")
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(field_name, f"expected a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ConfigError(field_name, f"must be finite, got {value!r}")
-    if kind is int and number != value:
-        raise ConfigError(field_name, f"expected a whole number, got {value!r}")
-    return number
-
-
-def _numbers(values, field_name: str) -> tuple:
-    """A list of finite numbers as a tuple; ConfigError naming the field otherwise."""
-    if isinstance(values, (list, tuple)):
-        try:
-            return tuple(_number(v, field_name) for v in values)
-        except ConfigError:
-            pass
-    raise ConfigError(field_name, f"expected a list of finite numbers, got {values!r}")
-
-
-def _check_whole_steps(duration: float, dt: float, field_name: str):
-    """ConfigError unless `duration` is one or more whole steps dt (to 1e-9)."""
-    if not math.isfinite(duration / dt):
-        raise ConfigError(field_name, f"too many steps of dt {dt}")
-    steps = round(duration / dt)
-    if steps < 1:
-        raise ConfigError(field_name, "must cover at least one step")
-    if abs(steps * dt - duration) > 1e-9 * duration:
-        raise ConfigError(field_name, f"{duration} is not a whole number of steps "
-                                      f"of dt {dt}")
-
-
 def within_span(t: float, first: float, last: float) -> bool:
     """Whether t lies in [first, last] up to rounding (1e-9 of the span)."""
     slack = 1e-9 * max(last - first, 1.0)
     return first - slack <= t <= last + slack
 
 
-def _section(data: dict, name: str, default=None) -> dict:
-    """The object under `name`, or `default` when the entry is absent."""
-    value = data.get(name, default)
-    if value is None:
-        raise ConfigError(name, "missing")
-    if not isinstance(value, dict):
-        raise ConfigError(name, f"expected an object, got {value!r}")
+_REQUIRED = object()
+
+
+def _get(data: dict, path: str, default=_REQUIRED, kind=None, test=None, message=""):
+    """The config entry at the dotted `path`, read and checked in one call.
+
+    Each section on the way must be an object; an absent one reads as empty.
+    An absent entry, or a null one whose default is None, gives `default`
+    ("missing" without one). `kind` dict wants an object, float and int a
+    finite number (int a whole one), list a list of finite numbers, returned
+    as a tuple; booleans and strings are not numbers. A value failing `test`
+    raises `message` formatted with the raw value. Each ConfigError names
+    `path`, or the section that is null ("missing") or not an object.
+    """
+    *sections, key = path.split(".")
+    node = data
+    for depth, name in enumerate(sections, 1):
+        node = node.get(name, {})
+        if not isinstance(node, dict):
+            raise ConfigError(".".join(sections[:depth]), "missing" if node is None
+                              else f"expected an object, got {node!r}")
+    raw = value = node.get(key, _REQUIRED)
+    if raw is _REQUIRED or raw is None and default is None:
+        if default is _REQUIRED:
+            raise ConfigError(path, "missing")
+        return default
+    if kind is dict:
+        if not isinstance(raw, dict):
+            raise ConfigError(path, "missing" if raw is None
+                              else f"expected an object, got {raw!r}")
+    elif kind is list:
+        try:
+            if not isinstance(raw, (list, tuple)) or any(isinstance(v, (bool, str)) for v in raw):
+                raise TypeError
+            value = tuple(map(float, raw))  # whole numbers too large for a float fail here
+            if not all(map(math.isfinite, value)):
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(path, f"expected a list of finite numbers, got {raw!r}") from None
+    elif kind is not None:
+        try:
+            if isinstance(raw, (bool, str)):
+                raise TypeError
+            value = float(raw)  # a whole number too large for a float fails here
+            if kind is int:
+                value = int(raw)  # and so do inf and nan
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(path, f"expected a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(path, f"must be finite, got {raw!r}")
+        if kind is int and value != raw:
+            raise ConfigError(path, f"expected a whole number, got {raw!r}")
+    if test is not None and not test(value):
+        raise ConfigError(path, message.format(raw))
     return value
 
 
-def _required(section: dict, field_name: str):
-    """The entry of `section` that `field_name` ends in; ConfigError if absent."""
-    key = field_name.rsplit(".", 1)[-1]
-    if key not in section:
-        raise ConfigError(field_name, "missing")
-    return section[key]
+def _duration(data: dict, path: str, dt: float) -> float:
+    """The duration at `path`, which must be one or more whole steps dt (to 1e-9)."""
+    duration = _get(data, path, kind=float)
+    if not math.isfinite(duration / dt):
+        raise ConfigError(path, f"too many steps of dt {dt}")
+    steps = round(duration / dt)
+    if steps < 1:
+        raise ConfigError(path, "must cover at least one step")
+    if abs(steps * dt - duration) > 1e-9 * duration:
+        raise ConfigError(path, f"{duration} is not a whole number of steps of dt {dt}")
+    return duration
 
 
-def _parse_curve(data, field_name: str) -> PolarCurve:
-    if not isinstance(data, dict):
-        raise ConfigError(field_name, "expected an object with a 'mean' entry")
-    return PolarCurve(_number(_required(data, f"{field_name}.mean"), f"{field_name}.mean"),
-                      _numbers(data.get("cos", ()), f"{field_name}.cos"),
-                      _numbers(data.get("sin", ()), f"{field_name}.sin"))
-
-
-def _parse_boundary(data, field_name: str) -> PolarCurve:
-    """A region curve whose radius is at most `MAX_RADIUS` at every angle."""
-    curve = _parse_curve(data, field_name)
-    bound = abs(curve.mean) + sum(map(abs, curve.cosine_coeffs + curve.sine_coeffs))
-    if not bound <= MAX_RADIUS:
-        raise ConfigError(field_name, f"radius may reach {bound:.3e}; at most {MAX_RADIUS:g}")
+def _parse_curve(data: dict, path: str, bound: float = math.inf) -> PolarCurve:
+    """The polar curve at `path`, whose radius is at most `bound` at every angle."""
+    _get(data, path, kind=dict)
+    curve = PolarCurve(_get(data, f"{path}.mean", kind=float),
+                       _get(data, f"{path}.cos", (), list), _get(data, f"{path}.sin", (), list))
+    radius = abs(curve.mean) + sum(map(abs, curve.cosine_coeffs + curve.sine_coeffs))
+    if not radius <= bound:
+        raise ConfigError(path, f"radius may reach {radius:.3e}; at most {bound:g}")
     return curve
 
 
@@ -237,29 +246,23 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("config", "top level must be an object")
 
-    region_data = _section(data, "region")
-    inner = _parse_boundary(region_data.get("inner"), "region.inner")
-    outer = _parse_boundary(region_data.get("outer"), "region.outer")
-    grid = _number(region_data.get("validation_grid_size", 2048),
-                   "region.validation_grid_size", int)
-    if grid > MAX_VALIDATION_GRID:
-        raise ConfigError("region.validation_grid_size",
-                          f"at most {MAX_VALIDATION_GRID}, got {grid}")
+    _get(data, "region", kind=dict)  # the one section without a default
+    inner = _parse_curve(data, "region.inner", MAX_RADIUS)
+    outer = _parse_curve(data, "region.outer", MAX_RADIUS)
+    grid = _get(data, "region.validation_grid_size", 2048, int,
+                lambda size: size <= MAX_VALIDATION_GRID,
+                f"at most {MAX_VALIDATION_GRID}, got {{!r}}")
     try:
         region = AnnularRegion(inner, outer, validation_grid_size=grid)
     except ValueError as exc:
         raise ConfigError("region", str(exc)) from None
 
-    density_data = _section(data, "density", {})
-    kind = _required(density_data, "density.kind")
-    if kind not in _DENSITY_KINDS:
-        raise ConfigError("density.kind",
-                          f"unknown kind {kind!r}; expected one of {_DENSITY_KINDS}")
-    angular = None
-    if "angular" in density_data:
-        angular = _parse_curve(density_data["angular"], "density.angular")
-    density = DensityField(kind, _numbers(density_data.get("parameters", ()),
-                                          "density.parameters"), angular)
+    kind = _get(data, "density.kind", test=lambda kind: kind in _DENSITY_KINDS,
+                message=f"unknown kind {{!r}}; expected one of {_DENSITY_KINDS}")
+    # an angular entry, even a null one, is parsed
+    angular = (_parse_curve(data, "density.angular")
+               if _get(data, "density.angular", False) is not False else None)
+    density = DensityField(kind, _get(data, "density.parameters", (), list), angular)
     try:
         lo, _ = density.bounds(region)
     except ValueError as exc:
@@ -271,43 +274,33 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     except InvalidDensityError as exc:
         raise ConfigError("density", str(exc)) from None
 
-    agents_data = _section(data, "agents", {})
-    count = _required(agents_data, "agents.count")
-    n = _number(count, "agents.count", int)
-    if not 2 <= n <= MAX_AGENTS:
-        raise ConfigError("agents.count", f"need 2 to {MAX_AGENTS} agents, got {count!r}")
-
-    seed = data.get("seed")
-    if seed is not None:
-        seed = _number(seed, "seed", int)
-        if seed < 0:
-            raise ConfigError("seed", f"must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
-
-    phases_spec = agents_data.get("initial_phases", "random")
-    if isinstance(phases_spec, str):
-        if phases_spec != "random":
-            raise ConfigError("agents.initial_phases",
-                              f"expected a list or 'random', got {phases_spec!r}")
+    n = _get(data, "agents.count", kind=int, test=lambda count: 2 <= count <= MAX_AGENTS,
+             message=f"need 2 to {MAX_AGENTS} agents, got {{!r}}")
+    seed = _get(data, "seed", None, int, lambda seed: seed >= 0,
+                "must be non-negative, got {!r}")
+    list_or_random = "expected a list or 'random', got {!r}"
+    phases = _get(data, "agents.initial_phases", "random",
+                  test=lambda spec: spec == "random" or not isinstance(spec, str),
+                  message=list_or_random)
+    positions = _get(data, "agents.initial_positions", "random",
+                     test=lambda spec: spec == "random" or not isinstance(spec, str),
+                     message=list_or_random)
+    rng = np.random.default_rng(seed) if "random" in (phases, positions) else None
+    if phases == "random":
         phases = _draw_phases(rng, n)
     else:
-        phases_spec = _numbers(phases_spec, "agents.initial_phases")
-        if len(phases_spec) != n:
-            raise ConfigError("agents.initial_phases", f"expected {n} phases")
+        phases = _get(data, "agents.initial_phases", kind=list,
+                      test=lambda spec: len(spec) == n, message=f"expected {n} phases")
         try:
-            phases = validate_initial_phases(phases_spec)
+            phases = validate_initial_phases(phases)
         except ValueError as exc:
             raise ConfigError("agents.initial_phases", str(exc)) from None
 
-    positions_spec = agents_data.get("initial_positions", "random")
-    if isinstance(positions_spec, str):
-        if positions_spec != "random":
-            raise ConfigError("agents.initial_positions",
-                              f"expected a list or 'random', got {positions_spec!r}")
+    if positions == "random":
         positions = _draw_positions(rng, region, n)
     else:
         try:
-            positions = np.asarray(positions_spec, dtype=float)
+            positions = np.asarray(positions, dtype=float)
         except (TypeError, ValueError):
             positions = np.empty(0)
         if positions.shape != (n, 2):
@@ -317,48 +310,45 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             raise ConfigError("agents.initial_positions",
                               f"agent {int(np.argmax(outside))} starts outside the region")
 
-    gains = _section(data, "gains", {})
-    kappa_phi = _number(_required(gains, "gains.kappa_phi"), "gains.kappa_phi")
-    kappa_p = _number(_required(gains, "gains.kappa_p"), "gains.kappa_p")
-    if kappa_phi <= 0.0:
-        raise ConfigError("gains.kappa_phi", "must be positive")
-    if kappa_p <= 0.0:
-        raise ConfigError("gains.kappa_p", "must be positive")
+    kappa_phi = _get(data, "gains.kappa_phi", kind=float, test=lambda gain: gain > 0.0,
+                     message="must be positive")
+    kappa_p = _get(data, "gains.kappa_p", kind=float, test=lambda gain: gain > 0.0,
+                   message="must be positive")
 
-    integrator = _section(data, "integrator", {})
-    dt = _number(integrator.get("dt", 0.01), "integrator.dt")
-    t_end = _number(_required(integrator, "integrator.t_end"), "integrator.t_end")
-    log_stride = _number(integrator.get("log_stride", 1), "integrator.log_stride", int)
-    if dt <= 0.0:
-        raise ConfigError("integrator.dt", "must be positive")
-    _check_whole_steps(t_end, dt, "integrator.t_end")
-    if log_stride < 1:
-        raise ConfigError("integrator.log_stride", "must be at least 1")
+    dt = _get(data, "integrator.dt", 0.01, float, lambda step: step > 0.0, "must be positive")
+    t_end = _duration(data, "integrator.t_end", dt)
+    log_stride = _get(data, "integrator.log_stride", 1, int, lambda stride: stride >= 1,
+                      "must be at least 1")
 
-    beta = _parse_beta(_section(data, "cost", {}))
+    # squared_distance, the default kind, is beta = 0; generic_builtin takes at
+    # most one beta >= 0, which keeps every slice cost strictly convex (see
+    # `agents`)
+    cost = _get(data, "cost.kind", "squared_distance",
+                test=lambda kind: isinstance(kind, str) and kind in _COST_KINDS,
+                message=f"unknown kind {{!r}}; expected one of {tuple(_COST_KINDS)}")
+    values = _get(data, "cost.parameters", (), list)
+    allowed = 0 if cost == "squared_distance" else 1
+    if len(values) > allowed:
+        raise ConfigError("cost.parameters", f"{cost} takes at most {allowed} parameter(s), "
+                                             f"got {len(values)}")
+    if values and values[0] < 0.0:
+        raise ConfigError("cost.parameters", f"beta must be >= 0, got {values[0]}")
+    beta = values[0] if values else _COST_KINDS[cost]
 
     search = None
-    if data.get("search") is not None:
-        sdata = _section(data, "search")
-        k_star = sdata.get("K_star")
-        epsilon_p = sdata.get("epsilon_p")
+    if _get(data, "search", None, dict) is not None:
+        epsilon_p = _get(data, "search.epsilon_p", None, float, lambda tol: tol > 0.0,
+                         "must be positive")
+        k_star = _get(data, "search.K_star", None, int, lambda count: count >= 1,
+                      "must be at least 1")
         if k_star is None and epsilon_p is None:
             raise ConfigError("search", "needs K_star or epsilon_p")
-        duration = _number(_required(sdata, "search.T_epsilon"), "search.T_epsilon")
-        _check_whole_steps(duration, dt, "search.T_epsilon")
-        if epsilon_p is not None:
-            epsilon_p = _number(epsilon_p, "search.epsilon_p")
-            if epsilon_p <= 0.0:
-                raise ConfigError("search.epsilon_p", "must be positive")
+        duration = _duration(data, "search.T_epsilon", dt)
         # materialize the count so the echo pins it
-        k_star = (epoch_count_for_tolerance(epsilon_p) if k_star is None
-                  else _number(k_star, "search.K_star", int))
-        if k_star < 1:
-            raise ConfigError("search.K_star", "must be at least 1")
-        search = SearchConfig(k_star, epsilon_p, duration)
+        search = SearchConfig(epoch_count_for_tolerance(epsilon_p) if k_star is None
+                              else k_star, epsilon_p, duration)
 
-    output = _section(data, "output", {})
-    snapshot_times = _numbers(output.get("snapshot_times", ()), "output.snapshot_times")
+    snapshot_times = _get(data, "output.snapshot_times", (), list)
     last = round(t_end / dt) * dt  # the time of the run's last record
     for t in snapshot_times:
         if not within_span(t, 0.0, last):
@@ -369,26 +359,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                           kappa_phi=kappa_phi, kappa_p=kappa_p, dt=dt, t_end=t_end,
                           log_stride=log_stride, beta=beta, search=search,
                           snapshot_times=snapshot_times, seed=seed)
-
-
-def _parse_beta(cost_data: dict) -> float:
-    """The cost section's beta: squared_distance, the default kind, is beta = 0;
-    generic_builtin takes at most one beta >= 0, by default 0.25.
-
-    beta >= 0 keeps every slice cost strictly convex (see `agents`).
-    """
-    kind = cost_data.get("kind", "squared_distance")
-    if not isinstance(kind, str) or kind not in _COST_KINDS:
-        raise ConfigError("cost.kind",
-                          f"unknown kind {kind!r}; expected one of {tuple(_COST_KINDS)}")
-    values = _numbers(cost_data.get("parameters", ()), "cost.parameters")
-    allowed = 0 if kind == "squared_distance" else 1
-    if len(values) > allowed:
-        raise ConfigError("cost.parameters", f"{kind} takes at most {allowed} parameter(s), "
-                                             f"got {len(values)}")
-    if values and values[0] < 0.0:
-        raise ConfigError("cost.parameters", f"beta must be >= 0, got {values[0]}")
-    return values[0] if values else _COST_KINDS[kind]
 
 
 def _draw_phases(rng, n: int) -> np.ndarray:

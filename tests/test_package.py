@@ -240,3 +240,34 @@ def test_one_bar_law_and_one_cyclic_order_test():
                  and ast.unparse(node.args[0]) == "-1") == ["partition.py:bar_rates"]
     assert "partition.py:cyclic_difference_form" in sites(called("bar_rates"))
     assert sites(called("cyclic_gaps"), ("sim.py",)).count("sim.py:_System.guard") == 1
+
+
+def test_config_entries_are_read_only_through_the_reader():
+    # `sim._get` is where a config entry's section rules, number rules, bound
+    # and error field live; a direct lookup elsewhere in the parser would skip
+    # them and could name another field in its error. So inside
+    # `scenario_from_dict` and every sim function it reaches, nothing else
+    # calls `.get`, subscripts the input `data` or tests a key `in` it
+    tree = ast.parse((SOURCE / "sim.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, pending = set(), ["scenario_from_dict"]
+    while pending:
+        name = pending.pop()
+        if name in reached or name == "_get":
+            continue
+        reached.add(name)
+        pending += [node.func.id for node in ast.walk(functions[name])
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in functions]
+    assert {"scenario_from_dict", "_parse_curve", "_duration"} <= reached
+
+    def is_data(node):
+        return isinstance(node, ast.Name) and node.id == "data"
+
+    found = [f"{name}:{node.lineno}" for name in sorted(reached)
+             for node in ast.walk(functions[name])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "get"
+             or isinstance(node, ast.Subscript) and is_data(node.value)
+             or isinstance(node, ast.Compare) and any(is_data(part) for part in node.comparators)]
+    assert found == []
