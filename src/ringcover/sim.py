@@ -48,6 +48,11 @@ MAX_AGENTS = 1000
 # The quartic table rows grow as radius**6 times the density; below this
 # radius they stay far from overflow.
 MAX_RADIUS = 1e6
+# Every table row, workload and cost scales with the density. Within these
+# values the quartic rows stay below 1e136 and V, the square of a workload,
+# finite; and the rows stay far above the subnormal range, where the table's
+# build-time check loses its relative precision.
+MIN_DENSITY, MAX_DENSITY = 1e-100, 1e100
 
 
 class ConfigError(ValueError):
@@ -264,11 +269,13 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                if _get(data, "density.angular", False) is not False else None)
     density = DensityField(kind, _get(data, "density.parameters", (), list), angular)
     try:
-        lo, _ = density.bounds(region)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            lo, hi = density.bounds(region)
     except ValueError as exc:
         raise ConfigError("density.parameters", str(exc)) from None
-    if lo <= 0.0:
-        raise ConfigError("density", f"not strictly positive on the region (min {lo:.3e})")
+    if not MIN_DENSITY <= lo <= hi <= MAX_DENSITY:
+        raise ConfigError("density", f"ranges over [{lo:.3e}, {hi:.3e}] on the region; "
+                                     f"need [{MIN_DENSITY:g}, {MAX_DENSITY:g}]")
     try:  # the grid above can miss where the table's radial moment dips
         radial_moment_extrema(region, density)
     except InvalidDensityError as exc:
@@ -301,7 +308,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     else:
         try:
             positions = np.asarray(positions, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             positions = np.empty(0)
         if positions.shape != (n, 2):
             raise ConfigError("agents.initial_positions", f"expected {n} [x, y] pairs")
@@ -339,6 +346,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if _get(data, "search", None, dict) is not None:
         epsilon_p = _get(data, "search.epsilon_p", None, float, lambda tol: tol > 0.0,
                          "must be positive")
+        if epsilon_p is not None and not math.isfinite(TWO_PI / epsilon_p):
+            raise ConfigError("search.epsilon_p", f"too many anchors of spacing {epsilon_p}")
         k_star = _get(data, "search.K_star", None, int, lambda count: count >= 1,
                       "must be at least 1")
         if k_star is None and epsilon_p is None:

@@ -1,4 +1,7 @@
+import copy
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from ringcover.geometry import TWO_PI, AnnularRegion, DensityField, PolarCurve
 from ringcover.partition import bar_rates, cyclic_gaps
 from ringcover.search import run_search
 from ringcover.sim import rk4_step, run_scenario, scenario_from_dict
+
+CONFIGS = Path(sim.__file__).with_name("configs")
 
 
 def all_centroids(phases, region, density):
@@ -95,6 +100,33 @@ def overtaking_scenario_dict():
         "gains": {"kappa_phi": 1.0, "kappa_p": 0.5},
         "integrator": {"dt": 1.0, "t_end": 10.0, "log_stride": 1},
     }
+
+
+def parser_scenarios() -> dict:
+    """The two bundled configs and a variant with the generic cost, an angular
+    density and a tolerance-set search, whose entries the parser tests mutate."""
+    bundled = {name: json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+               for name in ("reference_n8", "uniform_n2_search")}
+    variant = copy.deepcopy(bundled["uniform_n2_search"])
+    variant.update(density={"kind": "radial_polynomial_times_angular",
+                            "parameters": [1.0, 0.1],
+                            "angular": {"mean": 1.0, "cos": [0.2]}},
+                   cost={"kind": "generic_builtin", "parameters": [0.25]},
+                   search={"epsilon_p": 0.8, "T_epsilon": 30.0})
+    return {**bundled, "generic_angular_epsilon": variant}
+
+
+def entry_paths(node, path=()):
+    """The key path of every entry under `node`, sections and list items included."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from entry_paths(child, path + (key,))
 
 
 def sweep_search(k_star):

@@ -535,7 +535,14 @@ def test_oversized_validation_grid_exits_2_before_the_region_is_built(
     # with warnings to an infinite workload floor (exit 3)
     ("region.outer.mean", 1e308, "region.outer: radius may reach 1.000e+308; at most 1e+06"),
     ("region.outer.mean", 1e200, "region.outer: radius may reach 1.000e+200; at most 1e+06"),
-], ids=["count_1e308", "count_10**30", "count_above_bound", "outer_1e308", "outer_1e200"])
+    # a huge density overflowed the table with warnings (an infinite total),
+    # and a subnormal one failed the table's build-time check (exit 3)
+    ("density.parameters", [1e305],
+     "density: ranges over [5.000e+304, 3.500e+305] on the region; need [1e-100, 1e+100]"),
+    ("density", {"kind": "uniform", "parameters": [1e-320]},
+     "density: ranges over [1.000e-320, 1.000e-320] on the region; need [1e-100, 1e+100]"),
+], ids=["count_1e308", "count_10**30", "count_above_bound", "outer_1e308", "outer_1e200",
+        "density_1e305", "density_1e-320"])
 def test_oversized_config_values_exit_2_without_warnings(tmp_path, caplog, path, value,
                                                          message):
     data = reference_scenario_dict(integrator={"dt": 0.01, "t_end": 0.02, "log_stride": 1})
@@ -683,7 +690,10 @@ def test_target_search_failure_exits_3(tmp_path, monkeypatch, caplog):
     ("search", {"search": {"K_star": 2, "T_epsilon": 1.01}}, [], "search.T_epsilon"),
     ("run", {"integrator": {"dt": 1e-320, "t_end": 1.0, "log_stride": 1}}, [],
      "integrator.t_end"),
-], ids=["dt_0.4", "dt_override_0.3", "T_epsilon_1.01", "dt_1e-320"])
+    # the same rule for the anchor count 2 pi / epsilon_p, whose overflow
+    # escaped as OverflowError (exit 1)
+    ("search", {"search": {"epsilon_p": 1e-320, "T_epsilon": 1.0}}, [], "search.epsilon_p"),
+], ids=["dt_0.4", "dt_override_0.3", "T_epsilon_1.01", "dt_1e-320", "epsilon_p_1e-320"])
 def test_duration_not_a_whole_number_of_steps_exits_2(tmp_path, caplog, command,
                                                        overrides, extra, field):
     path = write_config(tmp_path, uniform_scenario_dict(**overrides))

@@ -41,15 +41,14 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import (overtaking_scenario_dict, reference_scenario_dict, scenario_run,
-                      sweep_search)
+from conftest import (entry_paths, overtaking_scenario_dict, parser_scenarios,
+                      reference_scenario_dict, scenario_run, sweep_search)
 from ringcover import cli
 from ringcover.sim import ConfigError, scenario_from_dict, verify_invariants
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SAMPLE_ROWS = 10
 SEARCH_K_STARS = (8, 64)
-CONFIGS = Path(cli.__file__).with_name("configs")
 MUTATIONS = (None, [], {}, "x", "random", True, math.inf, -math.inf, math.nan, 1e308,
              10 ** 30, 1e-320, 0, -1, 0.5, 1.5, 2)
 DELETED = object()
@@ -94,32 +93,6 @@ def search_entry(result) -> dict:
     return {"k_star": result.best.epoch + 1,
             "best_total": repr(float(result.best.total_cost)),
             "epoch_totals_sha256": _sha256(totals.encode("utf-8"))}
-
-
-def parser_scenarios() -> dict:
-    """The scenarios whose every entry the parser corpus mutates."""
-    bundled = {name: json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
-               for name in ("reference_n8", "uniform_n2_search")}
-    variant = copy.deepcopy(bundled["uniform_n2_search"])
-    variant.update(density={"kind": "radial_polynomial_times_angular",
-                            "parameters": [1.0, 0.1],
-                            "angular": {"mean": 1.0, "cos": [0.2]}},
-                   cost={"kind": "generic_builtin", "parameters": [0.25]},
-                   search={"epsilon_p": 0.8, "T_epsilon": 30.0})
-    return {**bundled, "generic_angular_epsilon": variant}
-
-
-def entry_paths(node, path=()):
-    """The key path of every entry under `node`, sections and list items included."""
-    if isinstance(node, dict):
-        children = node.items()
-    elif isinstance(node, list):
-        children = enumerate(node)
-    else:
-        return
-    for key, child in children:
-        yield path + (key,)
-        yield from entry_paths(child, path + (key,))
 
 
 def parse_outcome(data) -> str:

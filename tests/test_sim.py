@@ -1,16 +1,18 @@
+import copy
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (all_centroids, cumulative_difference_moments, cyclic_layouts,
-                      overtaking_scenario_dict, reference_scenario_dict,
-                      region_and_density, stacked_run, star_regions,
-                      uniform_scenario_dict)
+                      entry_paths, overtaking_scenario_dict, parser_scenarios,
+                      reference_scenario_dict, region_and_density, stacked_run,
+                      star_regions, uniform_scenario_dict)
 from ringcover import agents, geometry, sim
 from ringcover.agents import slice_centroids, total_cost
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField, MomentTable,
@@ -337,6 +339,71 @@ def test_config_rejects_malformed_cost_parameters(cost, message):
     with pytest.raises(ConfigError, match=message) as info:
         scenario_from_dict(uniform_scenario_dict(cost=cost))
     assert info.value.field == "cost.parameters"
+
+
+SCENARIOS = parser_scenarios()
+CONFIG_KEYS = st.sampled_from(sorted({path[-1] for base in SCENARIOS.values()
+                                      for path in entry_paths(base) if isinstance(path[-1], str)}
+                                     | {"angular", "seed", "K_star", "epsilon_p"}))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["random", 1e-320, 1e305, 10 ** 400]),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(CONFIG_KEYS | st.text(max_size=6), children,
+                                        max_size=3)),
+    max_leaves=6)
+
+
+def with_entry(name, path, value):
+    """The scenario `name` of `parser_scenarios` with the entry at `path` set."""
+    data = copy.deepcopy(SCENARIOS[name])
+    *sections, key = path.split(".")
+    node = data
+    for section in sections:
+        node = node[section]
+    node[key] = value
+    return data
+
+
+@st.composite
+def mutated_configs(draw):
+    """A scenario of `parser_scenarios` after one to three edits, each of which
+    replaces an entry by a JSON value, deletes it, or adds a key to an object."""
+    data = copy.deepcopy(SCENARIOS[draw(st.sampled_from(sorted(SCENARIOS)))])
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from([(), *entry_paths(data)]))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        target = parent[path[-1]] if path else data
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "add" and isinstance(target, dict):
+            target[draw(CONFIG_KEYS | st.text(max_size=6))] = draw(JSON_VALUES)
+        elif path and action == "delete":
+            del parent[path[-1]]
+        elif path:
+            parent[path[-1]] = draw(JSON_VALUES)
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=mutated_configs())
+@example(data=with_entry("generic_angular_epsilon", "search.epsilon_p", 1e-320))
+@example(data=with_entry("uniform_n2_search", "density.parameters", [1e305]))
+@example(data=with_entry("uniform_n2_search", "density.parameters", [1e-320]))
+@example(data=with_entry("uniform_n2_search", "search.K_star", 10 ** 400))
+def test_any_config_parses_to_finite_tables_or_raises_config_error(data):
+    # an input the parser accepts must give the run a table with finite
+    # totals and a positive mass; anything else is a ConfigError, which the
+    # commands report with exit code 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            config = scenario_from_dict(data)
+        except ConfigError:
+            return
+        totals = agents.cost_table(config.region, config.density, config.beta).totals
+    assert np.isfinite(totals).all() and totals[0] > 0.0
 
 
 def test_run_computes_moment_extrema_once():
