@@ -50,7 +50,7 @@ GOLDEN = Path(__file__).with_name("golden.json")
 SAMPLE_ROWS = 10
 SEARCH_K_STARS = (8, 64)
 MUTATIONS = (None, [], {}, "x", "random", True, math.inf, -math.inf, math.nan, 1e308,
-             10 ** 30, 1e-320, 0, -1, 0.5, 1.5, 2)
+             10 ** 30, 1e-320, 0, -1, 0.5, 1.5, 2, [1.0, 0.5])
 DELETED = object()
 
 
