@@ -264,10 +264,17 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
     kind = _get(data, "density.kind", test=lambda kind: kind in _DENSITY_KINDS,
                 message=f"unknown kind {{!r}}; expected one of {_DENSITY_KINDS}")
-    # an angular entry, even a null one, is parsed
-    angular = (_parse_curve(data, "density.angular")
-               if _get(data, "density.angular", False) is not False else None)
-    density = DensityField(kind, _get(data, "density.parameters", (), list), angular)
+    # only the radial polynomial reads more than one parameter or an angular factor
+    polynomial = kind == "radial_polynomial_times_angular"
+    angular = _get(data, "density.angular", None)
+    if angular is not None:
+        if not polynomial:
+            raise ConfigError("density.angular", f"{kind} takes no angular factor")
+        angular = _parse_curve(data, "density.angular")
+    density = DensityField(kind, _get(data, "density.parameters", (), list,
+                                      lambda values: polynomial or len(values) <= 1,
+                                      f"{kind} takes at most 1 parameter(s), got {{!r}}"),
+                           angular)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             lo, hi = density.bounds(region)
@@ -333,11 +340,9 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     cost = _get(data, "cost.kind", "squared_distance",
                 test=lambda kind: isinstance(kind, str) and kind in _COST_KINDS,
                 message=f"unknown kind {{!r}}; expected one of {tuple(_COST_KINDS)}")
-    values = _get(data, "cost.parameters", (), list)
     allowed = 0 if cost == "squared_distance" else 1
-    if len(values) > allowed:
-        raise ConfigError("cost.parameters", f"{cost} takes at most {allowed} parameter(s), "
-                                             f"got {len(values)}")
+    values = _get(data, "cost.parameters", (), list, lambda values: len(values) <= allowed,
+                  f"{cost} takes at most {allowed} parameter(s), got {{!r}}")
     if values and values[0] < 0.0:
         raise ConfigError("cost.parameters", f"beta must be >= 0, got {values[0]}")
     beta = values[0] if values else _COST_KINDS[cost]

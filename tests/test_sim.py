@@ -341,6 +341,24 @@ def test_config_rejects_malformed_cost_parameters(cost, message):
     assert info.value.field == "cost.parameters"
 
 
+@pytest.mark.parametrize("density, field, message", [
+    ({"kind": "uniform", "parameters": [1.0, 2.0]}, "density.parameters",
+     r"uniform takes at most 1 parameter\(s\), got \[1.0, 2.0\]"),
+    ({"kind": "reference", "parameters": [0.01, 0.0]}, "density.parameters",
+     "reference takes at most 1 parameter"),
+    ({"kind": "uniform", "parameters": [1.0], "angular": {"mean": 1.0}}, "density.angular",
+     "uniform takes no angular factor"),
+    ({"kind": "reference", "angular": False}, "density.angular",
+     "reference takes no angular factor"),
+])
+def test_config_rejects_density_entries_nothing_reads(density, field, message):
+    # only the radial polynomial reads a second parameter or an angular
+    # factor; elsewhere the echo would record them as if they took effect
+    with pytest.raises(ConfigError, match=message) as info:
+        scenario_from_dict(uniform_scenario_dict(density=density))
+    assert info.value.field == field
+
+
 SCENARIOS = parser_scenarios()
 CONFIG_KEYS = st.sampled_from(sorted({path[-1] for base in SCENARIOS.values()
                                       for path in entry_paths(base) if isinstance(path[-1], str)}
