@@ -297,6 +297,9 @@ def radial_moment_extrema(region, density):
 # past the check tolerance off the grid, relative to each row's largest sample.
 _TABLE_GRID = 4096
 _TABLE_CHECK_TOL = 1e-10
+# `inverse_cumulative` stops at steps <= this times max(1, |theta|), or fails at the cap.
+_INVERSE_STOP = 8.0 * np.finfo(float).eps
+_INVERSE_NEWTON_CAP = 8
 
 # Table rows: the moments of degree <= 2 that workloads, centroids and the
 # squared-distance cost need, then the rows a quartic cost adds.
@@ -322,7 +325,8 @@ class MomentTable:
     difference. `cumulative` evaluates M_w(theta) = int_0^theta w-moment dt
     for any real (unwrapped) theta with the same matrix and the basis
     (theta, sin k theta, cos k theta - 1), and `value` with the basis
-    differentiated. `totals` are the full-turn integrals 2*pi*mean.
+    differentiated; `inverse_cumulative` inverts the plain row's M by Newton.
+    `totals` are the full-turn integrals 2*pi*mean.
     `samples` keeps the sampled profiles, one row per moment, and
     `check_error`, set by `moment_table`, the fit's largest error off the
     grid relative to each row's largest sample.
@@ -362,19 +366,52 @@ class MomentTable:
     def mode_count(self) -> int:
         return self._k.size
 
-    def value(self, theta):
-        """Point values of the moment profiles, shape (rows, len(theta)): the
-        antiderivative's basis differentiated term by term."""
+    def value(self, theta, rows=slice(None)):
+        """Point values of the moment profiles (or of row `rows` alone), shape
+        (rows, len(theta)): the antiderivative's basis differentiated."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         kt = self._k * theta
-        return self.coefficients @ np.vstack([np.ones_like(theta), self._k * np.cos(kt),
-                                              -self._k * np.sin(kt)])
+        return self.coefficients[rows] @ np.vstack([np.ones_like(theta), self._k * np.cos(kt),
+                                                    -self._k * np.sin(kt)])
 
-    def cumulative(self, theta):
-        """M_w(theta) = int_0^theta of each profile; valid for unwrapped theta."""
+    def cumulative(self, theta, rows=slice(None)):
+        """M_w(theta) = int_0^theta of each profile (or of row `rows`), as `value`."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         kt = self._k * theta
-        return self.coefficients @ np.vstack([theta, np.sin(kt), np.cos(kt) - 1.0])
+        return self.coefficients[rows] @ np.vstack([theta, np.sin(kt), np.cos(kt) - 1.0])
+
+    def inverse_cumulative(self, u):
+        """The angle theta with M(theta) = u for any real u, shaped like u, M the
+        plain row of `cumulative`, which grows by W = totals[0] a turn. Whole
+        turns split off; Newton's step (M(theta) - u) / omega(theta) from the
+        linear interpolant of the trapezoid cumulative of `samples[0]` stops
+        once every step is at most `_INVERSE_STOP` max(1, |theta|), else
+        QuadratureError after `_INVERSE_NEWTON_CAP` steps. M(theta) - M(start)
+        comes from sum-to-product formulas, whose rounding shrinks with it."""
+        u = np.asarray(u, dtype=float)
+        turns = np.round(u.ravel() / self.totals[0])
+        rest = u.ravel() - turns * self.totals[0]
+        n = self.samples.shape[1]
+        # the trapezoid cumulative at the grid angles 0, ..., 2*pi, and a turn back
+        knots = np.cumsum(np.append(0.0, self.samples[0] + np.roll(self.samples[0], -1)))
+        knots *= math.pi / n
+        start = np.interp(rest, np.append(knots[:-1] - knots[-1], knots),
+                          np.arange(-n, n + 1) * (TWO_PI / n))
+        offset = self.cumulative(start, 0) - rest
+        angles = self._k * start
+        shift = np.zeros_like(start)
+        for _ in range(_INVERSE_NEWTON_CAP):
+            half = 0.5 * self._k * shift
+            chord = 2.0 * np.sin(half)
+            increment = self.coefficients[0] @ np.vstack([shift, chord * np.cos(angles + half),
+                                                          -chord * np.sin(angles + half)])
+            step = (offset + increment) / self.value(start + shift, 0)
+            shift -= step
+            theta = start + shift + TWO_PI * turns
+            if np.all(np.abs(step) <= _INVERSE_STOP * np.maximum(1.0, np.abs(theta))):
+                return theta.reshape(u.shape)
+        raise QuadratureError(f"inverse cumulative still moves after {_INVERSE_NEWTON_CAP} "
+                              "Newton steps", float(np.max(np.abs(step))))
 
     def slice_moments(self, phases):
         """Per-slice integrals between consecutive bars, shape (rows, N).

@@ -5,8 +5,9 @@ at a rate proportional to the workload difference between the two slices it
 separates (`bar_rates`), which equalizes the workloads. The module also
 carries the machinery used to verify that convergence: the imbalance
 (Lyapunov) value, the cyclic-difference quadratic form and its minimum
-eigenvalue, the decay constants they induce, and the equal-share phase
-advance map.
+eigenvalue, and the decay constants they induce. The equal-share layouts
+the balancing approaches, bars at M^-1(M(a) + j W / N) for the cumulative
+workload M and its total W, come from `MomentTable.inverse_cumulative`.
 
 A partition is its array of unwrapped bar phases in cyclic order,
 phi_1 < phi_2 < ... < phi_N < phi_1 + 2*pi (`cyclic_gaps` are all positive).
@@ -114,42 +115,3 @@ def decay_constants(phases, kappa_phi: float, region, density) -> dict:
     return {"c1": math.sqrt(2.0 * v0), "c2": kappa_phi * omega_min * lambda_min / n,
             "lambda_min": lambda_min, "omega_min": omega_min, "omega_max": omega_max}
 
-
-def advance_by_mean_workload(region, density, phi: float, n_agents: int) -> float:
-    """Phase xi in [phi, phi + 2*pi] whose slice [phi, xi] holds one share.
-
-    Composing the map N times advances the phase by exactly one full turn.
-    The returned value is unwrapped; callers wrap it for reporting. Solved by
-    bisection on the cumulative moment bracket followed by three Newton
-    polish steps using the moment profile as the derivative.
-    """
-    table = moment_table(region, density)
-    share = float(table.totals[0]) / n_agents
-
-    def cumulative(t: float) -> float:
-        return float(table.cumulative(t)[0, 0])
-
-    target = cumulative(phi) + share
-    lo, hi = phi, phi + TWO_PI
-    f_lo = cumulative(lo) - target
-    f_hi = cumulative(hi) - target
-    if f_lo >= 0.0 or f_hi <= 0.0:
-        raise RuntimeError("bracketing failed for the equal-share advance "
-                           f"(f_lo={f_lo:.3e}, f_hi={f_hi:.3e})")
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        if cumulative(mid) - target <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    xi = 0.5 * (lo + hi)
-    for _ in range(3):
-        slope = float(table.value(xi)[0, 0])
-        xi -= (cumulative(xi) - target) / slope
-        xi = min(max(xi, phi), phi + TWO_PI)
-
-    residual = abs(cumulative(xi) - target)
-    if residual > 1e-10 * share:
-        raise RuntimeError(f"equal-share advance residual {residual:.3e} "
-                           "exceeds 1e-10 * share")
-    return xi

@@ -53,6 +53,9 @@ MAX_RADIUS = 1e6
 # finite; and the rows stay far above the subnormal range, where the table's
 # build-time check loses its relative precision.
 MIN_DENSITY, MAX_DENSITY = 1e-100, 1e100
+# The RK4 steps one command may ask for: t_end / dt for `run`, the epoch
+# count times T_epsilon / dt for `search`.
+MAX_STEPS = 10 ** 8
 
 
 class ConfigError(ValueError):
@@ -191,14 +194,7 @@ def _get(data: dict, path: str, default=_REQUIRED, kind=None, test=None, message
             raise ConfigError(path, "missing" if raw is None
                               else f"expected an object, got {raw!r}")
     elif kind is list:
-        try:
-            if not isinstance(raw, (list, tuple)) or any(isinstance(v, (bool, str)) for v in raw):
-                raise TypeError
-            value = tuple(map(float, raw))  # whole numbers too large for a float fail here
-            if not all(map(math.isfinite, value)):
-                raise ValueError
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(path, f"expected a list of finite numbers, got {raw!r}") from None
+        value = _numbers(raw, path)
     elif kind is not None:
         try:
             if isinstance(raw, (bool, str)):
@@ -217,11 +213,26 @@ def _get(data: dict, path: str, default=_REQUIRED, kind=None, test=None, message
     return value
 
 
+def _numbers(raw, path: str) -> tuple:
+    """`raw` as a tuple of floats: a list of finite numbers, none a boolean or
+    a string; ConfigError naming `path` otherwise."""
+    try:
+        if not isinstance(raw, (list, tuple)) or any(isinstance(v, (bool, str)) for v in raw):
+            raise TypeError
+        value = tuple(map(float, raw))  # whole numbers too large for a float fail here
+        if not all(map(math.isfinite, value)):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(path, f"expected a list of finite numbers, got {raw!r}") from None
+    return value
+
+
 def _duration(data: dict, path: str, dt: float) -> float:
-    """The duration at `path`, which must be one or more whole steps dt (to 1e-9)."""
+    """The duration at `path`, which must be one or more whole steps dt (to 1e-9),
+    and at most `MAX_STEPS` of them."""
     duration = _get(data, path, kind=float)
-    if not math.isfinite(duration / dt):
-        raise ConfigError(path, f"too many steps of dt {dt}")
+    if not duration / dt <= MAX_STEPS:
+        raise ConfigError(path, f"more than {MAX_STEPS} steps of dt {dt}")
     steps = round(duration / dt)
     if steps < 1:
         raise ConfigError(path, "must cover at least one step")
@@ -313,12 +324,11 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if positions == "random":
         positions = _draw_positions(rng, region, n)
     else:
-        try:
-            positions = np.asarray(positions, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            positions = np.empty(0)
-        if positions.shape != (n, 2):
+        pairs = ([_numbers(pair, "agents.initial_positions") for pair in positions]
+                 if isinstance(positions, (list, tuple)) else [])
+        if len(pairs) != n or any(len(pair) != 2 for pair in pairs):
             raise ConfigError("agents.initial_positions", f"expected {n} [x, y] pairs")
+        positions = np.array(pairs)
         outside = ~region.contains(positions)
         if outside.any():
             raise ConfigError("agents.initial_positions",
@@ -359,8 +369,12 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             raise ConfigError("search", "needs K_star or epsilon_p")
         duration = _duration(data, "search.T_epsilon", dt)
         # materialize the count so the echo pins it
-        search = SearchConfig(epoch_count_for_tolerance(epsilon_p) if k_star is None
-                              else k_star, epsilon_p, duration)
+        epochs = epoch_count_for_tolerance(epsilon_p) if k_star is None else k_star
+        if epochs * round(duration / dt) > MAX_STEPS:
+            raise ConfigError("search.epsilon_p" if k_star is None else "search.K_star",
+                              f"{float(epochs):.6g} epochs of {round(duration / dt)} steps "
+                              f"exceed {MAX_STEPS} steps")
+        search = SearchConfig(epochs, epsilon_p, duration)
 
     snapshot_times = _get(data, "output.snapshot_times", (), list)
     last = round(t_end / dt) * dt  # the time of the run's last record
@@ -535,7 +549,7 @@ class _System:
         self.table = agents_mod.cost_table(region, density, beta)
         self.workload_floor = WORKLOAD_FLOOR_FRACTION * float(self.table.totals[0]) / n
         self._trial = []  # the stage moments of the RK4 trial in progress
-        self.refusal = None  # the guard's last refusal: "crossing" or "floor"
+        self.refusal = None  # the guard's last refusal: "non-finite", "crossing" or "floor"
 
     def _stage(self, phases: np.ndarray) -> np.ndarray:
         """The bar rates at an RK4 stage; its slice moments join the trial's."""
@@ -545,8 +559,9 @@ class _System:
 
     def guard(self, phases: np.ndarray) -> np.ndarray | None:
         """Slice moments at `phases` if every slice mass exceeds the workload
-        floor (NaN does not), else None with `refusal` "crossing" if the bars
-        are out of cyclic order (by `cyclic_gaps`), else "floor". The masses
+        floor (NaN does not), else None with `refusal` "non-finite" if a mass
+        is not finite (a trial that overflowed), "crossing" if the bars are
+        out of cyclic order (by `cyclic_gaps`), else "floor". The masses
         alone refuse a crossing: the parser's radial moment check makes the
         density positive, so a crossing, tie or lap gives a slice a true mass
         <= 0, and a computed mass rounds by O(eps W), W the total, far below
@@ -554,7 +569,8 @@ class _System:
         moments = self.table.slice_moments(phases)
         if all(mass > self.workload_floor for mass in moments[0].tolist()):
             return moments
-        self.refusal = "floor" if cyclic_gaps(phases).min() > 0.0 else "crossing"
+        self.refusal = ("non-finite" if not np.isfinite(moments[0]).all() else
+                        "floor" if cyclic_gaps(phases).min() > 0.0 else "crossing")
         return None
 
     def advance(self, start: _Bars, dt: float, block: list) -> tuple[_Bars, int]:
@@ -575,10 +591,12 @@ class _System:
             elif halvings < MAX_STEP_HALVINGS:
                 pending += [(0.5 * dt, halvings + 1)] * 2
             else:
-                cause = ("crosses bars" if self.refusal == "crossing" else
-                         f"breaks the workload floor {self.workload_floor:.3e}")
-                raise IntegrationError(f"step still {cause} at t = {start.t:.6g} after "
-                                       f"{MAX_STEP_HALVINGS} step halvings ({self.refusal})")
+                cause = {"non-finite": "gives non-finite slice masses",
+                         "crossing": "crosses bars",
+                         "floor": f"breaks the workload floor {self.workload_floor:.3e}"}
+                raise IntegrationError(f"step still {cause[self.refusal]} at t = "
+                                       f"{start.t:.6g} after {MAX_STEP_HALVINGS} step "
+                                       f"halvings ({self.refusal})")
         return start, deepest
 
     def track(self, positions: np.ndarray, targets: np.ndarray, block: list):
@@ -638,7 +656,8 @@ def integrate_system(config: ScenarioConfig, phases, positions, duration: float,
     system = _System(config.region, config.density, config.beta, config.n_agents,
                      config.kappa_phi, config.kappa_p, pinned)
     steps = round(duration / config.dt)
-    *_, end = system.run(phases, positions, config.dt, steps, steps)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite
+        *_, end = system.run(phases, positions, config.dt, steps, steps)
     return end.phases, end.positions, end.moments
 
 
@@ -662,9 +681,10 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
     }
     records = []
     try:
-        records.extend(system.run(config.initial_phases, config.initial_positions,
-                                  config.dt, round(config.t_end / config.dt),
-                                  config.log_stride))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite
+            records.extend(system.run(config.initial_phases, config.initial_positions,
+                                      config.dt, round(config.t_end / config.dt),
+                                      config.log_stride))
     except IntegrationError as exc:
         meta["guard_failures"] = 1
         partial = _assemble_log(records, config, meta)

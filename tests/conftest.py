@@ -178,7 +178,19 @@ def region_and_density(sections):
     region = AnnularRegion(curve(sections["region"]["inner"]),
                            curve(sections["region"]["outer"]))
     density = sections["density"]
-    return region, DensityField(density["kind"], tuple(density["parameters"]))
+    angular = density.get("angular")
+    return region, DensityField(density["kind"], tuple(density["parameters"]),
+                                None if angular is None else curve(angular))
+
+
+@st.composite
+def radial_polynomial_densities(draw):
+    """A `radial_polynomial_times_angular` density section, positive on any
+    `star_regions` region: a positive linear polynomial in r times a curve
+    of mean 1 with one cosine harmonic below 1."""
+    return {"kind": "radial_polynomial_times_angular",
+            "parameters": [draw(st.floats(0.5, 2.0)), draw(st.floats(0.0, 0.5))],
+            "angular": {"mean": 1.0, "cos": [draw(st.floats(-0.5, 0.5))]}}
 
 
 @st.composite

@@ -13,7 +13,7 @@ from conftest import all_centroids, reference_scenario_dict
 from ringcover.agents import (cost_table, slice_cost_terms, subregion_cost,
                               total_cost)
 from ringcover.geometry import TWO_PI, moment_table, region_integral
-from ringcover.partition import advance_by_mean_workload, cyclic_difference_form
+from ringcover.partition import cyclic_difference_form
 from ringcover.search import gossip_until_stable
 from ringcover.sim import run_scenario, scenario_from_dict
 
@@ -196,21 +196,27 @@ def test_08_cyclic_form_construction():
 
 def test_09_equal_share_map(uniform_region, uniform_density,
                             reference_region, reference_density):
+    # the equal-share map phi -> M^-1(M(phi) + W / N) on 16 phases at once
     rng = np.random.default_rng(90)
     worst_residual = 0.0
     worst_closure = 0.0
     for region, density, n in ((uniform_region, uniform_density, 4),
                                (reference_region, reference_density, 8)):
+        table = moment_table(region, density)
         share = region_integral(region, density, 0.0, TWO_PI, rel_tol=1e-13) / n
-        for phi in rng.uniform(0.0, TWO_PI, 16):
-            xi = advance_by_mean_workload(region, density, float(phi), n)
+        phis = rng.uniform(0.0, TWO_PI, 16)
+
+        def advance(phases):
+            return table.inverse_cumulative(table.cumulative(phases, 0) + table.totals[0] / n)
+
+        for phi, xi in zip(phis, advance(phis)):
             got = region_integral(region, density, phi % TWO_PI, xi % TWO_PI,
                                   rel_tol=1e-13)
             worst_residual = max(worst_residual, abs(got - share) / share)
-            current = float(phi)
-            for _ in range(n):
-                current = advance_by_mean_workload(region, density, current, n)
-            worst_closure = max(worst_closure, abs(current - phi - TWO_PI))
+        current = phis
+        for _ in range(n):
+            current = advance(current)
+        worst_closure = max(worst_closure, float(np.max(np.abs(current - phis - TWO_PI))))
     ok = worst_residual < 1e-10 and worst_closure < 1e-8
     report(9, "equal_share_map", ok,
            f"worst residual = {worst_residual:.3e} * share, "
@@ -218,15 +224,16 @@ def test_09_equal_share_map(uniform_region, uniform_density,
 
 
 def test_10_search_optimality_gap(search_sweep, uniform_region, uniform_density):
-    # brute-force oracle: anchored equilibria on a 720-point anchor grid
+    # brute-force oracle: anchored equilibria on a 720-point anchor grid, each
+    # second bar one equal share on from its anchor
+    table = moment_table(uniform_region, uniform_density)
+    anchors = np.arange(720) * (TWO_PI / 720.0)
+    seconds = table.inverse_cumulative(table.cumulative(anchors, 0) + table.totals[0] / 2)
     oracle = math.inf
-    for anchor in np.arange(720) * (TWO_PI / 720.0):
-        xi = advance_by_mean_workload(uniform_region, uniform_density,
-                                      float(anchor), 2)
-        phases = np.array([anchor, xi])
-        positions = all_centroids(phases, uniform_region, uniform_density)
-        moments = moment_table(uniform_region, uniform_density).slice_moments(phases)
-        costs, _, _ = slice_cost_terms(moments, positions, 0.0)
+    for phases in np.stack([anchors, seconds], axis=1):
+        moments = table.slice_moments(phases)
+        costs, _, _ = slice_cost_terms(moments, all_centroids(phases, uniform_region,
+                                                              uniform_density), 0.0)
         oracle = min(oracle, float(np.sum(costs)))
     gaps = {k: (search_sweep[k].best.total_cost - oracle) / oracle for k in (8, 16, 32, 64)}
     non_increasing = all(gaps[b] <= gaps[a] + 1e-6

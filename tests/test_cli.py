@@ -672,6 +672,23 @@ def test_integration_failure_exits_3(tmp_path, monkeypatch, caplog, command):
     assert "runtime failure: step still crosses bars" in caplog.text
 
 
+@pytest.mark.parametrize("command", ["run", "search"])
+def test_overflowing_trial_exits_3_as_non_finite_without_warnings(tmp_path, caplog, command):
+    # at a density of 1e100 the bar law is so stiff that every trial, halved
+    # or not, overflows to non-finite phases: the guard names the cause, and
+    # the stepping loop holds numpy's overflow and invalid-value warnings
+    data = reference_scenario_dict(density={"kind": "uniform", "parameters": [1e100]},
+                                   integrator={"dt": 0.01, "t_end": 1.0, "log_stride": 10},
+                                   search={"K_star": 2, "T_epsilon": 1.0})
+    path = write_config(tmp_path, data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert [str(w.message) for w in caught] == []
+    assert ("step still gives non-finite slice masses at t = 0 after 8 step halvings "
+            "(non-finite)") in caplog.text
+
+
 def test_target_search_failure_exits_3(tmp_path, monkeypatch, caplog):
     # one Newton step from the centroid does not reach the quartic cost's optimum
     monkeypatch.setattr(agents, "MAX_NEWTON_STEPS", 1)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,14 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import (cumulative_difference_moments, cyclic_layouts, per_row_radial,
-                      region_and_density, star_regions)
+from conftest import (CONFIGS, cumulative_difference_moments, cyclic_layouts,
+                      per_row_radial, radial_polynomial_densities, region_and_density,
+                      star_regions)
 from ringcover import geometry
 from ringcover.agents import cost_weight
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField,
                                 InvalidDensityError, PolarCurve, QuadratureError,
                                 _MONOMIALS, _TABLE_WEIGHTS, _radial_batch, moment_table,
                                 radial_moment_extrema, region_integral)
+from ringcover.sim import scenario_from_dict
+
+EPS = np.finfo(float).eps
 
 
 def rows(*names):
@@ -385,3 +390,49 @@ def test_quadrature_relative_tolerance(uniform_region):
     huge = DensityField("uniform", (1e6,))
     assert_allclose(region_integral(uniform_region, huge, 0.0, TWO_PI),
                     3.0 * math.pi * 1e6, rtol=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sections=star_regions(), polynomial=st.none() | radial_polynomial_densities(),
+       fractions=st.lists(st.floats(-1.5, 1.5), max_size=20), turns=st.integers(-3, 3))
+def test_inverse_cumulative_inverts_the_plain_cumulative(sections, polynomial, fractions,
+                                                         turns):
+    # all three density kinds; u within one and a half turns of workload
+    # either side of 0, on a grid and at drawn points
+    if polynomial is not None:
+        sections = {**sections, "density": polynomial}
+    table = moment_table(*region_and_density(sections))
+    total = table.totals[0]
+    u = np.sort(np.append(np.linspace(-1.5, 1.5, 61), fractions) * total)
+    theta = table.inverse_cumulative(u)
+    assert np.max(np.abs(table.cumulative(theta, 0) - u)) <= 8.0 * EPS * total
+    # non-decreasing, but for rounding where two workloads (nearly) tie
+    assert np.all(np.diff(theta) >= -8.0 * EPS * np.maximum(1.0, np.abs(theta[1:])))
+    # a turn of workload is a turn of angle, to the rounding of u + j W
+    # carried through the slope 1 / omega of the inverse
+    shifted = table.inverse_cumulative(u + turns * total)
+    rounding = EPS * np.maximum(total, np.abs(u) + abs(turns) * total) / table.value(theta, 0)
+    assert np.all(np.abs(shifted - theta - TWO_PI * turns) <= 8.0 * rounding)
+
+
+@pytest.mark.parametrize("name", ["reference_n8", "uniform_n2_search"])
+def test_inverse_cumulative_stops_within_four_newton_steps(monkeypatch, name):
+    # the stop rule fires: with the cap at 4 steps, 10 000 workloads over four
+    # turns of each bundled table converge, and keep their array's shape
+    config = scenario_from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
+    table = moment_table(config.region, config.density)
+    monkeypatch.setattr(geometry, "_INVERSE_NEWTON_CAP", 4)
+    u = np.linspace(-2.0, 2.0, 10000).reshape(100, 100) * table.totals[0]
+    theta = table.inverse_cumulative(u)
+    assert theta.shape == u.shape
+    assert (np.max(np.abs(table.cumulative(theta.ravel(), 0) - u.ravel()))
+            <= 8.0 * EPS * table.totals[0])
+    assert table.inverse_cumulative(0.0).shape == ()
+
+
+def test_inverse_cumulative_raises_past_its_cap(monkeypatch, reference_region,
+                                                reference_density):
+    # one Newton step from the interpolant does not meet the stop rule
+    monkeypatch.setattr(geometry, "_INVERSE_NEWTON_CAP", 1)
+    with pytest.raises(QuadratureError, match="after 1 Newton steps"):
+        moment_table(reference_region, reference_density).inverse_cumulative([1.0, 20.0])

@@ -271,3 +271,19 @@ def test_config_entries_are_read_only_through_the_reader():
              or isinstance(node, ast.Subscript) and is_data(node.value)
              or isinstance(node, ast.Compare) and any(is_data(part) for part in node.comparators)]
     assert found == []
+
+
+def test_one_inverse_of_the_cumulative_workload():
+    # `MomentTable.inverse_cumulative` is the only code that inverts the
+    # cumulative workload M: nothing else in the package evaluates
+    # `cumulative` (the slice moments difference their own basis) or
+    # interpolates a tabulated one with np.interp
+    def evaluates_or_interpolates(node):
+        return isinstance(node, ast.Call) and (
+            ast.unparse(node.func).split(".")[-1] == "cumulative"
+            or ast.unparse(node.func) == "np.interp")
+
+    found = {f"{path.name}:{site}" for path in sorted(SOURCE.glob("*.py"))
+             for site in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8")),
+                                              evaluates_or_interpolates)}
+    assert found == {"geometry.py:MomentTable.inverse_cumulative"}, found

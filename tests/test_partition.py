@@ -8,9 +8,8 @@ from numpy.testing import assert_allclose
 from conftest import all_centroids, region_and_density, star_regions
 from ringcover.agents import subregion_cost
 from ringcover.geometry import TWO_PI, moment_table, radial_moment_extrema
-from ringcover.partition import (advance_by_mean_workload, bar_rates,
-                                 cyclic_difference_form, cyclic_gaps, decay_constants,
-                                 imbalance, validate_initial_phases)
+from ringcover.partition import (bar_rates, cyclic_difference_form, cyclic_gaps,
+                                 decay_constants, imbalance, validate_initial_phases)
 from ringcover import sim
 from ringcover.sim import _System
 
@@ -185,8 +184,13 @@ def test_decay_constants_reference_composition(reference_region, reference_densi
             constants["omega_max"]) == (lam, omega_min, omega_max)
 
 
+def equal_share_advance(table, phi, n):
+    """The equal-share map: the phase xi whose slice [phi, xi] holds W / N."""
+    return table.inverse_cumulative(table.cumulative(phi, 0) + table.totals[0] / n)
+
+
 def test_equal_share_uniform_quarter(uniform_region, uniform_density):
-    xi = advance_by_mean_workload(uniform_region, uniform_density, 0.0, 4)
+    xi = equal_share_advance(moment_table(uniform_region, uniform_density), 0.0, 4)
     assert_allclose(xi, math.pi / 2.0, rtol=1e-10)
 
 
@@ -194,10 +198,10 @@ def test_equal_share_uniform_quarter(uniform_region, uniform_density):
 @given(sections=star_regions(), n=st.integers(2, 8),
        phi=st.floats(0.0, TWO_PI, exclude_max=True))
 def test_equal_share_closure(sections, n, phi):
-    region, density = region_and_density(sections)
+    table = moment_table(*region_and_density(sections))
     current = phi
     for _ in range(n):
-        current = advance_by_mean_workload(region, density, current, n)
+        current = equal_share_advance(table, current, n)
     assert abs(current - phi - TWO_PI) <= 1e-8
 
 
@@ -211,15 +215,15 @@ def test_equal_share_reference_dense_inversion(reference_region, reference_densi
                                                   * (TWO_PI / n))])
     share = cumulative[-1] / 8.0
     xi_oracle = float(np.interp(share, cumulative, thetas))
-    xi = advance_by_mean_workload(reference_region, reference_density, 0.0, 8)
+    xi = equal_share_advance(table, 0.0, 8)
     assert abs(xi - xi_oracle) <= 1e-6
 
 
 def test_equal_share_residual(reference_region, reference_density):
     table = moment_table(reference_region, reference_density)
     share = table.totals[0] / 8.0
-    xi = advance_by_mean_workload(reference_region, reference_density, 1.3, 8)
-    got = table.cumulative(np.array([xi]))[0, 0] - table.cumulative(np.array([1.3]))[0, 0]
+    xi = equal_share_advance(table, 1.3, 8)
+    got = table.cumulative(xi)[0, 0] - table.cumulative(np.array([1.3]))[0, 0]
     assert abs(got - share) <= 1e-10 * share
 
 

@@ -359,6 +359,41 @@ def test_config_rejects_density_entries_nothing_reads(density, field, message):
     assert info.value.field == field
 
 
+@pytest.mark.parametrize("positions", [
+    [[True, "0.3"], ["-1.4", 0.2]], [[1.5, 0.3], [-1.4, False]], [[1.5, "0.3"], [-1.4, 0.2]],
+    [[1.5, math.nan], [-1.4, 0.2]], [[math.inf, 0.3], [-1.4, 0.2]], [[1.5, 0.3], [[-1.4], 0.2]],
+], ids=["bool_and_strings", "bool", "string", "nan", "inf", "nested"])
+def test_initial_positions_follow_the_number_rules(positions):
+    # each [x, y] pair is a list of finite numbers, none a boolean or a string
+    with pytest.raises(ConfigError, match="expected a list of finite numbers") as info:
+        scenario_from_dict(uniform_scenario_dict(
+            agents={"count": 2, "initial_phases": [0.4, 1.9], "initial_positions": positions}))
+    assert info.value.field == "agents.initial_positions"
+
+
+@pytest.mark.parametrize("section, entries, field", [
+    ("integrator", {"dt": 0.05, "t_end": 1e30, "log_stride": 1}, "integrator.t_end"),
+    ("integrator", {"dt": 0.05, "t_end": 5e6 + 0.05, "log_stride": 1}, "integrator.t_end"),
+    ("search", {"K_star": 10 ** 12, "T_epsilon": 30.0}, "search.K_star"),
+    ("search", {"K_star": 166667, "T_epsilon": 30.0}, "search.K_star"),
+    ("search", {"K_star": 1, "T_epsilon": 1e30}, "search.T_epsilon"),
+    ("search", {"epsilon_p": 1e-300, "T_epsilon": 30.0}, "search.epsilon_p"),
+    ("search", {"epsilon_p": TWO_PI / 166667, "T_epsilon": 30.0}, "search.epsilon_p"),
+], ids=["t_end_1e30", "t_end_one_step_over", "K_star_1e12", "K_star_one_epoch_over",
+        "T_epsilon_1e30", "epsilon_p_1e-300", "epsilon_p_one_epoch_over"])
+def test_config_bounds_the_steps_a_command_asks_for(section, entries, field):
+    # at dt 0.05, run's t_end / dt and search's epoch count times
+    # T_epsilon / dt are each at most MAX_STEPS, and the bound itself parses
+    with pytest.raises(ConfigError, match=f"exceed {sim.MAX_STEPS} steps|more than "
+                                          f"{sim.MAX_STEPS} steps") as info:
+        scenario_from_dict(uniform_scenario_dict(**{section: entries}))
+    assert info.value.field == field
+    at_bound = scenario_from_dict(uniform_scenario_dict(
+        integrator={"dt": 0.05, "t_end": 5e6, "log_stride": 1},
+        search={"K_star": 166666, "T_epsilon": 30.0}))
+    assert at_bound.search.epoch_count * 600 <= sim.MAX_STEPS
+
+
 SCENARIOS = parser_scenarios()
 CONFIG_KEYS = st.sampled_from(sorted({path[-1] for base in SCENARIOS.values()
                                       for path in entry_paths(base) if isinstance(path[-1], str)}
@@ -483,24 +518,29 @@ def test_step_guard_raises_when_halving_cannot_keep_order(monkeypatch):
     assert info.value.log.meta["guard_failures"] == 1
 
 
-@pytest.mark.parametrize("cause", ["crossing", "floor"])
+@pytest.mark.parametrize("cause", ["crossing", "floor", "non-finite"])
 def test_integration_error_names_the_refusal_and_the_step_time(monkeypatch, cause):
     # the stiff whole step crosses bars; with a floor above every slice mass,
-    # even the smallest sub-step is refused for the floor
+    # even the smallest sub-step is refused for the floor; with an infinite
+    # gain every trial's phases, and so its masses, are not finite
     config = scenario_from_dict(overtaking_scenario_dict())
     system = sim._System(config.region, config.density, config.beta, config.n_agents,
                          config.kappa_phi, config.kappa_p)
     if cause == "crossing":
         monkeypatch.setattr(sim, "MAX_STEP_HALVINGS", 0)
         expected = "step still crosses bars at t = 2.5 after 0 step halvings (crossing)"
-    else:
+    elif cause == "floor":
         system.workload_floor = 1e9
         expected = ("step still breaks the workload floor 1.000e+09 at t = 2.5 after "
                     "8 step halvings (floor)")
+    else:
+        system.kappa_phi = math.inf
+        expected = ("step still gives non-finite slice masses at t = 2.5 after "
+                    "8 step halvings (non-finite)")
     phases = config.initial_phases
     start = sim._Bars(phases, system.table.slice_moments(phases), 2.5)
     block = []
-    with pytest.raises(IntegrationError) as info:
+    with pytest.raises(IntegrationError) as info, np.errstate(over="ignore", invalid="ignore"):
         system.advance(start, config.dt, block)
     assert str(info.value) == expected and block == []
 
