@@ -114,4 +114,3 @@ def decay_constants(phases, kappa_phi: float, region, density) -> dict:
     _, lambda_min = cyclic_difference_form(n)
     return {"c1": math.sqrt(2.0 * v0), "c2": kappa_phi * omega_min * lambda_min / n,
             "lambda_min": lambda_min, "omega_min": omega_min, "omega_max": omega_max}
-
