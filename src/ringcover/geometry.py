@@ -366,19 +366,19 @@ class MomentTable:
     def mode_count(self) -> int:
         return self._k.size
 
-    def value(self, theta, rows=slice(None)):
-        """Point values of the moment profiles (or of row `rows` alone), shape
-        (rows, len(theta)): the antiderivative's basis differentiated."""
+    def value(self, theta):
+        """Point values of the moment profiles, shape (rows, len(theta)): the
+        antiderivative's basis differentiated term by term."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         kt = self._k * theta
-        return self.coefficients[rows] @ np.vstack([np.ones_like(theta), self._k * np.cos(kt),
-                                                    -self._k * np.sin(kt)])
+        return self.coefficients @ np.vstack([np.ones_like(theta), self._k * np.cos(kt),
+                                              -self._k * np.sin(kt)])
 
-    def cumulative(self, theta, rows=slice(None)):
-        """M_w(theta) = int_0^theta of each profile (or of row `rows`), as `value`."""
+    def cumulative(self, theta):
+        """M_w(theta) = int_0^theta of each profile; valid for unwrapped theta."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         kt = self._k * theta
-        return self.coefficients[rows] @ np.vstack([theta, np.sin(kt), np.cos(kt) - 1.0])
+        return self.coefficients @ np.vstack([theta, np.sin(kt), np.cos(kt) - 1.0])
 
     def inverse_cumulative(self, u):
         """The angle theta with M(theta) = u for any real u, shaped like u, M the
@@ -397,7 +397,7 @@ class MomentTable:
         knots *= math.pi / n
         start = np.interp(rest, np.append(knots[:-1] - knots[-1], knots),
                           np.arange(-n, n + 1) * (TWO_PI / n))
-        offset = self.cumulative(start, 0) - rest
+        offset = self.cumulative(start)[0] - rest
         angles = self._k * start
         shift = np.zeros_like(start)
         for _ in range(_INVERSE_NEWTON_CAP):
@@ -405,7 +405,7 @@ class MomentTable:
             chord = 2.0 * np.sin(half)
             increment = self.coefficients[0] @ np.vstack([shift, chord * np.cos(angles + half),
                                                           -chord * np.sin(angles + half)])
-            step = (offset + increment) / self.value(start + shift, 0)
+            step = (offset + increment) / self.value(start + shift)[0]
             shift -= step
             theta = start + shift + TWO_PI * turns
             if np.all(np.abs(step) <= _INVERSE_STOP * np.maximum(1.0, np.abs(theta))):

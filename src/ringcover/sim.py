@@ -54,7 +54,11 @@ MAX_RADIUS = 1e6
 # build-time check loses its relative precision.
 MIN_DENSITY, MAX_DENSITY = 1e-100, 1e100
 # The RK4 steps one command may ask for: t_end / dt for `run`, the epoch
-# count times T_epsilon / dt for `search`.
+# count times T_epsilon / dt for `search`. It refuses requests no run can
+# finish (t_end 1e30 at dt 0.05 is 2e31 steps) while leaving 10^4 times the
+# bundled reference run's 10^4 steps. It is not a time budget: one step takes
+# ~50 us at N = 2 to 8 and ~7 ms at N = 1000 on one Xeon core, so a run at
+# the bound takes from about 1.5 hours to days, and logs up to 10^8 records.
 MAX_STEPS = 10 ** 8
 
 

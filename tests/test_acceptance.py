@@ -207,7 +207,7 @@ def test_09_equal_share_map(uniform_region, uniform_density,
         phis = rng.uniform(0.0, TWO_PI, 16)
 
         def advance(phases):
-            return table.inverse_cumulative(table.cumulative(phases, 0) + table.totals[0] / n)
+            return table.inverse_cumulative(table.cumulative(phases)[0] + table.totals[0] / n)
 
         for phi, xi in zip(phis, advance(phis)):
             got = region_integral(region, density, phi % TWO_PI, xi % TWO_PI,
@@ -228,7 +228,7 @@ def test_10_search_optimality_gap(search_sweep, uniform_region, uniform_density)
     # second bar one equal share on from its anchor
     table = moment_table(uniform_region, uniform_density)
     anchors = np.arange(720) * (TWO_PI / 720.0)
-    seconds = table.inverse_cumulative(table.cumulative(anchors, 0) + table.totals[0] / 2)
+    seconds = table.inverse_cumulative(table.cumulative(anchors)[0] + table.totals[0] / 2)
     oracle = math.inf
     for phases in np.stack([anchors, seconds], axis=1):
         moments = table.slice_moments(phases)

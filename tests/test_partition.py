@@ -186,7 +186,7 @@ def test_decay_constants_reference_composition(reference_region, reference_densi
 
 def equal_share_advance(table, phi, n):
     """The equal-share map: the phase xi whose slice [phi, xi] holds W / N."""
-    return table.inverse_cumulative(table.cumulative(phi, 0) + table.totals[0] / n)
+    return table.inverse_cumulative(table.cumulative(phi)[0] + table.totals[0] / n)
 
 
 def test_equal_share_uniform_quarter(uniform_region, uniform_density):
