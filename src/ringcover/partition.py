@@ -4,8 +4,8 @@ N radial bars cut the annular region into N angular slices; each bar rotates
 at a rate proportional to the workload difference between the two slices it
 separates (`bar_rates`), which equalizes the workloads. The module also
 carries the machinery used to verify that convergence: the imbalance
-(Lyapunov) value, the cyclic-difference quadratic form and its minimum
-eigenvalue, and the decay constants they induce. The equal-share layouts
+(Lyapunov) value and the decay constants it induces, with the least eigenvalue
+of the cyclic-difference form in closed form. The equal-share layouts
 the balancing approaches, bars at M^-1(M(a) + j W / N) for the cumulative
 workload M and its total W, come from `MomentTable.inverse_cumulative`.
 
@@ -80,23 +80,6 @@ def imbalance(workloads, mean: float):
     return 0.5 * np.sum((np.asarray(workloads) - mean) ** 2, axis=-1)
 
 
-def cyclic_difference_form(n: int):
-    """Matrix S of the cyclic-difference quadratic form on N-1 coordinates.
-
-    With errors e_i = m_i - mean satisfying sum_i e_i = 0, the sum of squared
-    neighbour differences sum_i (e_i - e_{i-1})^2 equals e' S e in the first
-    N-1 coordinates once e_N is eliminated: S = A'A, A the bar law at unit
-    gain applied to the elimination [I; -1']. S is an integer matrix and
-    positive definite; its minimum eigenvalue is returned alongside.
-    """
-    if n < 2:
-        raise ValueError("need at least two bars")
-    rows = bar_rates(np.vstack([np.eye(n - 1), -np.ones(n - 1)]), 1.0)
-    matrix = rows.T @ rows
-    lambda_min = float(np.linalg.eigvalsh(matrix)[0])
-    return matrix, lambda_min
-
-
 def decay_constants(phases, kappa_phi: float, region, density) -> dict:
     """The constants of the guaranteed exponential workload-gap decay.
 
@@ -105,12 +88,16 @@ def decay_constants(phases, kappa_phi: float, region, density) -> dict:
     the rate; lambda_min, the least eigenvalue of the cyclic-difference form;
     and omega_min and omega_max, the grid extrema of the radial moment
     profile. The keys keep that order, the order of a run's log meta.
+    lambda_min is the least ratio of sum_i (e_i - e_{i-1})^2 to sum_{i<N} e_i^2
+    over errors e_i = m_i - mean that sum to 0. For N >= 3 it is the cycle's
+    Fiedler value 2 - 2 cos(2 pi / N) (Fiedler 1973), attained with e_N = 0;
+    at N = 2, e = (1, -1) gives 8, twice the Fiedler value 4, as e_N holds half.
     """
     n = len(phases)
     table = moment_table(region, density)
     workloads = table.slice_moments(phases)[0]
     v0 = imbalance(workloads, float(table.totals[0]) / n)
     omega_min, omega_max = radial_moment_extrema(region, density)
-    _, lambda_min = cyclic_difference_form(n)
+    lambda_min = 8.0 if n == 2 else 2.0 - 2.0 * math.cos(TWO_PI / n)
     return {"c1": math.sqrt(2.0 * v0), "c2": kappa_phi * omega_min * lambda_min / n,
             "lambda_min": lambda_min, "omega_min": omega_min, "omega_max": omega_max}

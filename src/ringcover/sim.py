@@ -56,9 +56,9 @@ MIN_DENSITY, MAX_DENSITY = 1e-100, 1e100
 # The RK4 steps one command may ask for: t_end / dt for `run`, the epoch
 # count times T_epsilon / dt for `search`. It refuses requests no run can
 # finish (t_end 1e30 at dt 0.05 is 2e31 steps) while leaving 10^4 times the
-# bundled reference run's 10^4 steps. It is not a time budget: one step takes
-# ~50 us at N = 2 to 8 and ~7 ms at N = 1000 on one Xeon core, so a run at
-# the bound takes from about 1.5 hours to days, and logs up to 10^8 records.
+# bundled reference run's 10^4 steps. It is not a time budget: a step costs
+# ~50 us at N = 2 to 8, 1.1-1.4 ms at 256 and 3-5 ms at 1000 (shared 2-vCPU
+# Xeon), so a run at the bound takes 1.5 hours to 6 days, logging up to 10^8 records.
 MAX_STEPS = 10 ** 8
 
 
@@ -746,24 +746,22 @@ class VerificationReport:
 def verify_invariants(log: TrajectoryLog, config: ScenarioConfig) -> VerificationReport:
     """Check the logged trajectory against the guarantees and report margins.
 
-    Every gating check reads the log's records; the quadrature check of the
-    logged targets and workloads (target stationarity) samples 8 evenly
-    spaced records. The end-of-run trends (bar rate, agent speed, target
-    rate at the last record) have no bound at a finite horizon and are
-    reported as "info", and so are the excursions out of the region: the
-    fraction of records with one, the deepest agent's distance to the nearest
-    boundary curve, and the count of logged targets outside. `config` is the
-    run's scenario, as parsed from the log's config echo.
+    Seven gates read the log's records: mean_phase_conservation,
+    lyapunov_nonincreasing, lyapunov_exponential_bound, log_consistency,
+    workload_positivity, cyclic_order_preserved and target_stationarity (on 8
+    evenly spaced records). The end-of-run trends (bar rate, agent speed,
+    target rate), which have no bound at a finite horizon, and the excursions
+    out of the region (the fraction of records with one, the deepest agent's
+    distance to the nearest boundary curve, the count of logged targets
+    outside) are reported as "info". `config` is the log's parsed config echo.
     """
     region, density = config.region, config.density
-    n = log.n_agents
-    t = log.times
-    span = float(t[-1] - t[0]) if t.size > 1 else 0.0
+    t, v = log.times, log.lyapunov
     # The bound constants come from the config and the first record, never
     # from the log's meta, which only echoes them.
-    m_bar = float(moment_table(region, density).totals[0]) / n
-    constants = decay_constants(log.phases_unwrapped[0], config.kappa_phi, region, density)
-    c1, c2, lambda_min = constants["c1"], constants["c2"], constants["lambda_min"]
+    total = float(moment_table(region, density).totals[0])
+    m_bar = total / log.n_agents
+    c2 = decay_constants(log.phases_unwrapped[0], config.kappa_phi, region, density)["c2"]
 
     checks = []
 
@@ -773,17 +771,16 @@ def verify_invariants(log: TrajectoryLog, config: ScenarioConfig) -> Verificatio
     # Conserved mean of the unwrapped phases.
     means = np.mean(log.phases_unwrapped, axis=1)
     drift = float(np.max(np.abs(means - means[0])))
-    allowed = 1e-6 * max(1.0, span / 100.0)
+    allowed = 1e-6 * max(1.0, float(t[-1] - t[0]) / 100.0)
     gate("mean_phase_conservation", f"<{allowed:.1e}", drift, drift < allowed)
 
     # Imbalance never increases along the discrete trajectory.
-    v = log.lyapunov
     eps_step = 1e-9 * max(v[0], 1e-30)
     rise = float(np.max(np.diff(v))) if v.size > 1 else 0.0
     gate("lyapunov_nonincreasing", f"rise<{eps_step:.1e}", rise, rise <= eps_step)
 
     # Guaranteed exponential decay with 5% discretization slack.
-    v_floor = (1e-10 * m_bar) ** 2
+    v_floor = 0.25 * (1e-10 * m_bar) ** 2
     envelope = np.maximum(v[0] * np.exp(-2.0 * c2 * (t - t[0])), v_floor)
     # The first record's ratio is at most 1 by construction; the margin is
     # the worst ratio after it.
@@ -791,20 +788,19 @@ def verify_invariants(log: TrajectoryLog, config: ScenarioConfig) -> Verificatio
     ratio = float(np.max(ratios[1:] if ratios.size > 1 else ratios))
     gate("lyapunov_exponential_bound", "ratio<=1.05", ratio, ratio <= 1.05)
 
-    # Workload errors e_i = m_i - m_bar obey |e_i| <= sqrt(2 V) <= c1 e^{-c2 t},
-    # and neighbour gaps |e_i - e_{i-1}| <= sqrt(2 (e_i^2 + e_{i-1}^2))
-    # <= 2 sqrt(V) <= sqrt(2) c1 e^{-c2 t}; same 5% discretization slack.
-    decay = np.exp(-c2 * (t - t[0]))
-    deviation_envelope = np.maximum(c1 * decay, 1e-10 * m_bar)
-    deviation_ratio = float(np.max(np.abs(log.workloads - m_bar)
-                                   / deviation_envelope[:, None]))
-    gate("workload_deviation_bound", "ratio<=1.05", deviation_ratio, deviation_ratio <= 1.05)
-    # The bar law at unit gain gives the neighbour differences; C order keeps
-    # each record's row contiguous, so the row sums below add pairwise.
-    diffs = np.abs(bar_rates(log.workloads.T, 1.0).T, order="C")
-    gap_envelope = np.maximum(math.sqrt(2.0) * c1 * decay, 1e-10 * m_bar)
-    gap_ratio = float(np.max(diffs / gap_envelope[:, None]))
-    gate("pairwise_difference_bound", "ratio<=1.05", gap_ratio, gap_ratio <= 1.05)
+    # The columns agree, to 1e-9 of max(value, floor): `lyapunov` is the
+    # imbalance of the workloads (floor: V's) and `tracking` sum_i m_i |p_i -
+    # T_i|^2 (floor: W (1e-10 R)^2, R the bounding radius); the workloads sum
+    # to W to 1e-12 W. So |e_i| <= sqrt(2 V), |e_i - e_{i-1}| <= 2 sqrt(V).
+    offsets = log.positions - log.targets
+    exact_v = imbalance(log.workloads, m_bar)
+    exact_h = np.sum(log.workloads * np.sum(offsets * offsets, axis=2), axis=1)
+    h_floor = total * (1e-10 * region.bounding_radius()) ** 2
+    defect = float(np.max(np.concatenate((
+        np.abs(v - exact_v) / np.maximum(exact_v, v_floor) / 1e-9,
+        np.abs(log.tracking - exact_h) / np.maximum(exact_h, h_floor) / 1e-9,
+        np.abs(np.sum(log.workloads, axis=1) - total) / (1e-12 * total)))))
+    gate("log_consistency", "defect/tol<=1", defect, defect <= 1.0)
 
     # No slice ever loses all workload; the step guard never gave up.
     min_workload = float(np.min(log.workloads))
@@ -815,20 +811,12 @@ def verify_invariants(log: TrajectoryLog, config: ScenarioConfig) -> Verificatio
     min_gap = float(np.min(cyclic_gaps(log.phases_unwrapped)))
     gate("cyclic_order_preserved", "gaps>0", min_gap, min_gap > 0.0)
 
-    # Quadratic-form lower bound on the neighbour-gap energy.
-    lhs = np.sum(diffs ** 2, axis=1)
-    rhs = 2.0 * lambda_min * v / n
-    margin = float(np.min(lhs - rhs))
-    slack = -1e-9 * max(float(np.max(rhs)), 1e-30)
-    gate("cyclic_form_bound", "lhs>=rhs", margin, margin >= slack)
-
     # Logged workloads are the slice masses and logged targets the slice
     # optima of the run's cost, both by quadrature on sampled records.
     worst_target = _target_stationarity(log, region, density, config.beta)
     gate("target_stationarity", "rel<1e-6", worst_target, worst_target < 1e-6)
 
-    # End-of-run trends at the last record, for information: the bar rates
-    # are gated at every record through pairwise_difference_bound.
+    # End-of-run trends at the last record, for information.
     speeds = np.linalg.norm(config.kappa_p * (log.positions[-1] - log.targets[-1]), axis=1)
     target_rate = (float(np.max(np.linalg.norm(log.targets[-1] - log.targets[-2], axis=1)))
                    / float(t[-1] - t[-2]) if t.size > 1 else math.inf)

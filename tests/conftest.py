@@ -204,6 +204,23 @@ def cyclic_layouts(draw):
     return offset + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
 
 
+def hand_built_cyclic_form(n: int) -> np.ndarray:
+    """Oracle for the cyclic-difference form behind `decay_constants`'
+    lambda_min: the matrix S with e' S e = sum_i (e_i - e_{i-1})^2 over the
+    first N - 1 errors, built as S = A'A from the neighbour-difference rows
+    written out one by one after eliminating e_N = -(e_1 + ... + e_{N-1})."""
+    dim = n - 1
+    rows = np.zeros((n, dim))
+    rows[0] = 1.0
+    rows[0, 0] = 2.0
+    for i in range(2, n):
+        rows[i - 1, i - 2] = -1.0
+        rows[i - 1, i - 1] = 1.0
+    rows[n - 1] = 1.0
+    rows[n - 1, dim - 1] += 1.0
+    return rows.T @ rows
+
+
 def cumulative_difference_moments(table, phases):
     """Oracle for `MomentTable.slice_moments`: differences of the cumulative
     moments at the bars, the last slice closed by a full turn's totals."""

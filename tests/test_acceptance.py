@@ -9,11 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import all_centroids, reference_scenario_dict
+from conftest import all_centroids, hand_built_cyclic_form, reference_scenario_dict
 from ringcover.agents import (cost_table, slice_cost_terms, subregion_cost,
                               total_cost)
 from ringcover.geometry import TWO_PI, moment_table, region_integral
-from ringcover.partition import cyclic_difference_form
+from ringcover.partition import decay_constants
 from ringcover.search import gossip_until_stable
 from ringcover.sim import run_scenario, scenario_from_dict
 
@@ -173,15 +173,22 @@ def test_07_parallel_axis_identity(reference_region, reference_density):
            f"worst relative defect = {worst:.3e} over 20 states")
 
 
-def test_08_cyclic_form_construction():
-    s2, lam2 = cyclic_difference_form(2)
-    exact = np.array_equal(s2, np.array([[8.0]]))
+def test_08_cyclic_form_construction(uniform_region, uniform_density):
+    # the hand-built form is the oracle for decay_constants' closed-form lambda_min
+    def lambda_min(n):
+        return decay_constants(np.arange(n) * TWO_PI / n, 0.03, uniform_region,
+                               uniform_density)["lambda_min"]
+
+    exact = np.array_equal(hand_built_cyclic_form(2), np.array([[8.0]]))
+    lam2 = lambda_min(2)
     rng = np.random.default_rng(80)
     worst = 0.0
     lambda_min_all_positive = True
     for n in range(2, 13):
-        matrix, lam = cyclic_difference_form(n)
+        matrix = hand_built_cyclic_form(n)
+        lam = lambda_min(n)
         lambda_min_all_positive &= lam > 0.0
+        worst = max(worst, abs(lam - np.linalg.eigvalsh(matrix)[0]) / lam)
         for _ in range(8):
             e_free = rng.normal(size=n - 1)
             e_full = np.append(e_free, -np.sum(e_free))
@@ -190,7 +197,7 @@ def test_08_cyclic_form_construction():
             worst = max(worst, abs(direct - quad) / max(1.0, abs(direct)))
     ok = exact and worst <= 1e-10 and lambda_min_all_positive and lam2 == 8.0
     report(8, "cyclic_form_construction", ok,
-           f"S(2)=[[8]] exact, worst identity defect = {worst:.3e}, "
+           f"S(2)=[[8]] exact, worst identity or lambda_min defect = {worst:.3e}, "
            f"all lambda_min > 0 for N=2..12")
 
 

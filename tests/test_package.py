@@ -218,9 +218,9 @@ def test_one_bar_law_and_one_cyclic_order_test():
     # `partition.bar_rates` is the only statement of the bar law and
     # `cyclic_gaps` the only test of cyclic order: the stepper defines no rate
     # method, neither module rolls an array, the slice index
-    # np.arange(-1, N - 1) is built only beside `bar_rates`, the cyclic form
-    # applies the law to its embedding, and the step guard, whose slice
-    # masses refuse a crossing, reads the gaps only to name the cause
+    # np.arange(-1, N - 1) is built only beside `bar_rates`, and the step
+    # guard, whose slice masses refuse a crossing, reads the gaps only to name
+    # the cause
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SOURCE.glob("*.py"))}
 
@@ -238,8 +238,19 @@ def test_one_bar_law_and_one_cyclic_order_test():
     assert sites(called("np.roll"), ("partition.py", "sim.py")) == []
     assert sites(lambda node: called("np.arange")(node) and node.args
                  and ast.unparse(node.args[0]) == "-1") == ["partition.py:bar_rates"]
-    assert "partition.py:cyclic_difference_form" in sites(called("bar_rates"))
     assert sites(called("cyclic_gaps"), ("sim.py",)).count("sim.py:_System.guard") == 1
+
+
+def test_no_eigensolve():
+    # the one eigenvalue the package needs, the cyclic-difference form's
+    # least, is in closed form; no np.linalg.eig* call solves for one
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and "linalg.eig" in ast.unparse(node.func)]
+    assert found == []
 
 
 def test_config_entries_are_read_only_through_the_reader():

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import all_centroids, region_and_density, star_regions
+from conftest import (all_centroids, hand_built_cyclic_form, region_and_density,
+                      star_regions)
 from ringcover.agents import subregion_cost
 from ringcover.geometry import TWO_PI, moment_table, radial_moment_extrema
-from ringcover.partition import (bar_rates, cyclic_difference_form, cyclic_gaps,
-                                 decay_constants, imbalance, validate_initial_phases)
+from ringcover.partition import (bar_rates, cyclic_gaps, decay_constants, imbalance,
+                                 validate_initial_phases)
 from ringcover import sim
 from ringcover.sim import _System
 
@@ -116,45 +117,37 @@ def test_bar_rates_is_the_written_out_law(data, n, states, kappa):
     assert np.all(np.abs(np.sum(rates, axis=0)) <= scale)
 
 
-def hand_built_cyclic_form(n: int) -> np.ndarray:
-    """S = A'A from the neighbour-difference rows written out one by one
-    after eliminating e_N = -(e_1 + ... + e_{N-1})."""
-    dim = n - 1
-    rows = np.zeros((n, dim))
-    rows[0] = 1.0
-    rows[0, 0] = 2.0
-    for i in range(2, n):
-        rows[i - 1, i - 2] = -1.0
-        rows[i - 1, i - 1] = 1.0
-    rows[n - 1] = 1.0
-    rows[n - 1, dim - 1] += 1.0
-    return rows.T @ rows
+def closed_form_lambda_min(n: int, region, density) -> float:
+    """The lambda_min `decay_constants` reports for N equally spaced bars."""
+    return decay_constants(np.arange(n) * TWO_PI / n, 0.03, region, density)["lambda_min"]
 
 
 @pytest.mark.parametrize("n", range(2, 13))
-def test_cyclic_form_is_the_hand_built_matrix(n):
-    matrix, lam = cyclic_difference_form(n)
-    oracle = hand_built_cyclic_form(n)
-    assert np.array_equal(matrix, oracle)
-    assert lam == float(np.linalg.eigvalsh(oracle)[0])
+def test_cyclic_form_is_the_hand_built_matrix(n, uniform_region, uniform_density):
+    # the closed-form lambda_min is the least eigenvalue of the hand-built form
+    lam = closed_form_lambda_min(n, uniform_region, uniform_density)
+    assert_allclose(lam, np.linalg.eigvalsh(hand_built_cyclic_form(n))[0], rtol=1e-12)
 
 
-def test_cyclic_form_small_matrices():
-    s2, lam2 = cyclic_difference_form(2)
-    assert_allclose(s2, [[8.0]], atol=1e-12)
-    assert_allclose(lam2, 8.0, rtol=1e-12)
-    s3, lam3 = cyclic_difference_form(3)
-    assert_allclose(s3, [[6.0, 3.0], [3.0, 6.0]], atol=1e-12)
-    assert_allclose(lam3, 3.0, rtol=1e-12)
-    with pytest.raises(ValueError):
-        cyclic_difference_form(1)
+@pytest.mark.parametrize("n", [256, 1000])
+def test_closed_form_lambda_min_at_many_bars(n, uniform_region, uniform_density):
+    lam = closed_form_lambda_min(n, uniform_region, uniform_density)
+    assert_allclose(lam, np.linalg.eigvalsh(hand_built_cyclic_form(n))[0], rtol=1e-9)
+
+
+def test_cyclic_form_small_matrices(uniform_region, uniform_density):
+    # at N = 2 the lone free error carries half of sum e_i^2: S = [[8]], exactly
+    assert np.array_equal(hand_built_cyclic_form(2), [[8.0]])
+    assert closed_form_lambda_min(2, uniform_region, uniform_density) == 8.0
+    assert np.array_equal(hand_built_cyclic_form(3), [[6.0, 3.0], [3.0, 6.0]])
+    assert_allclose(closed_form_lambda_min(3, uniform_region, uniform_density), 3.0,
+                    rtol=1e-12)
 
 
 def test_cyclic_form_matches_difference_sum():
     rng = np.random.default_rng(7)
     for n in range(2, 13):
-        matrix, lam = cyclic_difference_form(n)
-        assert lam > 0.0
+        matrix = hand_built_cyclic_form(n)
         for _ in range(4):
             e_free = rng.normal(size=n - 1)
             e_full = np.append(e_free, -np.sum(e_free))
@@ -178,7 +171,7 @@ def test_decay_constants_reference_composition(reference_region, reference_densi
     phases = np.sort(np.random.default_rng(0).uniform(0, TWO_PI, 8))
     constants = decay_constants(phases, 0.03, reference_region, reference_density)
     omega_min, omega_max = radial_moment_extrema(reference_region, reference_density)
-    _, lam = cyclic_difference_form(8)
+    lam = 2.0 - 2.0 * math.cos(TWO_PI / 8)
     assert_allclose(constants["c2"], 0.03 * omega_min * lam / 8.0, rtol=1e-12)
     assert (constants["lambda_min"], constants["omega_min"],
             constants["omega_max"]) == (lam, omega_min, omega_max)

@@ -6,18 +6,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (all_centroids, cumulative_difference_moments, cyclic_layouts,
-                      entry_paths, overtaking_scenario_dict, parser_scenarios,
-                      reference_scenario_dict, region_and_density, stacked_run,
-                      star_regions, uniform_scenario_dict)
+                      entry_paths, hand_built_cyclic_form, overtaking_scenario_dict,
+                      parser_scenarios, reference_scenario_dict, region_and_density,
+                      stacked_run, star_regions, uniform_scenario_dict)
 from ringcover import agents, geometry, sim
 from ringcover.agents import slice_centroids, total_cost
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField, MomentTable,
                                 PolarCurve, radial_moment_extrema)
-from ringcover.partition import bar_rates, cyclic_gaps
+from ringcover.partition import bar_rates, cyclic_gaps, imbalance
 from ringcover.sim import (ConfigError, IntegrationError, ScenarioConfig, TrajectoryLog,
                            integrate_system, rk4_step, run_scenario,
                            scenario_from_dict, verify_invariants)
@@ -222,6 +222,18 @@ def test_verify_passes_on_equilibrium():
     assert report.passed
 
 
+def test_exponential_bound_floor_keeps_the_workload_errors_small():
+    # at equilibrium the envelope is its floor (1e-10 m_bar)^2 / 4, where
+    # |e_i| <= sqrt(2 V) stays below 0.73e-10 m_bar; a logged V of
+    # (1e-10 m_bar)^2 / 2 is twice the floor and fails
+    config = scenario_from_dict(equilibrium_scenario_dict(t_end=5.0))
+    log = run_scenario(config)
+    log.lyapunov[-1] = 0.5 * (1e-10 * log.meta["m_bar"]) ** 2
+    check = {c.name: c for c in verify_invariants(log, config).checks}
+    assert check["lyapunov_exponential_bound"].status == "fail"
+    assert check["lyapunov_exponential_bound"].worst == pytest.approx(2.0, rel=1e-12)
+
+
 @pytest.fixture(scope="module")
 def short_reference_run():
     """The reference scenario to t = 2, with the status of each verify check."""
@@ -251,38 +263,92 @@ def test_exponential_bound_reports_its_margin_after_the_first_record(short_refer
     assert worst["lyapunov_exponential_bound"] < 0.97
 
 
-# For each gating check: the log column it reads, the entries to forge, and
-# their forged value.
+# For each gating check, the logs it must fail, by id: the check, the log
+# column forged, the entries to forge, and their forged value.
 FORGERIES = {
-    "mean_phase_conservation": ("phases_unwrapped", -1,
+    "mean_phase_conservation": ("mean_phase_conservation", "phases_unwrapped", -1,
                                 lambda log: log.phases_unwrapped[-1] + 0.01),
-    "lyapunov_nonincreasing": ("lyapunov", -1, lambda log: 2.0 * log.lyapunov[-2]),
-    "lyapunov_exponential_bound": ("lyapunov", -1, lambda log: 1.1 * log.lyapunov[0]),
+    "lyapunov_nonincreasing": ("lyapunov_nonincreasing", "lyapunov", -1,
+                               lambda log: 2.0 * log.lyapunov[-2]),
+    "lyapunov_exponential_bound": ("lyapunov_exponential_bound", "lyapunov", -1,
+                                   lambda log: 1.1 * log.lyapunov[0]),
+    "log_consistency_lyapunov": ("log_consistency", "lyapunov", slice(None),
+                                 lambda log: 0.5 * log.lyapunov),
+    "log_consistency_tracking": ("log_consistency", "tracking", slice(None),
+                                 lambda log: 2.0 * log.tracking),
+    "workload_positivity": ("workload_positivity", "workloads", (3, 1), lambda log: -0.5),
+    "cyclic_order_preserved": ("cyclic_order_preserved", "phases_unwrapped", (5, [0, 1]),
+                               lambda log: log.phases_unwrapped[5, [1, 0]]),
+    "target_stationarity": ("target_stationarity", "targets", 0,
+                            lambda log: log.targets[0] + 0.1),
+}
+
+# The forged logs of the three gates that log_consistency replaced, by the
+# gate's name: one workload raised by 4 c1 at the last record (for the
+# deviation and the neighbour-difference bounds), and the first record's
+# workloads set to their mean (for the cyclic-form bound). Each still fails.
+REPLACED_GATE_FORGERIES = {
     "workload_deviation_bound": ("workloads", (-1, 0),
                                  lambda log: log.workloads[-1, 0] + 4.0 * log.meta["c1"]),
     "pairwise_difference_bound": ("workloads", (-1, 0),
                                   lambda log: log.workloads[-1, 0] + 4.0 * log.meta["c1"]),
-    "workload_positivity": ("workloads", (3, 1), lambda log: -0.5),
-    "cyclic_order_preserved": ("phases_unwrapped", (5, [0, 1]),
-                               lambda log: log.phases_unwrapped[5, [1, 0]]),
     "cyclic_form_bound": ("workloads", 0, lambda log: np.mean(log.workloads[0])),
-    "target_stationarity": ("targets", 0, lambda log: log.targets[0] + 0.1),
 }
 
 
-@pytest.mark.parametrize("check", FORGERIES)
-def test_verify_flags_forged_column(short_reference_run, check):
-    log, config, statuses = short_reference_run
-    gating = {name for name, status in statuses.items() if status != "info"}
-    assert gating == set(FORGERIES)
-    assert statuses[check] == "pass"
-    column, index, value = FORGERIES[check]
+def forged_report(log, config, column, index, value):
     forged = TrajectoryLog.from_dict(log.to_dict())
     getattr(forged, column)[index] = value(forged)
-    report = verify_invariants(forged, config)
+    return verify_invariants(forged, config)
+
+
+@pytest.mark.parametrize("forgery", FORGERIES)
+def test_verify_flags_forged_column(short_reference_run, forgery):
+    log, config, statuses = short_reference_run
+    gating = {name for name, status in statuses.items() if status != "info"}
+    assert gating == {check for check, *_ in FORGERIES.values()}
+    check, *forge = FORGERIES[forgery]
+    assert statuses[check] == "pass"
+    report = forged_report(log, config, *forge)
     by_name = {c.name: c for c in report.checks}
     assert by_name[check].status == "fail", by_name[check].line()
     assert not report.passed
+
+
+@pytest.mark.parametrize("gate", REPLACED_GATE_FORGERIES)
+def test_forgeries_of_the_replaced_gates_still_fail(short_reference_run, gate):
+    log, config, _ = short_reference_run
+    report = forged_report(log, config, *REPLACED_GATE_FORGERIES[gate])
+    failed = {c.name for c in report.checks if c.status == "fail"}
+    assert failed == {"log_consistency", "target_stationarity"}
+    assert not report.passed
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(2, 50), scale=st.integers(-100, 100),
+       m_bar_scale=st.integers(-100, 100))
+def test_consistent_columns_under_the_envelope_bound_the_workloads(data, n, scale,
+                                                                   m_bar_scale):
+    # the implications log_consistency rests on, for errors e_i = m_i - m_bar
+    # that sum to 0, over many decades of scale: |e_i| <= sqrt(2 V),
+    # |e_i - e_{i-1}| <= 2 sqrt(V) and sum_i (e_i - e_{i-1})^2 >= 2 lambda_min V / N;
+    # and V at 1.05 times the envelope's floor (1e-10 m_bar)^2 / 4, plus the
+    # consistency tolerance, keeps both bounds under 1.05e-10 m_bar
+    free = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n - 1,
+                                       max_size=n - 1))) * 10.0 ** scale
+    errors = np.append(free, -np.sum(free))
+    v = imbalance(errors, 0.0)
+    assume(v > 1e-290)  # the largest error's square stays a normal number
+    diffs = bar_rates(errors, 1.0)
+    rounding = 1.0 + 1e-12
+    assert np.max(np.abs(errors)) <= math.sqrt(2.0 * v) * rounding
+    assert np.max(np.abs(diffs)) <= 2.0 * math.sqrt(v) * rounding
+    lambda_min = float(np.linalg.eigvalsh(hand_built_cyclic_form(n))[0])
+    assert np.sum(diffs ** 2) >= 2.0 * lambda_min * v / n * (1.0 - 1e-9)
+    m_bar = 10.0 ** m_bar_scale
+    at_floor = errors / math.sqrt(v) * math.sqrt(1.05 * (1.0 + 1e-9) * 0.25) * 1e-10 * m_bar
+    assert np.max(np.abs(at_floor)) <= 1.05e-10 * m_bar
+    assert np.max(np.abs(bar_rates(at_floor, 1.0))) <= 1.05e-10 * m_bar
 
 
 def test_scenario_config_drawn_inits_are_valid():
@@ -491,13 +557,14 @@ def test_one_sampling_pass_per_table_row(monkeypatch, beta, samplings):
 
 @pytest.mark.parametrize("seed", [2, 3, 8])
 def test_workload_bounds_hold_at_start(seed):
-    # the t=0 neighbour gap exceeds sqrt(2 V0) on these seeds, though never 2 sqrt(V0)
+    # the t=0 neighbour gap exceeds sqrt(2 V0) on these seeds, though never
+    # 2 sqrt(V0); every gate passes, the envelope and log_consistency that
+    # bound the workload errors and neighbour differences among them
     config = scenario_from_dict(reference_scenario_dict(
         seed=seed, integrator={"dt": 0.01, "t_end": 1.0, "log_stride": 10}))
-    statuses = {c.name: c.status for c in verify_invariants(run_scenario(config),
-                                                            config).checks}
-    assert statuses["pairwise_difference_bound"] == "pass"
-    assert statuses["workload_deviation_bound"] == "pass"
+    report = verify_invariants(run_scenario(config), config)
+    assert [c.line() for c in report.checks if c.status == "fail"] == []
+    assert report.passed
 
 
 def test_step_guard_keeps_cyclic_order():
