@@ -37,6 +37,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_PANELS = 2 ** 14
 _NODE_BUDGET = 2 ** 22  # (angles x nodes) of a radial pass, (nodes x nodes) of its rule
 _ABS_FLOOR = 1e-12
+# The region grid: validity, the boundary polygon and the bounding radius read
+# r_in and r_out at these angles, the moment table's even samples.
+_REGION_GRID = np.arange(2048) * (TWO_PI / 2048)
 
 
 class QuadratureError(RuntimeError):
@@ -80,25 +83,29 @@ class PolarCurve:
 class AnnularRegion:
     """Region between two positive star-shaped curves about the origin.
 
-    A point with polar coordinates (r, theta) belongs to the
-    region iff r_in(theta) <= r <= r_out(theta). Validity (0 < inner < outer)
-    is checked on a uniform angle grid at construction time.
+    A point with polar coordinates (r, theta) belongs to the region iff
+    r_in(theta) <= r <= r_out(theta). A curve's slope is at most
+    sum_k k (|cos_k| + |sin_k|), so from any angle to the nearest of the 2048
+    angles of the region grid, at most pi / 2048 away, it moves by at most
+    pi / 2048 times that sum, its margin (0 for a circle). So 0 < r_in < r_out
+    holds at every angle when, on the grid, r_in exceeds the inner margin and
+    r_out - r_in the sum of both margins; construction checks that.
     """
 
     inner: PolarCurve
     outer: PolarCurve
-    validation_grid_size: int = 2048
 
     def __post_init__(self):
-        if self.validation_grid_size < 8:
-            raise ValueError("validation_grid_size must be at least 8")
-        grid = np.arange(self.validation_grid_size) * (TWO_PI / self.validation_grid_size)
-        r_in = self.inner.radius(grid)
-        r_out = self.outer.radius(grid)
-        if np.min(r_in) <= 0.0:
-            raise ValueError("inner curve must be strictly positive")
-        if np.min(r_out - r_in) <= 0.0:
-            raise ValueError("outer curve must stay strictly outside the inner curve")
+        inner, outer = (math.pi / _REGION_GRID.size * sum(
+            k * abs(coeff) for coeffs in (curve.cosine_coeffs, curve.sine_coeffs)
+            for k, coeff in enumerate(coeffs, start=1)) for curve in (self.inner, self.outer))
+        r_in = self.inner.radius(_REGION_GRID)
+        gap = self.outer.radius(_REGION_GRID) - r_in
+        for name, least, margin in (("inner radius", np.min(r_in), inner),
+                                    ("gap between the curves", np.min(gap), inner + outer)):
+            if least <= margin:
+                raise ValueError(f"{name} sampled down to {least:.3e}, not above the "
+                                 f"margin {margin:.3e}")
 
     def contains(self, points) -> np.ndarray:
         """Membership of each point of a (..., 2) array; boundary points are
@@ -111,15 +118,14 @@ class AnnularRegion:
 
     def boundary_distance(self, points) -> np.ndarray:
         """Euclidean distance of each point of a (..., 2) array to the nearer
-        boundary curve, each curve taken as the polygon through its
-        validation grid and measured on the two edges at the nearest vertex."""
+        boundary curve, each curve taken as the polygon through its points
+        at the region grid and measured on the two edges at the nearest vertex."""
         points = np.asarray(points, dtype=float)
         flat = points.reshape(-1, 2)
-        grid = np.arange(self.validation_grid_size) * (TWO_PI / self.validation_grid_size)
         out = np.full(len(flat), np.inf)
         for curve in (self.inner, self.outer):
-            r = curve.radius(grid)
-            vertices = np.stack([r * np.cos(grid), r * np.sin(grid)], axis=1)
+            r = curve.radius(_REGION_GRID)
+            vertices = np.stack([r * np.cos(_REGION_GRID), r * np.sin(_REGION_GRID)], axis=1)
             edges = np.roll(vertices, -1, axis=0) - vertices
             squares = np.sum(vertices * vertices, axis=1)
             for start in range(0, len(flat), 64):  # (64, grid) distances at a time
@@ -135,8 +141,7 @@ class AnnularRegion:
         return out.reshape(points.shape[:-1])
 
     def bounding_radius(self) -> float:
-        grid = np.arange(self.validation_grid_size) * (TWO_PI / self.validation_grid_size)
-        return float(np.max(self.outer.radius(grid)))
+        return float(np.max(self.outer.radius(_REGION_GRID)))
 
 
 @dataclass(frozen=True)
@@ -283,8 +288,8 @@ def region_integral(region, density, phi_lo, phi_hi, weight=_MONOMIALS["plain"],
 # Cached only for callers that clear it, and time it cold, with the table.
 @lru_cache(maxsize=32)
 def radial_moment_extrema(region, density):
-    """(min, max) of the plain radial moment on 2048 uniform angles, which
-    are the even-index samples of the moment table's plain row."""
+    """(min, max) of the plain radial moment on the region grid's 2048
+    angles, which are the even-index samples of the moment table's plain row."""
     values = moment_table(region, density).samples[0, ::2]
     lo = float(values.min())
     hi = float(values.max())

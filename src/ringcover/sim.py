@@ -40,8 +40,6 @@ from .partition import (bar_rates, cyclic_gaps, decay_constants, imbalance,
 
 WORKLOAD_FLOOR_FRACTION = 1e-9
 MAX_STEP_HALVINGS = 8
-# The region's checks allocate a few arrays of this many angles.
-MAX_VALIDATION_GRID = 2 ** 20
 # The step guard's floor, 1e-9 W / N, must stay far above the rounding of a
 # computed slice mass, of order eps W: at N <= 1000 it is over 4000 times that.
 MAX_AGENTS = 1000
@@ -124,7 +122,6 @@ class ScenarioConfig:
             "region": {
                 "inner": _curve_to_dict(self.region.inner),
                 "outer": _curve_to_dict(self.region.outer),
-                "validation_grid_size": self.region.validation_grid_size,
             },
             "density": {
                 "kind": self.density.kind,
@@ -269,11 +266,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     _get(data, "region", kind=dict)  # the one section without a default
     inner = _parse_curve(data, "region.inner", MAX_RADIUS)
     outer = _parse_curve(data, "region.outer", MAX_RADIUS)
-    grid = _get(data, "region.validation_grid_size", 2048, int,
-                lambda size: size <= MAX_VALIDATION_GRID,
-                f"at most {MAX_VALIDATION_GRID}, got {{!r}}")
     try:
-        region = AnnularRegion(inner, outer, validation_grid_size=grid)
+        region = AnnularRegion(inner, outer)
     except ValueError as exc:
         raise ConfigError("region", str(exc)) from None
 
@@ -789,16 +783,22 @@ def verify_invariants(log: TrajectoryLog, config: ScenarioConfig) -> Verificatio
     gate("lyapunov_exponential_bound", "ratio<=1.05", ratio, ratio <= 1.05)
 
     # The columns agree, to 1e-9 of max(value, floor): `lyapunov` is the
-    # imbalance of the workloads (floor: V's) and `tracking` sum_i m_i |p_i -
-    # T_i|^2 (floor: W (1e-10 R)^2, R the bounding radius); the workloads sum
-    # to W to 1e-12 W. So |e_i| <= sqrt(2 V), |e_i - e_{i-1}| <= 2 sqrt(V).
+    # imbalance of the workloads (floor: V's), `tracking` sum_i m_i |p_i -
+    # T_i|^2 and `cost` the run's slice costs at the logged phases and
+    # positions (floor: W (1e-10 R)^2, R the bounding radius); the workloads
+    # sum to W to 1e-12 W. So |e_i| <= sqrt(2 V), |e_i - e_{i-1}| <= 2 sqrt(V).
     offsets = log.positions - log.targets
     exact_v = imbalance(log.workloads, m_bar)
     exact_h = np.sum(log.workloads * np.sum(offsets * offsets, axis=2), axis=1)
+    table = agents_mod.cost_table(region, density, config.beta)
+    moments = np.concatenate([table.slice_moments(p) for p in log.phases_unwrapped], axis=1)
+    exact_j = np.sum(agents_mod.slice_cost_terms(moments, log.positions, config.beta)[0]
+                     .reshape(v.size, -1), axis=1)
     h_floor = total * (1e-10 * region.bounding_radius()) ** 2
     defect = float(np.max(np.concatenate((
         np.abs(v - exact_v) / np.maximum(exact_v, v_floor) / 1e-9,
         np.abs(log.tracking - exact_h) / np.maximum(exact_h, h_floor) / 1e-9,
+        np.abs(log.cost - exact_j) / np.maximum(exact_j, h_floor) / 1e-9,
         np.abs(np.sum(log.workloads, axis=1) - total) / (1e-12 * total)))))
     gate("log_consistency", "defect/tol<=1", defect, defect <= 1.0)
 

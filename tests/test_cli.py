@@ -475,7 +475,7 @@ def test_python_dash_m_runs_the_cli(quick_config, tmp_path):
     ("integrator.dt", math.nan, "integrator.dt"),
     ("integrator.t_end", math.inf, "integrator.t_end"),
     ("seed", "abc", "seed"),
-    ("region.validation_grid_size", "x", "region.validation_grid_size"),
+    ("region.outer.mean", "x", "region.outer.mean"),
     ("output.snapshot_times", ["a"], "output.snapshot_times"),
     ("density.parameters", ["x"], "density.parameters"),
     ("gains.kappa_phi", math.nan, "gains.kappa_phi"),
@@ -504,26 +504,53 @@ def test_run_rejects_malformed_number(tmp_path, caplog, path, value, field):
     assert f"invalid config: {field}: " in caplog.text
 
 
-@pytest.mark.parametrize("size", [sim.MAX_VALIDATION_GRID + 1, 10 ** 12])
-def test_oversized_validation_grid_exits_2_before_the_region_is_built(
-        tmp_path, monkeypatch, caplog, size):
-    # the region's checks allocate arrays of the grid size; 10**12 angles
-    # would raise MemoryError there
-    built = []
-    region = sim.AnnularRegion
-    monkeypatch.setattr(sim, "AnnularRegion", lambda *args, **kw: built.append(kw)
-                        or region(*args, **kw))
-    data = uniform_scenario_dict()
-    data["region"]["validation_grid_size"] = size
-    assert cmd_run(write_config(tmp_path, data), str(tmp_path / "out")) == 2
-    assert (f"invalid config: region.validation_grid_size: at most "
-            f"{sim.MAX_VALIDATION_GRID}, got {size}") in caplog.text
-    assert built == []
-    assert not (tmp_path / "out").exists()
-    # the bound itself parses
-    data["region"]["validation_grid_size"] = sim.MAX_VALIDATION_GRID
-    config = sim.scenario_from_dict(data)
-    assert config.region.validation_grid_size == sim.MAX_VALIDATION_GRID
+# Regions whose curves the region grid samples valid but which are not: an
+# inner curve 1 + 0.4 cos(256 theta + pi / 8) that crosses the outer circle by
+# 0.02 between grid angles, and inner curves 1 - 0.9 cos(h theta) that read 0.1
+# at every grid angle but reach 1.9 between them, outside the circle of 1.5.
+ALIASED_REGIONS = {
+    "crossing_256": {"inner": {"mean": 1.0,
+                               "cos": [0.0] * 255 + [0.4 * math.cos(math.pi / 8)],
+                               "sin": [0.0] * 255 + [-0.4 * math.sin(math.pi / 8)]},
+                     "outer": {"mean": 1.38}},
+    **{f"dip_{h}": {"inner": {"mean": 1.0, "cos": [0.0] * (h - 1) + [-0.9]},
+                    "outer": {"mean": 1.5}} for h in (2048, 4096, 8192)},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "search", "verify"])
+@pytest.mark.parametrize("region", ALIASED_REGIONS)
+def test_region_invalid_between_grid_angles_exits_2_and_writes_nothing(tmp_path, caplog,
+                                                                      command, region):
+    # checked on the grid alone, the crossing region passed `run`, `search`
+    # and `verify` (exit 0), the dip at h = 8192 passed `run`, and the dips at
+    # h = 2048 and 4096 failed the moment table's check (exit 3)
+    data = uniform_scenario_dict(region=ALIASED_REGIONS[region], seed=3,
+                                 agents={"count": 2, "initial_phases": [0.4, 1.9],
+                                         "initial_positions": "random"},
+                                 integrator={"dt": 0.05, "t_end": 0.5, "log_stride": 1},
+                                 search={"K_star": 2, "T_epsilon": 0.5})
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, data), "--out", str(out)]) == 2
+    assert ": region: " in caplog.text
+    assert not out.exists()
+
+
+def test_a_log_carrying_the_removed_grid_option_verifies_and_exports_the_same(quick_config,
+                                                                            tmp_path):
+    # logs written while `region.validation_grid_size` was an option carry it
+    # in their config echo; the parser ignores it as any unknown key
+    assert cmd_run(quick_config, str(tmp_path / "run")) == 0
+    fresh = tmp_path / "run" / "log.json"
+    data = json.loads(fresh.read_text(encoding="utf-8"))
+    data["config"]["region"]["validation_grid_size"] = 2048
+    for name, path in (("fresh", str(fresh)), ("old", write_config(tmp_path, data, "old.json"))):
+        assert cmd_verify(path, str(tmp_path / name)) == 0
+        assert cmd_export(path, "svg-snapshots", str(tmp_path / name)) == 0
+    written = {name: {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+               for name in ("fresh", "old")}
+    assert sorted(written["fresh"]) == ["report.txt", "snapshot_t0.svg", "snapshot_t2.svg"]
+    assert written["old"] == written["fresh"]
 
 
 @pytest.mark.parametrize("path, value, message", [

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (CONFIGS, cumulative_difference_moments, cyclic_layouts,
@@ -49,6 +49,12 @@ def test_contains(uniform_region):
     assert np.array_equal(uniform_region.contains(points), [[True, False], [True, False]])
 
 
+# 1 + 0.4 cos(256 theta + pi / 8) inside a circle of radius 1.38: the inner
+# curve reaches 1.4 between grid angles, and at most 1.3696 on the grid
+CROSSING = (PolarCurve(1.0, (0.0,) * 255 + (0.4 * math.cos(math.pi / 8),),
+                       (0.0,) * 255 + (-0.4 * math.sin(math.pi / 8),)), PolarCurve(1.38))
+
+
 def test_region_validation():
     with pytest.raises(ValueError):
         AnnularRegion(PolarCurve(2.0), PolarCurve(1.0))
@@ -57,6 +63,57 @@ def test_region_validation():
     # curves touching somewhere is also invalid
     with pytest.raises(ValueError):
         AnnularRegion(PolarCurve(1.0), PolarCurve(2.0, cosine_coeffs=(-1.0,)))
+    # 1 - 0.9 cos(2048 theta) is positive but reads 0.1 at every grid angle,
+    # below its margin 0.9 pi; the messages give the least sample and the margin
+    with pytest.raises(ValueError, match=r"^inner radius sampled down to 1\.000e-01, "
+                                         r"not above the margin 2\.827e\+00$"):
+        AnnularRegion(PolarCurve(1.0, (0.0,) * 2047 + (-0.9,)), PolarCurve(1.5))
+    with pytest.raises(ValueError, match=r"^gap between the curves sampled down to "
+                                         r"1\.045e-02, not above the margin 2\.052e-01$"):
+        AnnularRegion(*CROSSING)
+
+
+@st.composite
+def harmonic_curves(draw, mean):
+    """A polar curve about `mean` with one to three harmonics of order up to
+    8192, each of amplitude 1e-4 to 0.3 times the mean and a random phase."""
+    cosines, sines = np.zeros(8192), np.zeros(8192)
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 8192))
+        amplitude = mean * 10.0 ** draw(st.floats(-4.0, math.log10(0.3)))
+        phase = draw(st.floats(0.0, TWO_PI))
+        cosines[k - 1] += amplitude * math.cos(phase)
+        sines[k - 1] -= amplitude * math.sin(phase)
+    top = int(np.flatnonzero((cosines != 0.0) | (sines != 0.0)).max(initial=-1)) + 1
+    return PolarCurve(mean, tuple(cosines[:top]), tuple(sines[:top]))
+
+
+@st.composite
+def curve_pairs(draw):
+    """An inner curve of `harmonic_curves` and a circle or such a curve 0.01
+    to 1 further out on average."""
+    inner_mean = draw(st.floats(0.05, 2.0))
+    outer_mean = inner_mean + draw(st.floats(0.01, 1.0))
+    return (draw(harmonic_curves(inner_mean)),
+            draw(st.just(PolarCurve(outer_mean)) | harmonic_curves(outer_mean)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(curves=curve_pairs())
+@example(curves=CROSSING)
+def test_an_accepted_region_is_valid_between_grid_angles(curves):
+    # whenever the check on the region grid accepts two curves, 0 < r_in <
+    # r_out on 64 angles per period of the highest harmonic
+    try:
+        AnnularRegion(*curves)
+    except ValueError:
+        return
+    inner, outer = curves
+    top = max(len(inner.cosine_coeffs), len(outer.cosine_coeffs), 1)
+    thetas = np.arange(64 * top) * (TWO_PI / (64 * top))
+    r_in = inner.radius(thetas)
+    assert np.min(r_in) > 0.0
+    assert np.min(outer.radius(thetas) - r_in) > 0.0
 
 
 def test_radial_moment_uniform(uniform_region, uniform_density):

@@ -27,7 +27,9 @@ After a change that moves digits on purpose, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and list the moved digits in CHANGES.md.
+which prints what moved against the old file first (the run and search
+mismatch report and the moved parser entries), and list the moved digits in
+CHANGES.md.
 """
 
 import copy
@@ -197,19 +199,22 @@ def test_outputs_match_golden(reference_run, search_sweep, tmp_path):
             == {key: expected[key] for key in outputs}), mismatch_report(expected, actual)
 
 
+def moved_parser_entries(expected: dict, actual: dict) -> list:
+    """(scenario, entry) of every parser entry whose digest moved, came or went."""
+    return [(name, path) for name in sorted(expected.keys() | actual.keys())
+            for path in sorted(expected.get(name, {}).keys() | actual.get(name, {}).keys())
+            if expected.get(name, {}).get(path) != actual.get(name, {}).get(path)]
+
+
 def test_parser_outcomes_match_golden():
     # on a mismatch, list each moved entry with its outcomes now
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))["parser"]
-    actual = parser_entries()
     scenarios = parser_paths()
     moved = []
-    for name in sorted(expected.keys() | actual.keys()):
-        want, got = expected.get(name, {}), actual.get(name, {})
+    for name, path in moved_parser_entries(expected, parser_entries()):
         base, paths = scenarios.get(name, ({}, {}))
-        for path in sorted(want.keys() | got.keys()):
-            if want.get(path) != got.get(path):
-                now = entry_outcomes(base, paths[path]) if path in paths else "gone"
-                moved.append(f"{name} {path}: now {now}")
+        now = entry_outcomes(base, paths[path]) if path in paths else "gone"
+        moved.append(f"{name} {path}: now {now}")
     assert moved == [], "parser outcomes moved:\n" + "\n".join(moved)
 
 
@@ -219,5 +224,12 @@ if __name__ == "__main__":
                                  {k: sweep_search(k) for k in SEARCH_K_STARS},
                                  Path(scratch))
     entries["parser"] = parser_entries()
+    if GOLDEN.exists():  # what moved against the file it replaces
+        old = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        print(mismatch_report(old, entries))
+        for name, path in moved_parser_entries(old["parser"], entries["parser"]):
+            state = ("gone" if path not in entries["parser"].get(name, {}) else
+                     "new" if path not in old["parser"].get(name, {}) else "moved")
+            print(f"parser {name} {path}: {state}")
     GOLDEN.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")

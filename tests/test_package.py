@@ -1,6 +1,7 @@
 """Layout rules of the package source."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -298,3 +299,33 @@ def test_one_inverse_of_the_cumulative_workload():
              for site in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8")),
                                               evaluates_or_interpolates)}
     assert found == {"geometry.py:MomentTable.inverse_cumulative"}, found
+
+
+def test_one_fixed_region_grid():
+    # the region is its two curves: no name, attribute or string in the
+    # package, and no bundled config, speaks of a validation grid,
+    # `AnnularRegion` has the fields `inner` and `outer` only, and the one
+    # region grid is assigned once and is what its methods sample
+    found = [path.name for path in sorted((SOURCE / "configs").glob("*.json"))
+             if "validation_grid" in path.read_text(encoding="utf-8")]
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            text = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.value if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str) else "")
+            if "validation_grid" in text:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert [field.name for field in dataclasses.fields(AnnularRegion)] == ["inner", "outer"]
+    assigned = [f"{path.name}:{node.lineno}" for path in sorted(SOURCE.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "_REGION_GRID"
+                    for target in node.targets)]
+    assert len(assigned) == 1, assigned
+    tree = ast.parse((SOURCE / "geometry.py").read_text(encoding="utf-8"))
+    region = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "AnnularRegion")
+    assert not any(isinstance(node, ast.Call) and ast.unparse(node.func) == "np.arange"
+                   for node in ast.walk(region))

@@ -276,6 +276,8 @@ FORGERIES = {
                                  lambda log: 0.5 * log.lyapunov),
     "log_consistency_tracking": ("log_consistency", "tracking", slice(None),
                                  lambda log: 2.0 * log.tracking),
+    "log_consistency_cost": ("log_consistency", "cost", slice(None),
+                             lambda log: 2.0 * log.cost),
     "workload_positivity": ("workload_positivity", "workloads", (3, 1), lambda log: -0.5),
     "cyclic_order_preserved": ("cyclic_order_preserved", "phases_unwrapped", (5, [0, 1]),
                                lambda log: log.phases_unwrapped[5, [1, 0]]),
@@ -511,6 +513,9 @@ def mutated_configs(draw):
 @example(data=with_entry("uniform_n2_search", "density.parameters", [1e305]))
 @example(data=with_entry("uniform_n2_search", "density.parameters", [1e-320]))
 @example(data=with_entry("uniform_n2_search", "search.K_star", 10 ** 400))
+@example(data=with_entry("uniform_n2_search", "region",  # 0.1 on the grid, 1.9 between
+                         {"inner": {"mean": 1.0, "cos": [0.0] * 2047 + [-0.9]},
+                          "outer": {"mean": 1.5}}))
 def test_any_config_parses_to_finite_tables_or_raises_config_error(data):
     # an input the parser accepts must give the run a table with finite
     # totals and a positive mass; anything else is a ConfigError, which the
