@@ -6,9 +6,11 @@ Scenarios are single JSON files (see `configs/` for the bundled ones). Every
 command writes its artifacts into --out: trajectory CSV with full double
 precision, a JSON log that replays or re-export bit-for-bit, SVG snapshots,
 and verification reports; `run` and `search` also write the config echo that
-replays them. Exit codes: 0 success, 1 verification failure (for `search`:
-the quadrature total of the best configuration misses the table total),
-2 input error, 3 runtime failure.
+replays them. The log and the CSV are written in blocks of `RECORD_BLOCK`
+records, so writing either costs one block of Python objects beyond the
+log's arrays, never a list form of the whole log. Exit codes: 0 success,
+1 verification failure (for `search`: the quadrature total of the best
+configuration misses the table total), 2 input error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
+
+# Records per block of `write_log` and `trajectory_csv_lines`.
+RECORD_BLOCK = 128
 
 # `search` fails when the quadrature total of its best configuration and the
 # table total differ by more than this, relative to the quadrature total.
@@ -69,9 +74,27 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def write_log(log: TrajectoryLog, handle):
+    """Write log.json to the text `handle`: exactly the bytes of `json.dumps`
+    of `log.to_dict()` with every record column as a list, written one
+    `RECORD_BLOCK` of records at a time."""
+    data = log.to_dict()
+    records = data.pop("records")
+    handle.write(json.dumps(data)[:-1] + ', "records": {')
+    for i, (name, column) in enumerate(records.items()):
+        handle.write(f'{", " if i else ""}{json.dumps(name)}: [')
+        for start in range(0, len(column), RECORD_BLOCK):
+            if start:
+                handle.write(", ")
+            handle.write(json.dumps(column[start:start + RECORD_BLOCK].tolist())[1:-1])
+        handle.write("]")
+    handle.write("}}")
+
+
 def trajectory_csv_lines(log: TrajectoryLog):
-    """Header plus one row per record; 17 significant digits throughout, and
-    each phi_i wrapped into [0, 2*pi)."""
+    """Yield the header and then one row per record, each ending in a
+    newline, formatting one `RECORD_BLOCK` of records at a time; 17
+    significant digits throughout, and each phi_i wrapped into [0, 2*pi)."""
     n = log.n_agents
     header = (["t"]
               + [f"phi_{i + 1}" for i in range(n)]
@@ -79,11 +102,16 @@ def trajectory_csv_lines(log: TrajectoryLog):
               + [f"py_{i + 1}" for i in range(n)]
               + [f"m_{i + 1}" for i in range(n)]
               + ["V", "J", "H"])
-    table = np.column_stack([log.times, np.mod(log.phases_unwrapped, TWO_PI),
-                             log.positions[:, :, 0], log.positions[:, :, 1], log.workloads,
-                             log.lyapunov, log.cost, log.tracking])
-    row = ",".join(["%.17g"] * len(header))  # the same digits as format(v, ".17g")
-    return [",".join(header)] + [row % tuple(values) for values in table.tolist()]
+    yield ",".join(header) + "\n"
+    row = ",".join(["%.17g"] * len(header)) + "\n"  # the digits of format(v, ".17g")
+    for start in range(0, log.times.size, RECORD_BLOCK):
+        block = slice(start, start + RECORD_BLOCK)
+        positions = log.positions[block]
+        table = np.column_stack([log.times[block], np.mod(log.phases_unwrapped[block], TWO_PI),
+                                 positions[:, :, 0], positions[:, :, 1], log.workloads[block],
+                                 log.lyapunov[block], log.cost[block], log.tracking[block]])
+        for values in table.tolist():
+            yield row % tuple(values)
 
 
 # A target star's ten vertices relative to its centre, in pixels (y up).
@@ -168,12 +196,16 @@ def _write_snapshots(log: TrajectoryLog, region, times, out_dir: Path):
 def _write_run_artifacts(log: TrajectoryLog, config: ScenarioConfig, out_dir: Path,
                          snapshot_times):
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "trajectory.csv").write_text(
-        "\n".join(trajectory_csv_lines(log)) + "\n", encoding="utf-8")
+    _write_csv(log, out_dir)
     with open(out_dir / "log.json", "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(log.to_dict()))  # one-shot: the C encoder
+        write_log(log, handle)
     _write_config_echo(config, out_dir)
     _write_snapshots(log, config.region, snapshot_times, out_dir)
+
+
+def _write_csv(log: TrajectoryLog, out_dir: Path):
+    with open(out_dir / "trajectory.csv", "w", encoding="utf-8") as handle:
+        handle.writelines(trajectory_csv_lines(log))
 
 
 def _write_config_echo(config: ScenarioConfig, out_dir: Path):
@@ -256,6 +288,7 @@ def cmd_verify(path: str, out_dir: str, seed=None, dt=None) -> int:
     try:
         if _looks_like_log(data):
             log = TrajectoryLog.from_dict(data)
+            del data  # the log's arrays hold the records; free the parsed lists
             config = scenario_from_dict(log.config_echo)
         else:
             config = _scenario(data, seed, dt)
@@ -274,8 +307,7 @@ def cmd_verify(path: str, out_dir: str, seed=None, dt=None) -> int:
 
 def cmd_export(log_path: str, fmt: str, out_dir: str, times=None) -> int:
     try:
-        data = _load_json(log_path)
-        log = TrajectoryLog.from_dict(data)
+        log = TrajectoryLog.from_dict(_load_json(log_path))
         config = scenario_from_dict(log.config_echo)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         logger.error("malformed log: %s", exc)
@@ -283,8 +315,7 @@ def cmd_export(log_path: str, fmt: str, out_dir: str, times=None) -> int:
     out = Path(out_dir)
     if fmt == "csv":
         out.mkdir(parents=True, exist_ok=True)
-        (out / "trajectory.csv").write_text(
-            "\n".join(trajectory_csv_lines(log)) + "\n", encoding="utf-8")
+        _write_csv(log, out)
         return EXIT_OK
     if fmt == "svg-snapshots":
         snapshot_times = times if times is not None else config.snapshot_times

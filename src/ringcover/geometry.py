@@ -78,17 +78,29 @@ class PolarCurve:
                 r = r + coeff * np.sin(k * theta)
         return r
 
+    @property
+    def margin(self) -> float:
+        """How far r can move from any angle to the nearest angle of the
+        region grid, at most pi / 2048 away: pi / 2048 times the slope bound
+        sum_k k (|cos_k| + |sin_k|), 0 for a circle. A bound that r clears
+        by more than this on the grid holds at every angle."""
+        return math.pi / _REGION_GRID.size * sum(
+            k * abs(coeff) for coeffs in (self.cosine_coeffs, self.sine_coeffs)
+            for k, coeff in enumerate(coeffs, start=1))
+
+    def grid_range(self) -> tuple:
+        """(least, greatest) r on the region grid."""
+        r = self.radius(_REGION_GRID)
+        return float(np.min(r)), float(np.max(r))
+
 
 @dataclass(frozen=True)
 class AnnularRegion:
     """Region between two positive star-shaped curves about the origin.
 
     A point with polar coordinates (r, theta) belongs to the region iff
-    r_in(theta) <= r <= r_out(theta). A curve's slope is at most
-    sum_k k (|cos_k| + |sin_k|), so from any angle to the nearest of the 2048
-    angles of the region grid, at most pi / 2048 away, it moves by at most
-    pi / 2048 times that sum, its margin (0 for a circle). So 0 < r_in < r_out
-    holds at every angle when, on the grid, r_in exceeds the inner margin and
+    r_in(theta) <= r <= r_out(theta). 0 < r_in < r_out holds at every angle
+    when, on the region grid, r_in exceeds the inner curve's `margin` and
     r_out - r_in the sum of both margins; construction checks that.
     """
 
@@ -96,9 +108,7 @@ class AnnularRegion:
     outer: PolarCurve
 
     def __post_init__(self):
-        inner, outer = (math.pi / _REGION_GRID.size * sum(
-            k * abs(coeff) for coeffs in (curve.cosine_coeffs, curve.sine_coeffs)
-            for k, coeff in enumerate(coeffs, start=1)) for curve in (self.inner, self.outer))
+        inner, outer = self.inner.margin, self.outer.margin
         r_in = self.inner.radius(_REGION_GRID)
         gap = self.outer.radius(_REGION_GRID) - r_in
         for name, least, margin in (("inner radius", np.min(r_in), inner),
@@ -128,20 +138,20 @@ class AnnularRegion:
             vertices = np.stack([r * np.cos(_REGION_GRID), r * np.sin(_REGION_GRID)], axis=1)
             edges = np.roll(vertices, -1, axis=0) - vertices
             squares = np.sum(vertices * vertices, axis=1)
-            for start in range(0, len(flat), 64):  # (64, grid) distances at a time
-                p = flat[start:start + 64]
+            for start in range(0, len(flat), 16):  # (16, grid) temporaries, 256 KB each
+                rows = slice(start, start + 16)
+                p = flat[rows]
                 nearest = np.argmin(squares - 2.0 * (p @ vertices.T), axis=1)
                 for j in (nearest - 1, nearest):
                     offset = p - vertices[j]
                     along = np.clip(np.sum(offset * edges[j], axis=1)
                                     / np.sum(edges[j] * edges[j], axis=1), 0.0, 1.0)
                     gap = offset - along[:, None] * edges[j]
-                    np.minimum(out[start:start + 64], np.hypot(gap[:, 0], gap[:, 1]),
-                               out=out[start:start + 64])
+                    np.minimum(out[rows], np.hypot(gap[:, 0], gap[:, 1]), out=out[rows])
         return out.reshape(points.shape[:-1])
 
     def bounding_radius(self) -> float:
-        return float(np.max(self.outer.radius(_REGION_GRID)))
+        return self.outer.grid_range()[1]
 
 
 @dataclass(frozen=True)

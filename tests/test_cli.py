@@ -1,9 +1,11 @@
+import io
 import json
 import logging
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -277,7 +279,8 @@ def test_verify_log_with_forged_positivity(tmp_path):
     log = run_scenario(config)
     log.workloads[2, 0] = -1.0
     log_path = tmp_path / "log.json"
-    log_path.write_text(json.dumps(log.to_dict()), encoding="utf-8")
+    with open(log_path, "w", encoding="utf-8") as handle:
+        cli.write_log(log, handle)
     out = tmp_path / "out"
     assert cmd_verify(str(log_path), str(out)) == 1
     report = (out / "report.txt").read_text()
@@ -412,9 +415,90 @@ def test_csv_precision_full_double(quick_config, tmp_path):
     out = tmp_path / "out"
     assert cmd_run(quick_config, str(out)) == 0
     log = TrajectoryLog.from_dict(json.loads((out / "log.json").read_text()))
-    lines = trajectory_csv_lines(log)
+    lines = list(trajectory_csv_lines(log))
     value = float(lines[1].split(",")[1])
     assert value == log.phases_unwrapped[0, 0]  # round-trips exactly; t = 0 is in [0, 2*pi)
+
+
+def one_shot_log_json(log) -> str:
+    """log.json as one `json.dumps` of the log's list form."""
+    data = log.to_dict()
+    data["records"] = {name: column.tolist() for name, column in data["records"].items()}
+    return json.dumps(data)
+
+
+def one_shot_csv(log) -> str:
+    """trajectory.csv formatted from one table of every record."""
+    table = np.column_stack([log.times, np.mod(log.phases_unwrapped, 2.0 * math.pi),
+                             log.positions[:, :, 0], log.positions[:, :, 1], log.workloads,
+                             log.lyapunov, log.cost, log.tracking])
+    header = next(trajectory_csv_lines(log)).rstrip("\n")
+    return "\n".join([header] + [",".join(format(v, ".17g") for v in row)
+                                  for row in table.tolist()]) + "\n"
+
+
+@pytest.mark.parametrize("rows", [1, 127, 128, 129, 1001])
+def test_block_writers_match_the_one_shot_bytes(reference_run, rows):
+    # the first `rows` records of the reference run, which has excursions,
+    # with halvings set on some of them so that both int columns vary
+    log, _ = reference_run
+    assert log.times.size == 1001 and log.excursion.any()
+    data = log.to_dict()
+    data["records"] = {name: column[:rows] for name, column in data["records"].items()}
+    head = TrajectoryLog.from_dict(data)
+    head.halvings[::3] = 2
+    handle = io.StringIO()
+    cli.write_log(head, handle)
+    assert handle.getvalue() == one_shot_log_json(head)
+    assert "".join(trajectory_csv_lines(head)) == one_shot_csv(head)
+
+
+def test_from_dict_of_to_dict_copies_every_column(reference_run):
+    log, _ = reference_run
+    saved = {name: getattr(log, name).copy() for name in sim._RECORDS}
+    copy = TrajectoryLog.from_dict(log.to_dict())
+    for name in sim._RECORDS:
+        getattr(copy, name)[...] = 7
+        np.testing.assert_array_equal(getattr(log, name), saved[name], err_msg=name)
+
+
+class Sink:
+    """A text handle that discards what it is given."""
+
+    def write(self, text):
+        pass
+
+    def writelines(self, lines):
+        for _ in lines:
+            pass
+
+
+def test_block_writers_trace_under_one_megabyte():
+    # 20 000 records of N = 8 hold 8.5 MB of arrays. The block writers trace
+    # 0.51 and 0.18 MiB here; formatted from lists of every record at once,
+    # the log traced 98 MiB and the CSV 43 MiB
+    rng = np.random.default_rng(0)
+    rows, n = 20_000, 8
+    log = TrajectoryLog(
+        times=np.arange(rows) * 0.01, phases_unwrapped=rng.uniform(0, 7, (rows, n)),
+        positions=rng.normal(size=(rows, n, 2)), workloads=rng.uniform(1, 2, (rows, n)),
+        lyapunov=rng.uniform(size=rows), cost=rng.uniform(size=rows),
+        targets=rng.normal(size=(rows, n, 2)), tracking=rng.uniform(size=rows),
+        excursion=rng.uniform(size=rows) < 0.1, halvings=rng.integers(0, 3, rows),
+        config_echo={"seed": 0}, meta={"guard_failures": 0})
+    writers = {"write_log": lambda sink: cli.write_log(log, sink),
+               "trajectory_csv_lines": lambda sink: sink.writelines(trajectory_csv_lines(log))}
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, write in writers.items():
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            write(Sink())
+            peaks[name] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert all(peak < 2 ** 20 for peak in peaks.values()), peaks
 
 
 def test_seed_override_redraws_random_init(tmp_path):
@@ -442,7 +526,8 @@ def test_bundled_configs_parse():
 def test_verify_reference_scenario_passes(reference_run, tmp_path):
     log, _ = reference_run
     log_path = tmp_path / "log.json"
-    log_path.write_text(json.dumps(log.to_dict()), encoding="utf-8")
+    with open(log_path, "w", encoding="utf-8") as handle:
+        cli.write_log(log, handle)
     out = tmp_path / "out"
     assert cmd_verify(str(log_path), str(out)) == 0
     report = (out / "report.txt").read_text()
@@ -626,15 +711,35 @@ def test_negative_seed_override_exits_2(tmp_path, caplog, command):
 
 @pytest.mark.parametrize("command", ["run", "search", "verify"])
 def test_negative_radial_moment_exits_2_and_writes_nothing(tmp_path, caplog, command):
-    # the angular factor's k = 256 harmonic aliases on the 256 angles of the
-    # parser's density grid, which sees rho = 2.01 everywhere, while the
-    # table's radial moment dips to -1.5e-2; every command rejects it at parse
+    # the inner curve's k = 256 harmonic aliases on the 256 angles of the
+    # parser's density grid, where r >= 1.6 and rho = r - 1.59 > 0, while
+    # between them r reaches down to 0.4 and the table's radial moment to
+    # -0.41; every command rejects it at parse
+    region = {"inner": {"mean": 1.0, "cos": [0.0] * 255 + [0.6]}, "outer": {"mean": 2.0}}
+    density = {"kind": "radial_polynomial_times_angular", "parameters": [-1.59, 1.0]}
+    path = write_config(tmp_path, uniform_scenario_dict(region=region, density=density))
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert "density: radial moment has non-positive minimum -4.075e-01" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "search", "verify"])
+@pytest.mark.parametrize("h, least", [(256, "-1.000e-02"), (2048, "2.010e+00"),
+                                      (4096, "2.010e+00"), (8192, "2.010e+00")])
+def test_angular_factor_of_two_signs_exits_2_and_writes_nothing(tmp_path, caplog, command,
+                                                               h, least):
+    # 1 + 1.01 cos(h theta) dips to -0.01. Checked on samples alone, at h = 256
+    # it failed the radial moment check; at h >= 2048 it reads 2.01 at every
+    # grid angle, failed the moment table's check at h = 2048 and 4096 (exit
+    # 3) and ran at h = 8192
     density = {"kind": "radial_polynomial_times_angular", "parameters": [1.0],
-               "angular": {"mean": 1.0, "cos": [0.0] * 255 + [1.01]}}
+               "angular": {"mean": 1.0, "cos": [0.0] * (h - 1) + [1.01]}}
     path = write_config(tmp_path, uniform_scenario_dict(density=density))
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out)]) == 2
-    assert "density: radial moment has non-positive minimum -1.500e-02" in caplog.text
+    assert (f": density.angular: sampled over [{least}, 2.010e+00], not of one sign beyond "
+            f"the margin {math.pi / 2048 * h * 1.01:.3e}") in caplog.text
     assert not out.exists()
 
 

@@ -427,6 +427,24 @@ def test_config_rejects_density_entries_nothing_reads(density, field, message):
     assert info.value.field == field
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_angular_factor_keeps_one_sign_beyond_its_margin(sign):
+    # rho = sign * (sign * (m + 0.2 cos(theta))): the factor may take either
+    # sign, but its least |value| on the region grid must exceed its margin
+    # pi / 2048 * 0.2, even where, as at m = 0.2 + margin / 2, it never reaches 0
+    margin = math.pi / 2048 * 0.2
+    for mean, accepted in ((0.2 + 2 * margin, True), (0.2 + 0.5 * margin, False)):
+        density = {"kind": "radial_polynomial_times_angular", "parameters": [sign],
+                   "angular": {"mean": sign * mean, "cos": [sign * 0.2]}}
+        if accepted:
+            scenario_from_dict(uniform_scenario_dict(density=density))
+            continue
+        with pytest.raises(ConfigError, match="not of one sign beyond the margin "
+                                              "3.068e-04") as info:
+            scenario_from_dict(uniform_scenario_dict(density=density))
+        assert info.value.field == "density.angular"
+
+
 @pytest.mark.parametrize("positions", [
     [[True, "0.3"], ["-1.4", 0.2]], [[1.5, 0.3], [-1.4, False]], [[1.5, "0.3"], [-1.4, 0.2]],
     [[1.5, math.nan], [-1.4, 0.2]], [[math.inf, 0.3], [-1.4, 0.2]], [[1.5, 0.3], [[-1.4], 0.2]],
