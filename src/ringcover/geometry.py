@@ -17,8 +17,9 @@ costs in O(modes): all slices of a partition come out of one matrix product,
 the table's antiderivative coefficients times the differences of a
 trigonometric basis between neighbouring bars. A build samples all rows in
 one radial pass and checks the fit off its grid against the rule with one
-node more; the moment extrema are read off its samples. Curves, membership
-and the distance to the boundary take arrays of angles and points.
+node more; the moment extrema are read off its samples. `DensityField.bounds`
+bounds rho over the whole region in closed form, from no samples. Curves,
+membership and the distance to the boundary take arrays of angles and points.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ class QuadratureError(RuntimeError):
         self.residual = residual
 
 
-class InvalidDensityError(ValueError):
-    """Density (or its radial moment) is not strictly positive on the region."""
-
-
 @dataclass(frozen=True)
 class PolarCurve:
     """Closed curve r(theta) = mean + sum_k cos_k*cos(k*theta) + sin_k*sin(k*theta).
@@ -70,12 +67,10 @@ class PolarCurve:
         """r(theta) as an array shaped like theta."""
         theta = np.asarray(theta, dtype=float)
         r = np.full(theta.shape, float(self.mean))
-        for k, coeff in enumerate(self.cosine_coeffs, start=1):
-            if coeff:
-                r = r + coeff * np.cos(k * theta)
-        for k, coeff in enumerate(self.sine_coeffs, start=1):
-            if coeff:
-                r = r + coeff * np.sin(k * theta)
+        for basis, coeffs in ((np.cos, self.cosine_coeffs), (np.sin, self.sine_coeffs)):
+            for k, coeff in enumerate(coeffs, start=1):
+                if coeff:
+                    r = r + coeff * basis(k * theta)
         return r
 
     @property
@@ -122,8 +117,7 @@ class AnnularRegion:
         inside, and the origin is not, since the inner radius is positive."""
         points = np.asarray(points, dtype=float)
         x, y = points[..., 0], points[..., 1]
-        r = np.hypot(x, y)
-        theta = np.arctan2(y, x)
+        r, theta = np.hypot(x, y), np.arctan2(y, x)
         return (self.inner.radius(theta) <= r) & (r <= self.outer.radius(theta))
 
     def boundary_distance(self, points) -> np.ndarray:
@@ -181,12 +175,8 @@ class DensityField:
             slope = self.parameters[0] if self.parameters else 0.01
             return np.exp(np.sin(theta) ** 2 + np.cos(theta)) + slope * r
         if self.kind == "radial_polynomial_times_angular":
-            if not self.parameters:
-                raise ValueError("radial polynomial needs at least one coefficient")
             radial = np.polynomial.polynomial.polyval(r, np.asarray(self.parameters))
-            if self.angular is None:
-                return radial * np.ones_like(theta)
-            return radial * self.angular.radius(theta)
+            return radial * (self.angular or PolarCurve(1.0)).radius(theta)
         raise ValueError(f"unknown density kind {self.kind!r}")
 
     @property
@@ -200,14 +190,33 @@ class DensityField:
         return int(max(np.flatnonzero(self.parameters), default=0))
 
     def bounds(self, region: AnnularRegion):
-        """(rho_lower, rho_upper) sampled on a 256 x 33 polar grid of the region."""
-        thetas = np.arange(256) * (TWO_PI / 256)
-        r_in = region.inner.radius(thetas)
-        r_out = region.outer.radius(thetas)
-        fractions = np.linspace(0.0, 1.0, 33)
-        r = r_in[:, None] + (r_out - r_in)[:, None] * fractions[None, :]
-        values = self.evaluate(r, thetas[:, None])
-        return float(values.min()), float(values.max())
+        """(least, greatest) rho at every point of the region, whose radii fill
+        [least r_in, greatest r_out] inside the curves' grid ranges widened by
+        their margins. The other kinds are linear in r, and exp(sin^2 + cos)
+        is least at pi and greatest at pi / 3. A radial polynomial, less leading
+        terms whose sum S of |c_k| R^k (R = max |r|) is below rounding, peaks at
+        the ends or a real root of its derivative (nan if their companion matrix
+        overflows); its range widened by S times the angular factor's widened range."""
+        r = np.array([region.inner.grid_range()[0] - region.inner.margin,
+                      region.outer.grid_range()[1] + region.outer.margin])
+        if self.kind != "radial_polynomial_times_angular":
+            values = self.evaluate(r[:, None], [math.pi, math.pi / 3])
+            return float(values.min()), float(values.max())
+        poly, c = np.polynomial.polynomial, np.asarray(self.parameters, dtype=float)
+        logs = np.log(np.abs(c), out=np.full(c.size, -np.inf), where=c != 0)
+        terms = np.exp(logs + np.arange(c.size) * math.log(np.abs(r).max()))  # no R^k overflow
+        tail = np.append(np.cumsum(terms[::-1])[::-1], 0.0)  # tail[k]: terms k and up
+        keep = max(1, np.count_nonzero(tail > np.finfo(float).eps * tail[0]))
+        try:
+            turns = np.clip(poly.polyroots(poly.polyder(c[:keep])).real, *r)
+        except np.linalg.LinAlgError:
+            return math.nan, math.nan
+        radial = poly.polyval(np.append(r, turns), c[:keep])
+        angular = self.angular or PolarCurve(1.0)
+        (lo, hi), margin = angular.grid_range(), angular.margin
+        products = np.outer([radial.min() - tail[keep], radial.max() + tail[keep]],
+                            [lo - margin, hi + margin])
+        return float(products.min()), float(products.max())
 
 
 def _panel_points(a: float, b: float, panels: int):
@@ -278,9 +287,7 @@ def region_integral(region, density, phi_lo, phi_hi, weight=_MONOMIALS["plain"],
         span += TWO_PI
     if span <= 0.0:
         return 0.0
-    prev = None
-    residual = math.inf
-    panels = 1
+    prev, residual, panels = None, math.inf, 1
     while panels <= _MAX_PANELS:
         pts, half = _panel_points(phi_lo, phi_lo + span, panels)
         vals = _radial_batch(region, density, pts.ravel(), (weight,))[0].reshape(pts.shape)
@@ -298,19 +305,17 @@ def region_integral(region, density, phi_lo, phi_hi, weight=_MONOMIALS["plain"],
 # Cached only for callers that clear it, and time it cold, with the table.
 @lru_cache(maxsize=32)
 def radial_moment_extrema(region, density):
-    """(min, max) of the plain radial moment on the region grid's 2048
-    angles, which are the even-index samples of the moment table's plain row."""
+    """(min, max) of the plain radial moment at the region grid's 2048 angles,
+    the moment table's even plain samples; positive where rho's `bounds` are."""
     values = moment_table(region, density).samples[0, ::2]
-    lo = float(values.min())
-    hi = float(values.max())
-    if lo <= 0.0:
-        raise InvalidDensityError(f"radial moment has non-positive minimum {lo:.3e}")
-    return lo, hi
+    return float(values.min()), float(values.max())
 
 
 # The table samples every profile on this many angles, and its build fails
 # past the check tolerance off the grid, relative to each row's largest sample.
 _TABLE_GRID = 4096
+# The highest radial degree d whose table pass, (d + 7) // 2 nodes an angle, fits the budget.
+MAX_RADIAL_DEGREE = 2 * (_NODE_BUDGET // _TABLE_GRID) - 6
 _TABLE_CHECK_TOL = 1e-10
 # `inverse_cumulative` stops at steps <= this times max(1, |theta|), or fails at the cap.
 _INVERSE_STOP = 8.0 * np.finfo(float).eps
@@ -366,8 +371,7 @@ class MomentTable:
         scale = np.max(np.abs(samples), axis=1, keepdims=True)
         keep = np.abs(cos_c) + np.abs(sin_c) > 1e-15 * scale
         keep[:, 0] = True
-        modes = int(np.max(np.nonzero(np.any(keep, axis=0))[0])) if keep.any() else 0
-        modes = max(modes, 1)
+        modes = max(1, int(np.max(np.nonzero(np.any(keep, axis=0))[0])))
 
         k = np.arange(1, modes + 1, dtype=float)
         self.totals = cos_c[:, 0] * TWO_PI

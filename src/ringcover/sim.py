@@ -33,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import agents as agents_mod
-from .geometry import (TWO_PI, AnnularRegion, DensityField, InvalidDensityError,
-                       PolarCurve, moment_table, radial_moment_extrema, region_integral)
+from .geometry import (MAX_RADIAL_DEGREE, TWO_PI, AnnularRegion, DensityField, PolarCurve,
+                       moment_table, region_integral)
 from .partition import (bar_rates, cyclic_gaps, decay_constants, imbalance,
                         validate_initial_phases)
 
@@ -46,10 +46,10 @@ MAX_AGENTS = 1000
 # The quartic table rows grow as radius**6 times the density; below this
 # radius they stay far from overflow.
 MAX_RADIUS = 1e6
-# Every table row, workload and cost scales with the density. Within these
-# values the quartic rows stay below 1e136 and V, the square of a workload,
-# finite; and the rows stay far above the subnormal range, where the table's
-# build-time check loses its relative precision.
+# The parser holds the density's sound range (`DensityField.bounds`) within
+# these values, so every slice mass is positive. The table rows, workloads and
+# costs scale with rho: the quartic rows stay below 1e136 and V finite, and far
+# above the subnormal range, where the table's build-time check loses precision.
 MIN_DENSITY, MAX_DENSITY = 1e-100, 1e100
 # The RK4 steps one command may ask for: t_end / dt for `run`, the epoch
 # count times T_epsilon / dt for `search`. It refuses requests no run can
@@ -287,22 +287,18 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         if not (lo > margin or hi < -margin):  # either keeps one sign at every angle
             raise ConfigError("density.angular", f"sampled over [{lo:.3e}, {hi:.3e}], not "
                                                  f"of one sign beyond the margin {margin:.3e}")
-    density = DensityField(kind, _get(data, "density.parameters", (), list,
-                                      lambda values: polynomial or len(values) <= 1,
-                                      f"{kind} takes at most 1 parameter(s), got {{!r}}"),
-                           angular)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            lo, hi = density.bounds(region)
-    except ValueError as exc:
-        raise ConfigError("density.parameters", str(exc)) from None
+    density = DensityField(kind, _get(
+        data, "density.parameters", _REQUIRED if polynomial else (), list,
+        lambda values: 0 < len(values) if polynomial else len(values) <= 1,
+        f"{kind} takes {'at least' if polynomial else 'at most'} 1 parameter(s), got {{!r}}"),
+        angular)
+    if density.radial_degree > MAX_RADIAL_DEGREE:  # more than the moment table can sample
+        raise ConfigError("density.parameters", f"radial degree above {MAX_RADIAL_DEGREE}")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        lo, hi = density.bounds(region)
     if not MIN_DENSITY <= lo <= hi <= MAX_DENSITY:
         raise ConfigError("density", f"ranges over [{lo:.3e}, {hi:.3e}] on the region; "
                                      f"need [{MIN_DENSITY:g}, {MAX_DENSITY:g}]")
-    try:  # the grid above can miss where the table's radial moment dips
-        radial_moment_extrema(region, density)
-    except InvalidDensityError as exc:
-        raise ConfigError("density", str(exc)) from None
 
     n = _get(data, "agents.count", kind=int, test=lambda count: 2 <= count <= MAX_AGENTS,
              message=f"need 2 to {MAX_AGENTS} agents, got {{!r}}")
@@ -574,8 +570,8 @@ class _System:
         floor (NaN does not), else None with `refusal` "non-finite" if a mass
         is not finite (a trial that overflowed), "crossing" if the bars are
         out of cyclic order (by `cyclic_gaps`), else "floor". The masses
-        alone refuse a crossing: the parser's radial moment check makes the
-        density positive, so a crossing, tie or lap gives a slice a true mass
+        alone refuse a crossing: the parser holds the density's sound range
+        above `MIN_DENSITY`, so a crossing, tie or lap gives a slice a true mass
         <= 0, and a computed mass rounds by O(eps W), W the total, far below
         the floor 1e-9 W / N for N <= `MAX_AGENTS`."""
         moments = self.table.slice_moments(phases)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (overtaking_scenario_dict, reference_scenario_dict,
+from conftest import (CONFIGS, overtaking_scenario_dict, reference_scenario_dict,
                       uniform_scenario_dict)
 from ringcover import agents, cli, geometry, sim
 from ringcover.cli import (_setup_logging, cmd_export, cmd_run, cmd_search, cmd_verify,
@@ -650,7 +650,7 @@ def test_a_log_carrying_the_removed_grid_option_verifies_and_exports_the_same(qu
     # a huge density overflowed the table with warnings (an infinite total),
     # and a subnormal one failed the table's build-time check (exit 3)
     ("density.parameters", [1e305],
-     "density: ranges over [5.000e+304, 3.500e+305] on the region; need [1e-100, 1e+100]"),
+     "density: ranges over [4.985e+304, 3.502e+305] on the region; need [1e-100, 1e+100]"),
     ("density", {"kind": "uniform", "parameters": [1e-320]},
      "density: ranges over [1.000e-320, 1.000e-320] on the region; need [1e-100, 1e+100]"),
 ], ids=["count_1e308", "count_10**30", "count_above_bound", "outer_1e308", "outer_1e200",
@@ -711,18 +711,52 @@ def test_negative_seed_override_exits_2(tmp_path, caplog, command):
 
 @pytest.mark.parametrize("command", ["run", "search", "verify"])
 def test_negative_radial_moment_exits_2_and_writes_nothing(tmp_path, caplog, command):
-    # the inner curve's k = 256 harmonic aliases on the 256 angles of the
-    # parser's density grid, where r >= 1.6 and rho = r - 1.59 > 0, while
-    # between them r reaches down to 0.4 and the table's radial moment to
-    # -0.41; every command rejects it at parse
+    # the inner curve's k = 256 harmonic takes r from 1.6 down to 0.4, where
+    # rho = r - 1.59 < 0 and the radial moment reaches -0.41; the range over
+    # r in [0.4 - margin, 2] refuses it at parse
     region = {"inner": {"mean": 1.0, "cos": [0.0] * 255 + [0.6]}, "outer": {"mean": 2.0}}
     density = {"kind": "radial_polynomial_times_angular", "parameters": [-1.59, 1.0]}
     path = write_config(tmp_path, uniform_scenario_dict(region=region, density=density))
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out)]) == 2
-    assert "density: radial moment has non-positive minimum -4.075e-01" in caplog.text
+    assert ("density: ranges over [-1.426e+00, 4.100e-01] on the region; "
+            "need [1e-100, 1e+100]") in caplog.text
     assert not out.exists()
 
+
+@pytest.mark.parametrize("command", ["run", "search", "verify"])
+@pytest.mark.parametrize("region, parameters, message", [
+    # (r - 1.01)^2 - 1e-6 reads -1e-6 at r = 1.01, inside the annulus 1-2
+    ({"inner": {"mean": 1.0}, "outer": {"mean": 2.0}}, [1.020099, -2.02, 1.0],
+     "density: ranges over [-1.000e-06, 9.801e-01] on the region"),
+    # degree 2099 exceeds MAX_RADIAL_DEGREE: its table pass needs 1053 radial
+    # nodes an angle, past the budget of 1024
+    ({"inner": {"mean": 0.5}, "outer": {"mean": 0.9}}, [1.0] + [0.0] * 2098 + [1.0],
+     "density.parameters: radial degree above 2042"),
+], ids=["negative_between_samples", "degree_2099"])
+def test_a_density_out_of_range_or_degree_exits_2_and_writes_nothing(
+        tmp_path, caplog, command, region, parameters, message):
+    density = {"kind": "radial_polynomial_times_angular", "parameters": parameters}
+    path = write_config(tmp_path, uniform_scenario_dict(region=region, density=density))
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert f": {message}" in caplog.text
+    assert not out.exists()
+
+
+def test_parsing_builds_no_moment_table(reference_run, tmp_path):
+    # the parser bounds the density in closed form: neither a parse of a
+    # bundled config nor `export --format csv` of a stored log builds a table
+    for name in ("reference_n8", "uniform_n2_search"):
+        geometry.moment_table.cache_clear()
+        scenario_from_dict(json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8")))
+        assert geometry.moment_table.cache_info().currsize == 0, name
+    path = tmp_path / "log.json"
+    with path.open("w", encoding="utf-8") as handle:
+        cli.write_log(reference_run[0], handle)
+    geometry.moment_table.cache_clear()
+    assert cmd_export(str(path), "csv", str(tmp_path / "export")) == 0
+    assert geometry.moment_table.cache_info().currsize == 0
 
 @pytest.mark.parametrize("command", ["run", "search", "verify"])
 @pytest.mark.parametrize("h, least", [(256, "-1.000e-02"), (2048, "2.010e+00"),

@@ -8,14 +8,14 @@ from numpy.testing import assert_allclose
 
 from conftest import (CONFIGS, cumulative_difference_moments, cyclic_layouts,
                       per_row_radial, radial_polynomial_densities, region_and_density,
-                      star_regions)
+                      star_regions, uniform_scenario_dict)
 from ringcover import geometry
 from ringcover.agents import cost_weight
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField,
-                                InvalidDensityError, PolarCurve, QuadratureError,
+                                PolarCurve, QuadratureError,
                                 _MONOMIALS, _TABLE_WEIGHTS, _radial_batch, moment_table,
                                 radial_moment_extrema, region_integral)
-from ringcover.sim import scenario_from_dict
+from ringcover.sim import ConfigError, scenario_from_dict
 
 EPS = np.finfo(float).eps
 
@@ -147,8 +147,11 @@ def test_product_density_closed_form(uniform_region):
                            angular=PolarCurve(1.0, cosine_coeffs=(0.2,)))
     assert_allclose(_radial_batch(uniform_region, density, 0.0, rows("plain"))[0], [6.4],
                     rtol=1e-14)
-    lo, hi = density.bounds(uniform_region)
-    assert 0.0 < lo < hi
+    # its sound range: the radial extrema 3 and 4 times the angular factor's
+    # grid extrema 0.8 and 1.2, each widened by its margin
+    margin = math.pi / 2048 * 0.2
+    assert_allclose(density.bounds(uniform_region),
+                    (3.0 * (0.8 - margin), 4.0 * (1.2 + margin)), rtol=1e-15)
 
 
 def test_region_integral_slices(uniform_region, uniform_density):
@@ -207,18 +210,38 @@ def test_extrema_density_scaling(reference_region):
 
 
 def test_invalid_density_detected(uniform_region):
-    # angular factor 0.5 + cos(theta) goes negative near theta = pi
+    # angular factor 0.5 + cos(theta) goes negative near theta = pi; its sound
+    # range says so, and the parser refuses the density
     bad = DensityField("radial_polynomial_times_angular", (1.0,),
                        angular=PolarCurve(0.5, cosine_coeffs=(1.0,)))
     lo, _ = bad.bounds(uniform_region)
     assert lo <= 0.0
-    with pytest.raises(InvalidDensityError):
-        radial_moment_extrema(uniform_region, bad)
+    with pytest.raises(ConfigError, match="^density"):
+        scenario_from_dict(uniform_scenario_dict(density={
+            "kind": "radial_polynomial_times_angular", "parameters": [1.0],
+            "angular": {"mean": 0.5, "cos": [1.0]}}))
+
+
+def test_leading_terms_below_rounding_widen_the_range(uniform_region):
+    # on r in [1, 2], 1e-17 r^2 stays below the rounding of r - 1: the range
+    # drops it and widens by its largest value 4e-17: the least reads -4e-17,
+    # below the true least 1e-17 at r = 1
+    density = DensityField("radial_polynomial_times_angular", (-1.0, 1.0, 1e-17))
+    assert_allclose(density.bounds(uniform_region), (-4e-17, 1.0), rtol=1e-12)
+    # 1e-320 r^3 leaves 1 + 2r + 3r^2, from 6 to 17, and the density parses
+    config = scenario_from_dict(uniform_scenario_dict(density={
+        "kind": "radial_polynomial_times_angular", "parameters": [1.0, 2.0, 3.0, 1e-320]}))
+    assert config.density.bounds(config.region) == (6.0, 17.0)
 
 
 def test_density_bounds_positive(reference_region, reference_density):
+    # exp(sin^2 + cos) spans [e^-1, e^(5/4)], and r spans 0.5 to 3.5, each
+    # end widened by its curve's margin pi / 2048 * 2 * 0.5
     lo, hi = reference_density.bounds(reference_region)
     assert 0.0 < lo < hi
+    margin = math.pi / 2048
+    assert_allclose((lo, hi), (math.exp(-1.0) + 0.01 * (0.5 - margin),
+                               math.exp(1.25) + 0.01 * (3.5 + margin)), rtol=1e-15)
 
 
 def test_moment_table_matches_quadrature(reference_region, reference_density):

@@ -530,6 +530,8 @@ def mutated_configs(draw):
 @example(data=with_entry("generic_angular_epsilon", "search.epsilon_p", 1e-320))
 @example(data=with_entry("uniform_n2_search", "density.parameters", [1e305]))
 @example(data=with_entry("uniform_n2_search", "density.parameters", [1e-320]))
+@example(data=with_entry("generic_angular_epsilon",  # a leading term below rounding
+                         "density.parameters", [1.0, 2.0, 3.0, 1e-320]))
 @example(data=with_entry("uniform_n2_search", "search.K_star", 10 ** 400))
 @example(data=with_entry("uniform_n2_search", "region",  # 0.1 on the grid, 1.9 between
                          {"inner": {"mean": 1.0, "cos": [0.0] * 2047 + [-0.9]},
@@ -546,6 +548,46 @@ def test_any_config_parses_to_finite_tables_or_raises_config_error(data):
             return
         totals = agents.cost_table(config.region, config.density, config.beta).totals
     assert np.isfinite(totals).all() and totals[0] > 0.0
+
+
+@st.composite
+def polynomial_density_sections(draw):
+    """The region of a `star_regions` draw (a circle, or one harmonic, inside
+    a circle) with a radial polynomial density of degree <= 4, with or
+    without an angular factor of one harmonic."""
+    density = {"kind": "radial_polynomial_times_angular",
+               "parameters": draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5))}
+    if draw(st.booleans()):
+        harmonic = draw(st.sampled_from(["cos", "sin"]))
+        density["angular"] = {"mean": draw(st.floats(-2.0, 2.0)),
+                              harmonic: [draw(st.floats(-1.0, 1.0))]}
+    return {"region": draw(star_regions())["region"], "density": density}
+
+
+@settings(max_examples=100, deadline=None)
+@given(sections=polynomial_density_sections())
+@example(sections={"region": {"inner": {"mean": 1.0}, "outer": {"mean": 2.0}},
+                   "density": {"kind": "radial_polynomial_times_angular",
+                               "parameters": [1.020099, -2.02, 1.0]}})
+def test_an_accepted_density_is_positive_everywhere(sections):
+    # whenever the parser accepts a density, rho >= MIN_DENSITY on 512 x 1025
+    # points of the region, up to the rounding of the bound and of each
+    # value, 32 eps times the sum of the absolute terms; (r - 1.01)^2 - 1e-6
+    # reads -1e-6 at r = 1.01, inside the annulus 1-2
+    data = uniform_scenario_dict(**sections, seed=0, agents={
+        "count": 2, "initial_phases": "random", "initial_positions": "random"})
+    try:
+        config = scenario_from_dict(data)
+    except ConfigError:
+        return
+    thetas = np.arange(512)[:, None] * (TWO_PI / 512)
+    r_in = config.region.inner.radius(thetas)
+    r = r_in + (config.region.outer.radius(thetas) - r_in) * np.linspace(0.0, 1.0, 1025)
+    density = config.density
+    angular = np.abs((density.angular or PolarCurve(1.0)).radius(thetas))
+    terms = np.polynomial.polynomial.polyval(r, np.abs(density.parameters)) * angular
+    rho = density.evaluate(r, thetas)
+    assert np.all(rho >= sim.MIN_DENSITY - 32 * np.finfo(float).eps * terms)
 
 
 def test_run_computes_moment_extrema_once():
