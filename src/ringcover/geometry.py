@@ -195,20 +195,26 @@ class DensityField:
         their margins. The other kinds are linear in r, and exp(sin^2 + cos)
         is least at pi and greatest at pi / 3. A radial polynomial, less leading
         terms whose sum S of |c_k| R^k (R = max |r|) is below rounding, peaks at
-        the ends or a real root of its derivative (nan if their companion matrix
-        overflows); its range widened by S times the angular factor's widened range."""
+        the ends or a real root of its derivative, found in r / 2^e for 2^e > R
+        (nan if their companion matrix overflows); its range widened by S times
+        the angular factor's widened range."""
         r = np.array([region.inner.grid_range()[0] - region.inner.margin,
                       region.outer.grid_range()[1] + region.outer.margin])
         if self.kind != "radial_polynomial_times_angular":
             values = self.evaluate(r[:, None], [math.pi, math.pi / 3])
             return float(values.min()), float(values.max())
         poly, c = np.polynomial.polynomial, np.asarray(self.parameters, dtype=float)
+        radius = float(np.abs(r).max())
         logs = np.log(np.abs(c), out=np.full(c.size, -np.inf), where=c != 0)
-        terms = np.exp(logs + np.arange(c.size) * math.log(np.abs(r).max()))  # no R^k overflow
+        terms = np.exp(logs + np.arange(c.size) * math.log(radius))  # no R^k overflow
         tail = np.append(np.cumsum(terms[::-1])[::-1], 0.0)  # tail[k]: terms k and up
         keep = max(1, np.count_nonzero(tail > np.finfo(float).eps * tail[0]))
+        # The turns are rooted in x = r / 2^e with 2^e > R, whose coefficients
+        # c_k 2^(e k) are exact and span about the ratio of the terms c_k R^k.
+        exponent = math.frexp(radius)[1]
+        scaled = np.ldexp(c[:keep], exponent * np.arange(keep))
         try:
-            turns = np.clip(poly.polyroots(poly.polyder(c[:keep])).real, *r)
+            turns = np.clip(np.ldexp(poly.polyroots(poly.polyder(scaled)).real, exponent), *r)
         except np.linalg.LinAlgError:
             return math.nan, math.nan
         radial = poly.polyval(np.append(r, turns), c[:keep])
@@ -435,13 +441,14 @@ class MomentTable:
     def slice_moments(self, phases):
         """Per-slice integrals between consecutive bars, shape (rows, N).
 
-        `phases` are unwrapped and in cyclic order: slice i spans
-        [phi_i, phi_{i+1}] and the last slice [phi_N, phi_1 + 2*pi]. Bars out
-        of that order give a negative slice mass. One basis buffer holds
-        theta, sin k*theta and cos k*theta at the N bars and at phi_1 + 2*pi;
-        its column differences times the coefficients are the slices. The
-        buffers are kept per bar count (`_workspace`) and overwritten by
-        every call; the returned moments are a fresh array.
+        `phases`, a list of floats or an array, are unwrapped and in cyclic
+        order: slice i spans [phi_i, phi_{i+1}] and the last slice
+        [phi_N, phi_1 + 2*pi]. Bars out of that order give a negative slice
+        mass. One basis buffer holds theta, sin k*theta and cos k*theta at
+        the N bars and at phi_1 + 2*pi; its column differences times the
+        coefficients are the slices. The buffers are kept per bar count
+        (`_workspace`) and overwritten by every call; the returned moments
+        are a fresh array.
         """
         n = len(phases)
         theta, kt, sines, cosines, upper, lower, steps, difference = (

@@ -53,20 +53,17 @@ def cyclic_gaps(phases) -> np.ndarray:
     return np.concatenate((p[..., 1:], p[..., :1] + TWO_PI), axis=-1) - p
 
 
-_PREVIOUS = {}  # bar count N -> np.arange(-1, N - 1), the slice before each bar
-
-
-def bar_rates(workloads, kappa_phi: float, pinned: int | None = None) -> np.ndarray:
+def bar_rates(workloads, kappa_phi: float, pinned: int | None = None) -> list:
     """The bar law: bar i, between slices i-1 and i, turns toward the heavier
-    of the two at kappa_phi * (m_i - m_{i-1}), and the rates sum to zero; the
-    bar `pinned`, if any, turns at 0. Works along the first axis, so an
-    (N, R) array gives the rates of R states."""
-    n = len(workloads)
-    previous = _PREVIOUS.get(n)
-    if previous is None:
-        previous = _PREVIOUS[n] = np.arange(-1, n - 1)
-    rates = workloads - workloads[previous]
-    rates *= kappa_phi
+    of the two at (m_i - m_{i-1}) * kappa_phi, and the rates sum to zero; the
+    bar `pinned`, if any, turns at 0. The bar pass steps its phases as Python
+    floats, so the law reads the N masses as a sequence of floats and returns
+    the rates as a list, entry by entry."""
+    previous = workloads[-1]
+    rates = []
+    for mass in workloads:
+        rates.append((mass - previous) * kappa_phi)
+        previous = mass
     if pinned is not None:
         rates[pinned] = 0.0
     return rates

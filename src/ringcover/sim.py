@@ -10,7 +10,10 @@ takes fixed classical Runge-Kutta steps of the unwrapped phases in one
 accept/reject loop that halves a trial until every slice mass exceeds a
 workload floor, a test that also refuses bars out of cyclic order. Each RK4
 stage is one table product of slice moments, then `bar_rates`, and every
-accepted sub-step keeps its four stage moments. The agent pass
+accepted sub-step keeps its four stage moments. The bar pass steps its state,
+the phases, the stage rates and the slice masses, as lists of Python floats:
+at the few bars of a run numpy's per-call cost exceeds the arithmetic, so
+numpy does only each stage's slice moments. The agent pass
 (`_System.track`) then moves the positions over a block of accepted
 sub-steps: one `optimal_targets` call on their stage moments, and RK4's
 closed-form map for the linear law p' = -kappa_p (p - T), which gives the
@@ -54,9 +57,10 @@ MIN_DENSITY, MAX_DENSITY = 1e-100, 1e100
 # The RK4 steps one command may ask for: t_end / dt for `run`, the epoch
 # count times T_epsilon / dt for `search`. It refuses requests no run can
 # finish (t_end 1e30 at dt 0.05 is 2e31 steps) while leaving 10^4 times the
-# bundled reference run's 10^4 steps. It is not a time budget: a step costs
-# ~50 us at N = 2 to 8, 1.1-1.4 ms at 256 and 3-5 ms at 1000 (shared 2-vCPU
-# Xeon), so a run at the bound takes 1.5 hours to 6 days, logging up to 10^8 records.
+# bundled reference run's 10^4 steps. It is not a time budget: a step of the
+# reference scenario costs 36-40 us at N = 2, 53-62 us at 8, 0.12-0.16 ms at
+# 32, 0.9 ms at 256 and 3.3-4.5 ms at 1000 (shared 2-vCPU Xeon), so a run at
+# the bound takes 1 hour to 5 days, logging up to 10^8 records.
 # A record holds 41 + 48 N bytes of log arrays, 425 B at N = 8. At log_stride 1
 # the reference run's 10 001 records hold 4.25 MB, and a fresh `run` of it
 # peaks at 63.6 MB, 30.9 MB above the interpreter with the package imported.
@@ -494,19 +498,22 @@ _AGENT_AXES = {"phases_unwrapped": (), "workloads": (), "positions": (2,),
                "targets": (2,)}
 
 
-def rk4_step(state: np.ndarray, derivative, dt: float, k1: np.ndarray) -> np.ndarray:
+def rk4_step(state: list, derivative, dt: float, k1: list) -> list:
     """One classical 4-stage Runge-Kutta step of an autonomous system, from
-    the first stage k1 = derivative(state) that the caller has evaluated; the
-    sum k1 + 2 k2 + 2 k3 + k4 is accumulated in place, in that order."""
+    the first stage k1 = derivative(state) that the caller has evaluated.
+
+    The state and the stages are lists of Python floats, combined entry by
+    entry: the stage states s + h k, then ((k1 + 2 k2) + 2 k3) + k4 times
+    dt / 6 plus s. At the few bars of a run, Python's float arithmetic costs
+    less than numpy's per-call overhead on arrays that small.
+    """
     half = 0.5 * dt
-    k2 = derivative(state + half * k1)
-    k3 = derivative(state + half * k2)
-    k4 = derivative(state + dt * k3)
-    step = k1 + 2.0 * k2
-    step += 2.0 * k3
-    step += k4
-    step *= dt / 6.0
-    return np.add(step, state, out=step)
+    k2 = derivative([s + half * k for s, k in zip(state, k1)])
+    k3 = derivative([s + half * k for s, k in zip(state, k2)])
+    k4 = derivative([s + dt * k for s, k in zip(state, k3)])
+    sixth = dt / 6.0
+    return [(a + 2.0 * b + 2.0 * c + d) * sixth + s
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
 # The agent pass runs at least once per this many accepted sub-steps, which
@@ -517,8 +524,9 @@ BLOCK_STEPS = 256
 class _Bars(NamedTuple):
     """The bar system at one accepted state."""
 
-    phases: np.ndarray   # unwrapped, in cyclic order
+    phases: list         # unwrapped, in cyclic order, as floats
     moments: np.ndarray  # slice moments, shape (rows, N)
+    masses: list         # the slice masses moments[0] as floats
     t: float = 0.0       # time since the run's (or the epoch's) start
 
 
@@ -559,15 +567,16 @@ class _System:
         self._trial = []  # the stage moments of the RK4 trial in progress
         self.refusal = None  # the guard's last refusal: "non-finite", "crossing" or "floor"
 
-    def _stage(self, phases: np.ndarray) -> np.ndarray:
+    def _stage(self, phases: list) -> list:
         """The bar rates at an RK4 stage; its slice moments join the trial's."""
         moments = self.table.slice_moments(phases)
         self._trial.append(moments)
-        return bar_rates(moments[0], self.kappa_phi, self.pinned)
+        return bar_rates(moments[0].tolist(), self.kappa_phi, self.pinned)
 
-    def guard(self, phases: np.ndarray) -> np.ndarray | None:
-        """Slice moments at `phases` if every slice mass exceeds the workload
-        floor (NaN does not), else None with `refusal` "non-finite" if a mass
+    def guard(self, phases: list) -> tuple[np.ndarray, list] | None:
+        """(slice moments, slice masses as floats) at `phases` if every slice
+        mass exceeds the workload floor (NaN does not); the masses give the
+        next step's first stage. Else None with `refusal` "non-finite" if a mass
         is not finite (a trial that overflowed), "crossing" if the bars are
         out of cyclic order (by `cyclic_gaps`), else "floor". The masses
         alone refuse a crossing: the parser holds the density's sound range
@@ -575,8 +584,9 @@ class _System:
         <= 0, and a computed mass rounds by O(eps W), W the total, far below
         the floor 1e-9 W / N for N <= `MAX_AGENTS`."""
         moments = self.table.slice_moments(phases)
-        if all(mass > self.workload_floor for mass in moments[0].tolist()):
-            return moments
+        masses = moments[0].tolist()
+        if all(mass > self.workload_floor for mass in masses):
+            return moments, masses
         self.refusal = ("non-finite" if not np.isfinite(moments[0]).all() else
                         "floor" if cyclic_gaps(phases).min() > 0.0 else "crossing")
         return None
@@ -589,12 +599,13 @@ class _System:
         while pending:
             dt, halvings = pending.pop()
             self._trial = []
-            k1 = bar_rates(start.moments[0], self.kappa_phi, self.pinned)
+            k1 = bar_rates(start.masses, self.kappa_phi, self.pinned)
             phases = rk4_step(start.phases, self._stage, dt, k1)
-            moments = self.guard(phases)
-            if moments is not None:
+            accepted = self.guard(phases)
+            if accepted is not None:
+                moments, masses = accepted
                 block.append(_SubStep(dt, self._trial + [moments]))
-                start = _Bars(phases, moments, start.t + dt)
+                start = _Bars(phases, moments, masses, start.t + dt)
                 deepest = max(deepest, halvings)
             elif halvings < MAX_STEP_HALVINGS:
                 pending += [(0.5 * dt, halvings + 1)] * 2
@@ -636,12 +647,14 @@ class _System:
         """Take `steps` guarded steps of dt from (phases, positions), yielding a
         `_Record` at the start, at every `stride`-th step and at the last.
 
-        The agent pass runs at every record and at least every `BLOCK_STEPS`
-        sub-steps; a guard failure raises IntegrationError after the records
-        yielded so far.
+        The bar pass steps the phases as a list of floats; a record holds
+        them as an array. The agent pass runs at every record and at least
+        every `BLOCK_STEPS` sub-steps; a guard failure raises
+        IntegrationError after the records yielded so far.
         """
+        phases = np.array(phases, dtype=float)
         moments = self.table.slice_moments(phases)
-        bars = _Bars(phases, moments)
+        bars = _Bars(phases.tolist(), moments, moments[0].tolist())
         targets = agents_mod.optimal_targets(moments, self.beta)
         positions = np.array(positions, dtype=float)
         yield _Record(0, phases, positions, moments, targets, 0)
@@ -653,7 +666,8 @@ class _System:
                 positions, targets = self.track(positions, targets, block)
                 block = []
             if logged:
-                yield _Record(k, bars.phases, positions, bars.moments, targets, halvings)
+                yield _Record(k, np.array(bars.phases), positions, bars.moments, targets,
+                              halvings)
 
 
 def integrate_system(config: ScenarioConfig, phases, positions, duration: float,
@@ -831,7 +845,7 @@ def verify_invariants(log: TrajectoryLog, config: ScenarioConfig) -> Verificatio
     target_rate = (float(np.max(np.linalg.norm(log.targets[-1] - log.targets[-2], axis=1)))
                    / float(t[-1] - t[-2]) if t.size > 1 else math.inf)
     for name, value in (
-            ("trend_phi_rate", float(np.linalg.norm(bar_rates(log.workloads[-1],
+            ("trend_phi_rate", float(np.linalg.norm(bar_rates(log.workloads[-1].tolist(),
                                                               config.kappa_phi)))),
             ("trend_max_speed", float(np.max(speeds))),
             ("trend_target_rate", target_rate)):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from ringcover import agents, geometry, sim
 from ringcover.agents import slice_centroids
 from ringcover.geometry import TWO_PI, AnnularRegion, DensityField, PolarCurve
-from ringcover.partition import bar_rates, cyclic_gaps
+from ringcover.partition import cyclic_gaps
 from ringcover.search import run_search
-from ringcover.sim import rk4_step, run_scenario, scenario_from_dict
+from ringcover.sim import run_scenario, scenario_from_dict
 
 CONFIGS = Path(sim.__file__).with_name("configs")
 
@@ -258,9 +258,33 @@ def per_row_radial(region, density, thetas, weight, rel_tol=1e-8):
     return out
 
 
+def numpy_bar_rates(workloads, kappa_phi, pinned=None) -> np.ndarray:
+    """Oracle for `partition.bar_rates`: the bar law on an array,
+    (m - roll(m, 1)) * kappa_phi, with the pinned bar's rate zeroed."""
+    rates = (workloads - np.roll(workloads, 1)) * kappa_phi
+    if pinned is not None:
+        rates[pinned] = 0.0
+    return rates
+
+
+def numpy_rk4_step(state, derivative, dt, k1) -> np.ndarray:
+    """Oracle for `sim.rk4_step`: the classical RK4 step on arrays, the sum
+    k1 + 2 k2 + 2 k3 + k4 accumulated in place in that order."""
+    half = 0.5 * dt
+    k2 = derivative(state + half * k1)
+    k3 = derivative(state + half * k2)
+    k4 = derivative(state + dt * k3)
+    step = k1 + 2.0 * k2
+    step += 2.0 * k3
+    step += k4
+    step *= dt / 6.0
+    return np.add(step, state, out=step)
+
+
 def stacked_run(config, pinned=None) -> dict:
     """Oracle for the cascade stepper of `sim._System`: the coupled system
-    integrated as one stacked (phases, positions) vector, every RK4 stage
+    integrated as one stacked (phases, positions) array with numpy's own
+    arithmetic (`numpy_rk4_step`, `numpy_bar_rates`), every RK4 stage
     evaluating the bar rates and the agents' targets together, with the same
     guard and halving. Returns the record columns of a run of `config` with
     bar `pinned` frozen, as `run_scenario` logs them."""
@@ -273,15 +297,13 @@ def stacked_run(config, pinned=None) -> dict:
         """(state, moments, targets, stacked derivative) at y."""
         if moments is None:
             moments = table.slice_moments(y[:n])
-        rates = bar_rates(moments[0], config.kappa_phi)
-        if pinned is not None:
-            rates[pinned] = 0.0
+        rates = numpy_bar_rates(moments[0], config.kappa_phi, pinned)
         targets = agents.optimal_targets(moments, beta)
         velocity = -config.kappa_p * (y[n:].reshape(n, 2) - targets)
         return y, moments, targets, np.concatenate([rates, velocity.ravel()])
 
     def advance(start, dt, depth=0):
-        trial = rk4_step(start[0], lambda y: evaluate(y)[3], dt, start[3])
+        trial = numpy_rk4_step(start[0], lambda y: evaluate(y)[3], dt, start[3])
         if not (cyclic_gaps(trial[:n]) <= 0.0).any():
             moments = table.slice_moments(trial[:n])
             if moments[0].min() > floor:

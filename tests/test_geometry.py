@@ -234,6 +234,17 @@ def test_leading_terms_below_rounding_widen_the_range(uniform_region):
     assert config.density.bounds(config.region) == (6.0, 17.0)
 
 
+def test_coefficients_spanning_past_the_float_range_parse():
+    # 1e20 r + 1e-300 r^60 on the circles 1 and 1e6 rises from 1e20 to 1e60;
+    # its derivative's coefficients span 1e322, past the float range, but
+    # rooted in r / 2^20 they span about 1e37, and the density parses
+    config = scenario_from_dict(uniform_scenario_dict(
+        region={"inner": {"mean": 1.0}, "outer": {"mean": 1e6}},
+        density={"kind": "radial_polynomial_times_angular",
+                 "parameters": [0.0, 1e20] + [0.0] * 58 + [1e-300]}))
+    assert_allclose(config.density.bounds(config.region), (1e20, 1e60), rtol=1e-14)
+
+
 def test_density_bounds_positive(reference_region, reference_density):
     # exp(sin^2 + cos) spans [e^-1, e^(5/4)], and r spans 0.5 to 3.5, each
     # end widened by its curve's margin pi / 2048 * 2 * 0.5

@@ -215,13 +215,18 @@ def test_bars_step_by_rk4_and_agents_by_its_closed_form_map():
     assert len(loops) == 1 and loops[0].body == moves
 
 
+# The names the package gives slice masses, and the bar law's previous mass.
+_MASS_NAMES = {"mass", "masses", "workloads", "previous"}
+
+
 def test_one_bar_law_and_one_cyclic_order_test():
     # `partition.bar_rates` is the only statement of the bar law and
     # `cyclic_gaps` the only test of cyclic order: the stepper defines no rate
-    # method, neither module rolls an array, the slice index
-    # np.arange(-1, N - 1) is built only beside `bar_rates`, and the step
-    # guard, whose slice masses refuse a crossing, reads the gaps only to name
-    # the cause
+    # method; neither module rolls an array; `bar_rates` is the only
+    # function that differences two slice masses, apart from the stationarity
+    # check, which compares a logged mass with its quadrature slice by slice;
+    # and the step guard, whose slice masses refuse a crossing, reads the gaps
+    # only to name the cause
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SOURCE.glob("*.py"))}
 
@@ -232,14 +237,38 @@ def test_one_bar_law_and_one_cyclic_order_test():
     def called(name):
         return lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == name
 
+    def reads_masses(node):
+        return any(isinstance(child, ast.Name) and child.id in _MASS_NAMES
+                   or isinstance(child, ast.Attribute) and child.attr in _MASS_NAMES
+                   for child in ast.walk(node))
+
     system = next(node for node in trees["sim.py"].body
                   if isinstance(node, ast.ClassDef) and node.name == "_System")
     methods = [node.name for node in system.body if isinstance(node, ast.FunctionDef)]
     assert not any("rate" in name for name in methods), methods
     assert sites(called("np.roll"), ("partition.py", "sim.py")) == []
-    assert sites(lambda node: called("np.arange")(node) and node.args
-                 and ast.unparse(node.args[0]) == "-1") == ["partition.py:bar_rates"]
+    assert sites(lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                 and reads_masses(node.left) and reads_masses(node.right)) == [
+        "partition.py:bar_rates", "sim.py:_target_stationarity"]
     assert sites(called("cyclic_gaps"), ("sim.py",)).count("sim.py:_System.guard") == 1
+
+
+def test_bar_pass_steps_floats_and_a_stage_calls_numpy_once():
+    # the bar pass's phases, stage rates and masses are Python floats: the
+    # RK4 step, the guarded step and an RK4 stage call no np.* function, so
+    # a stage's only numpy work is its one `slice_moments` call
+    tree = ast.parse((SOURCE / "sim.py").read_text(encoding="utf-8"))
+    system = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_System")
+    functions = {node.name: node for node in tree.body + system.body
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("rk4_step", "advance", "_stage"):
+        calls = [ast.unparse(node.func) for node in ast.walk(functions[name])
+                 if isinstance(node, ast.Call)]
+        assert calls and not any(call.startswith("np.") for call in calls), (name, calls)
+    stage = [ast.unparse(node.func) for node in ast.walk(functions["_stage"])
+             if isinstance(node, ast.Call)]
+    assert sum(call.endswith(".slice_moments") for call in stage) == 1, stage
 
 
 def test_no_eigensolve():

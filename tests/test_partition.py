@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import (all_centroids, hand_built_cyclic_form, region_and_density,
-                      star_regions)
+from conftest import (all_centroids, hand_built_cyclic_form, numpy_bar_rates,
+                      numpy_rk4_step, region_and_density, star_regions)
 from ringcover.agents import subregion_cost
 from ringcover.geometry import TWO_PI, moment_table, radial_moment_extrema
 from ringcover.partition import (bar_rates, cyclic_gaps, decay_constants, imbalance,
                                  validate_initial_phases)
 from ringcover import sim
-from ringcover.sim import _System
+from ringcover.sim import _System, rk4_step
 
 
 @pytest.fixture
@@ -97,24 +97,29 @@ def test_lyapunov_values(two_bar_phases, uniform_region, uniform_density):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(2, 8), states=st.one_of(st.none(), st.integers(1, 4)),
-       kappa=st.floats(1e-3, 10.0))
-def test_bar_rates_is_the_written_out_law(data, n, states, kappa):
-    # along the first axis, bit for bit: kappa (m_i - m_{i-1}) with the pinned
-    # bar's rate zeroed; with no bar pinned the rates sum to zero
-    shape = (n,) if states is None else (n, states)
-    workloads = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=math.prod(shape),
-                                            max_size=math.prod(shape)))).reshape(shape)
+@given(data=st.data(), n=st.integers(2, 64), kappa=st.floats(1e-3, 10.0),
+       dt=st.floats(1e-3, 1.0))
+def test_bar_rates_is_the_written_out_law(data, n, kappa, dt):
+    # bit for bit against numpy's forms, on floats of mixed magnitude: the
+    # list law (m_i - m_{i-1}) * kappa, with the pinned bar's rate zeroed, is
+    # (m - roll(m, 1)) * kappa; with no bar pinned the rates sum to zero; and
+    # the list RK4 step of that linear law is numpy's step on arrays
+    magnitudes = st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+                           st.floats(1.0, 10.0), st.integers(-30, 30))
+    workloads = data.draw(st.lists(magnitudes, min_size=n, max_size=n))
     pinned = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
-    expected = kappa * (workloads - np.roll(workloads, 1, axis=0))
-    free = expected.copy()
-    if pinned is not None:
-        expected[pinned] = 0.0
-    assert np.array_equal(bar_rates(workloads, kappa, pinned), expected)
-    rates = bar_rates(workloads, kappa)
-    assert np.array_equal(rates, free)
-    scale = 8 * n * np.finfo(float).eps * kappa * np.sum(workloads, axis=0)
-    assert np.all(np.abs(np.sum(rates, axis=0)) <= scale)
+    array = np.array(workloads)
+    rates = bar_rates(workloads, kappa, pinned)
+    assert type(rates) is list and all(type(rate) is float for rate in rates)
+    assert np.array_equal(rates, numpy_bar_rates(array, kappa, pinned))
+    free = bar_rates(workloads, kappa)
+    assert np.array_equal(free, numpy_bar_rates(array, kappa))
+    assert abs(math.fsum(free)) <= 8 * n * np.finfo(float).eps * kappa * sum(workloads)
+
+    step = rk4_step(workloads, lambda state: bar_rates(state, kappa, pinned), dt, rates)
+    expected = numpy_rk4_step(array, lambda state: numpy_bar_rates(state, kappa, pinned), dt,
+                              numpy_bar_rates(array, kappa, pinned))
+    assert type(step) is list and np.array_equal(step, expected)
 
 
 def closed_form_lambda_min(n: int, region, density) -> float:
@@ -229,7 +234,8 @@ def test_mean_workload(two_bar_phases, uniform_region, uniform_density):
 
 def test_min_workload_guard(two_bar_phases, uniform_region, uniform_density):
     system, moments, _ = bar_pass(two_bar_phases, uniform_region, uniform_density)
-    assert np.array_equal(system.guard(two_bar_phases), moments)
+    accepted, masses = system.guard(two_bar_phases)
+    assert np.array_equal(accepted, moments) and masses == moments[0].tolist()
     system.workload_floor = 1.0  # min is 3*pi/4 ~ 2.36
     assert system.guard(two_bar_phases) is not None
     system.workload_floor = 5.0
