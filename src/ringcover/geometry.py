@@ -195,9 +195,10 @@ class DensityField:
         their margins. The other kinds are linear in r, and exp(sin^2 + cos)
         is least at pi and greatest at pi / 3. A radial polynomial, less leading
         terms whose sum S of |c_k| R^k (R = max |r|) is below rounding, peaks at
-        the ends or a real root of its derivative, found in r / 2^e for 2^e > R
-        (nan if their companion matrix overflows); its range widened by S times
-        the angular factor's widened range."""
+        the ends or a real root of its derivative, found in r / 2^e for
+        1 <= 2^e <= max(R, 1) (nan if the scaled derivative or its companion
+        matrix over- or underflows); its range widened by S times the angular
+        factor's widened range."""
         r = np.array([region.inner.grid_range()[0] - region.inner.margin,
                       region.outer.grid_range()[1] + region.outer.margin])
         if self.kind != "radial_polynomial_times_angular":
@@ -209,12 +210,18 @@ class DensityField:
         terms = np.exp(logs + np.arange(c.size) * math.log(radius))  # no R^k overflow
         tail = np.append(np.cumsum(terms[::-1])[::-1], 0.0)  # tail[k]: terms k and up
         keep = max(1, np.count_nonzero(tail > np.finfo(float).eps * tail[0]))
-        # The turns are rooted in x = r / 2^e with 2^e > R, whose coefficients
-        # c_k 2^(e k) are exact and span about the ratio of the terms c_k R^k.
-        exponent = math.frexp(radius)[1]
-        scaled = np.ldexp(c[:keep], exponent * np.arange(keep))
+        # The turns are rooted in x = r / 2^e with 1 <= 2^e <= max(R, 1): each
+        # coefficient c_k 2^(e k) is exact, and its size lies between |c_k| and
+        # its term |c_k| R^k, so it neither over- nor underflows where they do not.
+        # A derivative that still does, or whose leading coefficient is not a
+        # normal float, would drop turns from its companion matrix: refused.
+        exponent = max(0, math.frexp(radius)[1] - 1)
+        slope = poly.polyder(np.ldexp(c[:keep], exponent * np.arange(keep)))
+        if keep > 1 and not (np.isfinite(slope).all()
+                             and abs(slope[-1]) >= np.finfo(float).tiny):
+            return math.nan, math.nan
         try:
-            turns = np.clip(np.ldexp(poly.polyroots(poly.polyder(scaled)).real, exponent), *r)
+            turns = np.clip(np.ldexp(poly.polyroots(slope).real, exponent), *r)
         except np.linalg.LinAlgError:
             return math.nan, math.nan
         radial = poly.polyval(np.append(r, turns), c[:keep])

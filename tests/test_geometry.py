@@ -237,12 +237,34 @@ def test_leading_terms_below_rounding_widen_the_range(uniform_region):
 def test_coefficients_spanning_past_the_float_range_parse():
     # 1e20 r + 1e-300 r^60 on the circles 1 and 1e6 rises from 1e20 to 1e60;
     # its derivative's coefficients span 1e322, past the float range, but
-    # rooted in r / 2^20 they span about 1e37, and the density parses
+    # rooted in r / 2^19 they span about 2e19, and the density parses
     config = scenario_from_dict(uniform_scenario_dict(
         region={"inner": {"mean": 1.0}, "outer": {"mean": 1e6}},
         density={"kind": "radial_polynomial_times_angular",
                  "parameters": [0.0, 1e20] + [0.0] * 58 + [1e-300]}))
     assert_allclose(config.density.bounds(config.region), (1e20, 1e60), rtol=1e-14)
+
+
+def test_a_turn_past_degree_1024_on_the_unit_circle_is_found():
+    # 0.05 - r^1000 + r^1200 on the circles 0.5 and 1 reads 0.05 at both ends
+    # but -0.017 at its turn r = (5/6)^(1/200); with R = 1 its coefficients
+    # are rooted unscaled (scaled up by 2^k they would overflow past degree
+    # 1024 and lose every turn), and the turn refuses the density
+    region = {"inner": {"mean": 0.5}, "outer": {"mean": 1.0}}
+    density = {"kind": "radial_polynomial_times_angular",
+               "parameters": [0.05] + [0.0] * 999 + [-1.0] + [0.0] * 199 + [1.0]}
+    with pytest.raises(ConfigError, match="^density: ranges over \\[-1.698e-02, 5.000e-02\\]"):
+        scenario_from_dict(uniform_scenario_dict(region=region, density=density))
+
+
+def test_a_derivative_out_of_the_float_range_reads_nan():
+    # 1 + 1e308 r^2 on the circles 0.5 and 1 has a finite largest term, but
+    # its derivative 2e308 r overflows; a companion matrix built from an
+    # infinite leading coefficient drops every turn, so the range reads nan
+    density = DensityField("radial_polynomial_times_angular", (1.0, 0.0, 1e308))
+    region = AnnularRegion(PolarCurve(0.5), PolarCurve(1.0))
+    with np.errstate(over="ignore"):
+        assert np.isnan(density.bounds(region)).all()
 
 
 def test_density_bounds_positive(reference_region, reference_density):

@@ -273,19 +273,31 @@ def coarse_two_bar_scenario():
         cost={"kind": "generic_builtin", "parameters": [0.0]}, seed=0)
 
 
+def failed_gates(data, exempt=()):
+    """The failing `verify` gates, less `exempt`, on a run of `data` checked
+    against its own config echo as `verify` does."""
+    log = run_scenario(scenario_from_dict(data))
+    report = verify_invariants(log, scenario_from_dict(log.config_echo))
+    return [c.line() for c in report.checks if c.status == "fail" and c.name not in exempt]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=valid_scenarios())
+def test_verify_passes_every_gate_on_a_valid_scenario(data):
+    # soundness: on a run of a valid scenario at a stable step no gate fails;
+    # at N = 2, where c2 is V's exact rate on a rotation-invariant scenario,
+    # the exponential bound fails at a coarse step (the strict xfail below),
+    # and only there is it left out
+    two_bars = data["agents"]["count"] == 2
+    assert failed_gates(data, {"lyapunov_exponential_bound"} if two_bars else ()) == []
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "lyapunov_exponential_bound is unsound at a coarse step: at N = 2 on a "
     "rotation-invariant scenario c2 is V's exact rate, its 5% slack does not "
     "cover RK4's slower discrete decay, and the ratio reaches 70"))
-@settings(max_examples=25, deadline=None)
-@given(data=valid_scenarios())
-@example(data=coarse_two_bar_scenario())
-def test_verify_passes_every_gate_on_a_valid_scenario(data):
-    # soundness: on a run of a valid scenario at a stable step, checked
-    # against its own config echo as `verify` does, no gate fails
-    log = run_scenario(scenario_from_dict(data))
-    report = verify_invariants(log, scenario_from_dict(log.config_echo))
-    assert [c.line() for c in report.checks if c.status == "fail"] == []
+def test_verify_passes_every_gate_on_a_coarse_two_bar_run():
+    assert failed_gates(coarse_two_bar_scenario()) == []
 
 
 def test_exponential_bound_floor_keeps_the_workload_errors_small():
@@ -638,6 +650,10 @@ def polynomial_density_sections(draw):
 @example(sections={"region": {"inner": {"mean": 1.0}, "outer": {"mean": 1e6}},
                    "density": {"kind": "radial_polynomial_times_angular",
                                "parameters": [0.0, 1e20] + [0.0] * 58 + [1e-300]}})
+@example(sections={"region": {"inner": {"mean": 0.5}, "outer": {"mean": 1.0}},
+                   "density": {"kind": "radial_polynomial_times_angular",
+                               "parameters": [0.05] + [0.0] * 999 + [-1.0] + [0.0] * 199
+                               + [1.0]}})
 def test_an_accepted_density_is_positive_everywhere(sections):
     # whenever the parser accepts a density, rho >= MIN_DENSITY on 512 x 1025
     # points of the region, up to the rounding of the bound and of each
