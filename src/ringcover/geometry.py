@@ -20,6 +20,11 @@ one radial pass and checks the fit off its grid against the rule with one
 node more; the moment extrema are read off its samples. `DensityField.bounds`
 bounds rho over the whole region in closed form, from no samples. Curves,
 membership and the distance to the boundary take arrays of angles and points.
+
+A curve is sampled once, on the table grid, on its first grid read, and keeps
+those samples: the table pass reads r_in and r_out from them, and the region
+grid (the validity check, the grid range, the bounding radius and the
+boundary polygon) reads their even samples, which are the same bits.
 """
 
 from __future__ import annotations
@@ -38,9 +43,14 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_PANELS = 2 ** 14
 _NODE_BUDGET = 2 ** 22  # (angles x nodes) of a radial pass, (nodes x nodes) of its rule
 _ABS_FLOOR = 1e-12
+# The table samples every profile, and every curve its radius, on this many
+# angles; the table's build fails past the check tolerance off the grid,
+# relative to each row's largest sample.
+_TABLE_GRID = 4096
 # The region grid: validity, the boundary polygon and the bounding radius read
-# r_in and r_out at these angles, the moment table's even samples.
-_REGION_GRID = np.arange(2048) * (TWO_PI / 2048)
+# r_in and r_out at these angles, the table grid's even samples: j * (2 pi / 2048)
+# and 2j * (2 pi / 4096) are one real number, so they round alike.
+_REGION_GRID = np.arange(_TABLE_GRID // 2) * (TWO_PI / (_TABLE_GRID // 2))
 
 
 class QuadratureError(RuntimeError):
@@ -56,7 +66,9 @@ class PolarCurve:
     """Closed curve r(theta) = mean + sum_k cos_k*cos(k*theta) + sin_k*sin(k*theta).
 
     Coefficients are indexed from harmonic k = 1. The series form makes the
-    curve exactly 2*pi-periodic and keeps scenario files serializable.
+    curve exactly 2*pi-periodic and keeps scenario files serializable. A curve
+    is sampled once on the table grid, on its first grid read, and keeps the
+    samples (`sampled`); the region grid is their even samples.
     """
 
     mean: float
@@ -73,6 +85,21 @@ class PolarCurve:
                     r = r + coeff * basis(k * theta)
         return r
 
+    def sampled(self, size: int) -> np.ndarray:
+        """r at the `size` angles 2 pi j / size, read-only. The curve evaluates
+        a grid once, on its first read, and keeps the samples; the package
+        reads the table grid alone, and the region grid as its even samples."""
+        kept = self.__dict__.setdefault("_samples", {})  # not a field: no effect on ==
+        if size not in kept:
+            kept[size] = self.radius(np.arange(size) * (TWO_PI / size))
+            kept[size].flags.writeable = False
+        return kept[size]
+
+    @property
+    def region_samples(self) -> np.ndarray:
+        """r on the region grid: the even samples of the table grid."""
+        return self.sampled(2 * _REGION_GRID.size)[::2]
+
     @property
     def margin(self) -> float:
         """How far r can move from any angle to the nearest angle of the
@@ -85,7 +112,7 @@ class PolarCurve:
 
     def grid_range(self) -> tuple:
         """(least, greatest) r on the region grid."""
-        r = self.radius(_REGION_GRID)
+        r = self.region_samples
         return float(np.min(r)), float(np.max(r))
 
 
@@ -104,8 +131,8 @@ class AnnularRegion:
 
     def __post_init__(self):
         inner, outer = self.inner.margin, self.outer.margin
-        r_in = self.inner.radius(_REGION_GRID)
-        gap = self.outer.radius(_REGION_GRID) - r_in
+        r_in = self.inner.region_samples
+        gap = self.outer.region_samples - r_in
         for name, least, margin in (("inner radius", np.min(r_in), inner),
                                     ("gap between the curves", np.min(gap), inner + outer)):
             if least <= margin:
@@ -128,7 +155,7 @@ class AnnularRegion:
         flat = points.reshape(-1, 2)
         out = np.full(len(flat), np.inf)
         for curve in (self.inner, self.outer):
-            r = curve.radius(_REGION_GRID)
+            r = curve.region_samples
             vertices = np.stack([r * np.cos(_REGION_GRID), r * np.sin(_REGION_GRID)], axis=1)
             edges = np.roll(vertices, -1, axis=0) - vertices
             squares = np.sum(vertices * vertices, axis=1)
@@ -176,7 +203,9 @@ class DensityField:
             return np.exp(np.sin(theta) ** 2 + np.cos(theta)) + slope * r
         if self.kind == "radial_polynomial_times_angular":
             radial = np.polynomial.polynomial.polyval(r, np.asarray(self.parameters))
-            return radial * (self.angular or PolarCurve(1.0)).radius(theta)
+            factor = (np.ones(theta.shape) if self.angular is None
+                      else self.angular.radius(theta))
+            return radial * factor
         raise ValueError(f"unknown density kind {self.kind!r}")
 
     @property
@@ -225,8 +254,8 @@ class DensityField:
         except np.linalg.LinAlgError:
             return math.nan, math.nan
         radial = poly.polyval(np.append(r, turns), c[:keep])
-        angular = self.angular or PolarCurve(1.0)
-        (lo, hi), margin = angular.grid_range(), angular.margin
+        (lo, hi), margin = (((1.0, 1.0), 0.0) if self.angular is None
+                            else (self.angular.grid_range(), self.angular.margin))
         products = np.outer([radial.min() - tail[keep], radial.max() + tail[keep]],
                             [lo - margin, hi + margin])
         return float(products.min()), float(products.max())
@@ -265,7 +294,9 @@ def _unit_rule(m: int):
 
 def _radial_batch(region, density, thetas, weights, extra=0):
     """Radial moments for an array of angles, one row per weight w(r, theta),
-    from one evaluation of the nodes and the density for all rows.
+    from one evaluation of the nodes and the density for all rows. `region`
+    is an `AnnularRegion`, whose curves are evaluated at the angles, or the
+    pair (r_in, r_out) already sampled there.
 
     Every weight a caller passes is a polynomial of degree <= 4 in r (the
     table's monomials and the move weights of `agents`). With rho of degree d
@@ -278,8 +309,9 @@ def _radial_batch(region, density, thetas, weights, extra=0):
         raise QuadratureError(f"radial pass of {thetas.size} angles x {m} nodes "
                               f"exceeds the node budget {_NODE_BUDGET}", math.inf)
     s, w = _unit_rule(m)
-    r_lo = region.inner.radius(thetas)
-    span = region.outer.radius(thetas) - r_lo
+    r_lo, r_hi = ((region.inner.radius(thetas), region.outer.radius(thetas))
+                  if isinstance(region, AnnularRegion) else region)
+    span = r_hi - r_lo
     th = thetas[:, None]
     r = r_lo[:, None] + span[:, None] * s
     rho_r = density.evaluate(r, th) * r
@@ -324,9 +356,6 @@ def radial_moment_extrema(region, density):
     return float(values.min()), float(values.max())
 
 
-# The table samples every profile on this many angles, and its build fails
-# past the check tolerance off the grid, relative to each row's largest sample.
-_TABLE_GRID = 4096
 # The highest radial degree d whose table pass, (d + 7) // 2 nodes an angle, fits the budget.
 MAX_RADIAL_DEGREE = 2 * (_NODE_BUDGET // _TABLE_GRID) - 6
 _TABLE_CHECK_TOL = 1e-10
@@ -501,7 +530,8 @@ def moment_table(region, density, degree=2) -> MomentTable:
     thetas = np.arange(_TABLE_GRID) * (TWO_PI / _TABLE_GRID)
     kept = (moment_table(region, density).samples if degree == 4
             else np.empty((0, _TABLE_GRID)))
-    fresh = _radial_batch(region, density, thetas, weights[len(kept):])
+    radii = (region.inner.sampled(_TABLE_GRID), region.outer.sampled(_TABLE_GRID))
+    fresh = _radial_batch(radii, density, thetas, weights[len(kept):])
     table = MomentTable(np.vstack([kept, fresh]))
 
     # Halfway between samples, where an aliased or truncated harmonic shows;

@@ -65,6 +65,15 @@ MIN_DENSITY, MAX_DENSITY = 1e-100, 1e100
 # the reference run's 10 001 records hold 4.25 MB, and a fresh `run` of it
 # peaks at 63.6 MB, 30.9 MB above the interpreter with the package imported.
 MAX_STEPS = 10 ** 8
+# RK4 on p' = -kappa_p (p - T) scales each offset from a target by R(-x) a
+# step, x = kappa_p dt. R(-x) = 1 again at the real root of x^3 - 4x^2 + 12x - 24
+# (the nearest double), and beyond it every offset grows, so the parser
+# refuses x at or above it.
+RK4_STABILITY = 2.785293563405282
+# Start positions are drawn this many candidates at a time, with one
+# membership test a batch, and refused after this many consecutive rejections.
+_DRAW_BATCH = 64
+_MAX_REJECTIONS = 10000
 
 
 class ConfigError(ValueError):
@@ -346,6 +355,9 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
     dt = _get(data, "integrator.dt", 0.01, float, lambda step: step > 0.0, "must be positive")
     t_end = _duration(data, "integrator.t_end", dt)
+    if not kappa_p * dt < RK4_STABILITY:
+        raise ConfigError("integrator.dt", f"kappa_p * dt is {kappa_p * dt:.6g}; the tracking "
+                                           f"law's RK4 needs it below {RK4_STABILITY:.6f}")
     log_stride = _get(data, "integrator.log_stride", 1, int, lambda stride: stride >= 1,
                       "must be at least 1")
 
@@ -405,17 +417,24 @@ def _draw_phases(rng, n: int) -> np.ndarray:
 
 
 def _draw_positions(rng, region: AnnularRegion, n: int) -> np.ndarray:
+    """n points uniform in the region, by rejection from its bounding square.
+    The candidates come `_DRAW_BATCH` at a time, as one stream of doubles, so
+    the points are those that one candidate at a time would accept."""
     bound = region.bounding_radius()
-    positions = np.empty((n, 2))
-    for i in range(n):
-        for _ in range(10000):
-            candidate = rng.uniform(-bound, bound, 2)
-            if region.contains(candidate):
-                positions[i] = candidate
-                break
-        else:
-            raise ConfigError("agents.initial_positions", "rejection sampling failed")
-    return positions
+    positions, misses = [], 0
+    while len(positions) < n:
+        candidates = rng.uniform(-bound, bound, (_DRAW_BATCH, 2))
+        for j, inside in enumerate(region.contains(candidates).tolist()):
+            if inside:
+                positions.append(candidates[j])
+                misses = 0
+                if len(positions) == n:
+                    break
+            else:
+                misses += 1
+                if misses == _MAX_REJECTIONS:
+                    raise ConfigError("agents.initial_positions", "rejection sampling failed")
+    return np.array(positions)
 
 
 @dataclass

@@ -258,6 +258,23 @@ def per_row_radial(region, density, thetas, weight, rel_tol=1e-8):
     return out
 
 
+def one_candidate_positions(rng, region, n: int) -> np.ndarray:
+    """Oracle for `sim._draw_positions`: rejection sampling from the bounding
+    square one candidate and one membership test at a time, refused after
+    10 000 rejections for one agent."""
+    bound = region.bounding_radius()
+    positions = np.empty((n, 2))
+    for i in range(n):
+        for _ in range(10000):
+            candidate = rng.uniform(-bound, bound, 2)
+            if region.contains(candidate):
+                positions[i] = candidate
+                break
+        else:
+            raise sim.ConfigError("agents.initial_positions", "rejection sampling failed")
+    return positions
+
+
 def numpy_bar_rates(workloads, kappa_phi, pinned=None) -> np.ndarray:
     """Oracle for `partition.bar_rates`: the bar law on an array,
     (m - roll(m, 1)) * kappa_phi, with the pinned bar's rate zeroed."""

@@ -67,6 +67,53 @@ def test_run_rejects_equal_phases(tmp_path, caplog):
     assert "initial phases not strictly separated" in caplog.text
 
 
+def test_a_step_the_tracking_law_cannot_take_exits_2(tmp_path, caplog):
+    # at kappa_p dt = 4, past RK4's bound 2.785, the agent pass would grow
+    # every offset from a target to 1e70 by t = 400
+    data = {"region": {"inner": {"mean": 1.0}, "outer": {"mean": 2.0}},
+            "density": {"kind": "uniform", "parameters": [1.0]},
+            "agents": {"count": 3}, "gains": {"kappa_phi": 0.01, "kappa_p": 1.0},
+            "integrator": {"dt": 4.0, "t_end": 400.0}, "seed": 0}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out)]) == 2
+    assert "invalid config: integrator.dt: " in caplog.text
+    assert not out.exists()
+
+
+def test_set_up_evaluates_each_curve_on_a_grid_once_and_tests_one_batch(tmp_path,
+                                                                        monkeypatch):
+    # grid evaluations are radius calls at the table or region grid's size;
+    # the table check's 7 angles and the SVG outline's 512 do not count
+    radius, contains = geometry.PolarCurve.radius, geometry.AnnularRegion.contains
+    grids, tests = [], []
+
+    def counted_radius(self, theta):
+        if np.size(theta) in (geometry._TABLE_GRID, geometry._REGION_GRID.size):
+            grids.append(np.size(theta))
+        return radius(self, theta)
+
+    def counted_contains(self, points):
+        tests.append(np.shape(points))
+        return contains(self, points)
+
+    monkeypatch.setattr(geometry.PolarCurve, "radius", counted_radius)
+    monkeypatch.setattr(geometry.AnnularRegion, "contains", counted_contains)
+    geometry.moment_table.cache_clear()
+    geometry.radial_moment_extrema.cache_clear()
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(CONFIGS / "reference_n8.json"), "--out", str(out)]) == 0
+    # the inner and outer curve once each; one batch places the 8 agents,
+    # and one call marks the logged excursions
+    assert grids == [geometry._TABLE_GRID] * 2
+    assert tests == [(sim._DRAW_BATCH, 2), (1001, 8, 2)]
+    grids.clear()
+    geometry.moment_table.cache_clear()
+    geometry.radial_moment_extrema.cache_clear()
+    assert main(["verify", "--config", str(out / "log.json"),
+                 "--out", str(tmp_path / "verify")]) == 0
+    assert grids == [geometry._TABLE_GRID] * 2
+
+
 def test_run_rejects_missing_density_kind(tmp_path):
     data = uniform_scenario_dict()
     data["density"] = {"parameters": [1.0]}

@@ -358,3 +358,35 @@ def test_one_fixed_region_grid():
                   if isinstance(node, ast.ClassDef) and node.name == "AnnularRegion")
     assert not any(isinstance(node, ast.Call) and ast.unparse(node.func) == "np.arange"
                    for node in ast.walk(region))
+
+
+def test_one_grid_evaluation_site_per_curve():
+    # a curve is evaluated on a grid in `PolarCurve.sampled` alone, which
+    # keeps the samples; every other radius call takes points, the table
+    # check's angles, the SVG outline's or the bars', and none names a grid
+    sites, named = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            members = top.body if isinstance(top, ast.ClassDef) else [top]
+            for scope in members:
+                if not isinstance(scope, ast.FunctionDef):
+                    continue
+                name = scope.name if scope is top else f"{top.name}.{scope.name}"
+                for node in ast.walk(scope):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "radius"):
+                        sites.append(f"{path.name}:{name}")
+                        named += [f"{path.name}:{node.lineno}" for arg in ast.walk(node)
+                                  if isinstance(arg, ast.Name)
+                                  and arg.id in ("_TABLE_GRID", "_REGION_GRID")]
+                        if name != "PolarCurve.sampled" and any(
+                                isinstance(arg, ast.Call) and ast.unparse(arg.func) == "np.arange"
+                                for arg in ast.walk(node)):
+                            named.append(f"{path.name}:{node.lineno}")
+    assert sorted(sites) == ["cli.py:_Scene.__init__", "cli.py:render_snapshot",
+                             "cli.py:render_snapshot", "geometry.py:AnnularRegion.contains",
+                             "geometry.py:AnnularRegion.contains",
+                             "geometry.py:DensityField.evaluate",
+                             "geometry.py:PolarCurve.sampled", "geometry.py:_radial_batch",
+                             "geometry.py:_radial_batch"], sites
+    assert named == []

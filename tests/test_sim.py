@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (all_centroids, cumulative_difference_moments, cyclic_layouts,
-                      entry_paths, hand_built_cyclic_form, overtaking_scenario_dict,
-                      parser_scenarios, radial_polynomial_densities,
+                      entry_paths, hand_built_cyclic_form, one_candidate_positions,
+                      overtaking_scenario_dict, parser_scenarios, radial_polynomial_densities,
                       reference_scenario_dict, region_and_density, stacked_run,
                       star_regions, uniform_scenario_dict)
 from ringcover import agents, geometry, sim
@@ -19,8 +20,8 @@ from ringcover.agents import slice_centroids, total_cost
 from ringcover.geometry import (TWO_PI, AnnularRegion, DensityField, MomentTable,
                                 PolarCurve, radial_moment_extrema)
 from ringcover.partition import bar_rates, cyclic_gaps, imbalance
-from ringcover.sim import (ConfigError, IntegrationError, ScenarioConfig, TrajectoryLog,
-                           integrate_system, rk4_step, run_scenario,
+from ringcover.sim import (RK4_STABILITY, ConfigError, IntegrationError, ScenarioConfig,
+                           TrajectoryLog, integrate_system, rk4_step, run_scenario,
                            scenario_from_dict, verify_invariants)
 
 
@@ -231,16 +232,12 @@ def test_verify_passes_on_equilibrium():
     assert report.passed
 
 
-# RK4's stability interval on the negative real axis reaches about -2.785.
-RK4_STABILITY = 2.785
-
-
 @st.composite
 def valid_scenarios(draw):
     """A random valid scenario of 400 steps: N in [2, 12] on a `star_regions`
     region with any density kind, beta 0 or 0.25, kappa_phi in [0.01, 1] and
     kappa_p in [0.03, 3], and dt at half the linear bound of RK4 on both
-    laws, 2.785 / max(4 kappa_phi omega_max, kappa_p): the bars' cycle
+    laws, RK4_STABILITY / max(4 kappa_phi omega_max, kappa_p): the bars' cycle
     difference form has eigenvalues up to 4, a bar's workload changes at
     omega per radian, and the tracking law's rate is kappa_p."""
     sections = draw(star_regions())
@@ -441,6 +438,63 @@ def test_scenario_config_drawn_inits_are_valid():
     again = scenario_from_dict(reference_scenario_dict(seed=7))
     assert np.array_equal(config.initial_phases, again.initial_phases)
     assert np.array_equal(config.initial_positions, again.initial_positions)
+
+
+DRAW_REGIONS = {
+    "reference": AnnularRegion(PolarCurve(1.0, sine_coeffs=(0.0, 0.5)),
+                               PolarCurve(3.0, cosine_coeffs=(0.0, 0.5))),
+    "star": AnnularRegion(PolarCurve(0.8, (0.0, 0.0, 0.0, 0.3)),
+                          PolarCurve(2.0, (), (0.0, 0.0, 0.4))),
+    # accepts pi (1.002^2 - 1) / (2 * 1.002)^2 ~ 0.0031 of the candidates, 0.2
+    # a batch; 64 agents take ~20 000 candidates, so the cap of 10 000
+    # rejections holds for one agent, not for the draw
+    "thin": AnnularRegion(PolarCurve(1.0), PolarCurve(1.002)),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 64),
+       name=st.sampled_from(sorted(DRAW_REGIONS)))
+def test_batched_draws_accept_the_points_of_one_candidate_at_a_time(seed, n, name):
+    region = DRAW_REGIONS[name]
+    expected = one_candidate_positions(np.random.default_rng(seed), region, n)
+    drawn = sim._draw_positions(np.random.default_rng(seed), region, n)
+    assert drawn.shape == expected.shape and drawn.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_draws_on_a_hairline_annulus_fail_as_one_candidate_at_a_time(seed):
+    # 10 000 candidates find the annulus 1 to 1 + 1e-6 with chance ~0.016
+    region = AnnularRegion(PolarCurve(1.0), PolarCurve(1.0 + 1e-6))
+    for draw in (one_candidate_positions, sim._draw_positions):
+        with pytest.raises(ConfigError, match="rejection sampling failed") as caught:
+            draw(np.random.default_rng(seed), region, 2)
+        assert caught.value.field == "agents.initial_positions"
+
+
+def test_rk4_stability_is_the_nearest_double_to_the_real_root():
+    # x^3 - 4x^2 + 12x - 24, whose real root is where RK4's R(-x) returns to
+    # 1, changes sign just below the bound, and is nearer 0 at the bound
+    def cubic(x):
+        x = Fraction(x)
+        return x ** 3 - 4 * x ** 2 + 12 * x - 24
+
+    below = cubic(math.nextafter(RK4_STABILITY, 0.0))
+    assert below < 0 < cubic(RK4_STABILITY) < -below
+
+
+@pytest.mark.parametrize("dt, refused", [(math.nextafter(RK4_STABILITY, 0.0), False),
+                                         (RK4_STABILITY, True), (4.0, True)])
+def test_a_step_the_tracking_law_cannot_take_is_refused(dt, refused):
+    data = overtaking_scenario_dict()
+    data.update(gains={"kappa_phi": 0.01, "kappa_p": 1.0},
+                integrator={"dt": dt, "t_end": dt, "log_stride": 1})
+    if refused:
+        with pytest.raises(ConfigError, match="tracking law's RK4") as caught:
+            scenario_from_dict(data)
+        assert caught.value.field == "integrator.dt"
+    else:
+        assert scenario_from_dict(data).dt == dt
 
 
 def one_generic_step(seed, beta=0.25):
