@@ -87,8 +87,8 @@ def total_cost(phases, positions, region, density, beta: float) -> float:
 def cost_table(region, density, beta: float) -> MomentTable:
     """The cached moment table with the rows the cost of quartic weight `beta` needs.
 
-    The six quartic rows are built only for beta != 0, so a squared-distance
-    run keeps the default four-row table and its truncation bit for bit.
+    The one choice of a command's table. Only beta != 0 builds the quartic rows;
+    a squared-distance run shares `moment_table(region, density)`'s cache entry.
     """
     if beta:
         return moment_table(region, density, degree=4)

@@ -15,9 +15,9 @@ agree. A cached spectral table of cumulative moments (`MomentTable`) lets
 the simulation evaluate slice workloads, centroids and polynomial service
 costs in O(modes): all slices of a partition come out of one matrix product,
 the table's antiderivative coefficients times the differences of a
-trigonometric basis between neighbouring bars. A build samples all rows in
+trigonometric basis between neighbouring bars. A build samples its rows in
 one radial pass and checks the fit off its grid against the rule with one
-node more; the moment extrema are read off its samples. `DensityField.bounds`
+node more; `MomentTable.extrema` reads the plain samples. `DensityField.bounds`
 bounds rho over the whole region in closed form, from no samples. Curves,
 membership and the distance to the boundary take arrays of angles and points.
 
@@ -347,13 +347,11 @@ def region_integral(region, density, phi_lo, phi_hi, weight=_MONOMIALS["plain"],
     raise QuadratureError("angular quadrature did not converge", residual)
 
 
-# Cached only for callers that clear it, and time it cold, with the table.
+# Only the benchmark calls this and clears its cache; both go with ROADMAP item 1.
 @lru_cache(maxsize=32)
 def radial_moment_extrema(region, density):
-    """(min, max) of the plain radial moment at the region grid's 2048 angles,
-    the moment table's even plain samples; positive where rho's `bounds` are."""
-    values = moment_table(region, density).samples[0, ::2]
-    return float(values.min()), float(values.max())
+    """`MomentTable.extrema` of the region/density pair's default table."""
+    return moment_table(region, density).extrema()
 
 
 # The highest radial degree d whose table pass, (d + 7) // 2 nodes an angle, fits the budget.
@@ -395,9 +393,9 @@ class MomentTable:
 
     Row order is ("plain", "x", "y", "r2") for degree 2; degree 4 appends
     ("xx", "xy", "yy", "xr2", "yr2", "r4"), the moments of x^a y^b with
-    a + b <= 4 that a quartic cost needs. The degree-4 table reuses the
-    degree-2 samples, but its truncation is chosen over all rows, so the
-    degree-2 rows of the two tables agree only to rounding.
+    a + b <= 4 that a quartic cost needs. Its first four sampled rows are the
+    degree-2 table's bit for bit, but its truncation is chosen over all rows,
+    so the degree-2 rows of the two tables agree only to rounding.
     """
 
     def __init__(self, samples):
@@ -426,6 +424,11 @@ class MomentTable:
     @property
     def mode_count(self) -> int:
         return self._k.size
+
+    def extrema(self) -> tuple:
+        """(min, max) of the plain radial moment at the region grid's 2048
+        angles, the even plain samples; positive where rho's `bounds` are."""
+        return float(np.min(self.samples[0, ::2])), float(np.max(self.samples[0, ::2]))
 
     def value(self, theta):
         """Point values of the moment profiles, shape (rows, len(theta)): the
@@ -517,22 +520,18 @@ class MomentTable:
 
 @lru_cache(maxsize=16)
 def moment_table(region, density, degree=2) -> MomentTable:
-    """Cached moment table for a region/density pair.
+    """Cached moment table of the rows `_TABLE_WEIGHTS[degree]`, sampled in one pass.
 
     The cache key is the call as written: `moment_table(region, density)`
     and `moment_table(region, density, degree=2)` build two tables, so
-    degree-2 callers omit the argument; the degree-4 table stacks that
-    table's samples over its six quartic rows. Raises QuadratureError when
-    the fit misses the radial rule with one node more off the grid by more
-    than `_TABLE_CHECK_TOL`.
+    degree-2 callers omit the argument. `agents.cost_table` picks the one
+    table a command reads. Raises QuadratureError when the fit misses the
+    radial rule with one node more off the grid by more than `_TABLE_CHECK_TOL`.
     """
     weights = tuple(_MONOMIALS[name] for name in _TABLE_WEIGHTS[degree])
     thetas = np.arange(_TABLE_GRID) * (TWO_PI / _TABLE_GRID)
-    kept = (moment_table(region, density).samples if degree == 4
-            else np.empty((0, _TABLE_GRID)))
     radii = (region.inner.sampled(_TABLE_GRID), region.outer.sampled(_TABLE_GRID))
-    fresh = _radial_batch(radii, density, thetas, weights[len(kept):])
-    table = MomentTable(np.vstack([kept, fresh]))
+    table = MomentTable(_radial_batch(radii, density, thetas, weights))
 
     # Halfway between samples, where an aliased or truncated harmonic shows;
     # the extra node exposes a rule that is not exact for the stated degree.

@@ -4,10 +4,11 @@ N radial bars cut the annular region into N angular slices; each bar rotates
 at a rate proportional to the workload difference between the two slices it
 separates (`bar_rates`), which equalizes the workloads. The module also
 carries the machinery used to verify that convergence: the imbalance
-(Lyapunov) value and the decay constants it induces, with the least eigenvalue
-of the cyclic-difference form in closed form. The equal-share layouts
-the balancing approaches, bars at M^-1(M(a) + j W / N) for the cumulative
-workload M and its total W, come from `MomentTable.inverse_cumulative`.
+(Lyapunov) value and the decay constants it induces, read off the caller's
+moment table (the module builds none), with the least eigenvalue of the
+cyclic-difference form in closed form. The equal-share layouts the balancing
+approaches, bars at M^-1(M(a) + j W / N) for the cumulative workload M and
+its total W, come from `MomentTable.inverse_cumulative`.
 
 A partition is its array of unwrapped bar phases in cyclic order,
 phi_1 < phi_2 < ... < phi_N < phi_1 + 2*pi (`cyclic_gaps` are all positive).
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from .geometry import TWO_PI, moment_table, radial_moment_extrema
+from .geometry import TWO_PI
 
 MIN_PHASE_SEPARATION = 1e-6
 
@@ -77,24 +78,24 @@ def imbalance(workloads, mean: float):
     return 0.5 * np.sum((np.asarray(workloads) - mean) ** 2, axis=-1)
 
 
-def decay_constants(phases, kappa_phi: float, region, density) -> dict:
+def decay_constants(phases, kappa_phi: float, table) -> dict:
     """The constants of the guaranteed exponential workload-gap decay.
 
     Returns c1 = sqrt(2 * V(0)), the amplitude, with V the imbalance of the
     slice workloads at `phases`; c2 = kappa_phi * omega_min * lambda_min / N,
     the rate; lambda_min, the least eigenvalue of the cyclic-difference form;
     and omega_min and omega_max, the grid extrema of the radial moment
-    profile. The keys keep that order, the order of a run's log meta.
+    profile, all read off `table`, the command's `agents.cost_table`. The
+    keys keep that order, the order of a run's log meta.
     lambda_min is the least ratio of sum_i (e_i - e_{i-1})^2 to sum_{i<N} e_i^2
     over errors e_i = m_i - mean that sum to 0. For N >= 3 it is the cycle's
     Fiedler value 2 - 2 cos(2 pi / N) (Fiedler 1973), attained with e_N = 0;
     at N = 2, e = (1, -1) gives 8, twice the Fiedler value 4, as e_N holds half.
     """
     n = len(phases)
-    table = moment_table(region, density)
     workloads = table.slice_moments(phases)[0]
     v0 = imbalance(workloads, float(table.totals[0]) / n)
-    omega_min, omega_max = radial_moment_extrema(region, density)
+    omega_min, omega_max = table.extrema()
     lambda_min = 8.0 if n == 2 else 2.0 - 2.0 * math.cos(TWO_PI / n)
     return {"c1": math.sqrt(2.0 * v0), "c2": kappa_phi * omega_min * lambda_min / n,
             "lambda_min": lambda_min, "omega_min": omega_min, "omega_max": omega_max}

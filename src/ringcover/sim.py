@@ -37,7 +37,7 @@ import numpy as np
 
 from . import agents as agents_mod
 from .geometry import (MAX_RADIAL_DEGREE, TWO_PI, AnnularRegion, DensityField, PolarCurve,
-                       moment_table, region_integral)
+                       region_integral)
 from .partition import (bar_rates, cyclic_gaps, decay_constants, imbalance,
                         validate_initial_phases)
 
@@ -715,8 +715,7 @@ def run_scenario(config: ScenarioConfig) -> TrajectoryLog:
     meta = {
         "m_bar": total / config.n_agents,
         "total_workload": total,
-        **decay_constants(config.initial_phases, config.kappa_phi, config.region,
-                          config.density),
+        **decay_constants(config.initial_phases, config.kappa_phi, system.table),
         "guard_failures": 0,
         "workload_floor": system.workload_floor,
     }
@@ -796,9 +795,10 @@ def verify_invariants(log: TrajectoryLog, config: ScenarioConfig) -> Verificatio
     t, v = log.times, log.lyapunov
     # The bound constants come from the config and the first record, never
     # from the log's meta, which only echoes them.
-    total = float(moment_table(region, density).totals[0])
+    table = agents_mod.cost_table(region, density, config.beta)
+    total = float(table.totals[0])
     m_bar = total / log.n_agents
-    c2 = decay_constants(log.phases_unwrapped[0], config.kappa_phi, region, density)["c2"]
+    c2 = decay_constants(log.phases_unwrapped[0], config.kappa_phi, table)["c2"]
 
     checks = []
 
@@ -833,7 +833,6 @@ def verify_invariants(log: TrajectoryLog, config: ScenarioConfig) -> Verificatio
     offsets = log.positions - log.targets
     exact_v = imbalance(log.workloads, m_bar)
     exact_h = np.sum(log.workloads * np.sum(offsets * offsets, axis=2), axis=1)
-    table = agents_mod.cost_table(region, density, config.beta)
     moments = np.concatenate([table.slice_moments(p) for p in log.phases_unwrapped], axis=1)
     exact_j = np.sum(agents_mod.slice_cost_terms(moments, log.positions, config.beta)[0]
                      .reshape(v.size, -1), axis=1)

@@ -176,8 +176,8 @@ def test_07_parallel_axis_identity(reference_region, reference_density):
 def test_08_cyclic_form_construction(uniform_region, uniform_density):
     # the hand-built form is the oracle for decay_constants' closed-form lambda_min
     def lambda_min(n):
-        return decay_constants(np.arange(n) * TWO_PI / n, 0.03, uniform_region,
-                               uniform_density)["lambda_min"]
+        return decay_constants(np.arange(n) * TWO_PI / n, 0.03,
+                               moment_table(uniform_region, uniform_density))["lambda_min"]
 
     exact = np.array_equal(hand_built_cyclic_form(2), np.array([[8.0]]))
     lam2 = lambda_min(2)

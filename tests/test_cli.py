@@ -114,6 +114,32 @@ def test_set_up_evaluates_each_curve_on_a_grid_once_and_tests_one_batch(tmp_path
     assert grids == [geometry._TABLE_GRID] * 2
 
 
+@pytest.mark.parametrize("beta, rows", [(0.0, 4), (0.25, 10)])
+def test_each_command_builds_one_table(tmp_path, monkeypatch, beta, rows):
+    # `agents.cost_table` picks the one table a command reads: the decay
+    # constants, the bar and agent passes, verify's gates and the search
+    # epochs all read it, so a generic cost builds the 10-row table alone
+    built = []
+    init = geometry.MomentTable.__init__
+
+    def counted_init(self, samples):
+        built.append(samples.shape[0])
+        init(self, samples)
+
+    monkeypatch.setattr(geometry.MomentTable, "__init__", counted_init)
+    path = write_config(tmp_path, reference_scenario_dict(
+        integrator={"dt": 0.01, "t_end": 0.1, "log_stride": 10},
+        cost={"kind": "generic_builtin", "parameters": [beta]},
+        search={"K_star": 4, "T_epsilon": 0.05}, output={"snapshot_times": []}))
+    for command, source in (("run", path), ("verify", str(tmp_path / "run" / "log.json")),
+                            ("search", path)):
+        geometry.moment_table.cache_clear()
+        geometry.radial_moment_extrema.cache_clear()
+        built.clear()
+        assert main([command, "--config", source, "--out", str(tmp_path / command)]) == 0
+        assert built == [rows], command
+
+
 def test_run_rejects_missing_density_kind(tmp_path):
     data = uniform_scenario_dict()
     data["density"] = {"parameters": [1.0]}

@@ -309,6 +309,8 @@ def test_table_build_refuses_an_aliased_fit(monkeypatch, reference_region,
 def test_tables_and_extrema_share_one_sampling_pass(sections):
     region, density = region_and_density(sections)
     table, quartic = moment_table(region, density), moment_table(region, density, degree=4)
+    # each table samples its own rows, and the radial rule computes each row
+    # alone: the extrema read either table's plain samples bit for bit
     assert np.array_equal(quartic.samples[:4], table.samples)
     # the build-time check found both fits far inside its tolerance
     assert 0.0 <= table.check_error <= 1e-13 and 0.0 <= quartic.check_error <= 1e-13

@@ -56,7 +56,7 @@ def test_radial_batch_is_one_pass_called_by_the_table_and_the_integral():
     # the radial stage is one exact rule: `_radial_batch` evaluates the density
     # once, with no for or while loop (one comprehension maps the weights),
     # and only the table's grid pass and check and the angular stage call it;
-    # the extrema and the degree-4 table read the table's samples
+    # the extrema read the table's samples
     callers = []
     for path in sorted(SOURCE.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -71,6 +71,23 @@ def test_radial_batch_is_one_pass_called_by_the_table_and_the_integral():
     assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(batch))
     assert sum(isinstance(node, ast.Call) and ast.unparse(node.func) == "density.evaluate"
                for node in ast.walk(batch)) == 1
+
+
+def test_cost_table_alone_picks_a_command_table():
+    # a command reads one table, the one `agents.cost_table` picks: outside
+    # geometry nothing else calls `moment_table`, which samples every row of
+    # its degree itself, and no package code calls `radial_moment_extrema`,
+    # which the benchmark alone reads
+    callers = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    callers.setdefault(ast.unparse(node.func).rpartition(".")[2], []).append(
+                        f"{path.name}:{getattr(top, 'name', top.lineno)}")
+    assert set(callers["moment_table"]) == {"agents.py:cost_table",
+                                            "geometry.py:radial_moment_extrema"}
+    assert callers.get("radial_moment_extrema", []) == []
 
 
 def _defined_names(node) -> list:

@@ -124,7 +124,8 @@ def test_bar_rates_is_the_written_out_law(data, n, kappa, dt):
 
 def closed_form_lambda_min(n: int, region, density) -> float:
     """The lambda_min `decay_constants` reports for N equally spaced bars."""
-    return decay_constants(np.arange(n) * TWO_PI / n, 0.03, region, density)["lambda_min"]
+    return decay_constants(np.arange(n) * TWO_PI / n, 0.03,
+                           moment_table(region, density))["lambda_min"]
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -163,18 +164,19 @@ def test_cyclic_form_matches_difference_sum():
 
 
 def test_decay_constants_uniform_two_bars(two_bar_phases, uniform_region, uniform_density):
-    constants = decay_constants(two_bar_phases, 0.03, uniform_region, uniform_density)
+    table = moment_table(uniform_region, uniform_density)
+    constants = decay_constants(two_bar_phases, 0.03, table)
     assert_allclose(constants["c2"], 0.03 * 1.5 * 8.0 / 2.0, rtol=1e-10)
     assert_allclose(constants["c1"], math.sqrt(2.0 * (3.0 * math.pi / 4.0) ** 2),
                     rtol=1e-10)
-    c1_eq = decay_constants(np.arange(2) * math.pi, 0.03, uniform_region,
-                            uniform_density)["c1"]
+    c1_eq = decay_constants(np.arange(2) * math.pi, 0.03, table)["c1"]
     assert c1_eq <= 1e-10
 
 
 def test_decay_constants_reference_composition(reference_region, reference_density):
     phases = np.sort(np.random.default_rng(0).uniform(0, TWO_PI, 8))
-    constants = decay_constants(phases, 0.03, reference_region, reference_density)
+    constants = decay_constants(phases, 0.03, moment_table(reference_region,
+                                                           reference_density))
     omega_min, omega_max = radial_moment_extrema(reference_region, reference_density)
     lam = 2.0 - 2.0 * math.cos(TWO_PI / 8)
     assert_allclose(constants["c2"], 0.03 * omega_min * lam / 8.0, rtol=1e-12)
@@ -275,8 +277,9 @@ def test_unwrapped_phases_pick_the_wrapped_slices(reference_region, reference_de
     wrapped = phases + TWO_PI
     assert_allclose(wrapped, [TWO_PI - 1.0, 7.0], rtol=1e-12)
     args = (reference_region, reference_density)
-    assert_allclose(list(decay_constants(phases, 0.03, *args).values()),
-                    list(decay_constants(wrapped, 0.03, *args).values()), rtol=1e-12)
+    assert_allclose(list(decay_constants(phases, 0.03, moment_table(*args)).values()),
+                    list(decay_constants(wrapped, 0.03, moment_table(*args)).values()),
+                    rtol=1e-12)
     assert_allclose(all_centroids(phases, *args), all_centroids(wrapped, *args), rtol=1e-12)
     squared = 0.0
     # inputs 2*pi apart: the quadrature cost agrees to rounding

@@ -730,17 +730,26 @@ def test_an_accepted_density_is_positive_everywhere(sections):
 
 
 def test_run_computes_moment_extrema_once():
-    radial_moment_extrema.cache_clear()
-    run_scenario(scenario_from_dict(uniform_scenario_dict(
-        integrator={"dt": 0.05, "t_end": 0.1, "log_stride": 1})))
-    assert radial_moment_extrema.cache_info().currsize == 1
+    # a cold run reads omega off its own table, the 10-row one at beta > 0,
+    # and leaves the benchmark's extrema cache empty; either table's plain
+    # samples give the default table's extrema bit for bit
+    for beta in (0.0, 0.25):
+        config = scenario_from_dict(reference_scenario_dict(
+            integrator={"dt": 0.01, "t_end": 0.01, "log_stride": 1},
+            cost={"kind": "generic_builtin", "parameters": [beta]}))
+        geometry.moment_table.cache_clear()
+        radial_moment_extrema.cache_clear()
+        meta = run_scenario(config).meta
+        assert radial_moment_extrema.cache_info().currsize == 0
+        assert ((meta["omega_min"], meta["omega_max"])
+                == radial_moment_extrema(config.region, config.density)), beta
 
 
 @pytest.mark.parametrize("beta, samplings", [(0.0, 4), (0.25, 10)])
 def test_one_sampling_pass_per_table_row(monkeypatch, beta, samplings):
-    # four degree-2 rows, plus six quartic rows for a generic cost, counted
-    # over the weight tuples of the radial passes on the table grid; the
-    # extrema and the degree-4 table reuse the degree-2 samples
+    # four degree-2 rows, or all ten rows of the degree-4 table for a generic
+    # cost, counted over the weight tuples of the radial passes on the table
+    # grid; the extrema read the run's table samples
     rows = []
     sample = geometry._radial_batch
 
