@@ -8,14 +8,20 @@ precision, a JSON log that replays or re-export bit-for-bit, SVG snapshots,
 and verification reports; `run` and `search` also write the config echo that
 replays them. The log and the CSV are written in blocks of `RECORD_BLOCK`
 records, so writing either costs one block of Python objects beyond the
-log's arrays, never a list form of the whole log. Exit codes: 0 success,
-1 verification failure (for `search`: the quadrature total of the best
-configuration misses the table total), 2 input error, 3 runtime failure.
+log's arrays, never a list form of the whole log. A command makes --out as
+soon as its input is parsed, before any run, search or verification.
+
+Exit codes, mapped from failures by `_exit_codes` alone: 0 success; 1 only
+for a failed check, a `verify` gate or the `search` totals check (the
+quadrature total of the best configuration misses the table total); 2 for
+an invalid config, an input that cannot be read or decoded, a malformed log
+or an --out that cannot be made; 3 for a runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -195,7 +201,6 @@ def _write_snapshots(log: TrajectoryLog, region, times, out_dir: Path):
 
 def _write_run_artifacts(log: TrajectoryLog, config: ScenarioConfig, out_dir: Path,
                          snapshot_times):
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(log, out_dir)
     with open(out_dir / "log.json", "w", encoding="utf-8") as handle:
         write_log(log, handle)
@@ -213,38 +218,59 @@ def _write_config_echo(config: ScenarioConfig, out_dir: Path):
         json.dump(config.to_dict(), handle, indent=2)
 
 
-def cmd_run(config_path: str, out_dir: str, seed=None, dt=None) -> int:
-    try:
-        config = _scenario(_load_json(config_path), seed, dt)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        logger.error("invalid config: %s", exc)
-        return EXIT_INPUT
+def _make_out(out_dir: str) -> Path:
     out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _exit_codes(command):
+    """Run `command` under the one failure handler: each failure it raises
+    becomes its exit code and one ERROR line. A failed check is the
+    command's own return value, never an exception."""
+    @functools.wraps(command)
+    def handled(*args, **kwargs) -> int:
+        try:
+            return command(*args, **kwargs)
+        except (IntegrationError, QuadratureError, TargetSearchError) as exc:
+            # a run the guard refuses, or a table or target that does not
+            # converge, is a runtime failure, not a failed verification
+            logger.error("runtime failure: %s", exc)
+            return EXIT_RUNTIME
+        except ConfigError as exc:
+            logger.error("invalid config: %s", exc)
+            return EXIT_INPUT
+        except (ValueError, OSError) as exc:
+            # an unreadable, undecodable or malformed input, or an --out
+            # that cannot be made
+            logger.error("invalid input: %s", exc)
+            return EXIT_INPUT
+    return handled
+
+
+@_exit_codes
+def cmd_run(config_path: str, out_dir: str, seed=None, dt=None) -> int:
+    config = _scenario(_load_json(config_path), seed, dt)
+    out = _make_out(out_dir)
     try:
         log = run_scenario(config)
     except IntegrationError as exc:
-        logger.error("integration failed: %s", exc)
         if exc.log is not None:
             first, last = exc.log.times[0], exc.log.times[-1]
             _write_run_artifacts(exc.log, config, out, [t for t in config.snapshot_times
                                                         if within_span(t, first, last)])
-        return EXIT_RUNTIME
+        raise
     _write_run_artifacts(log, config, out, config.snapshot_times)
     logger.info("run complete: %d records -> %s", log.times.size, out)
     return EXIT_OK
 
 
+@_exit_codes
 def cmd_search(config_path: str, out_dir: str, seed=None, dt=None) -> int:
-    try:
-        config = _scenario(_load_json(config_path), seed, dt)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        logger.error("invalid config: %s", exc)
-        return EXIT_INPUT
+    config = _scenario(_load_json(config_path), seed, dt)
     if config.search is None:
-        logger.error("invalid config: search: missing section")
-        return EXIT_INPUT
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+        raise ConfigError("search", "missing section")
+    out = _make_out(out_dir)
     _write_config_echo(config, out)
     result = run_search(config)
     lines = ["k,anchor_agent,J_k,gossip_rounds"]
@@ -271,62 +297,43 @@ def cmd_search(config_path: str, out_dir: str, seed=None, dt=None) -> int:
     return EXIT_OK
 
 
-def _looks_like_log(data: dict) -> bool:
-    return isinstance(data, dict) and "records" in data
-
-
+@_exit_codes
 def cmd_verify(path: str, out_dir: str, seed=None, dt=None) -> int:
-    try:
-        data = _load_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        logger.error("unreadable input: %s", exc)
-        return EXIT_INPUT
-    if _looks_like_log(data) and (seed is not None or dt is not None):
-        logger.error("invalid input: --seed/--dt apply to a scenario config, "
-                     "not to a stored log")
-        return EXIT_INPUT
-    try:
-        if _looks_like_log(data):
-            log = TrajectoryLog.from_dict(data)
-            del data  # the log's arrays hold the records; free the parsed lists
-            config = scenario_from_dict(log.config_echo)
-        else:
-            config = _scenario(data, seed, dt)
-            log = run_scenario(config)
-    except (ConfigError, ValueError) as exc:
-        logger.error("invalid input: %s", exc)
-        return EXIT_INPUT
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    data = _load_json(path)
+    if isinstance(data, dict) and "records" in data:
+        if seed is not None or dt is not None:
+            raise ValueError("--seed/--dt apply to a scenario config, not to a stored log")
+        log = TrajectoryLog.from_dict(data)
+        del data  # the log's arrays hold the records; free the parsed lists
+        config = scenario_from_dict(log.config_echo)
+        out = _make_out(out_dir)
+    else:
+        config = _scenario(data, seed, dt)
+        out = _make_out(out_dir)
+        log = run_scenario(config)
     report = verify_invariants(log, config)
     (out / "report.txt").write_text("\n".join(report.lines()) + "\n", encoding="utf-8")
     for line in report.lines():
         print(line)
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+    if not report.passed:
+        logger.error("verification failed: %s", ", ".join(
+            check.name for check in report.checks if check.status == "fail"))
+        return EXIT_VERIFY_FAILED
+    return EXIT_OK
 
 
+@_exit_codes
 def cmd_export(log_path: str, fmt: str, out_dir: str, times=None) -> int:
-    try:
-        log = TrajectoryLog.from_dict(_load_json(log_path))
-        config = scenario_from_dict(log.config_echo)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        logger.error("malformed log: %s", exc)
-        return EXIT_INPUT
-    out = Path(out_dir)
+    log = TrajectoryLog.from_dict(_load_json(log_path))
+    config = scenario_from_dict(log.config_echo)
     if fmt == "csv":
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(log, out)
-        return EXIT_OK
-    if fmt == "svg-snapshots":
-        snapshot_times = times if times is not None else config.snapshot_times
-        try:
-            _write_snapshots(log, config.region, snapshot_times, out)
-        except ValueError as exc:
-            logger.error("%s", exc)
-            return EXIT_INPUT
-        return EXIT_OK
-    logger.error("unknown export format: %s", fmt)
-    return EXIT_INPUT
+        _write_csv(log, _make_out(out_dir))
+    elif fmt == "svg-snapshots":
+        _write_snapshots(log, config.region,
+                         times if times is not None else config.snapshot_times, Path(out_dir))
+    else:
+        raise ValueError(f"unknown export format: {fmt}")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,22 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            code = cmd_run(args.config, args.out, args.seed, args.dt)
-        elif args.command == "search":
-            code = cmd_search(args.config, args.out, args.seed, args.dt)
-        elif args.command == "verify":
-            code = cmd_verify(args.config, args.out, args.seed, args.dt)
-        elif args.command == "export":
-            code = cmd_export(args.log, args.format, args.out, args.times)
-        else:  # pragma: no cover - argparse enforces the choices
-            code = EXIT_INPUT
-    except (IntegrationError, QuadratureError, TargetSearchError) as exc:
-        # a run the guard refuses, or a table or target that does not
-        # converge, is a runtime failure, not a failed verification
-        logger.error("runtime failure: %s", exc)
-        code = EXIT_RUNTIME
+    if args.command == "export":
+        code = cmd_export(args.log, args.format, args.out, args.times)
+    else:
+        command = {"run": cmd_run, "search": cmd_search, "verify": cmd_verify}[args.command]
+        code = command(args.config, args.out, args.seed, args.dt)
     if argv is None:
         sys.exit(code)
     return code

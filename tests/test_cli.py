@@ -147,13 +147,6 @@ def test_run_rejects_missing_density_kind(tmp_path):
     assert cmd_run(path, str(tmp_path / "out")) == 2
 
 
-def test_run_rejects_unreadable_config(tmp_path):
-    bad = tmp_path / "nope.json"
-    bad.write_text("{not json", encoding="utf-8")
-    assert cmd_run(str(bad), str(tmp_path / "out")) == 2
-    assert cmd_run(str(tmp_path / "missing.json"), str(tmp_path / "out")) == 2
-
-
 def test_run_determinism_bytes(quick_config, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cmd_run(quick_config, str(out_a)) == 0
@@ -260,6 +253,15 @@ def test_snapshot_time_outside_the_log_exits_2(quick_config, tmp_path, caplog, t
     assert cmd_export(str(valid / "log.json"), "svg-snapshots", str(tmp_path / "svg"),
                       times=[t]) == 2
     assert list((tmp_path / "svg").glob("*.svg")) == []
+
+
+def test_a_direct_export_refuses_an_unknown_format(quick_config, tmp_path, caplog):
+    # argparse refuses the format in `main`; a direct call refuses it too
+    out = tmp_path / "out"
+    assert cmd_run(quick_config, str(out)) == 0
+    assert cmd_export(str(out / "log.json"), "png", str(tmp_path / "png")) == 2
+    assert "invalid input: unknown export format: png" in caplog.text
+    assert not (tmp_path / "png").exists()
 
 
 def test_export_rejects_malformed_log(tmp_path):
@@ -473,10 +475,6 @@ def test_log_level_warning(monkeypatch):
     assert levels == [logging.WARNING, logging.WARNING, logging.ERROR, logging.INFO]
 
 
-def test_verify_unreadable_input(tmp_path):
-    assert cmd_verify(str(tmp_path / "missing.json"), str(tmp_path / "out")) == 2
-
-
 def test_main_dispatch(quick_config, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", quick_config, "--out", str(out)]) == 0
@@ -624,6 +622,102 @@ def test_python_dash_m_runs_the_cli(quick_config, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert (out / "trajectory.csv").exists()
+
+
+def test_python_dash_m_exits_2_without_a_traceback_on_an_out_under_a_file(quick_config,
+                                                                          tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    done = subprocess.run([sys.executable, "-m", "ringcover", "run", "--config",
+                           quick_config, "--out", str(tmp_path / "file" / "x")],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "ERROR ringcover: invalid input: " in done.stderr
+
+
+def contract_input(tmp_path, monkeypatch, command, failure) -> str:
+    """The input file of one row of `EXIT_CONTRACT`: a scenario config, or a
+    stored log for `export` and for the rows of `verify` that forge one."""
+    if failure == "missing_file":
+        return str(tmp_path / "missing.json")
+    if failure in ("not_utf8", "malformed_json"):
+        path = tmp_path / "input.json"
+        path.write_bytes(b"\xff\xfe{}" if failure == "not_utf8" else b"{not json")
+        return str(path)
+    if failure == "guard_failure":
+        monkeypatch.setattr(sim, "MAX_STEP_HALVINGS", 0)
+        return write_config(tmp_path, {**overtaking_scenario_dict(),
+                                       "search": {"K_star": 2, "T_epsilon": 1.0}})
+    if failure == "totals_mismatch":
+        recompute = cli.recompute_total
+        monkeypatch.setattr(cli, "recompute_total",
+                            lambda *args: recompute(*args) * (1.0 + 1e-7))
+    config = uniform_scenario_dict(integrator={"dt": 0.05, "t_end": 2.0, "log_stride": 5},
+                                   search={"K_star": 2, "T_epsilon": 1.0})
+    if command != "export" and failure not in ("malformed_log", "gate_failure"):
+        if failure == "config_error":
+            config["agents"]["count"] = "x"
+        return write_config(tmp_path, config)
+    log = run_scenario(scenario_from_dict(config))
+    if failure == "gate_failure":
+        log.workloads[2, 0] = -1.0
+    path = tmp_path / "log.json"
+    with open(path, "w", encoding="utf-8") as handle:
+        cli.write_log(log, handle)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    if failure == "malformed_log":
+        data["records"]["positions"].pop()
+    if failure == "config_error":
+        data["config"]["agents"]["count"] = "x"
+    return write_config(tmp_path, data, "log.json")
+
+
+# The exit-code contract of the command-line front end: each command against
+# each failure that applies to it, with its exit code and the prefix of the
+# one ERROR line it logs. Exit 1 means a failed check and nothing else.
+EXIT_CONTRACT = {
+    **{(command, "config_error"): (2, "invalid config: agents.count: ")
+       for command in ("run", "search", "verify", "export")},
+    **{(command, failure): (2, "invalid input: ")
+       for command in ("run", "search", "verify", "export")
+       for failure in ("missing_file", "not_utf8", "malformed_json", "out_under_file")},
+    **{(command, "malformed_log"): (2, "invalid input: malformed trajectory log: positions ")
+       for command in ("verify", "export")},
+    **{(command, "guard_failure"): (3, "runtime failure: step still crosses bars")
+       for command in ("run", "search", "verify")},
+    ("verify", "gate_failure"): (1, "verification failed: log_consistency, "
+                                    "workload_positivity, target_stationarity"),
+    ("search", "totals_mismatch"): (1, "quadrature total "),
+}
+
+
+@pytest.mark.parametrize("command, failure", EXIT_CONTRACT,
+                         ids=[f"{c}-{f}" for c, f in EXIT_CONTRACT])
+def test_each_failure_exits_with_its_code_and_one_error_line(tmp_path, monkeypatch, caplog,
+                                                            command, failure):
+    code, prefix = EXIT_CONTRACT[command, failure]
+    path = contract_input(tmp_path, monkeypatch, command, failure)
+    out = tmp_path / "out"
+    if failure == "out_under_file":
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / "file" / "x"
+    # nothing is run, searched or verified before --out is made
+    calls = []
+    for name in ("run_scenario", "run_search", "verify_invariants"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, _f=original, _n=name:
+                            calls.append(_n) or _f(*args))
+    argv = ([command, "--config", path] if command != "export"
+            else [command, "--log", path, "--format", "csv"])
+    caplog.clear()
+    assert main([*argv, "--out", str(out)]) == code
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and errors[0].startswith(prefix), errors
+    if failure == "out_under_file":
+        assert calls == []
 
 
 @pytest.mark.parametrize("path, value, field", [

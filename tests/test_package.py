@@ -407,3 +407,23 @@ def test_one_grid_evaluation_site_per_curve():
                              "geometry.py:PolarCurve.sampled", "geometry.py:_radial_batch",
                              "geometry.py:_radial_batch"], sites
     assert named == []
+
+
+def test_one_failure_handler_maps_every_cli_exit_code():
+    # `cli._exit_codes` alone turns a failure into an exit code and its log
+    # line: every other except clause in cli.py ends in a bare raise, only
+    # `main` calls sys.exit, and every command runs under the handler
+    tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    inside = {id(node) for node in ast.walk(functions["_exit_codes"])}
+    stray = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.ExceptHandler) and id(node) not in inside
+             and not (isinstance(node.body[-1], ast.Raise) and node.body[-1].exc is None)]
+    assert stray == []
+    exits = [name for name, function in functions.items() for node in ast.walk(function)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.exit"]
+    assert exits == ["main"]
+    commands = {name: [ast.unparse(d) for d in function.decorator_list]
+                for name, function in functions.items() if name.startswith("cmd_")}
+    assert commands == dict.fromkeys(("cmd_run", "cmd_search", "cmd_verify", "cmd_export"),
+                                     ["_exit_codes"])

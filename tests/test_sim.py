@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import (all_centroids, cumulative_difference_moments, cyclic_layouts,
+from conftest import (CONFIGS, all_centroids, cumulative_difference_moments, cyclic_layouts,
                       entry_paths, hand_built_cyclic_form, one_candidate_positions,
                       overtaking_scenario_dict, parser_scenarios, radial_polynomial_densities,
                       reference_scenario_dict, region_and_density, stacked_run,
@@ -399,6 +400,94 @@ def test_forgeries_of_the_replaced_gates_still_fail(short_reference_run, gate):
     failed = {c.name for c in report.checks if c.status == "fail"}
     assert failed == {"log_consistency", "target_stationarity"}
     assert not report.passed
+
+
+@pytest.fixture(scope="module")
+def short_shipped_reference():
+    """(log, config dict, config) of the shipped `reference_n8` to t = 10, a
+    record every 10 steps."""
+    data = json.loads((CONFIGS / "reference_n8.json").read_text(encoding="utf-8"))
+    data["integrator"].update(t_end=10.0, log_stride=10)
+    data["output"]["snapshot_times"] = [0.0, 10.0]
+    config = scenario_from_dict(copy.deepcopy(data))
+    return run_scenario(config), data, config
+
+
+def with_records(log, **columns):
+    """A copy of `log` with the named record columns replaced."""
+    forged = TrajectoryLog.from_dict(log.to_dict())
+    for name, value in columns.items():
+        getattr(forged, name)[...] = value
+    return forged
+
+
+def with_costs_recomputed(log, config):
+    """`log` with `tracking` and `cost` recomputed from its phases, positions,
+    targets and workloads, so that the columns agree as a forger would make
+    them."""
+    table = agents.cost_table(config.region, config.density, config.beta)
+    offsets = log.positions - log.targets
+    log.tracking[...] = np.sum(log.workloads * np.sum(offsets * offsets, axis=2), axis=1)
+    moments = np.concatenate([table.slice_moments(p) for p in log.phases_unwrapped], axis=1)
+    log.cost[...] = np.sum(agents.slice_cost_terms(moments, log.positions, config.beta)[0]
+                           .reshape(log.times.size, -1), axis=1)
+    return log
+
+
+def rerun_with_gain(data, gain, factor):
+    """The log of the same scenario re-run with one gain scaled by `factor`."""
+    data = copy.deepcopy(data)
+    data["gains"][gain] *= factor
+    return run_scenario(scenario_from_dict(data))
+
+
+REVERSED = ("phases_unwrapped", "positions", "targets", "workloads", "lyapunov", "cost",
+            "tracking", "excursion")
+
+# The log-mutation corpus: each mutation of the short shipped reference log,
+# verified against the shipped config, and the exact set of gates it fails
+# today. An empty set is a mutation `verify` does not catch yet: a gate added
+# later shows here what it newly catches, and that it loses nothing.
+LOG_MUTATIONS = {
+    "workloads_x1.001": (lambda log, data, config: with_records(
+        log, workloads=1.001 * log.workloads), {"log_consistency", "target_stationarity"}),
+    "records_reversed_in_time": (lambda log, data, config: with_records(
+        log, **{name: getattr(log, name)[::-1] for name in REVERSED}),
+        {"lyapunov_nonincreasing", "lyapunov_exponential_bound"}),
+    "agents_frozen_costs_stale": (lambda log, data, config: with_records(
+        log, positions=log.positions[0]), {"log_consistency"}),
+    "agents_on_targets_costs_stale": (lambda log, data, config: with_records(
+        log, positions=log.targets), {"log_consistency"}),
+    "targets_replaced_by_positions": (lambda log, data, config: with_records(
+        log, targets=log.positions), {"log_consistency", "target_stationarity"}),
+    "bars_turned_by_0.1": (lambda log, data, config: with_records(
+        log, phases_unwrapped=log.phases_unwrapped + 0.1),
+        {"log_consistency", "target_stationarity"}),
+    **{f"{gain}_x{factor:g}": (lambda log, data, config, gain=gain, factor=factor:
+                               rerun_with_gain(data, gain, factor), set())
+       for gain, factors in (("kappa_phi", (0.5, 0.2)), ("kappa_p", (0.5, 0.1, 10.0)))
+       for factor in factors},
+    **{f"times_x{factor:g}": (lambda log, data, config, factor=factor: with_records(
+        log, times=factor * log.times), set()) for factor in (2.0, 0.5)},
+    "agents_frozen_costs_recomputed": (lambda log, data, config: with_costs_recomputed(
+        with_records(log, positions=log.positions[0]), config), set()),
+    "agents_on_targets_costs_recomputed": (lambda log, data, config: with_costs_recomputed(
+        with_records(log, positions=log.targets), config), set()),
+}
+
+
+def test_the_short_shipped_reference_log_passes_every_gate(short_shipped_reference):
+    log, _, config = short_shipped_reference
+    assert verify_invariants(log, config).passed
+
+
+@pytest.mark.parametrize("mutation", LOG_MUTATIONS)
+def test_verify_fails_the_pinned_gates_on_each_log_mutation(short_shipped_reference,
+                                                            mutation):
+    log, data, config = short_shipped_reference
+    mutate, caught = LOG_MUTATIONS[mutation]
+    report = verify_invariants(mutate(log, data, config), config)
+    assert {c.name for c in report.checks if c.status == "fail"} == caught
 
 
 @settings(max_examples=100, deadline=None)
